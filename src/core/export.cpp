@@ -1,10 +1,11 @@
 #include "core/export.hpp"
 
 #include <charconv>
+#include <cstddef>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
-#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -19,109 +20,323 @@ namespace cloudrtt::core {
 
 namespace {
 
-using util::fnv1a_accum;
 constexpr std::uint64_t kFnvBasis = util::kFnv1aBasis;
 
-/// Write one data row, folding its serialised bytes into `hash` when the
-/// integrity trailer is on (the trailer covers exactly what import re-hashes).
-void write_row(std::ostream& out, const ExportOptions& options,
-               std::uint64_t& hash, std::uint64_t& rows,
-               const std::vector<std::string>& cells) {
-  if (options.integrity_trailer) {
-    std::ostringstream buffer;
-    util::write_csv_row(buffer, cells);
-    const std::string serialized = buffer.str();
-    hash = fnv1a_accum(hash, serialized);
-    out << serialized;
+/// What dataset_hash serialises: every collected bit, so round-trip doubles
+/// and the ground-truth column, and no trailer.
+constexpr ExportOptions kHashOptions{.roundtrip_doubles = true,
+                                     .ground_truth = true};
+
+/// Widest numeric cells. A 3-decimal fixed-point double runs to a sign, 309
+/// integer digits (DBL_MAX), the point and 3 decimals; a shortest
+/// round-trip double is at most 24 characters.
+constexpr std::size_t kMaxUintChars =
+    std::numeric_limits<std::uint64_t>::digits10 + 1;
+constexpr std::size_t kMaxDoubleChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 3;
+
+void put_bytes(const CsvSink& sink, std::string_view bytes) {
+  if (sink.fnv1a != nullptr) {
+    *sink.fnv1a = util::fnv1a_accum(*sink.fnv1a, bytes);
   } else {
-    util::write_csv_row(out, cells);
+    sink.out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  ++rows;
 }
 
-void write_trailer(std::ostream& out, const ExportOptions& options,
+/// The row encoder's output: a fixed chunk that cells are formatted straight
+/// into with std::to_chars. A cell first asks for room for its widest form;
+/// when the chunk cannot give it, the buffered bytes go to the sink (and,
+/// with an integrity trailer, into the trailer's fold) and the chunk starts
+/// over. Nothing grows, no row allocates, and the sink sees one call per
+/// chunk.
+class ChunkBuffer {
+ public:
+  static constexpr std::size_t kBytes = 32 * 1024;
+
+  /// `trailer`, when set, also folds every chunk (the data rows only: the
+  /// header and trailer lines bypass the chunk).
+  ChunkBuffer(const CsvSink& sink, std::uint64_t* trailer)
+      : sink_(sink), trailer_(trailer) {}
+  ChunkBuffer(const ChunkBuffer&) = delete;
+  ChunkBuffer& operator=(const ChunkBuffer&) = delete;
+
+  void flush() {
+    const std::string_view chunk{data_, size_};
+    if (trailer_ != nullptr) *trailer_ = util::fnv1a_accum(*trailer_, chunk);
+    put_bytes(sink_, chunk);
+    size_ = 0;
+    ++flushes_;
+  }
+
+  /// Chunks flushed so far; bytes written under an older count are gone.
+  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  void put(char ch) {
+    *room(1) = ch;
+    ++size_;
+  }
+
+  void put(std::string_view bytes) {
+    while (bytes.size() > kBytes - size_) {
+      const std::size_t fits = kBytes - size_;
+      std::memcpy(data_ + size_, bytes.data(), fits);
+      size_ = kBytes;
+      bytes.remove_prefix(fits);
+      flush();
+    }
+    if (bytes.empty()) return;
+    std::memcpy(data_ + size_, bytes.data(), bytes.size());
+    size_ += bytes.size();
+  }
+
+  /// A catalog string under util::write_csv_row's rule: verbatim unless it
+  /// holds a comma, quote or newline, else quoted with inner quotes doubled.
+  void put_text(std::string_view text) {
+    if (text.find_first_of(",\"\n") == std::string_view::npos) {
+      put(text);
+      return;
+    }
+    put('"');
+    for (std::size_t quote = text.find('"'); quote != std::string_view::npos;
+         quote = text.find('"')) {
+      put(text.substr(0, quote + 1));
+      put('"');
+      text.remove_prefix(quote + 1);
+    }
+    put(text);
+    put('"');
+  }
+
+  void put_uint(std::uint64_t value) {
+    char* out = room(kMaxUintChars);
+    commit(std::to_chars(out, out + kMaxUintChars, value).ptr);
+  }
+
+  /// Shortest round-trip form, or the human 3-decimal fixed point (what
+  /// printf's "%.3f" prints: both round the exact binary value half-even).
+  void put_double(double value, bool roundtrip) {
+    char* out = room(kMaxDoubleChars);
+    commit(roundtrip ? std::to_chars(out, out + kMaxDoubleChars, value).ptr
+                     : std::to_chars(out, out + kMaxDoubleChars, value,
+                                     std::chars_format::fixed, 3)
+                           .ptr);
+  }
+
+  void put_ip(net::Ipv4Address ip) {
+    commit(ip.append_to(room(net::Ipv4Address::kMaxChars)));
+  }
+
+  /// Append a copy of the `bytes` bytes at offset `at` of the current chunk
+  /// and return the copy's offset. When the chunk is too full, it is
+  /// flushed first and the bytes, still intact, move to its front.
+  std::size_t repeat(std::size_t at, std::size_t bytes) {
+    if (kBytes - size_ < bytes) {
+      flush();
+      std::memmove(data_, data_ + at, bytes);
+      size_ = bytes;
+      return 0;
+    }
+    std::memcpy(data_ + size_, data_ + at, bytes);
+    size_ += bytes;
+    return size_ - bytes;
+  }
+
+ private:
+  /// At least `bytes` (at most kBytes) free at the end of the chunk.
+  [[nodiscard]] char* room(std::size_t bytes) {
+    if (kBytes - size_ < bytes) flush();
+    return data_ + size_;
+  }
+  void commit(const char* end) {
+    size_ = static_cast<std::size_t>(end - data_);
+  }
+
+  const CsvSink& sink_;
+  std::uint64_t* trailer_;
+  std::uint64_t flushes_ = 0;
+  std::size_t size_ = 0;
+  char data_[kBytes];
+};
+
+void write_trailer(const CsvSink& sink, const ExportOptions& options,
                    std::uint64_t hash, std::uint64_t rows) {
   if (!options.integrity_trailer) return;
-  char hex[17] = {};
-  std::to_chars(hex, hex + 16, hash, 16);
-  std::string padded(16 - std::string_view{hex}.size(), '0');
-  padded += hex;
-  out << "#cloudrtt-integrity rows=" << rows << " fnv1a=" << padded << '\n';
+  std::string line = "#cloudrtt-integrity rows=" + std::to_string(rows) +
+                     " fnv1a=";
+  util::append_hex16(line, hash);
+  line += '\n';
+  put_bytes(sink, line);
 }
 
-[[nodiscard]] std::string fmt_double(const ExportOptions& options,
-                                     double value) {
-  if (!options.roundtrip_doubles) return util::format_double(value, 3);
-  char buffer[32];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
-  return ec == std::errc{} ? std::string(buffer, ptr)
-                           : util::format_double(value, 3);
+// lint:hot
+void put_ping_row(ChunkBuffer& chunk, const measure::PingRecord& ping,
+                  bool roundtrip) {
+  const probes::Probe& probe = *ping.probe;
+  chunk.put_uint(probe.id);
+  chunk.put(',');
+  // lint:allow(hot-path-alloc): probes::to_string returns a static string_view
+  chunk.put_text(to_string(probe.platform));
+  chunk.put(',');
+  chunk.put_text(probe.country->code);
+  chunk.put(',');
+  chunk.put_text(geo::to_code(probe.country->continent));
+  chunk.put(',');
+  chunk.put_uint(probe.isp->asn);
+  chunk.put(',');
+  chunk.put_text(cloud::provider_info(ping.region->provider).ticker);
+  chunk.put(',');
+  chunk.put_text(ping.region->region_name);
+  chunk.put(',');
+  // lint:allow(hot-path-alloc): measure::to_string returns a static string_view
+  chunk.put_text(to_string(ping.protocol));
+  chunk.put(',');
+  chunk.put_double(ping.rtt_ms, roundtrip);
+  chunk.put(',');
+  chunk.put_uint(ping.day);
+  chunk.put(',');
+  chunk.put_uint(ping.slot);
+  chunk.put('\n');
+}
+
+/// The cells every hop row of a trace starts with, trailing comma included.
+// lint:hot
+void put_trace_prefix(ChunkBuffer& chunk, const measure::TraceRef& trace,
+                      std::uint64_t trace_id, bool roundtrip) {
+  chunk.put_uint(trace_id);
+  chunk.put(',');
+  chunk.put_uint(trace.probe->id);
+  chunk.put(',');
+  chunk.put_text(cloud::provider_info(trace.region->provider).ticker);
+  chunk.put(',');
+  chunk.put_text(trace.region->region_name);
+  chunk.put(',');
+  chunk.put_ip(trace.target_ip);
+  chunk.put(',');
+  chunk.put_uint(trace.day);
+  chunk.put(',');
+  chunk.put_uint(trace.slot);
+  chunk.put(',');
+  chunk.put(trace.completed ? '1' : '0');
+  chunk.put(',');
+  chunk.put_double(trace.end_to_end_ms, roundtrip);
+  chunk.put(',');
+}
+
+/// A hop's own cells; a silent hop leaves ip and rtt empty.
+// lint:hot
+void put_hop_cells(ChunkBuffer& chunk, const measure::HopRecord& hop,
+                   bool roundtrip) {
+  chunk.put_uint(hop.ttl);
+  chunk.put(',');
+  chunk.put(hop.responded ? '1' : '0');
+  chunk.put(',');
+  if (hop.responded) chunk.put_ip(hop.ip);
+  chunk.put(',');
+  if (hop.responded) chunk.put_double(hop.rtt_ms, roundtrip);
+}
+
+/// One-shot export of `data` through a fresh writer on `target` (a stream
+/// or a digest), under the writer's phase span.
+template <typename Writer, typename Target>
+void write_once(std::string_view phase_name, Target& target,
+                const measure::Dataset& data, const ExportOptions& options) {
+  obs::Span phase = obs::span(phase_name);
+  Writer writer(target, options);
+  writer.write(data);
+  writer.finish();
 }
 
 }  // namespace
 
 PingCsvWriter::PingCsvWriter(std::ostream& out, const ExportOptions& options)
-    : out_(out), options_(options), hash_(kFnvBasis) {
-  util::write_csv_row(out_, {"probe_id", "platform", "country", "continent",
-                             "isp_asn", "provider", "region", "protocol",
-                             "rtt_ms", "day", "slot"});
+    : PingCsvWriter(CsvSink{.out = &out}, options) {}
+
+PingCsvWriter::PingCsvWriter(std::uint64_t& digest,
+                             const ExportOptions& options)
+    : PingCsvWriter(CsvSink{.fnv1a = &digest}, options) {}
+
+PingCsvWriter::PingCsvWriter(CsvSink sink, const ExportOptions& options)
+    : sink_(sink), options_(options), hash_(kFnvBasis) {
+  put_bytes(sink_,
+            "probe_id,platform,country,continent,isp_asn,provider,region,"
+            "protocol,rtt_ms,day,slot\n");
 }
 
+// lint:hot
 void PingCsvWriter::write(const measure::Dataset& data) {
+  ChunkBuffer chunk{sink_, options_.integrity_trailer ? &hash_ : nullptr};
   for (const measure::PingRecord& ping : data.pings) {
-    const probes::Probe& probe = *ping.probe;
-    write_row(
-        out_, options_, hash_, rows_,
-        {std::to_string(probe.id), std::string{to_string(probe.platform)},
-         std::string{probe.country->code},
-         std::string{geo::to_code(probe.country->continent)},
-         std::to_string(probe.isp->asn),
-         std::string{cloud::provider_info(ping.region->provider).ticker},
-         std::string{ping.region->region_name},
-         std::string{to_string(ping.protocol)}, fmt_double(options_, ping.rtt_ms),
-         std::to_string(ping.day), std::to_string(ping.slot)});
+    put_ping_row(chunk, ping, options_.roundtrip_doubles);
   }
+  rows_ += data.pings.size();
+  chunk.flush();
 }
 
 void PingCsvWriter::finish() {
-  write_trailer(out_, options_, hash_, rows_);
+  write_trailer(sink_, options_, hash_, rows_);
   obs::Registry::global().counter("export.ping_rows_total").inc(rows_);
 }
 
 TraceCsvWriter::TraceCsvWriter(std::ostream& out, const ExportOptions& options)
-    : out_(out), options_(options), hash_(kFnvBasis) {
-  std::vector<std::string> header{"trace_id", "probe_id", "provider", "region",
-                                  "target_ip", "day", "slot", "completed",
-                                  "end_to_end_ms", "ttl", "responded", "hop_ip",
-                                  "hop_rtt_ms"};
-  if (options_.ground_truth) header.emplace_back("true_mode");
-  util::write_csv_row(out_, header);
+    : TraceCsvWriter(CsvSink{.out = &out}, options) {}
+
+TraceCsvWriter::TraceCsvWriter(std::uint64_t& digest,
+                               const ExportOptions& options)
+    : TraceCsvWriter(CsvSink{.fnv1a = &digest}, options) {}
+
+TraceCsvWriter::TraceCsvWriter(CsvSink sink, const ExportOptions& options)
+    : sink_(sink), options_(options), hash_(kFnvBasis) {
+  put_bytes(sink_,
+            options_.ground_truth
+                ? "trace_id,probe_id,provider,region,target_ip,day,slot,"
+                  "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms,"
+                  "true_mode\n"
+                : "trace_id,probe_id,provider,region,target_ip,day,slot,"
+                  "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms\n");
 }
 
+// lint:hot
 void TraceCsvWriter::write(const measure::Dataset& data) {
+  constexpr std::uint64_t kNoChunk = std::numeric_limits<std::uint64_t>::max();
+  const bool roundtrip = options_.roundtrip_doubles;
+  ChunkBuffer chunk{sink_, options_.integrity_trailer ? &hash_ : nullptr};
   for (const measure::TraceRef& trace : data.traces) {
+    // lint:allow(hot-path-alloc): topology::to_string returns a static string_view
+    const std::string_view mode = topology::to_string(trace.true_mode);
+    // The prefix cells repeat on every hop row of the trace: encode them
+    // once, then copy them within the chunk for as long as no flush has
+    // dropped them (`prefix_chunk` is the flush count they were written
+    // under, or kNoChunk when a flush split them).
+    std::size_t prefix_at = 0;
+    std::size_t prefix_bytes = 0;
+    std::uint64_t prefix_chunk = kNoChunk;
     for (const measure::HopRecord& hop : trace.hops) {
-      std::vector<std::string> cells{
-          std::to_string(trace_id_), std::to_string(trace.probe->id),
-          std::string{cloud::provider_info(trace.region->provider).ticker},
-          std::string{trace.region->region_name},
-          trace.target_ip.to_string(), std::to_string(trace.day),
-          std::to_string(trace.slot), trace.completed ? "1" : "0",
-          fmt_double(options_, trace.end_to_end_ms), std::to_string(hop.ttl),
-          hop.responded ? "1" : "0",
-          hop.responded ? hop.ip.to_string() : std::string{},
-          hop.responded ? fmt_double(options_, hop.rtt_ms) : std::string{}};
-      if (options_.ground_truth) {
-        cells.emplace_back(topology::to_string(trace.true_mode));
+      if (prefix_chunk == chunk.flushes()) {
+        prefix_at = chunk.repeat(prefix_at, prefix_bytes);
+        prefix_chunk = chunk.flushes();
+      } else {
+        const std::uint64_t before = chunk.flushes();
+        prefix_at = chunk.size();
+        put_trace_prefix(chunk, trace, trace_id_, roundtrip);
+        prefix_bytes = chunk.size() - prefix_at;
+        prefix_chunk = chunk.flushes() == before ? before : kNoChunk;
       }
-      write_row(out_, options_, hash_, rows_, cells);
+      put_hop_cells(chunk, hop, roundtrip);
+      if (options_.ground_truth) {
+        chunk.put(',');
+        chunk.put_text(mode);
+      }
+      chunk.put('\n');
     }
+    rows_ += trace.hops.size();
     ++trace_id_;
   }
+  chunk.flush();
 }
 
 void TraceCsvWriter::finish() {
-  write_trailer(out_, options_, hash_, rows_);
+  write_trailer(sink_, options_, hash_, rows_);
   obs::Registry::global().counter("export.trace_rows_total").inc(rows_);
 }
 
@@ -131,10 +346,7 @@ void export_pings_csv(std::ostream& out, const measure::Dataset& data) {
 
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
                       const ExportOptions& options) {
-  obs::Span phase = obs::span("core.export.pings_csv");
-  PingCsvWriter writer(out, options);
-  writer.write(data);
-  writer.finish();
+  write_once<PingCsvWriter>("core.export.pings_csv", out, data, options);
 }
 
 void export_traces_csv(std::ostream& out, const measure::Dataset& data) {
@@ -143,40 +355,10 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data) {
 
 void export_traces_csv(std::ostream& out, const measure::Dataset& data,
                        const ExportOptions& options) {
-  obs::Span phase = obs::span("core.export.traces_csv");
-  TraceCsvWriter writer(out, options);
-  writer.write(data);
-  writer.finish();
+  write_once<TraceCsvWriter>("core.export.traces_csv", out, data, options);
 }
 
 namespace {
-
-/// Discarding streambuf that folds every byte into an FNV-1a hash; lets the
-/// CSV writers double as the canonical dataset serialisation without holding
-/// the whole serialisation in memory.
-class HashingStreambuf final : public std::streambuf {
- public:
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) mix(static_cast<char>(ch));
-    return ch;
-  }
-
-  std::streamsize xsputn(const char* data, std::streamsize count) override {
-    for (std::streamsize i = 0; i < count; ++i) mix(data[i]);
-    return count;
-  }
-
- private:
-  void mix(char ch) {
-    hash_ ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
-    hash_ *= 0x100000001b3ULL;
-  }
-
-  std::uint64_t hash_ = kFnvBasis;
-};
 
 /// One lane of a day-ordered store scan: an ifstream over the lane file with
 /// the next block's header and payload buffered.
@@ -277,14 +459,12 @@ template <typename PerBlock>
 }  // namespace
 
 std::uint64_t dataset_hash(const measure::Dataset& data) {
-  HashingStreambuf buffer;
-  std::ostream out{&buffer};
-  ExportOptions options;
-  options.roundtrip_doubles = true;  // hash every collected bit, not 3 decimals
-  options.ground_truth = true;
-  export_pings_csv(out, data, options);
-  export_traces_csv(out, data, options);
-  return buffer.hash();
+  std::uint64_t digest = kFnvBasis;
+  write_once<PingCsvWriter>("core.export.pings_csv", digest, data,
+                            kHashOptions);
+  write_once<TraceCsvWriter>("core.export.traces_csv", digest, data,
+                             kHashOptions);
+  return digest;
 }
 
 StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
@@ -303,16 +483,12 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     return result;
   }
   const store::RowBinder binder{sc_fleet, atlas_fleet};
-  HashingStreambuf buffer;
-  std::ostream out{&buffer};
-  ExportOptions options;
-  options.roundtrip_doubles = true;
-  options.ground_truth = true;
+  std::uint64_t digest = kFnvBasis;
   // The canonical serialisation is the full ping CSV then the full trace
   // CSV, and FNV-1a is strictly sequential — so the store is scanned twice,
   // once per CSV, with one block's rows resident at a time.
   {
-    PingCsvWriter writer(out, options);
+    PingCsvWriter writer(digest, kHashOptions);
     if (std::string err = scan_store_blocks(
             dir, platform, opened.lane_states, binder,
             [&](const measure::Dataset& block) { writer.write(block); });
@@ -323,7 +499,7 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     writer.finish();
   }
   {
-    TraceCsvWriter writer(out, options);
+    TraceCsvWriter writer(digest, kHashOptions);
     if (std::string err = scan_store_blocks(
             dir, platform, opened.lane_states, binder,
             [&](const measure::Dataset& block) { writer.write(block); });
@@ -333,17 +509,15 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     }
     writer.finish();
   }
-  result.hash = buffer.hash();
+  result.hash = digest;
   result.rows = opened.durable_rows;
   return result;
 }
 
 std::string format_dataset_hash(std::uint64_t hash) {
-  char hex[17] = {};
-  std::to_chars(hex, hex + 16, hash, 16);
-  std::string padded(16 - std::string_view{hex}.size(), '0');
-  padded += hex;
-  return padded;
+  std::string hex;
+  util::append_hex16(hex, hash);
+  return hex;
 }
 
 }  // namespace cloudrtt::core

@@ -6,10 +6,13 @@
 // bit-identical to an uninterrupted one, and the ground-truth columns that
 // the human-facing CSVs deliberately omit.
 //
-// The writers are incremental: construct one against an output stream, feed
-// it datasets chunk by chunk (a streamed run feeds one store block at a
-// time), then finish(). The one-shot export_*_csv functions and the whole-
-// dataset hash are thin wrappers over a single write() call.
+// The writers are incremental: construct one against an output stream (or
+// an FNV-1a digest, for the dataset hash), feed it datasets chunk by chunk
+// (a streamed run feeds one store block at a time), then finish(). The
+// one-shot export_*_csv functions and the whole-dataset hash are thin
+// wrappers over a single write() call. Every flavour runs the same
+// allocation-free row encoder: cells are formatted straight into a fixed
+// chunk buffer that reaches the stream or digest before write() returns.
 
 #include <cstdint>
 #include <filesystem>
@@ -39,6 +42,13 @@ struct ExportOptions {
   bool ground_truth = false;
 };
 
+/// Where a CSV writer's bytes go: an output stream, or an FNV-1a digest
+/// that folds them and keeps no copy. Exactly one is set.
+struct CsvSink {
+  std::ostream* out = nullptr;
+  std::uint64_t* fnv1a = nullptr;
+};
+
 /// Incremental ping CSV writer: header on construction, one row per ping per
 /// write() call, integrity trailer (when enabled) on finish(). Feeding the
 /// same rows across several write() calls produces byte-identical output to
@@ -47,14 +57,19 @@ struct ExportOptions {
 class PingCsvWriter {
  public:
   PingCsvWriter(std::ostream& out, const ExportOptions& options);
+  /// Hashing writer: continues the FNV-1a `digest` over every byte the
+  /// stream writer would write, and writes nothing.
+  PingCsvWriter(std::uint64_t& digest, const ExportOptions& options);
   void write(const measure::Dataset& data);
   void finish();
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
  private:
-  std::ostream& out_;
+  PingCsvWriter(CsvSink sink, const ExportOptions& options);
+
+  CsvSink sink_;
   ExportOptions options_;
-  std::uint64_t hash_;
+  std::uint64_t hash_;  ///< integrity-trailer fold over the data rows
   std::uint64_t rows_ = 0;
 };
 
@@ -63,26 +78,31 @@ class PingCsvWriter {
 class TraceCsvWriter {
  public:
   TraceCsvWriter(std::ostream& out, const ExportOptions& options);
+  /// Hashing writer, as PingCsvWriter's.
+  TraceCsvWriter(std::uint64_t& digest, const ExportOptions& options);
   void write(const measure::Dataset& data);
   void finish();
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
  private:
-  std::ostream& out_;
+  TraceCsvWriter(CsvSink sink, const ExportOptions& options);
+
+  CsvSink sink_;
   ExportOptions options_;
-  std::uint64_t hash_;
+  std::uint64_t hash_;  ///< integrity-trailer fold over the data rows
   std::uint64_t rows_ = 0;
   std::uint64_t trace_id_ = 0;
 };
 
 /// One row per ping: probe id, platform, country, continent, ISP ASN,
-/// provider, region, protocol, rtt_ms, day.
+/// provider, region, protocol, rtt_ms, day, slot.
 void export_pings_csv(std::ostream& out, const measure::Dataset& data);
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
                       const ExportOptions& options);
 
 /// One row per traceroute hop: trace id, probe id, provider, region, target
-/// ip, day, completed flag, end-to-end RTT, ttl, responded, hop ip, hop rtt.
+/// ip, day, slot, completed flag, end-to-end RTT, ttl, responded, hop ip,
+/// hop rtt, and with ExportOptions::ground_truth the true interconnect mode.
 void export_traces_csv(std::ostream& out, const measure::Dataset& data);
 void export_traces_csv(std::ostream& out, const measure::Dataset& data,
                        const ExportOptions& options);
@@ -91,8 +111,8 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 /// the trace CSV, both with round-trip doubles and ground truth so every
 /// collected bit is covered. Two runs are reproductions of each other iff
 /// their hashes match — this is what `cloudrtt study --dataset-hash` prints
-/// and what the determinism CI gate compares. Streams through a hashing
-/// streambuf, so no serialized copy of the dataset is materialised.
+/// and what the determinism CI gate compares. The writers fold their chunk
+/// buffer into the digest, so no serialized copy of the dataset exists.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
 /// The same hash computed straight from a format=3 store, one block of rows

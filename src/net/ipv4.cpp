@@ -1,15 +1,23 @@
 #include "net/ipv4.hpp"
 
 #include <charconv>
-#include <cstdio>
 
 namespace cloudrtt::net {
 
+char* Ipv4Address::append_to(char* out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const std::uint32_t octet = (value_ >> shift) & 0xffu;
+    if (octet >= 100) *out++ = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) *out++ = static_cast<char>('0' + octet / 10 % 10);
+    *out++ = static_cast<char>('0' + octet % 10);
+    if (shift > 0) *out++ = '.';
+  }
+  return out;
+}
+
 std::string Ipv4Address::to_string() const {
-  char buffer[16];
-  std::snprintf(buffer, sizeof(buffer), "%u.%u.%u.%u", (value_ >> 24) & 0xffu,
-                (value_ >> 16) & 0xffu, (value_ >> 8) & 0xffu, value_ & 0xffu);
-  return buffer;
+  char buffer[kMaxChars];
+  return std::string(buffer, append_to(buffer));
 }
 
 std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {

@@ -7,6 +7,7 @@
 // addresses are honest 32-bit values, not handles.
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,7 +23,14 @@ class Ipv4Address {
       : value_((std::uint32_t{a} << 24) | (std::uint32_t{b} << 16) |
                (std::uint32_t{c} << 8) | std::uint32_t{d}) {}
 
+  /// Longest dotted quad, "255.255.255.255".
+  static constexpr std::size_t kMaxChars = 15;
+
   [[nodiscard]] constexpr std::uint32_t value() const { return value_; }
+  /// Write the dotted quad at `out`, which has room for kMaxChars; returns
+  /// one past the last character. Allocation-free (the CSV row encoder's
+  /// path); to_string() wraps it.
+  char* append_to(char* out) const;
   [[nodiscard]] std::string to_string() const;
 
   /// Parse dotted-quad; nullopt on malformed input.

@@ -8,6 +8,7 @@
 #include "topology/interconnect.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/text.hpp"
 
 namespace cloudrtt::store {
 
@@ -23,13 +24,6 @@ void append_u64(std::string& out, std::uint64_t value) {
   const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
   CLOUDRTT_DCHECK(ec == std::errc{}, "u64 to_chars cannot fail");
   out.append(buffer, ptr);
-}
-
-void append_hex16(std::string& out, std::uint64_t value) {
-  char buffer[17] = {};
-  std::to_chars(buffer, buffer + 16, value, 16);
-  out.append(16 - std::string_view{buffer}.size(), '0');
-  out += buffer;
 }
 
 template <typename T>
@@ -126,7 +120,7 @@ std::string format_block_header(const BlockHeader& header) {
   line += " bytes=";
   append_u64(line, header.bytes);
   line += " fnv1a=";
-  append_hex16(line, header.fnv1a);
+  util::append_hex16(line, header.fnv1a);
   line += '\n';
   return line;
 }

@@ -14,6 +14,15 @@ std::string format_double(double value, int decimals) {
   return buffer;
 }
 
+void append_hex16(std::string& out, std::uint64_t value) {
+  char digits[16];
+  for (int i = 15; i >= 0; --i) {
+    digits[i] = "0123456789abcdef"[value & 0xfu];
+    value >>= 4;
+  }
+  out.append(digits, sizeof digits);
+}
+
 void TextTable::set_header(std::vector<std::string> cells) { header_ = std::move(cells); }
 
 void TextTable::add_row(std::vector<std::string> cells) {

@@ -4,6 +4,7 @@
 // series can be re-plotted externally.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -14,6 +15,11 @@ namespace cloudrtt::util {
 
 /// Fixed-point formatting helper (avoids iostream state juggling).
 [[nodiscard]] std::string format_double(double value, int decimals = 1);
+
+/// Append `value` as 16 zero-padded lower-case hex digits: the one format of
+/// every 64-bit hash the project prints (dataset hashes, CSV integrity
+/// trailers, store block headers).
+void append_hex16(std::string& out, std::uint64_t value);
 
 /// Simple column-aligned table. First added row can be marked as header.
 class TextTable {

@@ -18,6 +18,15 @@ TEST(Ipv4Address, FormatAndParseRoundTrip) {
   EXPECT_EQ(*parsed, addr);
 }
 
+TEST(Ipv4Address, DottedQuadAtOctetWidthEdges) {
+  EXPECT_EQ(Ipv4Address{0u}.to_string(), "0.0.0.0");
+  EXPECT_EQ(Ipv4Address{0xffffffffu}.to_string(), "255.255.255.255");
+  EXPECT_EQ((Ipv4Address{9, 10, 99, 100}).to_string(), "9.10.99.100");
+  char buffer[Ipv4Address::kMaxChars];
+  const Ipv4Address widest{255, 255, 255, 255};
+  EXPECT_EQ(widest.append_to(buffer), buffer + Ipv4Address::kMaxChars);
+}
+
 TEST(Ipv4Address, ParseRejectsMalformed) {
   EXPECT_FALSE(Ipv4Address::parse("").has_value());
   EXPECT_FALSE(Ipv4Address::parse("1.2.3").has_value());

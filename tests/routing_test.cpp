@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <tuple>
+
 #include "probes/fleet.hpp"
 #include "routing/path_builder.hpp"
 #include "topology/world.hpp"
@@ -281,9 +284,13 @@ TEST_F(PathBuilderTest, DeterministicForSameInputs) {
 }
 
 // Property sweep: from several source countries to several destinations, the
-// base RTT never undercuts the speed of light over the great circle.
-class PhysicsSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+// base RTT never undercuts the speed of light over the great circle. The
+// country codes are string_views, not const char*, so gtest prints them as
+// text instead of pointer addresses and the test names are the same on
+// every run.
+using CountryPair = std::tuple<std::string_view, std::string_view>;
+
+class PhysicsSweep : public ::testing::TestWithParam<CountryPair> {};
 
 TEST_P(PhysicsSweep, NoFasterThanLight) {
   topology::World world{topology::WorldConfig{13}};
