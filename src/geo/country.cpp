@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/check.hpp"
+
 namespace cloudrtt::geo {
 
 namespace {
@@ -181,11 +183,31 @@ constexpr CountryInfo kCountries[] = {
     {"NC", "New Caledonia", C::Oceania, {-21.3, 165.5}, 150, 20, 2, 0.50, 0.50},
 };
 
+constexpr std::size_t kNoSlot = 26 * 26;
+
+/// Index slot of a two-letter upper-case code, or kNoSlot for anything else.
+[[nodiscard]] std::size_t slot_of(std::string_view code) {
+  if (code.size() != 2) return kNoSlot;
+  // Unsigned wrap-around sends every byte below 'A' past 25 as well.
+  const std::size_t first =
+      static_cast<unsigned char>(code[0]) - std::size_t{'A'};
+  const std::size_t second =
+      static_cast<unsigned char>(code[1]) - std::size_t{'A'};
+  if (first >= 26 || second >= 26) return kNoSlot;
+  return first * 26 + second;
+}
+
 }  // namespace
 
-CountryTable::CountryTable() {
-  countries_.assign(std::begin(kCountries), std::end(kCountries));
+CountryTable::CountryTable(std::span<const CountryInfo> rows)
+    : countries_(rows.begin(), rows.end()) {
   for (const CountryInfo& c : countries_) {
+    const std::size_t slot = slot_of(c.code);
+    CLOUDRTT_CHECK(slot != kNoSlot, "country code '", c.code,
+                   "' is not two upper-case letters");
+    CLOUDRTT_CHECK(index_[slot] == nullptr, "duplicate country code '",
+                   c.code, "'");
+    index_[slot] = &c;
     total_sc_weight_ += c.sc_weight;
     total_atlas_weight_ += c.atlas_weight;
     sc_by_continent_[index_of(c.continent)] += c.sc_weight;
@@ -194,15 +216,13 @@ CountryTable::CountryTable() {
 }
 
 const CountryTable& CountryTable::instance() {
-  static const CountryTable table;
+  static const CountryTable table{kCountries};
   return table;
 }
 
 const CountryInfo* CountryTable::find(std::string_view code) const {
-  for (const CountryInfo& c : countries_) {
-    if (c.code == code) return &c;
-  }
-  return nullptr;
+  const std::size_t slot = slot_of(code);
+  return slot == kNoSlot ? nullptr : index_[slot];
 }
 
 const CountryInfo& CountryTable::at(std::string_view code) const {

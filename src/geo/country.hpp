@@ -11,6 +11,7 @@
 //  * backhaul_quality in [0,1]: how well-provisioned the public backbone is
 //    (drives transit detour and jitter; EU/NA high, developing regions low).
 
+#include <array>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -33,12 +34,20 @@ struct CountryInfo {
   double backhaul_quality;
 };
 
-/// Immutable catalogue; a process-wide singleton built from static data.
+/// Immutable catalogue; instance() is the process-wide table built from the
+/// static data.
 class CountryTable {
  public:
   [[nodiscard]] static const CountryTable& instance();
 
+  /// A table over `rows`, whose codes must be unique two-letter upper-case
+  /// ISO codes (CHECKed: the lookup index has one slot per such code).
+  explicit CountryTable(std::span<const CountryInfo> rows);
+  CountryTable(const CountryTable&) = delete;
+  CountryTable& operator=(const CountryTable&) = delete;
+
   [[nodiscard]] std::span<const CountryInfo> all() const { return countries_; }
+  /// Constant-time lookup through the code index; nullptr for an unknown code.
   [[nodiscard]] const CountryInfo* find(std::string_view code) const;
   /// Throwing lookup for code paths where a miss is a programming error.
   [[nodiscard]] const CountryInfo& at(std::string_view code) const;
@@ -50,9 +59,9 @@ class CountryTable {
   [[nodiscard]] double continent_atlas_weight(Continent c) const;
 
  private:
-  CountryTable();
-
   std::vector<CountryInfo> countries_;
+  /// One slot per two-letter code "AA".."ZZ", pointing into countries_.
+  std::array<const CountryInfo*, 26 * 26> index_{};
   double total_sc_weight_ = 0.0;
   double total_atlas_weight_ = 0.0;
   std::array<double, kContinentCount> sc_by_continent_{};

@@ -70,8 +70,8 @@ struct Scrubbed {
 
 [[nodiscard]] bool is_header(std::string_view path);
 
-/// Path without its extension ("src/routing/path_cache.hpp" ->
-/// "src/routing/path_cache"). Annotation-driven rules enforce over the
+/// Path without its extension ("src/routing/path_builder.hpp" ->
+/// "src/routing/path_builder"). Annotation-driven rules enforce over the
 /// header + sibling .cpp sharing one stem.
 [[nodiscard]] std::string_view path_stem(std::string_view path);
 

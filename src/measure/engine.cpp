@@ -88,13 +88,12 @@ Engine::PathDraw Engine::draw_path(const probes::Probe& probe,
                                    const topology::CloudEndpoint& endpoint,
                                    util::Rng& rng, std::uint8_t slot,
                                    MeasurementScratch& scratch) const {
-  PathDraw draw;
   const topology::InterconnectMode mode =
       roll_mode(probe, *endpoint.region, rng);
-  // The skeleton lookup consumes no RNG, so cache hits and misses leave the
-  // visit's random stream — and therefore the dataset bits — unchanged.
-  draw.path = cache_.lookup(probe, endpoint, mode, scratch.path);
-  draw.last_mile = lastmile::draw(probe.lastmile, rng);
+  // The build consumes no RNG: the visit's random stream is the mode roll
+  // above and the draws below.
+  builder_.build_into(probe, endpoint, mode, scratch.path);
+  PathDraw draw{scratch.path, lastmile::draw(probe.lastmile, rng)};
 
   const double base = draw.path.base_rtt_ms();
   const double sigma_rel =

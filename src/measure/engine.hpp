@@ -8,14 +8,13 @@
 #include "fault/plan.hpp"
 #include "measure/records.hpp"
 #include "routing/path_builder.hpp"
-#include "routing/path_cache.hpp"
 #include "topology/world.hpp"
 #include "util/rng.hpp"
 
 namespace cloudrtt::measure {
 
 /// Caller-owned scratch for one measurement stream. The executor keeps one
-/// per worker so cache misses/bypasses rebuild into the same hop vector day
+/// per worker so every visit builds its path into the same hop vector day
 /// after day instead of churning the heap; single-shot callers can omit it
 /// (a per-call local is used). Holds no RNG and never affects results.
 struct MeasurementScratch {
@@ -29,7 +28,7 @@ struct MeasurementScratch {
 class Engine {
  public:
   explicit Engine(const topology::World& world)
-      : world_(world), builder_(world), cache_(world, builder_) {}
+      : world_(world), builder_(world) {}
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -94,7 +93,6 @@ class Engine {
                                     util::Rng& rng) const;
 
   [[nodiscard]] const routing::PathBuilder& path_builder() const { return builder_; }
-  [[nodiscard]] const routing::PathCache& path_cache() const { return cache_; }
 
   /// Per-measurement interconnect-mode roll (pair policy + adherence).
   [[nodiscard]] topology::InterconnectMode roll_mode(
@@ -103,9 +101,9 @@ class Engine {
 
  private:
   struct PathDraw {
-    /// Aliases either the cache's immutable block or the scratch build;
-    /// consumed within the measurement, before the scratch is reused.
-    routing::PathView path;
+    /// The scratch build; consumed within the measurement, before the
+    /// scratch is reused.
+    const routing::ForwardingPath& path;
     lastmile::Sample last_mile;
     double congestion = 1.0;  ///< shared multiplicative factor this measurement
     double spike_ms = 0.0;    ///< transient congestion event
@@ -119,7 +117,6 @@ class Engine {
 
   const topology::World& world_;
   routing::PathBuilder builder_;
-  routing::PathCache cache_;
 };
 
 }  // namespace cloudrtt::measure

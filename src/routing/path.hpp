@@ -6,8 +6,6 @@
 // only ever sees the resulting hop/IP lists.
 
 #include <cstddef>
-#include <span>
-#include <string_view>
 #include <vector>
 
 #include "geo/coords.hpp"
@@ -44,28 +42,6 @@ struct ForwardingPath {
     std::size_t n = 0;
     for (const RouterHop& hop : hops) n += hop.cloud_owned ? 1 : 0;
     return n;
-  }
-};
-
-/// Non-owning view of a forwarding path with the same accessor surface as
-/// ForwardingPath. The measurement engine's per-visit draw holds one of
-/// these: on a PathCache hit it aliases the immutable cached hop block, on a
-/// miss/bypass it aliases the caller's scratch build — either way the view
-/// is consumed within the visit, before the scratch is reused.
-struct PathView {
-  std::span<const RouterHop> hops;
-  topology::InterconnectMode mode = topology::InterconnectMode::Public;
-
-  PathView() = default;
-  PathView(std::span<const RouterHop> path_hops, topology::InterconnectMode m)
-      : hops(path_hops), mode(m) {}
-  explicit PathView(const ForwardingPath& path)
-      : hops(path.hops), mode(path.mode) {}
-
-  [[nodiscard]] const RouterHop& target() const { return hops.back(); }
-  [[nodiscard]] double base_rtt_ms() const { return hops.back().base_rtt_ms; }
-  [[nodiscard]] double noise_abs_ms() const {
-    return hops.back().noise_abs_ms;
   }
 };
 

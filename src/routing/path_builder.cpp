@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
 #include <string_view>
+
+#include "util/check.hpp"
 
 namespace cloudrtt::routing {
 
@@ -19,71 +22,59 @@ constexpr double kWanMidHopKm = 3000.0;   // long WAN runs expose a mid router
 
 const net::Ipv4Address kHomeRouterIp{192, 168, 1, 1};
 
-struct HubRef {
-  const topology::TransitCarrier* carrier = nullptr;
-  const topology::TransitHub* hub = nullptr;
+/// Distances from one catalogue point to tier-1 hubs, in flat hub order.
+using HubKm = std::span<const double>;
+using HubChoice = PathBuilder::HubChoice;
+
+struct NearestHub {
+  HubChoice choice;
+  std::size_t first_hub = 0;  ///< the carrier's offset in flat hub order
 };
 
-/// Nearest hub of any carrier (optionally excluding one) to a location.
-[[nodiscard]] HubRef nearest_hub(const geo::GeoPoint& from,
-                                 const topology::TransitCarrier* exclude = nullptr) {
-  HubRef best;
+/// Nearest hub of any carrier (optionally excluding one) to the point whose
+/// hub distances are `km`.
+// lint:hot
+[[nodiscard]] NearestHub nearest_hub(
+    HubKm km, const topology::TransitCarrier* exclude = nullptr) {
+  NearestHub best;
   double best_km = std::numeric_limits<double>::infinity();
+  std::size_t first = 0;
   for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
-    if (&carrier == exclude) continue;
-    for (const topology::TransitHub& hub : carrier.hubs) {
-      const double km = geo::haversine_km(from, hub.location);
-      if (km < best_km) {
-        best_km = km;
-        best = HubRef{&carrier, &hub};
-      }
-    }
-  }
-  return best;
-}
-
-/// Nearest hub of one specific carrier to a location.
-[[nodiscard]] const topology::TransitHub* nearest_hub_of(
-    const topology::TransitCarrier& carrier, const geo::GeoPoint& from) {
-  const topology::TransitHub* best = nullptr;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const topology::TransitHub& hub : carrier.hubs) {
-    const double km = geo::haversine_km(from, hub.location);
-    if (km < best_km) {
-      best_km = km;
-      best = &hub;
-    }
-  }
-  return best;
-}
-
-/// Best <carrier, entry hub, exit hub> for a single-carrier (PNI) haul.
-struct CarrierPlan {
-  const topology::TransitCarrier* carrier = nullptr;
-  const topology::TransitHub* entry = nullptr;
-  const topology::TransitHub* exit = nullptr;
-};
-
-[[nodiscard]] CarrierPlan best_single_carrier(const geo::GeoPoint& from,
-                                              const geo::GeoPoint& to) {
-  CarrierPlan best;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
-    for (const topology::TransitHub& entry : carrier.hubs) {
-      for (const topology::TransitHub& exit : carrier.hubs) {
-        const double cost = geo::haversine_km(from, entry.location) +
-                            geo::haversine_km(entry.location, exit.location) +
-                            geo::haversine_km(exit.location, to);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = CarrierPlan{&carrier, &entry, &exit};
+    if (&carrier != exclude) {
+      for (std::size_t i = 0; i < carrier.hubs.size(); ++i) {
+        if (km[first + i] < best_km) {
+          best_km = km[first + i];
+          best = NearestHub{{&carrier, &carrier.hubs[i]}, first};
         }
       }
     }
+    first += carrier.hubs.size();
   }
   return best;
 }
 
+/// Public transit from the point with hub distances `from_km` to the one
+/// with `to_km`: nearest hub, its carrier's exit, and the handoff carrier.
+// lint:hot
+[[nodiscard]] PathBuilder::TransitPlan transit_haul(HubKm from_km,
+                                                    HubKm to_km) {
+  const NearestHub first = nearest_hub(from_km);
+  const topology::TransitCarrier& carrier = *first.choice.carrier;
+  std::size_t exit = 0;
+  double exit_km = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < carrier.hubs.size(); ++i) {
+    if (to_km[first.first_hub + i] < exit_km) {
+      exit_km = to_km[first.first_hub + i];
+      exit = i;
+    }
+  }
+  PathBuilder::TransitPlan plan{first.choice, &carrier.hubs[exit], {}};
+  if (exit_km > 2500.0) plan.second = nearest_hub(to_km, &carrier).choice;
+  return plan;
+}
+
+/// The exchange a country's DirectIxp paths cross: its own, else the one
+/// nearest its centroid. Priced once per country by the constructor.
 [[nodiscard]] const topology::IxpInfo* choose_ixp(std::string_view country,
                                                   const geo::GeoPoint& near) {
   const topology::IxpInfo* best = nullptr;
@@ -97,6 +88,27 @@ struct CarrierPlan {
     }
   }
   return best;
+}
+
+/// Position of `item` in `rows`, or rows.size() when it lives elsewhere.
+/// Addresses compare as integers: subtracting pointers into different
+/// arrays is UB, and a caller may pass a copy from outside `rows`.
+template <typename T>
+[[nodiscard]] std::size_t position_in(std::span<const T> rows, const T& item) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(&item);
+  const auto first = reinterpret_cast<std::uintptr_t>(rows.data());
+  if (addr < first || addr >= first + rows.size_bytes()) return rows.size();
+  return (addr - first) / sizeof(T);
+}
+
+/// Distances from `from` to every hub, in flat hub order.
+void price_hubs(const geo::GeoPoint& from, std::span<double> out) {
+  std::size_t h = 0;
+  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const topology::TransitHub& hub : carrier.hubs) {
+      out[h++] = geo::haversine_km(from, hub.location);
+    }
+  }
 }
 
 /// Mutable builder state threading location, RTT and jitter budget.
@@ -205,6 +217,110 @@ class Builder {
 
 }  // namespace
 
+PathBuilder::PathBuilder(const topology::World& world) : world_(world) {
+  HubTables& t = tables_;
+  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const topology::TransitHub& entry : carrier.hubs) {
+      for (const topology::TransitHub& exit : carrier.hubs) {
+        t.pair_km.push_back(geo::haversine_km(entry.location, exit.location));
+      }
+    }
+    t.hubs += carrier.hubs.size();
+  }
+  const auto countries = world_.countries().all();
+  const auto& endpoints = world_.endpoints();
+  t.country_km.resize(countries.size() * t.hubs);
+  t.endpoint_km.resize(endpoints.size() * t.hubs);
+  for (std::size_t c = 0; c < countries.size(); ++c) {
+    price_hubs(countries[c].centroid,
+               std::span{t.country_km}.subspan(c * t.hubs, t.hubs));
+    t.country_ixp.push_back(
+        choose_ixp(countries[c].code, countries[c].centroid));
+  }
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    price_hubs(endpoints[e].region->location,
+               std::span{t.endpoint_km}.subspan(e * t.hubs, t.hubs));
+  }
+}
+
+// lint:hot
+const geo::CountryInfo& PathBuilder::choice_country(
+    std::string_view code, const geo::GeoPoint& at) const {
+  const geo::CountryInfo* info = world_.countries().find(code);
+  CLOUDRTT_CHECK(info != nullptr && info->centroid == at, "path choice in ",
+                 code, " made away from its centroid");
+  return *info;
+}
+
+// lint:hot
+std::size_t PathBuilder::country_index(const geo::CountryInfo& from) const {
+  const auto countries = world_.countries().all();
+  const std::size_t index = position_in(countries, from);
+  CLOUDRTT_CHECK(index < countries.size(), "country ", from.code,
+                 " is not a row of the country table");
+  return index;
+}
+
+// lint:hot
+std::span<const double> PathBuilder::country_km(
+    const geo::CountryInfo& from) const {
+  return std::span{tables_.country_km}.subspan(
+      country_index(from) * tables_.hubs, tables_.hubs);
+}
+
+// lint:hot
+std::span<const double> PathBuilder::endpoint_km(
+    const topology::CloudEndpoint& endpoint) const {
+  const std::span<const topology::CloudEndpoint> endpoints{world_.endpoints()};
+  const std::size_t index = position_in(endpoints, endpoint);
+  CLOUDRTT_CHECK(index < endpoints.size(), "endpoint ",
+                 endpoint.region->region_name,
+                 " is not a row of world.endpoints()");
+  return std::span{tables_.endpoint_km}.subspan(index * tables_.hubs,
+                                                tables_.hubs);
+}
+
+// lint:hot
+PathBuilder::CarrierPlan PathBuilder::carrier_plan(
+    const geo::CountryInfo& from, const topology::CloudEndpoint& to) const {
+  const HubKm from_km = country_km(from);
+  const HubKm to_km = endpoint_km(to);
+  CarrierPlan best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::size_t first = 0;
+  std::size_t block = 0;  // the carrier's entry x exit block in pair_km
+  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
+    const std::size_t n = carrier.hubs.size();
+    for (std::size_t entry = 0; entry < n; ++entry) {
+      for (std::size_t exit = 0; exit < n; ++exit) {
+        const double cost = from_km[first + entry] +
+                            tables_.pair_km[block + entry * n + exit] +
+                            to_km[first + exit];
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = CarrierPlan{&carrier, &carrier.hubs[entry],
+                             &carrier.hubs[exit]};
+        }
+      }
+    }
+    first += n;
+    block += n * n;
+  }
+  return best;
+}
+
+// lint:hot
+PathBuilder::TransitPlan PathBuilder::transit_plan(
+    const geo::CountryInfo& from, const topology::CloudEndpoint& to) const {
+  return transit_haul(country_km(from), endpoint_km(to));
+}
+
+PathBuilder::TransitPlan PathBuilder::transit_plan(
+    const topology::CloudEndpoint& from,
+    const topology::CloudEndpoint& to) const {
+  return transit_haul(endpoint_km(from), endpoint_km(to));
+}
+
 bool PathBuilder::wan_serves(cloud::ProviderId provider,
                              const cloud::RegionInfo& region) {
   switch (cloud::provider_info(provider).backbone) {
@@ -300,7 +416,9 @@ void PathBuilder::build_into(const probes::Probe& probe,
 
   switch (mode) {
     case InterconnectMode::DirectIxp: {
-      if (const topology::IxpInfo* ixp = choose_ixp(isp.country, b.location())) {
+      const geo::CountryInfo& at = choice_country(b.country(), b.location());
+      if (const topology::IxpInfo* ixp =
+              tables_.country_ixp[country_index(at)]) {
         b.advance_public(ixp->location, ixp->country, 0.04, 0.08);
         b.push_router(ixp->asn, b.site("lan/", ixp->country), ixp->location,
                       false, 0.25);
@@ -325,9 +443,8 @@ void PathBuilder::build_into(const probes::Probe& probe,
         b.advance_public(info.centroid, gw, 0.06, 0.18);
         b.push_router(isp.asn, b.site("gw/", gw), info.centroid, false, 0.3);
       }
-      const geo::GeoPoint target_ref =
-          wan ? region.location : region.location;  // PNI lands near the DC side
-      const CarrierPlan plan = best_single_carrier(b.location(), target_ref);
+      const CarrierPlan plan =
+          carrier_plan(choice_country(b.country(), b.location()), endpoint);
       b.advance_public(plan.entry->location, plan.entry->country, 0.06, 0.16);
       b.push_router(plan.carrier->asn, b.site("hub/", plan.entry->city),
                     plan.entry->location, false, 0.3, /*load_balanced=*/true);
@@ -358,7 +475,9 @@ void PathBuilder::build_into(const probes::Probe& probe,
         b.advance_public(info.centroid, gw, 0.07, 0.22);
         b.push_router(upstream, b.site("gw/", gw), info.centroid, false, 0.3);
       }
-      const HubRef first = nearest_hub(b.location());
+      const TransitPlan haul =
+          transit_plan(choice_country(b.country(), b.location()), endpoint);
+      const HubChoice& first = haul.first;
       b.advance_public(first.hub->location, first.hub->country, 0.07, 0.20);
       b.push_router(first.carrier->asn, b.site("hub/", first.hub->city),
                     first.hub->location, false, 0.3, /*load_balanced=*/true);
@@ -366,21 +485,18 @@ void PathBuilder::build_into(const probes::Probe& probe,
       // traceroutes — public paths look longer at router level.
       b.push_router(first.carrier->asn, b.site("hub-out/", first.hub->city),
                     first.hub->location, false, 0.15);
-      const topology::TransitHub* own_exit =
-          nearest_hub_of(*first.carrier, region.location);
-      if (geo::haversine_km(own_exit->location, region.location) > 2500.0) {
+      if (const HubChoice& second = haul.second; second.hub != nullptr) {
         // Hand off to a second carrier closer to the destination.
-        const HubRef second = nearest_hub(region.location, first.carrier);
         b.advance_managed(second.hub->location, second.hub->country, kCarrierDetour,
                           0.09);
         b.push_router(second.carrier->asn, b.site("hub/", second.hub->city),
                       second.hub->location, false, 0.3,
                       /*load_balanced=*/true);
-      } else if (own_exit != first.hub) {
-        b.advance_managed(own_exit->location, own_exit->country, kCarrierDetour,
-                          0.085);
-        b.push_router(first.carrier->asn, b.site("hub/", own_exit->city),
-                      own_exit->location, false, 0.3,
+      } else if (haul.exit != first.hub) {
+        b.advance_managed(haul.exit->location, haul.exit->country,
+                          kCarrierDetour, 0.085);
+        b.push_router(first.carrier->asn, b.site("hub/", haul.exit->city),
+                      haul.exit->location, false, 0.3,
                       /*load_balanced=*/true);
       }
       b.advance_public(region.location, region.country, 0.06, 0.18);
@@ -430,21 +546,21 @@ ForwardingPath PathBuilder::build_interdc(const topology::CloudEndpoint& src,
     // small providers' "horizontal" traffic (§3.1) and all multi-cloud
     // traffic look like this.
     path.mode = InterconnectMode::Public;
-    const HubRef first = nearest_hub(b.location());
+    const TransitPlan haul = transit_plan(src, dst);
+    const HubChoice& first = haul.first;
     b.advance_public(first.hub->location, first.hub->country, 0.06, 0.16);
     b.push_router(first.carrier->asn, "hub/" + std::string{first.hub->city},
                   first.hub->location, false, 0.3);
-    const topology::TransitHub* exit = nearest_hub_of(*first.carrier, to.location);
-    if (geo::haversine_km(exit->location, to.location) > 2500.0) {
-      const HubRef second = nearest_hub(to.location, first.carrier);
+    if (const HubChoice& second = haul.second; second.hub != nullptr) {
       b.advance_managed(second.hub->location, second.hub->country, kCarrierDetour,
                         0.08);
       b.push_router(second.carrier->asn, "hub/" + std::string{second.hub->city},
                     second.hub->location, false, 0.3);
-    } else if (exit != first.hub) {
-      b.advance_managed(exit->location, exit->country, kCarrierDetour, 0.08);
-      b.push_router(first.carrier->asn, "hub/" + std::string{exit->city},
-                    exit->location, false, 0.3);
+    } else if (haul.exit != first.hub) {
+      b.advance_managed(haul.exit->location, haul.exit->country, kCarrierDetour,
+                        0.08);
+      b.push_router(first.carrier->asn, "hub/" + std::string{haul.exit->city},
+                    haul.exit->location, false, 0.3);
     }
     b.advance_public(to.location, to.country, 0.06, 0.16);
   }

@@ -15,6 +15,16 @@
 // Latency is composed from backbone segment costs (geography + quality
 // detours + border penalties), private-WAN great-circle runs, and per-hop
 // processing, with an absolute jitter budget accumulated per segment type.
+//
+// Every carrier, hub and IXP choice is made between fixed catalogue points:
+// country centroids, tier-1 hubs and region locations. The constructor
+// prices those distances once into immutable tables, so a build reads them
+// instead of re-running haversine, and concurrent builds share one builder.
+
+#include <cstddef>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "probes/fleet.hpp"
 #include "routing/path.hpp"
@@ -22,9 +32,20 @@
 
 namespace cloudrtt::routing {
 
+/// The catalogue distances a PathBuilder prices once. Flat hub order is
+/// tier1_carriers() order, each carrier's hubs in turn; every row is
+/// geo::haversine_km from the row's point to each hub.
+struct HubTables {
+  std::size_t hubs = 0;
+  std::vector<double> pair_km;      ///< per carrier, its entry x exit block
+  std::vector<double> country_km;   ///< countries() x hubs, from centroids
+  std::vector<double> endpoint_km;  ///< world.endpoints() x hubs, from regions
+  std::vector<const topology::IxpInfo*> country_ixp;  ///< DirectIxp exchange
+};
+
 class PathBuilder {
  public:
-  explicit PathBuilder(const topology::World& world) : world_(world) {}
+  explicit PathBuilder(const topology::World& world);
 
   [[nodiscard]] ForwardingPath build(const probes::Probe& probe,
                                      const topology::CloudEndpoint& endpoint,
@@ -32,8 +53,7 @@ class PathBuilder {
 
   /// build() into caller-owned storage: `out` is cleared but keeps its hop
   /// capacity, so a reused scratch path allocates only on its deepest build.
-  /// This is the PathCache miss/bypass entry point — the allocation-free
-  /// variant the per-visit hot loop calls.
+  /// This is the allocation-free variant the per-visit hot loop calls.
   void build_into(const probes::Probe& probe,
                   const topology::CloudEndpoint& endpoint,
                   topology::InterconnectMode mode, ForwardingPath& out) const;
@@ -50,8 +70,57 @@ class PathBuilder {
   [[nodiscard]] static bool wan_serves(cloud::ProviderId provider,
                                        const cloud::RegionInfo& region);
 
+  // --- the choices a build makes, read from the tables -----------------
+  // A country argument is a row of world.countries(), where paths make
+  // their choices at its centroid; an endpoint argument is a row of
+  // world.endpoints(). Both are CHECKed.
+
+  struct HubChoice {
+    const topology::TransitCarrier* carrier = nullptr;
+    const topology::TransitHub* hub = nullptr;
+  };
+  /// OneAs (PNI) haul: one carrier's entry and exit hubs.
+  struct CarrierPlan {
+    const topology::TransitCarrier* carrier = nullptr;
+    const topology::TransitHub* entry = nullptr;
+    const topology::TransitHub* exit = nullptr;
+  };
+  /// Public haul: the hub nearest the origin, its carrier's hub nearest the
+  /// destination, and the other carrier's hub the path hands off to when
+  /// that exit is over 2,500 km out (`second.hub` null otherwise).
+  struct TransitPlan {
+    HubChoice first;
+    const topology::TransitHub* exit = nullptr;
+    HubChoice second;
+  };
+
+  /// Cheapest centroid -> entry -> exit -> region haul on one carrier.
+  [[nodiscard]] CarrierPlan carrier_plan(
+      const geo::CountryInfo& from, const topology::CloudEndpoint& to) const;
+  /// Public transit from a country's centroid to a region.
+  [[nodiscard]] TransitPlan transit_plan(
+      const geo::CountryInfo& from, const topology::CloudEndpoint& to) const;
+  /// Public transit between two regions (build_interdc).
+  [[nodiscard]] TransitPlan transit_plan(
+      const topology::CloudEndpoint& from,
+      const topology::CloudEndpoint& to) const;
+
+  [[nodiscard]] const HubTables& tables() const { return tables_; }
+
  private:
+  /// The country a choice at `at` in `code` is made from; CHECKs that `at`
+  /// is its centroid, the point the country's row was priced from.
+  [[nodiscard]] const geo::CountryInfo& choice_country(
+      std::string_view code, const geo::GeoPoint& at) const;
+  [[nodiscard]] std::size_t country_index(const geo::CountryInfo& from) const;
+  [[nodiscard]] std::span<const double> country_km(
+      const geo::CountryInfo& from) const;
+  /// A world endpoint's table row.
+  [[nodiscard]] std::span<const double> endpoint_km(
+      const topology::CloudEndpoint& endpoint) const;
+
   const topology::World& world_;
+  HubTables tables_;
 };
 
 }  // namespace cloudrtt::routing

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string_view>
+
 #include "geo/continent.hpp"
 #include "geo/coords.hpp"
 #include "geo/country.hpp"
@@ -143,6 +146,54 @@ TEST(CountryTable, WeightsAndQualitiesAreSane) {
     EXPECT_LE(c.centroid.lon_deg, 180.0) << c.code;
     EXPECT_EQ(std::string_view{c.code}.size(), 2u) << c.code;
   }
+}
+
+TEST(CountryTable, IndexedFindMatchesALinearScan) {
+  const auto& table = CountryTable::instance();
+  ASSERT_EQ(table.all().size(), 149u);
+  for (const CountryInfo& c : table.all()) {
+    const CountryInfo* scanned = nullptr;
+    for (const CountryInfo& row : table.all()) {
+      if (row.code == c.code) {
+        scanned = &row;
+        break;
+      }
+    }
+    EXPECT_EQ(table.find(c.code), scanned) << c.code;
+    EXPECT_EQ(&table.at(c.code), scanned) << c.code;
+  }
+}
+
+TEST(CountryTable, FindRejectsAnythingButAKnownUpperCasePair) {
+  using namespace std::string_view_literals;
+  const auto& table = CountryTable::instance();
+  // Lower case, wrong length, unassigned, and bytes either side of 'A'..'Z'.
+  for (const std::string_view code :
+       {""sv, "D"sv, "de"sv, "dE"sv, "De"sv, "ZZ"sv, "DEU"sv, "D\0"sv, "@A"sv,
+        "A["sv, "\xC4" "E"sv}) {
+    EXPECT_EQ(table.find(code), nullptr) << code;
+  }
+  EXPECT_THROW((void)table.at("ZZ"), std::out_of_range);
+  EXPECT_THROW((void)table.at("de"), std::out_of_range);
+}
+
+TEST(CountryTableDeathTest, ConstructorRefusesCodesTheIndexCannotHold) {
+  const CountryInfo germany = CountryTable::instance().at("DE");
+  CountryInfo lower = germany;
+  lower.code = "de";
+  const CountryInfo duplicate[] = {germany, CountryTable::instance().at("FR"),
+                                   germany};
+  const CountryInfo lowercase[] = {lower};
+  CountryInfo three = germany;
+  three.code = "DEU";
+  const CountryInfo long_code[] = {three};
+  EXPECT_DEATH((void)CountryTable{duplicate}, "duplicate country code 'DE'");
+  EXPECT_DEATH((void)CountryTable{lowercase}, "not two upper-case letters");
+  EXPECT_DEATH((void)CountryTable{long_code}, "not two upper-case letters");
+  const CountryInfo fine[] = {germany, CountryTable::instance().at("FR")};
+  const CountryTable small{fine};
+  EXPECT_EQ(small.find("FR")->name, "France");
+  EXPECT_EQ(small.find("GB"), nullptr);
 }
 
 TEST(CountryTable, CodesAreUnique) {

@@ -1,10 +1,15 @@
 // Unit tests for forwarding-path construction: per-mode path shapes, hop
-// ownership, latency monotonicity, and the case-study geography (§6.2).
+// ownership, latency monotonicity, the case-study geography (§6.2), and the
+// distance tables the builder makes its carrier/hub/IXP choices from.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "probes/fleet.hpp"
 #include "routing/path_builder.hpp"
@@ -281,6 +286,224 @@ TEST_F(PathBuilderTest, DeterministicForSameInputs) {
     EXPECT_EQ(a.hops[i].ip, b.hops[i].ip);
     EXPECT_DOUBLE_EQ(a.hops[i].base_rtt_ms, b.hops[i].base_rtt_ms);
   }
+}
+
+// --- the distance tables against the haversine loops they replaced ---------
+//
+// The reference below is PathBuilder's former selection code, verbatim in
+// its loop order, strict `<` and `(a + b) + c` sums: choices made from the
+// tables must be the same pointers for every catalogue pair.
+
+using topology::IxpInfo;
+using topology::TransitCarrier;
+using topology::TransitHub;
+
+[[nodiscard]] std::uint64_t bits(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+[[nodiscard]] PathBuilder::HubChoice ref_nearest_hub(
+    const geo::GeoPoint& from, const TransitCarrier* exclude = nullptr) {
+  PathBuilder::HubChoice best;
+  double best_km = std::numeric_limits<double>::infinity();
+  for (const TransitCarrier& carrier : topology::tier1_carriers()) {
+    if (&carrier == exclude) continue;
+    for (const TransitHub& hub : carrier.hubs) {
+      const double km = geo::haversine_km(from, hub.location);
+      if (km < best_km) {
+        best_km = km;
+        best = {&carrier, &hub};
+      }
+    }
+  }
+  return best;
+}
+
+[[nodiscard]] const TransitHub* ref_nearest_hub_of(
+    const TransitCarrier& carrier, const geo::GeoPoint& from) {
+  const TransitHub* best = nullptr;
+  double best_km = std::numeric_limits<double>::infinity();
+  for (const TransitHub& hub : carrier.hubs) {
+    const double km = geo::haversine_km(from, hub.location);
+    if (km < best_km) {
+      best_km = km;
+      best = &hub;
+    }
+  }
+  return best;
+}
+
+[[nodiscard]] PathBuilder::CarrierPlan ref_best_single_carrier(
+    const geo::GeoPoint& from, const geo::GeoPoint& to) {
+  PathBuilder::CarrierPlan best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (const TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const TransitHub& entry : carrier.hubs) {
+      for (const TransitHub& exit : carrier.hubs) {
+        const double cost = geo::haversine_km(from, entry.location) +
+                            geo::haversine_km(entry.location, exit.location) +
+                            geo::haversine_km(exit.location, to);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = {&carrier, &entry, &exit};
+        }
+      }
+    }
+  }
+  return best;
+}
+
+[[nodiscard]] PathBuilder::TransitPlan ref_transit(const geo::GeoPoint& from,
+                                                   const geo::GeoPoint& to) {
+  PathBuilder::TransitPlan plan;
+  plan.first = ref_nearest_hub(from);
+  plan.exit = ref_nearest_hub_of(*plan.first.carrier, to);
+  if (geo::haversine_km(plan.exit->location, to) > 2500.0) {
+    plan.second = ref_nearest_hub(to, plan.first.carrier);
+  }
+  return plan;
+}
+
+[[nodiscard]] const IxpInfo* ref_choose_ixp(std::string_view country,
+                                            const geo::GeoPoint& near) {
+  const IxpInfo* best = nullptr;
+  double best_km = std::numeric_limits<double>::infinity();
+  for (const IxpInfo& ixp : topology::known_ixps()) {
+    if (ixp.country == country) return &ixp;
+    const double km = geo::haversine_km(near, ixp.location);
+    if (km < best_km) {
+      best_km = km;
+      best = &ixp;
+    }
+  }
+  return best;
+}
+
+void expect_same_transit(const PathBuilder::TransitPlan& got,
+                         const PathBuilder::TransitPlan& want,
+                         std::string_view what) {
+  EXPECT_EQ(got.first.carrier, want.first.carrier) << what;
+  EXPECT_EQ(got.first.hub, want.first.hub) << what;
+  EXPECT_EQ(got.exit, want.exit) << what;
+  EXPECT_EQ(got.second.carrier, want.second.carrier) << what;
+  EXPECT_EQ(got.second.hub, want.second.hub) << what;
+}
+
+TEST_F(PathBuilderTest, TableEntriesAreHaversineBitForBit) {
+  const HubTables& t = builder_.tables();
+  std::vector<const TransitHub*> hubs;
+  std::size_t block = 0;
+  for (const TransitCarrier& carrier : topology::tier1_carriers()) {
+    const std::size_t n = carrier.hubs.size();
+    for (std::size_t entry = 0; entry < n; ++entry) {
+      for (std::size_t exit = 0; exit < n; ++exit) {
+        EXPECT_EQ(bits(t.pair_km[block + entry * n + exit]),
+                  bits(geo::haversine_km(carrier.hubs[entry].location,
+                                         carrier.hubs[exit].location)))
+            << carrier.name;
+      }
+    }
+    block += n * n;
+    for (const TransitHub& hub : carrier.hubs) hubs.push_back(&hub);
+  }
+  ASSERT_EQ(t.hubs, hubs.size());
+  ASSERT_EQ(t.pair_km.size(), block);
+
+  const auto countries = world_.countries().all();
+  ASSERT_EQ(t.country_km.size(), countries.size() * t.hubs);
+  ASSERT_EQ(t.country_ixp.size(), countries.size());
+  for (std::size_t c = 0; c < countries.size(); ++c) {
+    for (std::size_t h = 0; h < t.hubs; ++h) {
+      EXPECT_EQ(bits(t.country_km[c * t.hubs + h]),
+                bits(geo::haversine_km(countries[c].centroid,
+                                       hubs[h]->location)))
+          << countries[c].code;
+    }
+    EXPECT_EQ(t.country_ixp[c],
+              ref_choose_ixp(countries[c].code, countries[c].centroid))
+        << countries[c].code;
+  }
+
+  const auto& endpoints = world_.endpoints();
+  ASSERT_EQ(t.endpoint_km.size(), endpoints.size() * t.hubs);
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    for (std::size_t h = 0; h < t.hubs; ++h) {
+      EXPECT_EQ(bits(t.endpoint_km[e * t.hubs + h]),
+                bits(geo::haversine_km(endpoints[e].region->location,
+                                       hubs[h]->location)))
+          << endpoints[e].region->region_name;
+    }
+  }
+}
+
+TEST_F(PathBuilderTest, HaversineIsBitwiseSymmetricForEveryHubPair) {
+  // One row per point pair serves both argument orders: builds compare
+  // hub -> region distances the old code took as haversine(hub, region).
+  std::vector<geo::GeoPoint> points;
+  for (const geo::CountryInfo& country : world_.countries().all()) {
+    points.push_back(country.centroid);
+  }
+  for (const topology::CloudEndpoint& endpoint : world_.endpoints()) {
+    points.push_back(endpoint.region->location);
+  }
+  for (const IxpInfo& ixp : topology::known_ixps()) {
+    points.push_back(ixp.location);
+  }
+  for (const TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const TransitHub& hub : carrier.hubs) points.push_back(hub.location);
+  }
+  std::size_t pairs = 0;
+  for (const TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const TransitHub& hub : carrier.hubs) {
+      for (const geo::GeoPoint& point : points) {
+        ASSERT_EQ(bits(geo::haversine_km(hub.location, point)),
+                  bits(geo::haversine_km(point, hub.location)))
+            << hub.city << " <-> " << point.lat_deg << "," << point.lon_deg;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, builder_.tables().hubs * points.size());
+}
+
+TEST_F(PathBuilderTest, ChoicesMatchHaversineLoopsForEveryCountryAndEndpoint) {
+  for (const geo::CountryInfo& country : world_.countries().all()) {
+    for (const topology::CloudEndpoint& endpoint : world_.endpoints()) {
+      const geo::GeoPoint& to = endpoint.region->location;
+      const PathBuilder::CarrierPlan plan =
+          builder_.carrier_plan(country, endpoint);
+      const PathBuilder::CarrierPlan want =
+          ref_best_single_carrier(country.centroid, to);
+      ASSERT_EQ(plan.carrier, want.carrier)
+          << country.code << " -> " << endpoint.region->region_name;
+      ASSERT_EQ(plan.entry, want.entry) << country.code;
+      ASSERT_EQ(plan.exit, want.exit) << country.code;
+      expect_same_transit(builder_.transit_plan(country, endpoint),
+                          ref_transit(country.centroid, to), country.code);
+    }
+  }
+}
+
+TEST_F(PathBuilderTest, InterdcChoicesMatchHaversineLoopsForEveryPair) {
+  for (const topology::CloudEndpoint& src : world_.endpoints()) {
+    for (const topology::CloudEndpoint& dst : world_.endpoints()) {
+      expect_same_transit(
+          builder_.transit_plan(src, dst),
+          ref_transit(src.region->location, dst.region->location),
+          src.region->region_name);
+    }
+  }
+}
+
+using PathBuilderDeathTest = PathBuilderTest;
+
+TEST_F(PathBuilderDeathTest, EndpointOutsideTheWorldIsRefused) {
+  // The tables hold one row per world endpoint; a copy has no row.
+  const topology::CloudEndpoint copy =
+      endpoint_in("IN", cloud::ProviderId::Microsoft);
+  const probes::Probe probe = make_probe("BH");
+  EXPECT_DEATH((void)builder_.build(probe, copy, InterconnectMode::OneAs),
+               "is not a row of world.endpoints");
 }
 
 // Property sweep: from several source countries to several destinations, the

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,9 +99,12 @@ struct BlockSpan {
 };
 
 [[nodiscard]] std::string read_file(const fs::path& path) {
+  // Through a stringstream, not istreambuf_iterator: GCC 12 at -O2 flags the
+  // iterator copy as a potential null dereference, which breaks -Werror.
   std::ifstream in(path, std::ios::binary);
-  return std::string{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
+  std::ostringstream out;
+  out << in.rdbuf();
+  return std::move(out).str();
 }
 
 void write_file(const fs::path& path, const std::string& content) {
