@@ -3,8 +3,7 @@
 // hooks: BM_TracerouteNoFaultArg (the pre-existing call shape) and
 // BM_TracerouteNullFaults (hooks present, pointer null) must agree within
 // noise (<2%). BM_TracerouteActiveFaults shows the price of a mild-profile
-// fault day, and the checkpoint benchmarks price the per-day save/load the
-// resilient campaign driver performs.
+// fault day.
 //
 // The streaming-store legs carry the durability contract at the scale it
 // is stated: BM_StudyDefaultStreaming (default-scale study, spill on) must
@@ -22,7 +21,6 @@
 #include <filesystem>
 #include <span>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
@@ -119,7 +117,7 @@ void BM_FaultPlanConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultPlanConstruction);
 
-/// One day's worth of campaign data for the checkpoint benchmarks.
+/// One day's worth of campaign data for the store benchmarks.
 [[nodiscard]] const measure::Dataset& bench_dataset() {
   static const measure::Dataset data = [] {
     Fixture& f = Fixture::instance();
@@ -132,53 +130,6 @@ BENCHMARK(BM_FaultPlanConstruction);
   }();
   return data;
 }
-
-// What the after_day hook costs: serialize + hash + atomic rename for one
-// day's dataset (amortised against a multi-minute simulated day).
-void BM_CheckpointSave(benchmark::State& state) {
-  const measure::Dataset& data = bench_dataset();
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "cloudrtt_perf_ckpt";
-  core::CheckpointMeta meta;
-  meta.state = {1, 0};
-  meta.seed = 7;
-  meta.platform = "speedchecker";
-  for (auto _ : state) {
-    const std::string err = core::save_checkpoint(dir, meta, data);
-    if (!err.empty()) state.SkipWithError(err.c_str());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.pings.size()));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CheckpointSave);
-
-// Resume cost: parse + integrity validation + probe re-binding.
-void BM_CheckpointLoad(benchmark::State& state) {
-  Fixture& f = Fixture::instance();
-  const measure::Dataset& data = bench_dataset();
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "cloudrtt_perf_ckpt_load";
-  core::CheckpointMeta meta;
-  meta.state = {1, 0};
-  meta.seed = 7;
-  meta.platform = "speedchecker";
-  if (const std::string err = core::save_checkpoint(dir, meta, data);
-      !err.empty()) {
-    state.SkipWithError(err.c_str());
-    return;
-  }
-  for (auto _ : state) {
-    core::CheckpointLoad load =
-        core::load_checkpoint(dir, "speedchecker", &f.fleet, nullptr);
-    if (!load.ok()) state.SkipWithError(load.error.c_str());
-    benchmark::DoNotOptimize(load);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.pings.size()));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CheckpointLoad);
 
 /// Campaign config shared by the in-memory/streaming A-B pair.
 [[nodiscard]] measure::CampaignConfig day_config() {

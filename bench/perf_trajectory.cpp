@@ -7,8 +7,6 @@
 //   campaign_day_tN    one paper-scale campaign day at each --threads value;
 //                      every run's dataset hash must be bit-identical to the
 //                      first (the recorder refuses to time a wrong dataset)
-//   checkpoint_save    legacy (format=2) full-CSV snapshot of the dataset
-//   checkpoint_load    validated resume from that snapshot
 //   spill_day          streaming store: frame + checksum + append + commit
 //                      the same day through store::ShardWriter, then prove
 //                      the spilled store reloads to the same bits
@@ -28,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/scale.hpp"
 #include "measure/campaign.hpp"
@@ -202,42 +199,6 @@ int main(int argc, char** argv) {
               << " ms, hash " << report.sections.back().dataset_hash << "\n";
   }
   report.dataset_hash = core::format_dataset_hash(reference_hash);
-
-  // --- checkpoint_save / checkpoint_load -----------------------------------
-  const std::filesystem::path ckpt_dir =
-      std::filesystem::temp_directory_path() / "cloudrtt-perf-trajectory";
-  core::CheckpointMeta meta;
-  meta.state.next_day = days;
-  meta.seed = seed;
-  meta.platform = "speedchecker";
-  {
-    obs::BenchSection section;
-    section.name = "checkpoint_save";
-    for (unsigned rep = 0; rep < reps; ++rep) {
-      const obs::Stopwatch watch;
-      const std::string error =
-          core::save_checkpoint(ckpt_dir, meta, reference_data);
-      section.wall_ms.push_back(watch.elapsed_ms());
-      CLOUDRTT_CHECK(error.empty(), "checkpoint save failed: ", error);
-    }
-    report.sections.push_back(std::move(section));
-  }
-  {
-    obs::BenchSection section;
-    section.name = "checkpoint_load";
-    for (unsigned rep = 0; rep < reps; ++rep) {
-      const obs::Stopwatch watch;
-      const core::CheckpointLoad load =
-          core::load_checkpoint(ckpt_dir, "speedchecker", &fleet, nullptr);
-      section.wall_ms.push_back(watch.elapsed_ms());
-      CLOUDRTT_CHECK(load.ok(), "checkpoint load failed: ", load.error);
-      CLOUDRTT_CHECK(core::dataset_hash(load.data) == reference_hash,
-                     "checkpoint round-trip changed the dataset hash");
-    }
-    report.sections.push_back(std::move(section));
-  }
-  std::error_code cleanup_error;
-  std::filesystem::remove_all(ckpt_dir, cleanup_error);
 
   // --- spill_day -----------------------------------------------------------
   // Streaming-store throughput: the per-day work the day_rows hook adds to

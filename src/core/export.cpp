@@ -22,11 +22,6 @@ namespace {
 
 constexpr std::uint64_t kFnvBasis = util::kFnv1aBasis;
 
-/// What dataset_hash serialises: every collected bit, so round-trip doubles
-/// and the ground-truth column, and no trailer.
-constexpr ExportOptions kHashOptions{.roundtrip_doubles = true,
-                                     .ground_truth = true};
-
 /// Widest numeric cells. A 3-decimal fixed-point double runs to a sign, 309
 /// integer digits (DBL_MAX), the point and 3 decimals; a shortest
 /// round-trip double is at most 24 characters.
@@ -45,25 +40,19 @@ void put_bytes(const CsvSink& sink, std::string_view bytes) {
 
 /// The row encoder's output: a fixed chunk that cells are formatted straight
 /// into with std::to_chars. A cell first asks for room for its widest form;
-/// when the chunk cannot give it, the buffered bytes go to the sink (and,
-/// with an integrity trailer, into the trailer's fold) and the chunk starts
-/// over. Nothing grows, no row allocates, and the sink sees one call per
-/// chunk.
+/// when the chunk cannot give it, the buffered bytes go to the sink and the
+/// chunk starts over. Nothing grows, no row allocates, and the sink sees one
+/// call per chunk.
 class ChunkBuffer {
  public:
   static constexpr std::size_t kBytes = 32 * 1024;
 
-  /// `trailer`, when set, also folds every chunk (the data rows only: the
-  /// header and trailer lines bypass the chunk).
-  ChunkBuffer(const CsvSink& sink, std::uint64_t* trailer)
-      : sink_(sink), trailer_(trailer) {}
+  explicit ChunkBuffer(const CsvSink& sink) : sink_(sink) {}
   ChunkBuffer(const ChunkBuffer&) = delete;
   ChunkBuffer& operator=(const ChunkBuffer&) = delete;
 
   void flush() {
-    const std::string_view chunk{data_, size_};
-    if (trailer_ != nullptr) *trailer_ = util::fnv1a_accum(*trailer_, chunk);
-    put_bytes(sink_, chunk);
+    put_bytes(sink_, std::string_view{data_, size_});
     size_ = 0;
     ++flushes_;
   }
@@ -153,21 +142,10 @@ class ChunkBuffer {
   }
 
   const CsvSink& sink_;
-  std::uint64_t* trailer_;
   std::uint64_t flushes_ = 0;
   std::size_t size_ = 0;
   char data_[kBytes];
 };
-
-void write_trailer(const CsvSink& sink, const ExportOptions& options,
-                   std::uint64_t hash, std::uint64_t rows) {
-  if (!options.integrity_trailer) return;
-  std::string line = "#cloudrtt-integrity rows=" + std::to_string(rows) +
-                     " fnv1a=";
-  util::append_hex16(line, hash);
-  line += '\n';
-  put_bytes(sink, line);
-}
 
 // lint:hot
 void put_ping_row(ChunkBuffer& chunk, const measure::PingRecord& ping,
@@ -240,24 +218,23 @@ void put_hop_cells(ChunkBuffer& chunk, const measure::HopRecord& hop,
 /// or a digest), under the writer's phase span.
 template <typename Writer, typename Target>
 void write_once(std::string_view phase_name, Target& target,
-                const measure::Dataset& data, const ExportOptions& options) {
+                const measure::Dataset& data, CsvFlavour flavour) {
   obs::Span phase = obs::span(phase_name);
-  Writer writer(target, options);
+  Writer writer(target, flavour);
   writer.write(data);
   writer.finish();
 }
 
 }  // namespace
 
-PingCsvWriter::PingCsvWriter(std::ostream& out, const ExportOptions& options)
-    : PingCsvWriter(CsvSink{.out = &out}, options) {}
+PingCsvWriter::PingCsvWriter(std::ostream& out, CsvFlavour flavour)
+    : PingCsvWriter(CsvSink{.out = &out}, flavour) {}
 
-PingCsvWriter::PingCsvWriter(std::uint64_t& digest,
-                             const ExportOptions& options)
-    : PingCsvWriter(CsvSink{.fnv1a = &digest}, options) {}
+PingCsvWriter::PingCsvWriter(std::uint64_t& digest, CsvFlavour flavour)
+    : PingCsvWriter(CsvSink{.fnv1a = &digest}, flavour) {}
 
-PingCsvWriter::PingCsvWriter(CsvSink sink, const ExportOptions& options)
-    : sink_(sink), options_(options), hash_(kFnvBasis) {
+PingCsvWriter::PingCsvWriter(CsvSink sink, CsvFlavour flavour)
+    : sink_(sink), flavour_(flavour) {
   put_bytes(sink_,
             "probe_id,platform,country,continent,isp_asn,provider,region,"
             "protocol,rtt_ms,day,slot\n");
@@ -265,30 +242,29 @@ PingCsvWriter::PingCsvWriter(CsvSink sink, const ExportOptions& options)
 
 // lint:hot
 void PingCsvWriter::write(const measure::Dataset& data) {
-  ChunkBuffer chunk{sink_, options_.integrity_trailer ? &hash_ : nullptr};
+  const bool roundtrip = flavour_ == CsvFlavour::Canonical;
+  ChunkBuffer chunk{sink_};
   for (const measure::PingRecord& ping : data.pings) {
-    put_ping_row(chunk, ping, options_.roundtrip_doubles);
+    put_ping_row(chunk, ping, roundtrip);
   }
   rows_ += data.pings.size();
   chunk.flush();
 }
 
 void PingCsvWriter::finish() {
-  write_trailer(sink_, options_, hash_, rows_);
   obs::Registry::global().counter("export.ping_rows_total").inc(rows_);
 }
 
-TraceCsvWriter::TraceCsvWriter(std::ostream& out, const ExportOptions& options)
-    : TraceCsvWriter(CsvSink{.out = &out}, options) {}
+TraceCsvWriter::TraceCsvWriter(std::ostream& out, CsvFlavour flavour)
+    : TraceCsvWriter(CsvSink{.out = &out}, flavour) {}
 
-TraceCsvWriter::TraceCsvWriter(std::uint64_t& digest,
-                               const ExportOptions& options)
-    : TraceCsvWriter(CsvSink{.fnv1a = &digest}, options) {}
+TraceCsvWriter::TraceCsvWriter(std::uint64_t& digest, CsvFlavour flavour)
+    : TraceCsvWriter(CsvSink{.fnv1a = &digest}, flavour) {}
 
-TraceCsvWriter::TraceCsvWriter(CsvSink sink, const ExportOptions& options)
-    : sink_(sink), options_(options), hash_(kFnvBasis) {
+TraceCsvWriter::TraceCsvWriter(CsvSink sink, CsvFlavour flavour)
+    : sink_(sink), flavour_(flavour) {
   put_bytes(sink_,
-            options_.ground_truth
+            flavour_ == CsvFlavour::Canonical
                 ? "trace_id,probe_id,provider,region,target_ip,day,slot,"
                   "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms,"
                   "true_mode\n"
@@ -299,8 +275,8 @@ TraceCsvWriter::TraceCsvWriter(CsvSink sink, const ExportOptions& options)
 // lint:hot
 void TraceCsvWriter::write(const measure::Dataset& data) {
   constexpr std::uint64_t kNoChunk = std::numeric_limits<std::uint64_t>::max();
-  const bool roundtrip = options_.roundtrip_doubles;
-  ChunkBuffer chunk{sink_, options_.integrity_trailer ? &hash_ : nullptr};
+  const bool canonical = flavour_ == CsvFlavour::Canonical;
+  ChunkBuffer chunk{sink_};
   for (const measure::TraceRef& trace : data.traces) {
     // lint:allow(hot-path-alloc): topology::to_string returns a static string_view
     const std::string_view mode = topology::to_string(trace.true_mode);
@@ -318,12 +294,12 @@ void TraceCsvWriter::write(const measure::Dataset& data) {
       } else {
         const std::uint64_t before = chunk.flushes();
         prefix_at = chunk.size();
-        put_trace_prefix(chunk, trace, trace_id_, roundtrip);
+        put_trace_prefix(chunk, trace, trace_id_, canonical);
         prefix_bytes = chunk.size() - prefix_at;
         prefix_chunk = chunk.flushes() == before ? before : kNoChunk;
       }
-      put_hop_cells(chunk, hop, roundtrip);
-      if (options_.ground_truth) {
+      put_hop_cells(chunk, hop, canonical);
+      if (canonical) {
         chunk.put(',');
         chunk.put_text(mode);
       }
@@ -336,26 +312,17 @@ void TraceCsvWriter::write(const measure::Dataset& data) {
 }
 
 void TraceCsvWriter::finish() {
-  write_trailer(sink_, options_, hash_, rows_);
   obs::Registry::global().counter("export.trace_rows_total").inc(rows_);
 }
 
-void export_pings_csv(std::ostream& out, const measure::Dataset& data) {
-  export_pings_csv(out, data, ExportOptions{});
-}
-
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
-                      const ExportOptions& options) {
-  write_once<PingCsvWriter>("core.export.pings_csv", out, data, options);
-}
-
-void export_traces_csv(std::ostream& out, const measure::Dataset& data) {
-  export_traces_csv(out, data, ExportOptions{});
+                      CsvFlavour flavour) {
+  write_once<PingCsvWriter>("core.export.pings_csv", out, data, flavour);
 }
 
 void export_traces_csv(std::ostream& out, const measure::Dataset& data,
-                       const ExportOptions& options) {
-  write_once<TraceCsvWriter>("core.export.traces_csv", out, data, options);
+                       CsvFlavour flavour) {
+  write_once<TraceCsvWriter>("core.export.traces_csv", out, data, flavour);
 }
 
 namespace {
@@ -461,9 +428,9 @@ template <typename PerBlock>
 std::uint64_t dataset_hash(const measure::Dataset& data) {
   std::uint64_t digest = kFnvBasis;
   write_once<PingCsvWriter>("core.export.pings_csv", digest, data,
-                            kHashOptions);
+                            CsvFlavour::Canonical);
   write_once<TraceCsvWriter>("core.export.traces_csv", digest, data,
-                             kHashOptions);
+                             CsvFlavour::Canonical);
   return digest;
 }
 
@@ -488,7 +455,7 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
   // CSV, and FNV-1a is strictly sequential — so the store is scanned twice,
   // once per CSV, with one block's rows resident at a time.
   {
-    PingCsvWriter writer(digest, kHashOptions);
+    PingCsvWriter writer(digest, CsvFlavour::Canonical);
     if (std::string err = scan_store_blocks(
             dir, platform, opened.lane_states, binder,
             [&](const measure::Dataset& block) { writer.write(block); });
@@ -499,7 +466,7 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     writer.finish();
   }
   {
-    TraceCsvWriter writer(digest, kHashOptions);
+    TraceCsvWriter writer(digest, CsvFlavour::Canonical);
     if (std::string err = scan_store_blocks(
             dir, platform, opened.lane_states, binder,
             [&](const measure::Dataset& block) { writer.write(block); });

@@ -1,16 +1,15 @@
 #pragma once
 // Dataset export: tidy CSVs of the collected pings and traceroutes, in the
-// spirit of the paper's published dataset. Checkpoint files reuse the same
-// writers with stricter options: an integrity trailer so a truncated file is
-// detected on import, round-trip double formatting so a resumed campaign is
-// bit-identical to an uninterrupted one, and the ground-truth columns that
-// the human-facing CSVs deliberately omit.
+// spirit of the paper's published dataset. The dataset hash reuses the same
+// writers in the canonical flavour: round-trip double formatting and the
+// ground-truth column that the human-facing CSVs deliberately omit, so the
+// hash covers every collected bit.
 //
 // The writers are incremental: construct one against an output stream (or
 // an FNV-1a digest, for the dataset hash), feed it datasets chunk by chunk
 // (a streamed run feeds one store block at a time), then finish(). The
 // one-shot export_*_csv functions and the whole-dataset hash are thin
-// wrappers over a single write() call. Every flavour runs the same
+// wrappers over a single write() call. Both flavours run the same
 // allocation-free row encoder: cells are formatted straight into a fixed
 // chunk buffer that reaches the stream or digest before write() returns.
 
@@ -29,17 +28,15 @@ class IoEnv;
 
 namespace cloudrtt::core {
 
-struct ExportOptions {
-  /// Append a `#cloudrtt-integrity rows=<N> fnv1a=<16 hex>` trailer line
-  /// covering every data row, so import can detect truncation/corruption.
-  bool integrity_trailer = false;
-  /// Emit doubles in shortest round-trip form (std::to_chars) instead of the
-  /// human-friendly 3-decimal fixed point. Required for lossless reload.
-  bool roundtrip_doubles = false;
-  /// Traces only: append the `true_mode` ground-truth column so a reloaded
-  /// dataset compares equal to the in-memory one (checkpoints need this; the
-  /// published-dataset flavour keeps ground truth out of the CSV).
-  bool ground_truth = false;
+/// Which CSV a writer produces.
+enum class CsvFlavour {
+  /// The published dataset: doubles in human-friendly 3-decimal fixed
+  /// point, and no ground truth.
+  Published,
+  /// Every collected bit, as dataset_hash folds it: doubles in shortest
+  /// round-trip form (std::to_chars), and the traces' `true_mode`
+  /// ground-truth column.
+  Canonical,
 };
 
 /// Where a CSV writer's bytes go: an output stream, or an FNV-1a digest
@@ -50,26 +47,24 @@ struct CsvSink {
 };
 
 /// Incremental ping CSV writer: header on construction, one row per ping per
-/// write() call, integrity trailer (when enabled) on finish(). Feeding the
-/// same rows across several write() calls produces byte-identical output to
-/// one call — which is what makes the streamed dataset hash equal the
-/// in-memory one.
+/// write() call. Feeding the same rows across several write() calls produces
+/// byte-identical output to one call — which is what makes the streamed
+/// dataset hash equal the in-memory one.
 class PingCsvWriter {
  public:
-  PingCsvWriter(std::ostream& out, const ExportOptions& options);
+  PingCsvWriter(std::ostream& out, CsvFlavour flavour);
   /// Hashing writer: continues the FNV-1a `digest` over every byte the
   /// stream writer would write, and writes nothing.
-  PingCsvWriter(std::uint64_t& digest, const ExportOptions& options);
+  PingCsvWriter(std::uint64_t& digest, CsvFlavour flavour);
   void write(const measure::Dataset& data);
   void finish();
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
  private:
-  PingCsvWriter(CsvSink sink, const ExportOptions& options);
+  PingCsvWriter(CsvSink sink, CsvFlavour flavour);
 
   CsvSink sink_;
-  ExportOptions options_;
-  std::uint64_t hash_;  ///< integrity-trailer fold over the data rows
+  CsvFlavour flavour_;
   std::uint64_t rows_ = 0;
 };
 
@@ -77,42 +72,39 @@ class PingCsvWriter {
 /// numbers traces across every write() call.
 class TraceCsvWriter {
  public:
-  TraceCsvWriter(std::ostream& out, const ExportOptions& options);
+  TraceCsvWriter(std::ostream& out, CsvFlavour flavour);
   /// Hashing writer, as PingCsvWriter's.
-  TraceCsvWriter(std::uint64_t& digest, const ExportOptions& options);
+  TraceCsvWriter(std::uint64_t& digest, CsvFlavour flavour);
   void write(const measure::Dataset& data);
   void finish();
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
  private:
-  TraceCsvWriter(CsvSink sink, const ExportOptions& options);
+  TraceCsvWriter(CsvSink sink, CsvFlavour flavour);
 
   CsvSink sink_;
-  ExportOptions options_;
-  std::uint64_t hash_;  ///< integrity-trailer fold over the data rows
+  CsvFlavour flavour_;
   std::uint64_t rows_ = 0;
   std::uint64_t trace_id_ = 0;
 };
 
 /// One row per ping: probe id, platform, country, continent, ISP ASN,
 /// provider, region, protocol, rtt_ms, day, slot.
-void export_pings_csv(std::ostream& out, const measure::Dataset& data);
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
-                      const ExportOptions& options);
+                      CsvFlavour flavour = CsvFlavour::Published);
 
 /// One row per traceroute hop: trace id, probe id, provider, region, target
 /// ip, day, slot, completed flag, end-to-end RTT, ttl, responded, hop ip,
-/// hop rtt, and with ExportOptions::ground_truth the true interconnect mode.
-void export_traces_csv(std::ostream& out, const measure::Dataset& data);
+/// hop rtt, and in the canonical flavour the true interconnect mode.
 void export_traces_csv(std::ostream& out, const measure::Dataset& data,
-                       const ExportOptions& options);
+                       CsvFlavour flavour = CsvFlavour::Published);
 
 /// FNV-1a (64-bit) over the full exported dataset: the ping CSV followed by
-/// the trace CSV, both with round-trip doubles and ground truth so every
-/// collected bit is covered. Two runs are reproductions of each other iff
-/// their hashes match — this is what `cloudrtt study --dataset-hash` prints
-/// and what the determinism CI gate compares. The writers fold their chunk
-/// buffer into the digest, so no serialized copy of the dataset exists.
+/// the trace CSV, both in the canonical flavour so every collected bit is
+/// covered. Two runs are reproductions of each other iff their hashes
+/// match — this is what `cloudrtt study --dataset-hash` prints and what the
+/// determinism CI gate compares. The writers fold their chunk buffer into
+/// the digest, so no serialized copy of the dataset exists.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
 /// The same hash computed straight from a format=3 store, one block of rows

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/checkpoint.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "store/io_env.hpp"
@@ -41,21 +40,6 @@ Study::Study(StudyConfig config) : config_(config) {
 
 void Study::run() { run(RunControl{}); }
 
-namespace {
-
-[[noreturn]] void throw_seed_mismatch(std::string_view platform,
-                                      const std::filesystem::path& manifest,
-                                      std::uint64_t found,
-                                      std::uint64_t expected) {
-  throw std::runtime_error{
-      "Study::run: checkpoint for '" + std::string{platform} + "' at " +
-      manifest.string() + " was written by seed " + std::to_string(found) +
-      ", this study uses seed " + std::to_string(expected) +
-      " — rerun with the original seed or point --checkpoint-dir elsewhere"};
-}
-
-}  // namespace
-
 bool Study::run_campaign(std::string_view platform,
                          const measure::Campaign& campaign, util::Rng rng,
                          const fault::FaultPlan* plan,
@@ -70,9 +54,7 @@ bool Study::run_campaign(std::string_view platform,
         "run keeps only one day's rows in memory, so the store is the only "
         "copy of the data"};
   }
-  const std::filesystem::path store_dir =
-      control.spill_dir.empty() ? std::filesystem::path{control.checkpoint_dir}
-                                : std::filesystem::path{control.spill_dir};
+  const std::filesystem::path store_dir{control.checkpoint_dir};
 
   // The store's filesystem seam: plain POSIX, or the fault-injecting
   // decorator when the study is configured to stress its own durability.
@@ -93,6 +75,17 @@ bool Study::run_campaign(std::string_view platform,
     meta.fault_profile = std::string{to_string(config_.fault_profile)};
     const int format =
         control.resume ? store::manifest_format(store_dir, platform, *io) : 0;
+    if (format != 0 && format != 3) {
+      // Refuse before any writer exists: a fresh ShardWriter would wipe the
+      // platform's artefacts, and they are the user's data.
+      throw std::runtime_error{
+          "Study::run: cannot resume '" + std::string{platform} + "': " +
+          store::store_manifest_path(store_dir, platform).string() +
+          " is a format=" + std::to_string(format) +
+          " checkpoint, and only format=3 stores resume (legacy CSV "
+          "checkpoints are no longer read) — rerun the campaign from scratch "
+          "or point --checkpoint-dir elsewhere"};
+    }
     if (format == 3) {
       // A streaming resume never materialises the committed rows: the
       // structural open validates the store and yields the lane byte marks
@@ -109,9 +102,13 @@ bool Study::run_campaign(std::string_view platform,
                                  std::string{platform} + "': " + opened.error};
       }
       if (opened.meta.seed != config_.seed) {
-        throw_seed_mismatch(platform,
-                            store::store_manifest_path(store_dir, platform),
-                            opened.meta.seed, config_.seed);
+        throw std::runtime_error{
+            "Study::run: checkpoint for '" + std::string{platform} + "' at " +
+            store::store_manifest_path(store_dir, platform).string() +
+            " was written by seed " + std::to_string(opened.meta.seed) +
+            ", this study uses seed " + std::to_string(config_.seed) +
+            " — rerun with the original seed or point --checkpoint-dir "
+            "elsewhere"};
       }
       start = opened.state;
       dataset = std::move(opened.data);
@@ -136,33 +133,6 @@ bool Study::run_campaign(std::string_view platform,
       CLOUDRTT_LOG_INFO("study.resume", {"platform", platform},
                         {"next_day", start.next_day},
                         {"day_tasks_done", start.day_tasks_done},
-                        {"pings", dataset.pings.size()});
-    } else if (control.resume && (format == 2 || format == 1)) {
-      CheckpointLoad load = load_checkpoint(
-          control.checkpoint_dir, platform, sc_fleet_.get(), atlas_fleet_.get());
-      if (!load.ok()) {
-        throw std::runtime_error{"Study::run: cannot resume '" +
-                                 std::string{platform} + "': " + load.error};
-      }
-      if (load.meta.seed != config_.seed) {
-        throw_seed_mismatch(
-            platform,
-            std::filesystem::path{control.checkpoint_dir} /
-                (std::string{platform} + ".manifest"),
-            load.meta.seed, config_.seed);
-      }
-      start = load.meta.state;
-      dataset = std::move(load.data);
-      // One-way migration: rewrite the legacy CSV checkpoint as a streaming
-      // store so every later day spills flat-cost. The writer wipes the old
-      // artefact set (same manifest path) before adopting the rows.
-      writer = std::make_unique<store::ShardWriter>(
-          store_dir, meta, std::max(1u, config_.threads), *io, /*fresh=*/true);
-      if (!writer->adopt(dataset, start)) {
-        CLOUDRTT_LOG_WARN("study.migrate_degraded", {"platform", platform});
-      }
-      CLOUDRTT_LOG_INFO("study.migrated_checkpoint", {"platform", platform},
-                        {"next_day", start.next_day},
                         {"pings", dataset.pings.size()});
     } else {
       writer = std::make_unique<store::ShardWriter>(

@@ -94,15 +94,11 @@ struct RunControl {
   /// per-lane shard files at the end of every day and an atomically-renamed
   /// manifest is the commit point (see store/shard_writer.hpp).
   std::string checkpoint_dir;
-  /// Where shard files spill; empty = alongside the checkpoints in
-  /// `checkpoint_dir`. Lets a campaign stream to scratch storage while the
-  /// (tiny) manifest lives with the rest of the run's artefacts.
-  std::string spill_dir;
   /// Resume from `checkpoint_dir` when a committed checkpoint exists there
   /// (resuming replays the remaining days bit-identically, salvaging any
-  /// uncommitted shard tail a crash left behind; a legacy format=2 CSV
-  /// checkpoint is migrated to the streaming store first). Throws
-  /// std::runtime_error when the checkpoint is corrupt or from another seed.
+  /// uncommitted shard tail a crash left behind). Throws std::runtime_error
+  /// when the checkpoint is corrupt, from another seed, or not a format=3
+  /// store: a legacy format=1/2 CSV checkpoint is refused and left as it is.
   bool resume = false;
   /// Stop each campaign once this many days have completed (campaign days
   /// are counted from day 0, so resume + a larger value continues). The

@@ -445,7 +445,7 @@ struct Dataset {
     traces.clear();
   }
 
-  /// Append every row of `other` (salvage merge, checkpoint adoption).
+  /// Append every row of `other` (salvage merge).
   void append(const Dataset& other) {
     append_slice(other, 0, other.pings.size(), 0, other.traces.size());
   }

@@ -2,7 +2,7 @@
 // BenchReport: the schema-versioned performance-trajectory record behind the
 // committed BENCH_<n>.json files. One report = one run of the canonical
 // suite in bench/perf_trajectory.cpp (world build, a paper-scale campaign
-// day swept over thread counts, checkpoint save/load, export+hash), with
+// day swept over thread counts, a store spill, export+hash), with
 // wall-clock samples over repeated runs, the dataset hash at every thread
 // count (identity asserted — the bench refuses to report a fast wrong
 // number), the scale knobs, and the git revision.

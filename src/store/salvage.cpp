@@ -488,29 +488,15 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
 FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
   FsckReport report;
   report.format = manifest_format(dir, platform, io);
-  switch (report.format) {
-    case 0:
-      report.error = "no store or checkpoint manifest found";
-      return report;
-    case 1:
-      report.error =
-          "legacy format=1 checkpoint (router-replay quartets); cannot be "
-          "resumed — re-run the campaign from scratch";
-      return report;
-    case 2: {
-      // Legacy CSV checkpoints validate at load time (integrity trailers);
-      // fsck only confirms the files are present.
-      for (const char* suffix : {".pings.csv", ".traces.csv"}) {
-        const fs::path path = dir / (std::string{platform} + suffix);
-        if (!io.file_size(path).has_value()) {
-          report.error = "legacy checkpoint is missing " + path.string();
-          return report;
-        }
-      }
-      return report;
-    }
-    default:
-      break;
+  if (report.format == 0) {
+    report.error = "no store or checkpoint manifest found";
+    return report;
+  }
+  if (report.format == 1 || report.format == 2) {
+    report.error = "legacy format=" + std::to_string(report.format) +
+                   " CSV checkpoint; only format=3 stores are read — re-run "
+                   "the campaign from scratch";
+    return report;
   }
   const OpenResult opened =
       open_impl(dir, platform, io, /*binder=*/nullptr, /*repair=*/false);
@@ -539,12 +525,6 @@ FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
 std::string FsckReport::render(std::string_view platform) const {
   std::string line{platform};
   line += ": ";
-  if (format == 2 && healthy()) {
-    line +=
-        "format=2 legacy CSV checkpoint (a resume migrates it to the "
-        "streaming store) — HEALTHY";
-    return line;
-  }
   if (!healthy()) {
     line += "DAMAGED: " + error;
     return line;

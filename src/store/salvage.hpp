@@ -64,13 +64,14 @@ struct OpenResult {
 
 /// Manifest format under `dir` for `platform`: 3 (streaming store),
 /// 2 (legacy CSV checkpoint), 1 (pre-address-plan legacy), 0 (none/unreadable).
+/// Only format=3 is read; resume and fsck use this to refuse the others.
 [[nodiscard]] int manifest_format(const std::filesystem::path& dir,
                                   std::string_view platform, IoEnv& io);
 
 /// Open a format=3 store: strict-validate the committed region, salvage the
 /// tail, rebuild the dataset and resume state. `repair` additionally
 /// truncates torn/dropped tail bytes so a ShardWriter can continue in place;
-/// read-only callers (load_checkpoint, fsck) pass false.
+/// read-only callers pass false.
 [[nodiscard]] OpenResult open_store(const std::filesystem::path& dir,
                                     std::string_view platform, IoEnv& io,
                                     const probes::ProbeFleet* sc_fleet,
@@ -88,7 +89,7 @@ struct OpenResult {
 
 /// Offline integrity check (`cloudrtt study --fsck`): same validation as
 /// open_store but structural only — no probe fleets, no row binding, never
-/// repairs.
+/// repairs. A legacy format=1/2 checkpoint is reported unhealthy.
 struct FsckReport {
   int format = 0;
   std::uint64_t committed_blocks = 0;

@@ -139,7 +139,7 @@ bool ShardWriter::adopt(const measure::Dataset& data,
   // Rows arrive in canonical campaign order: grouped by day, days ascending,
   // pings and traces advancing in lockstep. Stream each day's contiguous
   // segment; cursor/first_task are 0 because adopted blocks always start a
-  // day (a format=2 checkpoint only exists at day boundaries).
+  // day (`data` holds whole days only).
   std::size_t begin = 0;
   while (begin < data.pings.size()) {
     const std::uint32_t day = data.pings.day(begin);
@@ -149,7 +149,7 @@ bool ShardWriter::adopt(const measure::Dataset& data,
                        data.traces.day(end - 1) == day,
                    "adopted pings and traces disagree on day boundaries");
     // Carve the day into its own dataset so the job copies exactly that
-    // day's rows (adoption is the cold legacy path; the extra splice is
+    // day's rows (adoption is off the campaign path; the extra splice is
     // fine).
     measure::Dataset day_rows;
     day_rows.append_slice(data, begin, end, begin, end);

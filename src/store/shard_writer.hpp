@@ -105,11 +105,11 @@ class ShardWriter {
   /// not hold. Advisory return, like append_day().
   bool commit(const measure::CampaignState& state);
 
-  /// Migrate a legacy (format=2) checkpoint wholesale: write every day of
-  /// `data` as blocks, commit `state`, then drain. Unlike the streaming
-  /// calls this returns the ground truth: false when the disk rejected part
-  /// of it (the store stays uncommitted/degraded; the campaign can still
-  /// run on).
+  /// Write a whole collected dataset at once: every day of `data` as
+  /// blocks, then commit `state` and drain. Tests and benches use it to
+  /// build a store from rows they already hold. Unlike the streaming calls
+  /// this returns the ground truth: false when the disk rejected part of it
+  /// (the store stays uncommitted/degraded).
   bool adopt(const measure::Dataset& data,
              const measure::CampaignState& state);
 

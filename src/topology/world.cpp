@@ -401,13 +401,11 @@ void World::materialize_address_plan() {
       plan_site(asn, "pop@" + std::string{city});
     }
     const auto regions = cloud::RegionCatalog::instance().of_provider(id);
-    // lint:allow(unordered-iter): of_provider returns a vector in catalog order
     for (const cloud::RegionInfo* region : regions) {
       const std::string suffix = "-" + std::string{region->region_name};
       for (const geo::CountryInfo& country : countries().all()) {
         plan_site(asn, "wan/" + std::string{country.code} + suffix);
       }
-      // lint:allow(unordered-iter): of_provider returns a vector in catalog order
       for (const cloud::RegionInfo* from : regions) {
         plan_site(asn, "wan/" + std::string{from->region_name} + suffix);
       }

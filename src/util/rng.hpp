@@ -28,9 +28,8 @@ namespace cloudrtt::util {
 /// FNV-1a 64-bit offset basis: fnv1a_accum(kFnv1aBasis, text) == fnv1a(text).
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 
-/// Streaming FNV-1a: continue `hash` over more bytes. One shared definition
-/// so the export trailer, the import validator and the store block codec can
-/// never drift apart.
+/// Streaming FNV-1a: continue `hash` over more bytes. One shared definition,
+/// so a digest folded chunk by chunk equals fnv1a() over the same bytes.
 [[nodiscard]] constexpr std::uint64_t fnv1a_accum(std::uint64_t hash,
                                                   std::string_view text) noexcept {
   for (const char ch : text) {

@@ -183,38 +183,6 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& cells) {
   out << '\n';
 }
 
-std::vector<std::string> parse_csv_row(std::string_view line) {
-  std::vector<std::string> cells;
-  std::string current;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;  // escaped quote
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current += ch;
-      }
-    } else if (ch == '"') {
-      in_quotes = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(current));
-      current.clear();
-    } else if (ch == '\r') {
-      // tolerate CRLF
-    } else {
-      current += ch;
-    }
-  }
-  cells.push_back(std::move(current));
-  return cells;
-}
-
 void write_series_csv(std::ostream& out, const std::vector<Series>& series) {
   write_csv_row(out, {"label", "value"});
   for (const Series& s : series) {

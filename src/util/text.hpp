@@ -17,8 +17,8 @@ namespace cloudrtt::util {
 [[nodiscard]] std::string format_double(double value, int decimals = 1);
 
 /// Append `value` as 16 zero-padded lower-case hex digits: the one format of
-/// every 64-bit hash the project prints (dataset hashes, CSV integrity
-/// trailers, store block headers).
+/// every 64-bit hash the project prints (dataset hashes, store block
+/// headers).
 void append_hex16(std::string& out, std::uint64_t value);
 
 /// Simple column-aligned table. First added row can be marked as header.
@@ -69,8 +69,5 @@ void write_series_csv(std::ostream& out, const std::vector<Series>& series);
 
 /// Write arbitrary rows as CSV with proper quoting.
 void write_csv_row(std::ostream& out, const std::vector<std::string>& cells);
-
-/// Parse one CSV line (RFC-4180 style quoting). Inverse of write_csv_row.
-[[nodiscard]] std::vector<std::string> parse_csv_row(std::string_view line);
 
 }  // namespace cloudrtt::util

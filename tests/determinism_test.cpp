@@ -11,12 +11,12 @@
 #include <string>
 #include <string_view>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/scale.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
 #include "store/io_env.hpp"
+#include "store/salvage.hpp"
 
 namespace cloudrtt {
 namespace {
@@ -81,7 +81,8 @@ TEST(DeterminismGate, KillAndResumeHashesLikeUninterruptedRun) {
   first.stop_after_day = 2;
   killed.run(first);
   EXPECT_FALSE(killed.completed());
-  ASSERT_TRUE(core::checkpoint_exists(dir, "speedchecker"));
+  store::IoEnv io;
+  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 3);
 
   core::Study resumed{gate_config(23)};
   core::RunControl second;

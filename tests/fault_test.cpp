@@ -11,22 +11,21 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "analysis/experiments.hpp"
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
 #include "measure/campaign.hpp"
 #include "measure/engine.hpp"
 #include "probes/fleet.hpp"
+#include "store/io_env.hpp"
+#include "store/salvage.hpp"
 #include "topology/backbone.hpp"
 #include "topology/world.hpp"
 #include "util/stats.hpp"
@@ -283,13 +282,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep, ::testing::Values(7, 101, 9001));
 // Checkpoint / resume
 
 [[nodiscard]] std::string serialize(const measure::Dataset& data) {
-  core::ExportOptions options;
-  options.roundtrip_doubles = true;
-  options.ground_truth = true;
   std::ostringstream pings;
-  core::export_pings_csv(pings, data, options);
+  core::export_pings_csv(pings, data, core::CsvFlavour::Canonical);
   std::ostringstream traces;
-  core::export_traces_csv(traces, data, options);
+  core::export_traces_csv(traces, data, core::CsvFlavour::Canonical);
   return pings.str() + traces.str();
 }
 
@@ -320,7 +316,8 @@ TEST(CheckpointResume, KilledAndResumedRunIsBitIdentical) {
   first.stop_after_day = 2;
   killed.run(first);
   EXPECT_FALSE(killed.completed());
-  ASSERT_TRUE(core::checkpoint_exists(dir, "speedchecker"));
+  store::IoEnv io;
+  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 3);
 
   // ...and resume in a fresh process (a fresh Study stands in for one).
   core::Study resumed{resume_config()};
@@ -354,119 +351,16 @@ TEST(CheckpointResume, SeedMismatchRefusesToResume) {
   fs::remove_all(dir);
 }
 
-class CheckpointCorruption : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::path{::testing::TempDir()} / "cloudrtt_corrupt";
-    fs::remove_all(dir_);
-    measure::CampaignConfig config;
-    config.days = 1;
-    config.daily_budget = 300;
-    config.run_case_studies = false;
-    const measure::Campaign campaign{world_, fleet_, config};
-    data_ = campaign.run(world_.fork_rng("ckpt"));
-    core::CheckpointMeta meta;
-    meta.state = {1, 0};
-    meta.seed = 33;
-    meta.platform = "speedchecker";
-    ASSERT_EQ(core::save_checkpoint(dir_, meta, data_), "");
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
-  [[nodiscard]] std::vector<std::string> read_lines(const fs::path& file) const {
-    std::ifstream in{file};
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    return lines;
-  }
-
-  void write_lines(const fs::path& file,
-                   const std::vector<std::string>& lines) const {
-    std::ofstream out{file, std::ios::trunc};
-    for (const std::string& line : lines) out << line << '\n';
-  }
-
-  topology::World world_{topology::WorldConfig{33}};
-  probes::ProbeFleet fleet_{world_,
-                            probes::FleetConfig{probes::Platform::Speedchecker, 700}};
-  fs::path dir_;
-  measure::Dataset data_;
-};
-
-TEST_F(CheckpointCorruption, IntactCheckpointLoadsAndMatches) {
-  const core::CheckpointLoad load =
-      core::load_checkpoint(dir_, "speedchecker", &fleet_, nullptr);
-  ASSERT_TRUE(load.ok()) << load.error;
-  EXPECT_EQ(load.meta.state.next_day, 1u);
-  EXPECT_EQ(load.meta.seed, 33u);
-  EXPECT_EQ(serialize(load.data), serialize(data_));
-}
-
-TEST_F(CheckpointCorruption, MissingRowIsDetected) {
-  const fs::path pings = dir_ / "speedchecker.pings.csv";
-  auto lines = read_lines(pings);
-  ASSERT_GT(lines.size(), 4u);
-  lines.erase(lines.begin() + 2);  // lose one data row, keep the trailer
-  write_lines(pings, lines);
-  const core::CheckpointLoad load =
-      core::load_checkpoint(dir_, "speedchecker", &fleet_, nullptr);
-  EXPECT_FALSE(load.ok());
-  EXPECT_NE(load.error.find("mismatch"), std::string::npos) << load.error;
-}
-
-TEST_F(CheckpointCorruption, TruncationLosesTheTrailerAndIsDetected) {
-  const fs::path traces = dir_ / "speedchecker.traces.csv";
-  auto lines = read_lines(traces);
-  ASSERT_GT(lines.size(), 10u);
-  lines.resize(lines.size() / 2);  // hard truncation: trailer gone
-  write_lines(traces, lines);
-  const core::CheckpointLoad load =
-      core::load_checkpoint(dir_, "speedchecker", &fleet_, nullptr);
-  EXPECT_FALSE(load.ok());
-  EXPECT_NE(load.error.find("trailer"), std::string::npos) << load.error;
-}
-
-TEST_F(CheckpointCorruption, LegacyFormatOneIsRejectedExplicitly) {
-  // Format=1 checkpoints carried a routers.csv replaying the old lazy
-  // allocator; addressing is now materialized at world construction, so the
-  // loader refuses them with a message that says why.
-  const fs::path manifest = dir_ / "speedchecker.manifest";
-  auto lines = read_lines(manifest);
-  for (std::string& line : lines) {
-    if (line.rfind("format=", 0) == 0) line = "format=1";
-  }
-  write_lines(manifest, lines);
-  const core::CheckpointLoad load =
-      core::load_checkpoint(dir_, "speedchecker", &fleet_, nullptr);
-  EXPECT_FALSE(load.ok());
-  EXPECT_NE(load.error.find("format=1"), std::string::npos) << load.error;
-  EXPECT_NE(load.error.find("pre-materialized"), std::string::npos)
-      << load.error;
-}
-
-TEST_F(CheckpointCorruption, AddressPlanIsIdenticalAcrossFreshWorlds) {
+TEST(CheckpointCorruption, AddressPlanIsIdenticalAcrossFreshWorlds) {
   // Resume correctness no longer rides on snapshot replay: two worlds built
   // from the same seed materialize the same plan, so records referencing
   // router addresses stay valid across process restarts.
+  const topology::World world{topology::WorldConfig{33}};
   const topology::World fresh{topology::WorldConfig{33}};
-  ASSERT_EQ(fresh.address_plan().size(), world_.address_plan().size());
+  ASSERT_EQ(fresh.address_plan().size(), world.address_plan().size());
   EXPECT_EQ(fresh.router_ip(3257, "hub/Frankfurt"),
-            world_.router_ip(3257, "hub/Frankfurt"));
-  EXPECT_EQ(fresh.router_ip(3209, "core/DE"), world_.router_ip(3209, "core/DE"));
-}
-
-TEST_F(CheckpointCorruption, FlippedPayloadByteIsDetected) {
-  const fs::path pings = dir_ / "speedchecker.pings.csv";
-  auto lines = read_lines(pings);
-  ASSERT_GT(lines.size(), 4u);
-  std::string& row = lines[2];
-  row[row.size() / 2] = row[row.size() / 2] == '1' ? '2' : '1';
-  write_lines(pings, lines);
-  const core::CheckpointLoad load =
-      core::load_checkpoint(dir_, "speedchecker", &fleet_, nullptr);
-  EXPECT_FALSE(load.ok());
+            world.router_ip(3257, "hub/Frankfurt"));
+  EXPECT_EQ(fresh.router_ip(3209, "core/DE"), world.router_ip(3209, "core/DE"));
 }
 
 }  // namespace

@@ -17,11 +17,12 @@
 #include <filesystem>
 #include <string>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
+#include "store/io_env.hpp"
+#include "store/salvage.hpp"
 
 namespace cloudrtt {
 namespace {
@@ -102,7 +103,8 @@ TEST(ParallelGate, KillAndResumeWithAtlasAtFourThreads) {
   first.stop_after_day = 2;
   killed.run(first);
   EXPECT_FALSE(killed.completed());
-  ASSERT_TRUE(core::checkpoint_exists(dir, "speedchecker"));
+  store::IoEnv io;
+  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 3);
 
   core::Study resumed{parallel_config(23, 4)};
   core::RunControl second;

@@ -9,7 +9,7 @@
 // a torn trailer (partial final block), a bit-flipped committed block, a
 // zero-length shard under a non-empty manifest, and a duplicated tail
 // block (a replayed append). Tail damage must salvage; committed damage
-// must refuse.
+// must refuse. A legacy CSV checkpoint is refused too, and left untouched.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
-#include "core/import.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
 #include "store/codec.hpp"
@@ -191,15 +189,6 @@ TEST(StoreRoundTrip, CompletedStoreReproducesTheDatasetBitExactly) {
   EXPECT_EQ(opened.state.day_tasks_done, 0u);
   EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(opened.data)),
             core::format_dataset_hash(baseline().hash));
-}
-
-TEST(StoreRoundTrip, LoadCheckpointReadsFormat3Transparently) {
-  const core::CheckpointLoad load =
-      core::load_checkpoint(baseline().dir, kPlatform, fleet(), nullptr);
-  ASSERT_TRUE(load.ok()) << load.error;
-  EXPECT_EQ(load.meta.seed, kSeed);
-  EXPECT_EQ(load.meta.state.next_day, 3u);
-  EXPECT_EQ(core::dataset_hash(load.data), baseline().hash);
 }
 
 TEST(StoreRoundTrip, FsckReportsAHealthyStore) {
@@ -377,39 +366,6 @@ TEST(StoreFaults, HarshIoFaultsLeaveDatasetBitsUnchanged) {
             core::format_dataset_hash(baseline().hash));
 }
 
-// Legacy path: a format=2 CSV checkpoint resumes transparently — the study
-// migrates it to a format=3 store and continues to the baseline bits.
-TEST(StoreMigration, Format2CheckpointMigratesOnResume) {
-  const fs::path stopped_dir =
-      fs::path{::testing::TempDir()} / "cloudrtt_store_stopped";
-  fs::remove_all(stopped_dir);
-  core::Study stopped{store_config()};
-  core::RunControl first;
-  first.checkpoint_dir = stopped_dir.string();
-  first.stop_after_day = 2;
-  stopped.run(first);
-  EXPECT_FALSE(stopped.completed());
-
-  store::IoEnv io;
-  const store::OpenResult opened = store::open_store(
-      stopped_dir, kPlatform, io, &stopped.sc_fleet(), nullptr, /*repair=*/false);
-  ASSERT_TRUE(opened.ok()) << opened.error;
-
-  const fs::path legacy_dir =
-      fs::path{::testing::TempDir()} / "cloudrtt_store_legacy";
-  fs::remove_all(legacy_dir);
-  core::CheckpointMeta meta;
-  meta.state = opened.state;
-  meta.seed = kSeed;
-  meta.platform = std::string{kPlatform};
-  ASSERT_EQ(core::save_checkpoint(legacy_dir, meta, opened.data), "");
-  EXPECT_EQ(store::manifest_format(legacy_dir, kPlatform, io), 2);
-
-  EXPECT_EQ(core::format_dataset_hash(resume_hash(legacy_dir)),
-            core::format_dataset_hash(baseline().hash));
-  EXPECT_EQ(store::manifest_format(legacy_dir, kPlatform, io), 3);
-}
-
 // Satellite regression: the refusal must name both seeds and the manifest
 // path, so an operator can tell at a glance which artefact disagrees.
 TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
@@ -434,46 +390,56 @@ TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
   }
 }
 
-// --spill-dir: shards and manifest land in scratch storage, and a resume
-// off that directory round-trips.
-TEST(StoreSpill, SpillDirHoldsTheStoreAndResumes) {
-  const fs::path ck = fs::path{::testing::TempDir()} / "cloudrtt_store_ck";
-  const fs::path spill = fs::path{::testing::TempDir()} / "cloudrtt_store_spill";
-  fs::remove_all(ck);
-  fs::remove_all(spill);
-  core::Study study{store_config()};
-  core::RunControl control;
-  control.checkpoint_dir = ck.string();
-  control.spill_dir = spill.string();
-  study.run(control);
-  ASSERT_TRUE(study.completed());
+// Legacy checkpoints (format=1 router-replay quartets, format=2 CSV
+// triplets) are no longer read. A resume over one must refuse, naming the
+// format and the manifest, before any writer exists: a fresh ShardWriter
+// would wipe the platform's artefacts. fsck calls it damaged.
+TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
+  for (const int format : {1, 2}) {
+    SCOPED_TRACE(format);
+    const fs::path dir = fs::path{::testing::TempDir()} /
+                         ("cloudrtt_store_legacy" + std::to_string(format));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path manifest = store::store_manifest_path(dir, kPlatform);
+    const fs::path pings = dir / (std::string{kPlatform} + ".pings.csv");
+    const fs::path traces = dir / (std::string{kPlatform} + ".traces.csv");
+    const std::string manifest_text =
+        "format=" + std::to_string(format) + "\nplatform=" +
+        std::string{kPlatform} + "\nseed=" + std::to_string(kSeed) +
+        "\nnext_day=2\ncursor=0\npings=1\ntraces=1\n";
+    const std::string ping_text = "probe_id,rtt_ms\n1,12.5\n";
+    const std::string trace_text = "trace_id,hop_ip\n0,10.0.0.1\n";
+    write_file(manifest, manifest_text);
+    write_file(pings, ping_text);
+    write_file(traces, trace_text);
 
-  store::IoEnv io;
-  EXPECT_EQ(store::manifest_format(spill, kPlatform, io), 3);
-  EXPECT_TRUE(store::fsck(spill, kPlatform, io).healthy());
+    core::Study study{store_config()};
+    core::RunControl control;
+    control.checkpoint_dir = dir.string();
+    control.resume = true;
+    try {
+      study.run(control);
+      ADD_FAILURE() << "resume over a legacy checkpoint must throw";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("format=" + std::to_string(format)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(manifest.string()), std::string::npos) << what;
+    }
+    EXPECT_EQ(read_file(manifest), manifest_text);
+    EXPECT_EQ(read_file(pings), ping_text);
+    EXPECT_EQ(read_file(traces), trace_text);
+    EXPECT_FALSE(fs::exists(lane0(dir)));
 
-  core::Study resumed{store_config()};
-  core::RunControl again;
-  again.checkpoint_dir = ck.string();
-  again.spill_dir = spill.string();
-  again.resume = true;
-  resumed.run(again);
-  ASSERT_TRUE(resumed.completed());
-  EXPECT_EQ(core::dataset_hash(resumed.sc_dataset()), baseline().hash);
-}
-
-// Satellite regression: the import error digest must disclose how many
-// errors the kMaxErrors cap suppressed.
-TEST(StoreImports, ErrorSummaryCountsSuppressedErrors) {
-  core::ImportStats stats;
-  stats.skipped = 40;
-  for (std::size_t line = 0; line < core::ImportStats::kMaxErrors; ++line) {
-    stats.errors.push_back({line + 2, "bad row"});
+    store::IoEnv io;
+    const store::FsckReport report = store::fsck(dir, kPlatform, io);
+    EXPECT_FALSE(report.healthy());
+    EXPECT_EQ(report.format, format);
+    EXPECT_NE(report.error.find("legacy"), std::string::npos) << report.error;
+    EXPECT_NE(report.render(kPlatform).find("DAMAGED"), std::string::npos);
   }
-  const std::string summary = stats.error_summary();
-  EXPECT_NE(summary.find("bad row"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("8 more suppressed"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("40 errors total"), std::string::npos) << summary;
 }
 
 }  // namespace

@@ -289,8 +289,6 @@ int cmd_study(int argc, const char* const* argv,
   args.add_option("checkpoint-dir", "", "snapshot the campaign after every "
                                         "day into this directory (format=3 "
                                         "streaming store)");
-  args.add_option("spill-dir", "", "stream shard files into this directory "
-                                   "instead of --checkpoint-dir");
   args.add_flag("resume", "resume from --checkpoint-dir if a checkpoint "
                           "exists, salvaging any crash-torn shard tail");
   args.add_flag("stream", "stream each day to the store and drop it from "
@@ -354,7 +352,6 @@ int cmd_study(int argc, const char* const* argv,
 
   core::RunControl control;
   control.checkpoint_dir = args.get("checkpoint-dir");
-  control.spill_dir = args.get("spill-dir");
   control.resume = args.get_flag("resume");
   control.stream = args.get_flag("stream");
   if (control.resume && control.checkpoint_dir.empty()) {
@@ -375,8 +372,7 @@ int cmd_study(int argc, const char* const* argv,
       std::cerr << "--fsck needs --checkpoint-dir\n";
       return 1;
     }
-    const std::filesystem::path store_dir =
-        control.spill_dir.empty() ? control.checkpoint_dir : control.spill_dir;
+    const std::filesystem::path store_dir{control.checkpoint_dir};
     store::IoEnv io;
     bool found = false;
     bool healthy = true;
@@ -459,9 +455,7 @@ int cmd_study(int argc, const char* const* argv,
     if (!args.get_flag("quiet")) print_observability_summary();
     return 1;
   }
-  const std::filesystem::path store_dir =
-      control.spill_dir.empty() ? std::filesystem::path{control.checkpoint_dir}
-                                : std::filesystem::path{control.spill_dir};
+  const std::filesystem::path store_dir{control.checkpoint_dir};
   if (control.stream && study.completed()) {
     // The rows live only in the store; report what is durably on disk.
     store::IoEnv io;
