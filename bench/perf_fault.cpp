@@ -20,6 +20,7 @@
 
 #include <filesystem>
 #include <span>
+#include <string>
 
 #include "core/export.hpp"
 #include "core/study.hpp"
@@ -284,11 +285,15 @@ void BM_StoreOpen(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    store::OpenResult opened = store::open_store(dir, "speedchecker", io,
-                                                 &f.fleet, nullptr,
-                                                 /*repair=*/false);
-    if (!opened.ok()) state.SkipWithError(opened.error.c_str());
-    benchmark::DoNotOptimize(opened.data.pings.rtt_column().data());
+    const store::OpenResult opened =
+        store::open_store(dir, "speedchecker", io, /*repair=*/false);
+    measure::Dataset rows;
+    rows.bind(&f.fleet, nullptr);
+    const std::string err = store::scan_rows(
+        dir, "speedchecker", opened, &f.fleet, nullptr,
+        [&](const measure::Dataset& block) { rows.append(block); });
+    if (!err.empty()) state.SkipWithError(err.c_str());
+    benchmark::DoNotOptimize(rows.pings.rtt_column().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.pings.size()));

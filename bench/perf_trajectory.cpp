@@ -222,11 +222,15 @@ int main(int argc, char** argv) {
     }
     // One salvage-validated reopen: the spilled store must reload to the
     // exact bits the campaign collected.
-    const store::OpenResult opened = store::open_store(
-        spill_dir, "speedchecker", io, &fleet, nullptr, /*repair=*/false);
-    CLOUDRTT_CHECK(opened.ok(), "spilled store failed to open: ",
-                   opened.error);
-    CLOUDRTT_CHECK(core::dataset_hash(opened.data) == reference_hash,
+    const store::OpenResult opened =
+        store::open_store(spill_dir, "speedchecker", io, /*repair=*/false);
+    measure::Dataset reloaded;
+    reloaded.bind(&fleet, nullptr);
+    const std::string error = store::scan_rows(
+        spill_dir, "speedchecker", opened, &fleet, nullptr,
+        [&](const measure::Dataset& block) { reloaded.append(block); });
+    CLOUDRTT_CHECK(error.empty(), "spilled store failed to reload: ", error);
+    CLOUDRTT_CHECK(core::dataset_hash(reloaded) == reference_hash,
                    "spill round-trip changed the dataset hash");
     report.sections.push_back(std::move(section));
     std::error_code spill_cleanup;

@@ -3,15 +3,12 @@
 #include <charconv>
 #include <cstddef>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "store/codec.hpp"
 #include "store/salvage.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
@@ -325,106 +322,6 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
   write_once<TraceCsvWriter>("core.export.traces_csv", out, data, flavour);
 }
 
-namespace {
-
-/// One lane of a day-ordered store scan: an ifstream over the lane file with
-/// the next block's header and payload buffered.
-struct LaneCursor {
-  std::ifstream in;
-  std::uint64_t remaining = 0;  ///< durable bytes not yet consumed
-  store::BlockHeader header;
-  std::string payload;
-  bool has_block = false;
-};
-
-/// Read the next framed block of `lane` into its buffer. Empty return on
-/// success (has_block says whether anything was read); error text otherwise.
-[[nodiscard]] std::string advance_lane(LaneCursor& lane, std::size_t index) {
-  lane.has_block = false;
-  if (lane.remaining == 0) return {};
-  const auto fail = [&](std::string_view what) {
-    return "lane " + std::to_string(index) + ": " + std::string{what};
-  };
-  std::string line;
-  if (!std::getline(lane.in, line)) {
-    return fail("committed region ends inside a block header");
-  }
-  const std::uint64_t header_bytes = line.size() + 1;
-  if (header_bytes > lane.remaining ||
-      !store::parse_block_header(line, lane.header)) {
-    return fail("malformed committed block header");
-  }
-  if (lane.header.bytes > lane.remaining - header_bytes) {
-    return fail("committed block straddles the manifest's byte mark");
-  }
-  lane.payload.resize(lane.header.bytes);
-  lane.in.read(lane.payload.data(),
-               static_cast<std::streamsize>(lane.header.bytes));
-  if (static_cast<std::uint64_t>(lane.in.gcount()) != lane.header.bytes) {
-    return fail("committed block payload truncated");
-  }
-  if (util::fnv1a_words(lane.payload) != lane.header.fnv1a) {
-    return fail("committed block checksum mismatch");
-  }
-  lane.remaining -= header_bytes + lane.header.bytes;
-  lane.has_block = true;
-  return {};
-}
-
-/// Drive `per_block` over every durable block in global (day, start) order.
-/// Day D lives in lane D % L and appends are globally FIFO, so the merge
-/// only ever compares the lanes' head blocks; one block's rows are resident
-/// at a time.
-template <typename PerBlock>
-[[nodiscard]] std::string scan_store_blocks(
-    const std::filesystem::path& dir, std::string_view platform,
-    const std::vector<store::LaneState>& lanes,
-    const store::RowBinder& binder, PerBlock&& per_block) {
-  std::vector<LaneCursor> cursors(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    cursors[i].remaining = lanes[i].durable_bytes;
-    if (cursors[i].remaining == 0) continue;
-    cursors[i].in.open(store::store_lane_path(dir, platform, i),
-                       std::ios::binary);
-    if (!cursors[i].in.is_open()) {
-      return "lane " + std::to_string(i) + ": shard file unreadable";
-    }
-    if (std::string err = advance_lane(cursors[i], i); !err.empty()) {
-      return err;
-    }
-  }
-
-  measure::Dataset block;
-  block.bind(binder.sc_fleet(), binder.atlas_fleet());
-  for (;;) {
-    std::size_t next = lanes.size();
-    for (std::size_t i = 0; i < cursors.size(); ++i) {
-      if (!cursors[i].has_block) continue;
-      if (next == lanes.size() ||
-          cursors[i].header.day < cursors[next].header.day ||
-          (cursors[i].header.day == cursors[next].header.day &&
-           cursors[i].header.start < cursors[next].header.start)) {
-        next = i;
-      }
-    }
-    if (next == lanes.size()) break;
-    LaneCursor& lane = cursors[next];
-    block.clear_rows();
-    if (std::string err =
-            binder.parse_block(lane.payload, lane.header, block);
-        !err.empty()) {
-      return "lane " + std::to_string(next) + ": " + err;
-    }
-    per_block(block);
-    if (std::string err = advance_lane(lane, next); !err.empty()) {
-      return err;
-    }
-  }
-  return {};
-}
-
-}  // namespace
-
 std::uint64_t dataset_hash(const measure::Dataset& data) {
   std::uint64_t digest = kFnvBasis;
   write_once<PingCsvWriter>("core.export.pings_csv", digest, data,
@@ -441,23 +338,20 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
                                          const probes::ProbeFleet* atlas_fleet) {
   obs::Span phase = obs::span("core.export.streamed_hash");
   StreamedHashResult result;
-  // Structural open validates the committed region + salvage chain and hands
-  // back the per-lane durable byte marks — without materialising any rows.
   const store::OpenResult opened =
-      store::open_store_structural(dir, platform, io, /*repair=*/false);
+      store::open_store(dir, platform, io, /*repair=*/false);
   if (!opened.ok()) {
     result.error = opened.error;
     return result;
   }
-  const store::RowBinder binder{sc_fleet, atlas_fleet};
   std::uint64_t digest = kFnvBasis;
   // The canonical serialisation is the full ping CSV then the full trace
   // CSV, and FNV-1a is strictly sequential — so the store is scanned twice,
   // once per CSV, with one block's rows resident at a time.
   {
     PingCsvWriter writer(digest, CsvFlavour::Canonical);
-    if (std::string err = scan_store_blocks(
-            dir, platform, opened.lane_states, binder,
+    if (std::string err = store::scan_rows(
+            dir, platform, opened, sc_fleet, atlas_fleet,
             [&](const measure::Dataset& block) { writer.write(block); });
         !err.empty()) {
       result.error = "streamed hash (ping pass): " + err;
@@ -467,8 +361,8 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
   }
   {
     TraceCsvWriter writer(digest, CsvFlavour::Canonical);
-    if (std::string err = scan_store_blocks(
-            dir, platform, opened.lane_states, binder,
+    if (std::string err = store::scan_rows(
+            dir, platform, opened, sc_fleet, atlas_fleet,
             [&](const measure::Dataset& block) { writer.write(block); });
         !err.empty()) {
       result.error = "streamed hash (trace pass): " + err;

@@ -58,7 +58,6 @@ class PingCsvWriter {
   PingCsvWriter(std::uint64_t& digest, CsvFlavour flavour);
   void write(const measure::Dataset& data);
   void finish();
-  [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
  private:
   PingCsvWriter(CsvSink sink, CsvFlavour flavour);
@@ -77,7 +76,6 @@ class TraceCsvWriter {
   TraceCsvWriter(std::uint64_t& digest, CsvFlavour flavour);
   void write(const measure::Dataset& data);
   void finish();
-  [[nodiscard]] std::uint64_t rows() const { return rows_; }
 
  private:
   TraceCsvWriter(CsvSink sink, CsvFlavour flavour);
@@ -107,11 +105,13 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 /// the digest, so no serialized copy of the dataset exists.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
-/// The same hash computed straight from a format=3 store, one block of rows
-/// resident at a time: two day-ordered scans over the lane files (FNV-1a is
-/// sequential, and the canonical serialisation is all pings then all
-/// traces). Bit-identical to dataset_hash() over the materialised dataset —
-/// the streamed study's determinism gate depends on it.
+/// The same hash computed straight from a format=3 store: a read-only
+/// store::open_store, then two store::scan_rows passes in append order
+/// (FNV-1a is sequential, and the canonical serialisation is all pings then
+/// all traces). The open and the scans each hold one block at a time, so
+/// memory stays O(one block) through the hash. Bit-identical to
+/// dataset_hash() over the materialised dataset — the streamed study's
+/// determinism gate depends on it.
 struct StreamedHashResult {
   std::uint64_t hash = 0;
   std::uint64_t rows = 0;  ///< task rows hashed (ping+trace pairs)

@@ -87,16 +87,12 @@ bool Study::run_campaign(std::string_view platform,
           "or point --checkpoint-dir elsewhere"};
     }
     if (format == 3) {
-      // A streaming resume never materialises the committed rows: the
-      // structural open validates the store and yields the lane byte marks
-      // plus the on-disk row count, which is all restore() needs. RAM stays
-      // O(day) across kill+resume cycles.
-      store::OpenResult opened =
-          control.stream
-              ? store::open_store_structural(store_dir, platform, *io,
-                                             /*repair=*/true)
-              : store::open_store(store_dir, platform, *io, sc_fleet_.get(),
-                                  atlas_fleet_.get(), /*repair=*/true);
+      // The open validates and repairs the store and yields the lane byte
+      // marks plus the on-disk row count, which is all restore() needs; it
+      // reads no rows. Only an in-memory resume scans them back, so a
+      // streaming resume's RAM stays O(day) across kill+resume cycles.
+      const store::OpenResult opened =
+          store::open_store(store_dir, platform, *io, /*repair=*/true);
       if (!opened.ok()) {
         throw std::runtime_error{"Study::run: cannot resume '" +
                                  std::string{platform} + "': " + opened.error};
@@ -111,7 +107,16 @@ bool Study::run_campaign(std::string_view platform,
             "elsewhere"};
       }
       start = opened.state;
-      dataset = std::move(opened.data);
+      if (!control.stream) {
+        dataset.bind(sc_fleet_.get(), atlas_fleet_.get());
+        if (std::string err = store::scan_rows(
+                store_dir, platform, opened, sc_fleet_.get(), atlas_fleet_.get(),
+                [&](const measure::Dataset& block) { dataset.append(block); });
+            !err.empty()) {
+          throw std::runtime_error{"Study::run: cannot resume '" +
+                                   std::string{platform} + "': " + err};
+        }
+      }
       writer = std::make_unique<store::ShardWriter>(
           store_dir, meta, opened.lane_states.size(), *io, /*fresh=*/false);
       writer->restore(opened.lane_states,

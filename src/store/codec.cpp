@@ -3,7 +3,9 @@
 #include <bit>
 #include <charconv>
 #include <cstring>
+#include <span>
 
+#include "cloud/region.hpp"
 #include "net/ipv4.hpp"
 #include "topology/interconnect.hpp"
 #include "util/check.hpp"
@@ -92,17 +94,6 @@ struct Reader {
   }
 };
 
-/// Records carry pointers into the static RegionCatalog (world construction
-/// aliases its entries), so a catalog index is the exact, O(1) encoding.
-[[nodiscard]] std::uint16_t region_index(const cloud::RegionInfo* region) {
-  const std::span<const cloud::RegionInfo> all =
-      cloud::RegionCatalog::instance().all();
-  const auto index = static_cast<std::size_t>(region - all.data());
-  CLOUDRTT_CHECK(index < all.size(),
-                 "serialized record's region must come from the catalog");
-  return static_cast<std::uint16_t>(index);
-}
-
 }  // namespace
 
 std::string format_block_header(const BlockHeader& header) {
@@ -138,35 +129,6 @@ bool parse_block_header(std::string_view line, BlockHeader& out) {
          take_field(rest, "bytes", value) && parse_number(value, out.bytes) &&
          take_field(rest, "fnv1a", value) &&
          parse_number(value, out.fnv1a, 16) && rest.empty();
-}
-
-void serialize_task(std::string& out, const measure::PingRecord& ping,
-                    const measure::TraceRecord& trace) {
-  const std::span<const measure::HopRecord> hops{trace.hops};
-  char buffer[kMaxTaskBytes];
-  char* cursor = buffer;
-  CLOUDRTT_CHECK(hops.size() <= 255,
-                 "trace hop list exceeds the codec's u8 hop count");
-  put_raw(cursor, ping.probe->id);
-  put_raw(cursor, region_index(ping.region));
-  put_raw(cursor, static_cast<std::uint8_t>(ping.protocol));
-  put_raw(cursor, ping.slot);
-  put_f64(cursor, ping.rtt_ms);
-  put_raw(cursor, trace.probe->id);
-  put_raw(cursor, region_index(trace.region));
-  put_raw(cursor, static_cast<std::uint8_t>(trace.completed ? 1 : 0));
-  put_raw(cursor, trace.slot);
-  put_raw(cursor, trace.target_ip.value());
-  put_f64(cursor, trace.end_to_end_ms);
-  put_raw(cursor, static_cast<std::uint8_t>(trace.true_mode));
-  put_raw(cursor, static_cast<std::uint8_t>(hops.size()));
-  for (const measure::HopRecord& hop : hops) {
-    put_raw(cursor, hop.ttl);
-    put_raw(cursor, static_cast<std::uint8_t>(hop.responded ? 1 : 0));
-    put_raw(cursor, hop.ip.value());
-    put_f64(cursor, hop.rtt_ms);
-  }
-  out.append(buffer, cursor);
 }
 
 // lint:hot
@@ -215,13 +177,10 @@ void serialize_task(std::string& out, const measure::Dataset& data,
   out.append(buffer, cursor);
 }
 
-RowBinder::RowBinder(const probes::ProbeFleet* sc_fleet,
-                     const probes::ProbeFleet* atlas_fleet)
-    : sc_fleet_(sc_fleet), atlas_fleet_(atlas_fleet) {}
-
-std::string RowBinder::parse_block(std::string_view payload,
-                                   const BlockHeader& header,
-                                   measure::Dataset& out) const {
+std::string parse_block(std::string_view payload, const BlockHeader& header,
+                        const probes::ProbeFleet* sc_fleet,
+                        const probes::ProbeFleet* atlas_fleet,
+                        measure::Dataset& out) {
   const std::span<const cloud::RegionInfo> regions =
       cloud::RegionCatalog::instance().all();
   Reader in{payload.data(), payload.data() + payload.size()};
@@ -232,11 +191,11 @@ std::string RowBinder::parse_block(std::string_view payload,
   // Dense per-fleet ids make presence an O(1) range probe; the on-disk probe
   // id is also the column cell, so a validated id is appended as-is.
   const auto known_probe = [&](std::uint32_t id) {
-    return (sc_fleet_ != nullptr && sc_fleet_->by_id(id) != nullptr) ||
-           (atlas_fleet_ != nullptr && atlas_fleet_->by_id(id) != nullptr);
+    return (sc_fleet != nullptr && sc_fleet->by_id(id) != nullptr) ||
+           (atlas_fleet != nullptr && atlas_fleet->by_id(id) != nullptr);
   };
   // One hop scratch per block: cleared per task, its capacity amortises over
-  // the block's 512 tasks (function-local keeps parse_block const-thread-safe).
+  // the block's 512 tasks (function-local keeps parse_block thread-safe).
   std::vector<measure::HopRecord> hop_scratch;
 
   for (std::uint32_t task = 0; task < header.tasks; ++task) {
@@ -305,9 +264,8 @@ std::string RowBinder::parse_block(std::string_view payload,
                           hop_scratch);
   }
   if (in.cursor != in.end) {
-    return "payload has " + std::to_string(in.end - in.cursor) +
-           " trailing bytes after task " +
-           std::to_string(header.start + header.tasks - 1);
+    const std::string trailing = std::to_string(in.end - in.cursor);
+    return fail(header.tasks - 1, trailing + " trailing payload bytes");
   }
   return {};
 }

@@ -25,11 +25,9 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <string_view>
 
-#include "cloud/region.hpp"
 #include "measure/records.hpp"
 #include "probes/fleet.hpp"
 
@@ -57,43 +55,22 @@ struct BlockHeader {
 /// that is not a well-formed block header.
 [[nodiscard]] bool parse_block_header(std::string_view line, BlockHeader& out);
 
-/// Serialise one task's ping + trace pair onto `out` from owning records
-/// (tests, adoption of hand-built rows).
-void serialize_task(std::string& out, const measure::PingRecord& ping,
-                    const measure::TraceRecord& trace);
-
-/// Columnar hot path: serialise task `row` (ping row `row` paired with trace
-/// row `row`) straight from the dataset's columns — the cells already hold
-/// the on-disk encoding (probe id, catalog region index), so the spill
-/// worker does no pointer chasing and no binding at all.
+/// Serialise task `row` (ping row `row` paired with trace row `row`)
+/// straight from the dataset's columns — the cells already hold the on-disk
+/// encoding (probe id, catalog region index), so the spill worker does no
+/// pointer chasing and no binding at all.
 void serialize_task(std::string& out, const measure::Dataset& data,
                     std::size_t row);
 
-/// Validates serialised rows against live probe fleets and the static region
-/// catalogue when a store is opened, appending them column-direct.
-class RowBinder {
- public:
-  RowBinder(const probes::ProbeFleet* sc_fleet,
-            const probes::ProbeFleet* atlas_fleet);
-
-  /// Parse `header.tasks` serialised tasks from `payload`, appending to
-  /// `out` (whose binding must cover this binder's fleets — open_store binds
-  /// the result dataset before any block is parsed). Returns empty on
-  /// success, else what was wrong (the caller decides whether that refuses a
-  /// committed block or ends a salvage scan).
-  [[nodiscard]] std::string parse_block(std::string_view payload,
-                                        const BlockHeader& header,
-                                        measure::Dataset& out) const;
-
-  [[nodiscard]] const probes::ProbeFleet* sc_fleet() const { return sc_fleet_; }
-  [[nodiscard]] const probes::ProbeFleet* atlas_fleet() const {
-    return atlas_fleet_;
-  }
-
- private:
-  const probes::ProbeFleet* sc_fleet_ = nullptr;
-  const probes::ProbeFleet* atlas_fleet_ = nullptr;
-};
+/// Parse `header.tasks` serialised tasks from `payload`, validate them
+/// against the probe fleets and the static region catalogue, and append
+/// them column-direct to `out`, whose binding must cover the fleets.
+/// Returns empty on success, else what was wrong, naming the day and task.
+[[nodiscard]] std::string parse_block(std::string_view payload,
+                                      const BlockHeader& header,
+                                      const probes::ProbeFleet* sc_fleet,
+                                      const probes::ProbeFleet* atlas_fleet,
+                                      measure::Dataset& out);
 
 // Store artefact paths, shared by the writer, salvage and fsck.
 [[nodiscard]] std::filesystem::path store_manifest_path(

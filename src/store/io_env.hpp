@@ -63,7 +63,9 @@ class IoEnv {
   [[nodiscard]] virtual std::optional<std::uint64_t> file_size(
       const std::filesystem::path& path) const;
 
-  /// Whole-file read; nullopt when missing/unreadable. Never faulted.
+  /// Whole-file read; nullopt when missing/unreadable. Never faulted. The
+  /// store reads only manifests this way: shard files go through the block
+  /// reader in salvage.cpp, which holds one block at a time.
   [[nodiscard]] virtual std::optional<std::string> read_file(
       const std::filesystem::path& path) const;
 };

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <fstream>
+#include <limits>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -99,110 +100,127 @@ struct Manifest {
   return {};
 }
 
-/// One parsed block, with its rows when a binder was supplied.
-struct ScannedBlock {
+/// Longest block header line the reader accepts; a real one is under 170
+/// bytes (seven fields of at most 20 digits).
+constexpr std::size_t kMaxHeaderBytes = 256;
+
+/// Reads one lane file's framed blocks in order, holding one block at a
+/// time: the header line, read with a bound so a damaged lane cannot make
+/// it buffer the rest of the file, then the payload, into a buffer reused
+/// across blocks and checked against the header's fnv1a. Never reads past
+/// `limit` bytes. After a failed next() the reader is spent.
+class BlockReader {
+ public:
+  BlockReader(const fs::path& path, std::uint64_t limit)
+      : in_(path, std::ios::binary), limit_(limit) {}
+
+  /// Offset of the next block: the framed end of the last one read.
+  [[nodiscard]] std::uint64_t offset() const { return offset_; }
+  [[nodiscard]] bool done() const { return offset_ >= limit_; }
+  [[nodiscard]] const BlockHeader& header() const { return header_; }
+  [[nodiscard]] std::string_view payload() const { return payload_; }
+
+  /// Read the block at offset(). Empty on success; else what is wrong.
+  [[nodiscard]] std::string next() {
+    if (!in_.is_open()) return "shard file unreadable";
+    char line[kMaxHeaderBytes + 1];
+    in_.getline(line, sizeof line);
+    if (in_.eof()) return "incomplete block header";
+    // getline counts the newline it consumed but does not store it.
+    const auto line_bytes = static_cast<std::uint64_t>(in_.gcount());
+    if (in_.fail() || !parse_block_header({line, line_bytes - 1}, header_)) {
+      return "malformed block header";
+    }
+    const std::uint64_t payload_begin = offset_ + line_bytes;
+    const std::uint64_t remain =
+        limit_ > payload_begin ? limit_ - payload_begin : 0;
+    if (header_.bytes > remain) {
+      return "payload truncated (header claims " +
+             std::to_string(header_.bytes) + " bytes, " +
+             std::to_string(remain) + " remain)";
+    }
+    payload_.resize(header_.bytes);
+    in_.read(payload_.data(), static_cast<std::streamsize>(header_.bytes));
+    if (static_cast<std::uint64_t>(in_.gcount()) != header_.bytes) {
+      return "payload truncated (the file ends inside it)";
+    }
+    if (util::fnv1a_words(payload_) != header_.fnv1a) {
+      return "payload checksum mismatch (fnv1a)";
+    }
+    offset_ = payload_begin + header_.bytes;
+    return {};
+  }
+
+ private:
+  std::ifstream in_;
+  std::uint64_t limit_;
+  std::uint64_t offset_ = 0;
+  BlockHeader header_;
+  std::string payload_;
+};
+
+/// A validated block: its header and framed size, never its payload.
+struct BlockInfo {
   BlockHeader header;
-  measure::Dataset rows;
   std::uint64_t bytes = 0;  ///< framed size: header line + payload
   std::size_t lane = 0;
 };
 
 /// What one lane's file yielded.
 struct LaneScan {
-  std::vector<ScannedBlock> committed;
-  std::vector<ScannedBlock> tail;
-  std::uint64_t dropped_blocks = 0;  ///< valid frame, wrong sequence
+  std::vector<BlockInfo> committed;
+  std::vector<BlockInfo> tail;
+  std::optional<BlockHeader> last;   ///< the lane's last valid block
+  std::uint64_t dropped_blocks = 0;  ///< valid frame that does not follow
   std::uint64_t torn_bytes = 0;      ///< unusable bytes past the last keeper
   std::string error;                 ///< committed-region violation
 };
 
-/// Parse the block starting at `offset`. True on success (offset advanced
-/// past the block); false leaves `why` describing the damage.
-[[nodiscard]] bool next_block(std::string_view text, std::size_t& offset,
-                              const RowBinder* binder, ScannedBlock& out,
-                              std::string& why) {
-  const std::size_t header_end = text.find('\n', offset);
-  if (header_end == std::string_view::npos) {
-    why = "incomplete block header";
-    return false;
-  }
-  if (!parse_block_header(text.substr(offset, header_end - offset),
-                          out.header)) {
-    why = "malformed block header";
-    return false;
-  }
-  const std::size_t payload_begin = header_end + 1;
-  if (out.header.bytes > text.size() - payload_begin) {
-    why = "payload truncated (header claims " +
-          std::to_string(out.header.bytes) + " bytes, " +
-          std::to_string(text.size() - payload_begin) + " remain)";
-    return false;
-  }
-  const std::string_view payload =
-      text.substr(payload_begin, out.header.bytes);
-  if (util::fnv1a_words(payload) != out.header.fnv1a) {
-    why = "payload checksum mismatch (fnv1a)";
-    return false;
-  }
-  if (binder != nullptr) {
-    out.rows.clear_rows();
-    out.rows.bind(binder->sc_fleet(), binder->atlas_fleet());
-    if (std::string parse_error =
-            binder->parse_block(payload, out.header, out.rows);
-        !parse_error.empty()) {
-      why = "unparseable payload: " + parse_error;
-      return false;
-    }
-  }
-  out.bytes = (payload_begin - offset) + out.header.bytes;
-  offset = payload_begin + out.header.bytes;
-  return true;
-}
-
-/// Scan one lane file: strict inside the committed region, salvage beyond.
-[[nodiscard]] LaneScan scan_lane(const std::optional<std::string>& content,
-                                 const LaneState& durable, std::size_t lane,
-                                 const RowBinder* binder) {
+/// Validate one lane file of `size` bytes (nullopt: missing): strict inside
+/// the committed region, salvage beyond.
+[[nodiscard]] LaneScan scan_lane(const fs::path& path,
+                                 std::optional<std::uint64_t> size,
+                                 const LaneState& durable, std::size_t lane) {
   LaneScan scan;
-  const std::string text = content.value_or(std::string{});
   const auto lane_label = [&] { return "lane " + std::to_string(lane); };
-  if (!content.has_value() && durable.durable_bytes > 0) {
+  if (!size.has_value() && durable.durable_bytes > 0) {
     scan.error = lane_label() + ": shard file missing but manifest commits " +
                  std::to_string(durable.durable_bytes) + " bytes";
     return scan;
   }
-  if (text.size() < durable.durable_bytes) {
+  const std::uint64_t file_bytes = size.value_or(0);
+  if (file_bytes < durable.durable_bytes) {
     scan.error = lane_label() + ": shard holds " +
-                 std::to_string(text.size()) + " bytes, manifest commits " +
+                 std::to_string(file_bytes) + " bytes, manifest commits " +
                  std::to_string(durable.durable_bytes);
     return scan;
   }
 
-  std::size_t offset = 0;
+  BlockReader reader{path, file_bytes};
   std::uint64_t expected_seq = 0;
-  while (offset < durable.durable_bytes) {
-    ScannedBlock block;
-    block.lane = lane;
-    std::string why;
-    if (!next_block(text, offset, binder, block, why)) {
+  while (reader.offset() < durable.durable_bytes) {
+    const std::uint64_t block_start = reader.offset();
+    if (std::string why = reader.next(); !why.empty()) {
       scan.error = lane_label() + ": committed block " +
                    std::to_string(expected_seq) + ": " + why;
       return scan;
     }
-    if (offset > durable.durable_bytes) {
+    if (reader.offset() > durable.durable_bytes) {
       scan.error = lane_label() + ": committed block " +
                    std::to_string(expected_seq) +
                    " straddles the manifest's byte mark";
       return scan;
     }
-    if (block.header.seq != expected_seq) {
+    if (reader.header().seq != expected_seq) {
       scan.error = lane_label() + ": committed block has seq " +
-                   std::to_string(block.header.seq) + ", expected " +
+                   std::to_string(reader.header().seq) + ", expected " +
                    std::to_string(expected_seq);
       return scan;
     }
     ++expected_seq;
-    scan.committed.push_back(std::move(block));
+    scan.committed.push_back(
+        {reader.header(), reader.offset() - block_start, lane});
+    scan.last = reader.header();
   }
   if (expected_seq != durable.next_seq) {
     scan.error = lane_label() + ": committed region holds " +
@@ -213,44 +231,70 @@ struct LaneScan {
   }
 
   // Beyond the commit point: keep the longest valid run, count the rest.
-  while (offset < text.size()) {
-    const std::size_t block_start = offset;
-    ScannedBlock block;
-    block.lane = lane;
-    std::string why;
-    if (!next_block(text, offset, binder, block, why)) {
-      scan.torn_bytes = text.size() - block_start;
+  // A lane's blocks follow one another: each continues the previous
+  // block's task run or opens a later day at task 0.
+  const auto follows = [&](const BlockHeader& block) {
+    if (!scan.last.has_value()) return block.start == 0;
+    const BlockHeader& prev = *scan.last;
+    return block.day == prev.day
+               ? block.start == std::uint64_t{prev.start} + prev.tasks
+               : block.day > prev.day && block.start == 0;
+  };
+  while (!reader.done()) {
+    const std::uint64_t block_start = reader.offset();
+    if (!reader.next().empty()) {
+      scan.torn_bytes = file_bytes - block_start;
       break;
     }
-    if (block.header.seq != expected_seq) {
-      // A duplicated or replayed frame: structurally fine, but it does not
-      // continue this lane — everything from here on is unusable.
+    if (reader.header().seq != expected_seq || !follows(reader.header())) {
+      // A duplicated, replayed or relabelled frame: structurally fine, but
+      // it does not continue this lane — everything from here on is
+      // unusable.
       ++scan.dropped_blocks;
-      scan.torn_bytes = text.size() - block_start;
+      scan.torn_bytes = file_bytes - block_start;
       break;
     }
     ++expected_seq;
-    scan.tail.push_back(std::move(block));
+    scan.tail.push_back({reader.header(), reader.offset() - block_start, lane});
+    scan.last = reader.header();
   }
   return scan;
 }
 
-/// Sort key for cross-lane assembly: global append order is (day, start).
-[[nodiscard]] bool block_order(const ScannedBlock* a, const ScannedBlock* b) {
-  return a->header.day != b->header.day ? a->header.day < b->header.day
-                                        : a->header.start < b->header.start;
+/// Global append order is (day, start).
+[[nodiscard]] bool appended_before(const BlockHeader& a,
+                                   const BlockHeader& b) {
+  return a.day != b.day ? a.day < b.day : a.start < b.start;
 }
 
-void append_rows(measure::Dataset& out, const ScannedBlock& block) {
-  // Both datasets are bound to the same fleets and block rows never mint
-  // extras codes, so this is a raw column splice.
-  out.append(block.rows);
+[[nodiscard]] bool block_order(const BlockInfo* a, const BlockInfo* b) {
+  return appended_before(a->header, b->header);
 }
 
-/// Shared core of open_store and fsck. `binder` null = structural only.
-[[nodiscard]] OpenResult open_impl(const fs::path& dir,
-                                   std::string_view platform, IoEnv& io,
-                                   const RowBinder* binder, bool repair) {
+}  // namespace
+
+int manifest_format(const fs::path& dir, std::string_view platform,
+                    IoEnv& io) {
+  const std::optional<std::string> text =
+      io.read_file(store_manifest_path(dir, platform));
+  if (!text.has_value()) return 0;
+  const std::string_view view{*text};
+  constexpr std::string_view kKey = "format=";
+  if (!view.starts_with(kKey)) return 0;
+  const std::size_t end = view.find('\n', kKey.size());
+  int format = 0;
+  if (!parse_number(view.substr(kKey.size(),
+                                end == std::string_view::npos
+                                    ? std::string_view::npos
+                                    : end - kKey.size()),
+                    format)) {
+    return 0;
+  }
+  return format;
+}
+
+OpenResult open_store(const fs::path& dir, std::string_view platform,
+                      IoEnv& io, bool repair) {
   OpenResult result;
   const std::optional<std::string> manifest_text =
       io.read_file(store_manifest_path(dir, platform));
@@ -268,38 +312,25 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
   result.meta.platform = manifest.platform;
   result.meta.seed = manifest.seed;
   result.meta.fault_profile = manifest.fault_profile;
-  if (binder != nullptr) {
-    result.data.bind(binder->sc_fleet(), binder->atlas_fleet());
-  }
 
-  // Lanes are independent on disk, so the scan — the expensive part of a
-  // resume — runs one thread per lane; this is what keeps reopening a
-  // campaign flat-cost as --threads (== lanes) grows.
   const std::size_t lane_count = manifest.lanes.size();
-  std::vector<LaneScan> scans(lane_count);
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(lane_count);
-    for (std::size_t lane = 0; lane < lane_count; ++lane) {
-      workers.emplace_back([&, lane] {
-        scans[lane] = scan_lane(io.read_file(store_lane_path(dir, platform, lane)),
-                                manifest.lanes[lane], lane, binder);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-  for (const LaneScan& scan : scans) {
-    if (!scan.error.empty()) {
-      result.error = "store refused: " + scan.error;
+  std::vector<LaneScan> scans;
+  scans.reserve(lane_count);
+  for (std::size_t lane = 0; lane < lane_count; ++lane) {
+    const fs::path path = store_lane_path(dir, platform, lane);
+    scans.push_back(
+        scan_lane(path, io.file_size(path), manifest.lanes[lane], lane));
+    if (!scans.back().error.empty()) {
+      result.error = "store refused: " + scans.back().error;
       return result;
     }
   }
 
   // Committed region, cross-lane: global order must reassemble into
   // contiguous per-day task runs whose total matches the manifest.
-  std::vector<ScannedBlock*> committed;
-  for (LaneScan& scan : scans) {
-    for (ScannedBlock& block : scan.committed) committed.push_back(&block);
+  std::vector<const BlockInfo*> committed;
+  for (const LaneScan& scan : scans) {
+    for (const BlockInfo& block : scan.committed) committed.push_back(&block);
   }
   std::stable_sort(committed.begin(), committed.end(), block_order);
   std::uint64_t committed_tasks = 0;
@@ -307,7 +338,7 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     std::uint32_t current_day = 0;
     std::uint64_t expected_start = 0;
     bool have_day = false;
-    for (const ScannedBlock* block : committed) {
+    for (const BlockInfo* block : committed) {
       const BlockHeader& header = block->header;
       if (block->lane != header.day % lane_count) {
         result.error = "store refused: committed block for day " +
@@ -344,18 +375,30 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     return result;
   }
   result.salvage.committed_blocks = committed.size();
-  for (ScannedBlock* block : committed) append_rows(result.data, *block);
 
   // The uncommitted tail: adopt the longest chain that continues exactly
   // where the manifest stopped. Same-day blocks must extend the task run;
   // a later day may start only at task 0 (appends are globally FIFO, so a
   // day-N block on disk proves every earlier day finished; empty days
-  // legitimately write nothing). Anything else ends the chain.
-  std::vector<ScannedBlock*> tail;
-  for (LaneScan& scan : scans) {
-    for (ScannedBlock& block : scan.tail) tail.push_back(&block);
+  // legitimately write nothing). Anything else ends the chain. The proof
+  // fails where a lane lost bytes (torn, or a block that does not follow):
+  // they may have held the lane's next block, which is on the day of its
+  // last block or, when that day is committed, on the lane's first
+  // uncommitted day. No block of a later day is adopted past such a loss.
+  std::vector<const BlockInfo*> tail;
+  std::uint64_t loss_day = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t lane = 0; lane < lane_count; ++lane) {
+    const LaneScan& scan = scans[lane];
+    for (const BlockInfo& block : scan.tail) tail.push_back(&block);
     result.salvage.dropped_blocks += scan.dropped_blocks;
     result.salvage.truncated_bytes += scan.torn_bytes;
+    if (scan.torn_bytes == 0) continue;
+    std::uint64_t lost_day = scan.last.has_value() ? scan.last->day : 0;
+    if (lost_day < manifest.next_day) {
+      lost_day = manifest.next_day;
+      while (lost_day % lane_count != lane) ++lost_day;
+    }
+    loss_day = std::min(loss_day, lost_day);
   }
   std::stable_sort(tail.begin(), tail.end(), block_order);
   std::vector<std::uint64_t> adopted_bytes(lane_count, 0);
@@ -365,13 +408,13 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
   std::uint64_t chain_cursor = manifest.cursor;
   bool adopted_any = false;
   std::size_t kept = 0;
-  for (ScannedBlock* block : tail) {
+  for (const BlockInfo* block : tail) {
     const BlockHeader& header = block->header;
     const bool extends_day =
         header.day == chain_day && header.start == chain_start;
     const bool opens_day = header.day > chain_day && header.start == 0;
     if ((!extends_day && !opens_day) ||
-        block->lane != header.day % lane_count) {
+        block->lane != header.day % lane_count || header.day > loss_day) {
       break;
     }
     if (opens_day) chain_day = header.day;
@@ -383,7 +426,6 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     adopted_blocks[block->lane] += 1;
     ++result.salvage.salvaged_blocks;
     result.salvage.salvaged_rows += header.tasks;
-    append_rows(result.data, *block);
     ++kept;
   }
   for (std::size_t i = kept; i < tail.size(); ++i) {
@@ -411,7 +453,8 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     result.state.day_tasks_done = manifest.day_tasks_done;
   }
 
-  if (repair && result.salvage.truncated_bytes > 0) {
+  if (!repair || result.salvage.clean()) return result;
+  if (result.salvage.truncated_bytes > 0) {
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
       const fs::path path = store_lane_path(dir, platform, lane);
       const std::optional<std::uint64_t> size = io.file_size(path);
@@ -427,62 +470,77 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     }
     result.salvage.repaired = true;
   }
+  obs::Registry& registry = obs::Registry::global();
+  registry
+      .counter("store.salvage_blocks_total",
+               "uncommitted blocks adopted on resume")
+      .inc(result.salvage.salvaged_blocks);
+  registry
+      .counter("store.salvage_rows_total",
+               "task rows recovered from uncommitted tails")
+      .inc(result.salvage.salvaged_rows);
+  registry
+      .counter("store.salvage_dropped_blocks_total",
+               "tail blocks rejected during salvage")
+      .inc(result.salvage.dropped_blocks);
+  registry
+      .counter("store.salvage_truncated_bytes_total",
+               "torn tail bytes cut away during salvage")
+      .inc(result.salvage.truncated_bytes);
   return result;
 }
 
-}  // namespace
-
-int manifest_format(const fs::path& dir, std::string_view platform,
-                    IoEnv& io) {
-  const std::optional<std::string> text =
-      io.read_file(store_manifest_path(dir, platform));
-  if (!text.has_value()) return 0;
-  const std::string_view view{*text};
-  constexpr std::string_view kKey = "format=";
-  if (!view.starts_with(kKey)) return 0;
-  const std::size_t end = view.find('\n', kKey.size());
-  int format = 0;
-  if (!parse_number(view.substr(kKey.size(),
-                                end == std::string_view::npos
-                                    ? std::string_view::npos
-                                    : end - kKey.size()),
-                    format)) {
-    return 0;
+std::string scan_rows(
+    const fs::path& dir, std::string_view platform, const OpenResult& opened,
+    const probes::ProbeFleet* sc_fleet, const probes::ProbeFleet* atlas_fleet,
+    const std::function<void(const measure::Dataset&)>& per_block) {
+  if (!opened.ok()) return opened.error;
+  const std::vector<LaneState>& lanes = opened.lane_states;
+  // Day D lives in lane D % L and appends are globally FIFO, so the merge
+  // only ever compares the lanes' head blocks.
+  std::vector<BlockReader> readers;
+  std::vector<std::uint8_t> holding(lanes.size(), 0);  ///< head block unread
+  readers.reserve(lanes.size());
+  const auto lane_error = [](std::size_t lane, const std::string& why) {
+    return "lane " + std::to_string(lane) + ": " + why;
+  };
+  const auto advance = [&](std::size_t lane) -> std::string {
+    holding[lane] = 0;
+    if (readers[lane].done()) return {};
+    if (std::string why = readers[lane].next(); !why.empty()) {
+      return lane_error(lane, why);
+    }
+    holding[lane] = 1;
+    return {};
+  };
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    readers.emplace_back(store_lane_path(dir, platform, lane),
+                         lanes[lane].durable_bytes);
+    if (std::string err = advance(lane); !err.empty()) return err;
   }
-  return format;
-}
 
-OpenResult open_store_structural(const fs::path& dir,
-                                 std::string_view platform, IoEnv& io,
-                                 bool repair) {
-  return open_impl(dir, platform, io, /*binder=*/nullptr, repair);
-}
-
-OpenResult open_store(const fs::path& dir, std::string_view platform,
-                      IoEnv& io, const probes::ProbeFleet* sc_fleet,
-                      const probes::ProbeFleet* atlas_fleet, bool repair) {
-  const RowBinder binder{sc_fleet, atlas_fleet};
-  OpenResult result = open_impl(dir, platform, io, &binder, repair);
-  if (result.ok() && !result.salvage.clean()) {
-    obs::Registry& registry = obs::Registry::global();
-    registry
-        .counter("store.salvage_blocks_total",
-                 "uncommitted blocks adopted on resume")
-        .inc(result.salvage.salvaged_blocks);
-    registry
-        .counter("store.salvage_rows_total",
-                 "task rows recovered from uncommitted tails")
-        .inc(result.salvage.salvaged_rows);
-    registry
-        .counter("store.salvage_dropped_blocks_total",
-                 "tail blocks rejected during salvage")
-        .inc(result.salvage.dropped_blocks);
-    registry
-        .counter("store.salvage_truncated_bytes_total",
-                 "torn tail bytes cut away during salvage")
-        .inc(result.salvage.truncated_bytes);
+  measure::Dataset block;
+  block.bind(sc_fleet, atlas_fleet);
+  for (;;) {
+    std::size_t next = lanes.size();
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      if (holding[lane] != 0 &&
+          (next == lanes.size() ||
+           appended_before(readers[lane].header(), readers[next].header()))) {
+        next = lane;
+      }
+    }
+    if (next == lanes.size()) return {};
+    const BlockReader& head = readers[next];
+    block.clear_rows();
+    if (std::string why = parse_block(head.payload(), head.header(),
+                                      sc_fleet, atlas_fleet, block);
+        !why.empty()) {
+      return lane_error(next, why);
+    }
+    per_block(block);
+    if (std::string err = advance(next); !err.empty()) return err;
   }
-  return result;
 }
 
 FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
@@ -498,27 +556,18 @@ FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
                    "the campaign from scratch";
     return report;
   }
-  const OpenResult opened =
-      open_impl(dir, platform, io, /*binder=*/nullptr, /*repair=*/false);
+  const OpenResult opened = open_store(dir, platform, io, /*repair=*/false);
   if (!opened.ok()) {
     report.error = opened.error;
     return report;
   }
   report.committed_blocks = opened.salvage.committed_blocks;
-  report.committed_rows = 0;
+  report.committed_rows =
+      opened.durable_rows - opened.salvage.salvaged_rows;
   report.tail_blocks = opened.salvage.salvaged_blocks;
   report.tail_rows = opened.salvage.salvaged_rows;
   report.dropped_blocks = opened.salvage.dropped_blocks;
   report.torn_bytes = opened.salvage.truncated_bytes;
-  // Structural scan skips row binding, so count rows from the manifest.
-  const std::optional<std::string> manifest_text =
-      io.read_file(store_manifest_path(dir, platform));
-  if (manifest_text.has_value()) {
-    Manifest manifest;
-    if (parse_manifest(*manifest_text, platform, manifest).empty()) {
-      report.committed_rows = manifest.pings;
-    }
-  }
   return report;
 }
 

@@ -14,8 +14,7 @@
 // go to lane D % L. Appends stay strictly sequential — a single writer
 // thread retires blocks in global day/task order, which is what lets
 // salvage trust that a later-day block implies every earlier day was fully
-// appended — while resume *reads* scan all L lanes in parallel, so
-// reopening a long campaign stays flat-cost as --threads grows.
+// appended, and what lets a row scan merge the lanes by their head blocks.
 //
 // Asynchrony: append_day() and commit() only copy the rows and enqueue a
 // job; one background worker serialises, checksums, appends (a day's
@@ -123,8 +122,6 @@ class ShardWriter {
   [[nodiscard]] std::size_t pending_blocks() const {
     return pending_count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t lanes() const { return lane_.size(); }
-  [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
   [[nodiscard]] std::filesystem::path manifest_path() const {
     return store_manifest_path(dir_, meta_.platform);
   }

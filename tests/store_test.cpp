@@ -10,12 +10,16 @@
 // zero-length shard under a non-empty manifest, and a duplicated tail
 // block (a replayed append). Tail damage must salvage; committed damage
 // must refuse. A legacy CSV checkpoint is refused too, and left untouched.
+// A random-damage sweep then checks that every reader of a store — fsck,
+// open_store, scan_rows and the streamed hash — agrees on what it holds.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -25,10 +29,12 @@
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
+#include "obs/metrics.hpp"
 #include "store/codec.hpp"
 #include "store/io_env.hpp"
 #include "store/salvage.hpp"
 #include "store/shard_writer.hpp"
+#include "util/rng.hpp"
 
 namespace cloudrtt {
 namespace {
@@ -79,15 +85,36 @@ struct Baseline {
   return &baseline().study->sc_fleet();
 }
 
-/// Copy the baseline store into a scratch directory a test may damage.
-[[nodiscard]] fs::path copy_store(const std::string& name) {
+/// Copy a store (by default the baseline's) into a scratch directory a test
+/// may damage.
+[[nodiscard]] fs::path copy_store(const std::string& name,
+                                  const fs::path& from = baseline().dir) {
   const fs::path dst = fs::path{::testing::TempDir()} / name;
   fs::remove_all(dst);
   fs::create_directories(dst);
-  for (const fs::directory_entry& entry : fs::directory_iterator(baseline().dir)) {
+  for (const fs::directory_entry& entry : fs::directory_iterator(from)) {
     fs::copy_file(entry.path(), dst / entry.path().filename());
   }
   return dst;
+}
+
+/// What a read-only open plus a row scan recover from a store.
+struct Loaded {
+  store::OpenResult opened;
+  measure::Dataset rows;
+  std::string scan_error;
+};
+
+[[nodiscard]] Loaded load(const fs::path& dir,
+                          const probes::ProbeFleet* probes = fleet()) {
+  store::IoEnv io;
+  Loaded loaded;
+  loaded.opened = store::open_store(dir, kPlatform, io, /*repair=*/false);
+  loaded.rows.bind(probes, nullptr);
+  loaded.scan_error = store::scan_rows(
+      dir, kPlatform, loaded.opened, probes, nullptr,
+      [&](const measure::Dataset& block) { loaded.rows.append(block); });
+  return loaded;
 }
 
 struct BlockSpan {
@@ -135,36 +162,62 @@ void write_file(const fs::path& path, const std::string& content) {
   return store::store_lane_path(dir, kPlatform, 0);
 }
 
-/// Rewrite the manifest so only blocks of days < `upto_day` are committed,
-/// leaving the later blocks on disk as an uncommitted tail — exactly what a
-/// crash between the day's appends and its manifest commit leaves behind.
-void rewind_manifest(const fs::path& dir, std::uint32_t upto_day) {
-  std::uint64_t bytes = 0;
+/// Rewrite the manifest of a `lanes`-lane store so only blocks of days <
+/// `upto_day` are committed, leaving the later blocks on disk as an
+/// uncommitted tail — exactly what a crash between the day's appends and
+/// its manifest commit leaves behind.
+void rewind_manifest(const fs::path& dir, std::uint32_t upto_day,
+                     std::size_t lanes = 1) {
   std::uint64_t rows = 0;
-  std::uint64_t seq = 0;
   std::uint64_t cursor = 0;
-  for (const BlockSpan& block : index_blocks(lane0(dir))) {
-    if (block.header.day >= upto_day) {
-      cursor = block.header.cursor;  // day-start cursor of the next day
-      break;
+  std::string lane_marks;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    std::uint64_t bytes = 0;
+    std::uint64_t seq = 0;
+    for (const BlockSpan& block :
+         index_blocks(store::store_lane_path(dir, kPlatform, lane))) {
+      if (block.header.day >= upto_day) {
+        // The day-start cursor of the first uncommitted day.
+        if (block.header.day == upto_day) cursor = block.header.cursor;
+        break;
+      }
+      bytes += block.size;
+      rows += block.header.tasks;
+      ++seq;
     }
-    bytes += block.size;
-    rows += block.header.tasks;
-    ++seq;
+    lane_marks += "lane" + std::to_string(lane) + '=' + std::to_string(bytes) +
+                  ':' + std::to_string(seq) + '\n';
   }
   std::string manifest;
   manifest += "format=3\n";
   manifest += "platform=" + std::string{kPlatform} + '\n';
   manifest += "seed=" + std::to_string(kSeed) + '\n';
   manifest += "fault_profile=none\n";
-  manifest += "lanes=1\n";
+  manifest += "lanes=" + std::to_string(lanes) + '\n';
   manifest += "next_day=" + std::to_string(upto_day) + '\n';
   manifest += "cursor=" + std::to_string(cursor) + '\n';
   manifest += "day_tasks_done=0\n";
   manifest += "pings=" + std::to_string(rows) + '\n';
   manifest += "traces=" + std::to_string(rows) + '\n';
-  manifest += "lane0=" + std::to_string(bytes) + ':' + std::to_string(seq) + '\n';
+  manifest += lane_marks;
   write_file(store::store_manifest_path(dir, kPlatform), manifest);
+}
+
+/// Tear a copy of the baseline the way a crash mid-append does: day 0
+/// committed, then one whole day-1 block and half of the next. Returns the
+/// whole block.
+[[nodiscard]] BlockSpan tear_after_one_tail_block(const fs::path& dir) {
+  rewind_manifest(dir, 1);
+  const std::vector<BlockSpan> blocks = index_blocks(lane0(dir));
+  std::size_t first_tail = 0;
+  while (first_tail < blocks.size() && blocks[first_tail].header.day < 1) {
+    ++first_tail;
+  }
+  EXPECT_LT(first_tail + 1, blocks.size());
+  if (first_tail + 1 >= blocks.size()) return {};
+  const BlockSpan& torn = blocks[first_tail + 1];
+  fs::resize_file(lane0(dir), torn.offset + torn.size / 2);
+  return blocks[first_tail];
 }
 
 /// Resume a campaign off `dir` and hash what it collects.
@@ -179,15 +232,15 @@ void rewind_manifest(const fs::path& dir, std::uint32_t upto_day) {
 }
 
 TEST(StoreRoundTrip, CompletedStoreReproducesTheDatasetBitExactly) {
-  store::IoEnv io;
-  const store::OpenResult opened = store::open_store(
-      baseline().dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
-  ASSERT_TRUE(opened.ok()) << opened.error;
-  EXPECT_TRUE(opened.salvage.clean());
-  EXPECT_EQ(opened.meta.seed, kSeed);
-  EXPECT_EQ(opened.state.next_day, 3u);
-  EXPECT_EQ(opened.state.day_tasks_done, 0u);
-  EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(opened.data)),
+  const Loaded loaded = load(baseline().dir);
+  ASSERT_TRUE(loaded.opened.ok()) << loaded.opened.error;
+  ASSERT_TRUE(loaded.scan_error.empty()) << loaded.scan_error;
+  EXPECT_TRUE(loaded.opened.salvage.clean());
+  EXPECT_EQ(loaded.opened.meta.seed, kSeed);
+  EXPECT_EQ(loaded.opened.state.next_day, 3u);
+  EXPECT_EQ(loaded.opened.state.day_tasks_done, 0u);
+  EXPECT_EQ(loaded.opened.durable_rows, loaded.rows.pings.size());
+  EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(loaded.rows)),
             core::format_dataset_hash(baseline().hash));
 }
 
@@ -208,23 +261,11 @@ TEST(StoreRoundTrip, FsckReportsAHealthyStore) {
 // replay the remainder of the interrupted day from the RNG bit-exactly.
 TEST(StoreCorruption, TornTrailerSalvagesWholeBlocksAndReplaysTheRest) {
   const fs::path dir = copy_store("cloudrtt_store_torn");
-  rewind_manifest(dir, 1);
-  const std::vector<BlockSpan> blocks = index_blocks(lane0(dir));
-  std::size_t first_tail = blocks.size();
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    if (blocks[i].header.day >= 1) {
-      first_tail = i;
-      break;
-    }
-  }
-  ASSERT_LT(first_tail + 1, blocks.size());
-  const BlockSpan& whole = blocks[first_tail];
-  const BlockSpan& torn = blocks[first_tail + 1];
-  fs::resize_file(lane0(dir), torn.offset + torn.size / 2);
+  const BlockSpan whole = tear_after_one_tail_block(dir);
 
   store::IoEnv io;
   const store::OpenResult opened =
-      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
   ASSERT_TRUE(opened.ok()) << opened.error;
   EXPECT_EQ(opened.salvage.salvaged_blocks, 1u);
   EXPECT_EQ(opened.salvage.salvaged_rows, whole.header.tasks);
@@ -242,6 +283,74 @@ TEST(StoreCorruption, TornTrailerSalvagesWholeBlocksAndReplaysTheRest) {
             core::format_dataset_hash(baseline().hash));
 }
 
+// A streamed resume adopts a torn tail through the same open as an
+// in-memory one, so it counts its salvage in the same metrics.
+TEST(StoreCorruption, StreamedResumeCountsItsSalvage) {
+  const fs::path dir = copy_store("cloudrtt_store_torn_streamed");
+  (void)tear_after_one_tail_block(dir);
+  store::IoEnv io;
+  const std::uint64_t adopted = store::fsck(dir, kPlatform, io).tail_blocks;
+  ASSERT_GT(adopted, 0u);
+  const obs::Counter& salvaged =
+      obs::Registry::global().counter("store.salvage_blocks_total");
+  const std::uint64_t before = salvaged.value();
+
+  core::Study resumed{store_config()};
+  core::RunControl control;
+  control.checkpoint_dir = dir.string();
+  control.resume = true;
+  control.stream = true;
+  resumed.run(control);
+  ASSERT_TRUE(resumed.completed());
+  EXPECT_EQ(salvaged.value() - before, adopted);
+
+  const core::StreamedHashResult hashed = core::streamed_dataset_hash(
+      dir, kPlatform, io, &resumed.sc_fleet(), nullptr);
+  ASSERT_TRUE(hashed.ok()) << hashed.error;
+  EXPECT_EQ(core::format_dataset_hash(hashed.hash),
+            core::format_dataset_hash(baseline().hash));
+}
+
+// A block past the manifest mark whose checksum holds but whose payload
+// does not decode (here: a probe the fleet does not know). Validation
+// decodes no payload, so the open adopts it; every reader of rows must then
+// refuse it, naming lane, day and task, rather than drop it silently.
+TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
+  const fs::path dir = copy_store("cloudrtt_store_undecodable");
+  const std::vector<BlockSpan> blocks = index_blocks(lane0(dir));
+  ASSERT_FALSE(blocks.empty());
+  const BlockSpan& last = blocks.back();
+  std::string text = read_file(lane0(dir));
+  std::string payload =
+      text.substr(last.offset + last.size - last.header.bytes,
+                  last.header.bytes);
+  constexpr std::uint32_t kUnknownProbe = 0x7ffffff0;
+  std::memcpy(payload.data(), &kUnknownProbe, sizeof kUnknownProbe);
+  store::BlockHeader header = last.header;
+  header.seq = last.header.seq + 1;
+  header.day = 3;  // the day the manifest resumes at
+  header.start = 0;
+  header.fnv1a = util::fnv1a_words(payload);
+  write_file(lane0(dir), text + store::format_block_header(header) + payload);
+
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  EXPECT_EQ(opened.salvage.salvaged_blocks, 1u);
+  EXPECT_TRUE(store::fsck(dir, kPlatform, io).healthy());
+
+  const Loaded loaded = load(dir);
+  const core::StreamedHashResult hashed =
+      core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
+  EXPECT_FALSE(hashed.ok());
+  for (const std::string& error : {loaded.scan_error, hashed.error}) {
+    EXPECT_NE(error.find("lane 0: task 0 of day 3: unknown probe id"),
+              std::string::npos)
+        << error;
+  }
+}
+
 // Corruption matrix case 2 — a bit flip inside the committed region: the
 // manifest vouched for these bytes, so the open must refuse (checksum),
 // not return a silently different dataset.
@@ -255,7 +364,7 @@ TEST(StoreCorruption, BitFlippedCommittedBlockRefusesLoudly) {
 
   store::IoEnv io;
   const store::OpenResult opened =
-      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
   EXPECT_FALSE(opened.ok());
   EXPECT_NE(opened.error.find("checksum"), std::string::npos) << opened.error;
   EXPECT_FALSE(store::fsck(dir, kPlatform, io).healthy());
@@ -269,7 +378,7 @@ TEST(StoreCorruption, ZeroLengthShardUnderNonEmptyManifestRefuses) {
 
   store::IoEnv io;
   const store::OpenResult opened =
-      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
   EXPECT_FALSE(opened.ok());
   EXPECT_NE(opened.error.find("manifest commits"), std::string::npos)
       << opened.error;
@@ -297,7 +406,7 @@ TEST(StoreCorruption, DuplicatedTailBlockIsDroppedNotDoubleCounted) {
 
   store::IoEnv io;
   const store::OpenResult opened =
-      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
   ASSERT_TRUE(opened.ok()) << opened.error;
   EXPECT_GE(opened.salvage.dropped_blocks, 1u);
   EXPECT_EQ(opened.salvage.salvaged_blocks, blocks.size() - first_tail);
@@ -340,12 +449,11 @@ TEST(StoreFaults, DegradedWriterCatchesUpAfterTheDiskHeals) {
   EXPECT_FALSE(writer.degraded());
   EXPECT_EQ(writer.pending_blocks(), 0u);
 
-  store::IoEnv plain;
-  const store::OpenResult opened =
-      store::open_store(dir, kPlatform, plain, fleet(), nullptr, /*repair=*/false);
-  ASSERT_TRUE(opened.ok()) << opened.error;
-  EXPECT_TRUE(opened.salvage.clean());
-  EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(opened.data)),
+  const Loaded loaded = load(dir);
+  ASSERT_TRUE(loaded.opened.ok()) << loaded.opened.error;
+  ASSERT_TRUE(loaded.scan_error.empty()) << loaded.scan_error;
+  EXPECT_TRUE(loaded.opened.salvage.clean());
+  EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(loaded.rows)),
             core::format_dataset_hash(baseline().hash));
 }
 
@@ -440,6 +548,114 @@ TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
     EXPECT_NE(report.error.find("legacy"), std::string::npos) << report.error;
     EXPECT_NE(report.render(kPlatform).find("DAMAGED"), std::string::npos);
   }
+}
+
+/// Two-lane store for the random-damage sweep: two blocks a day, day 0
+/// committed and days 1 and 2 (one per lane) an uncommitted tail, so damage
+/// lands on both sides of the marks and salvage has to merge lanes. Small
+/// enough that 200 damaged copies are read in well under two seconds.
+struct DamageBaseline {
+  std::unique_ptr<core::Study> study;
+  fs::path dir;
+};
+
+[[nodiscard]] const DamageBaseline& damage_baseline() {
+  static const DamageBaseline value = [] {
+    DamageBaseline b;
+    b.dir = fs::path{::testing::TempDir()} / "cloudrtt_store_damage_base";
+    fs::remove_all(b.dir);
+    core::StudyConfig config = store_config();
+    config.sc_probes = 300;
+    config.sc_campaign.daily_budget = 520;
+    config.threads = 2;
+    b.study = std::make_unique<core::Study>(config);
+    core::RunControl control;
+    control.checkpoint_dir = b.dir.string();
+    b.study->run(control);
+    rewind_manifest(b.dir, 1, /*lanes=*/2);
+    return b;
+  }();
+  return value;
+}
+
+/// One random damage to the store in `dir`: flip a byte, cut a lane, append
+/// a duplicated block or random bytes past the mark, or truncate the
+/// manifest.
+void damage(const fs::path& dir, util::Rng& rng) {
+  const fs::path lane = store::store_lane_path(dir, kPlatform, rng.below(2));
+  std::string text = read_file(lane);
+  switch (rng.below(5)) {
+    case 0:
+      text[rng.below(text.size())] ^= static_cast<char>(1 + rng.below(255));
+      break;
+    case 1:
+      text.resize(rng.below(text.size()));
+      break;
+    case 2: {
+      const std::vector<BlockSpan> blocks = index_blocks(lane);
+      const BlockSpan& copy = blocks[rng.below(blocks.size())];
+      text += text.substr(copy.offset, copy.size);
+      break;
+    }
+    case 3:
+      for (std::uint64_t n = 1 + rng.below(300); n > 0; --n) {
+        text += static_cast<char>(rng.below(256));
+      }
+      break;
+    default: {
+      const fs::path manifest = store::store_manifest_path(dir, kPlatform);
+      fs::resize_file(manifest, rng.below(fs::file_size(manifest)));
+      return;
+    }
+  }
+  write_file(lane, text);
+}
+
+// Randomized damage across every reader: fsck and open_store must agree on
+// whether the store is usable, and a usable store must read back — through
+// scan_rows and through the streamed hash alike — as a prefix of the rows
+// the campaign collected, never as anything else.
+TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
+  const DamageBaseline& base = damage_baseline();
+  const measure::Dataset& collected = base.study->sc_dataset();
+  const probes::ProbeFleet* probes = &base.study->sc_fleet();
+  std::map<std::size_t, std::uint64_t> prefix_hashes;  // by row count
+  std::size_t usable = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const fs::path dir = copy_store("cloudrtt_store_damage", base.dir);
+    util::Rng rng{seed};
+    damage(dir, rng);
+
+    store::IoEnv io;
+    const store::FsckReport report = store::fsck(dir, kPlatform, io);
+    const Loaded loaded = load(dir, probes);
+    ASSERT_EQ(report.healthy(), loaded.opened.ok())
+        << report.error << " | " << loaded.opened.error;
+    if (!loaded.opened.ok()) continue;
+    ++usable;
+    const core::StreamedHashResult streamed =
+        core::streamed_dataset_hash(dir, kPlatform, io, probes, nullptr);
+    ASSERT_TRUE(loaded.scan_error.empty()) << loaded.scan_error;
+    ASSERT_TRUE(streamed.ok()) << streamed.error;
+    const std::uint64_t hash = core::dataset_hash(loaded.rows);
+    EXPECT_EQ(core::format_dataset_hash(streamed.hash),
+              core::format_dataset_hash(hash));
+    const std::size_t rows = loaded.rows.pings.size();
+    EXPECT_EQ(streamed.rows, rows);
+    ASSERT_LE(rows, collected.pings.size());
+    const auto [prefix, fresh] = prefix_hashes.try_emplace(rows, 0);
+    if (fresh) {
+      measure::Dataset head;
+      head.append_slice(collected, 0, rows, 0, rows);
+      prefix->second = core::dataset_hash(head);
+    }
+    EXPECT_EQ(core::format_dataset_hash(hash),
+              core::format_dataset_hash(prefix->second));
+  }
+  // The sweep must exercise both verdicts.
+  EXPECT_GT(usable, 0u);
+  EXPECT_LT(usable, 200u);
 }
 
 }  // namespace

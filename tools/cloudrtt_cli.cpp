@@ -463,8 +463,7 @@ int cmd_study(int argc, const char* const* argv,
     for (const std::string_view platform : {"speedchecker", "atlas"}) {
       if (platform == "atlas" && !config.include_atlas) continue;
       const store::OpenResult opened =
-          store::open_store_structural(store_dir, platform, io,
-                                       /*repair=*/false);
+          store::open_store(store_dir, platform, io, /*repair=*/false);
       if (opened.ok()) rows += opened.durable_rows;
     }
     std::cout << "streamed " << rows << " task rows (scale " << scale.name
