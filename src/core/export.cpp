@@ -1,11 +1,21 @@
 #include "core/export.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <condition_variable>
 #include <cstddef>
 #include <cstring>
+#include <exception>
+#include <functional>
+#include <initializer_list>
 #include <limits>
+#include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,6 +29,16 @@ namespace {
 
 constexpr std::uint64_t kFnvBasis = util::kFnv1aBasis;
 
+/// The ordered encoder's shape: constants, not knobs. Scanning and
+/// encoding cost about 1.5 times the serial FNV-1a fold per CSV byte, so
+/// two encoders keep the fold busy (a third measured no faster on 4
+/// vCPUs; one left the hash ~25% slower). The window holds 32 batches
+/// (~2 MiB, ~3 ms of folding): on a 4-vCPU VM whose host steals CPU time,
+/// a window of 6 let one descheduled thread stall the fold, and the
+/// streamed paper-scale hash lost its gain.
+constexpr unsigned kEncoders = 2;
+constexpr std::size_t kWindow = kCsvWindowBatches;
+
 /// Widest numeric cells. A 3-decimal fixed-point double runs to a sign, 309
 /// integer digits (DBL_MAX), the point and 3 decimals; a shortest
 /// round-trip double is at most 24 characters.
@@ -27,35 +47,37 @@ constexpr std::size_t kMaxUintChars =
 constexpr std::size_t kMaxDoubleChars =
     1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 3;
 
-void put_bytes(const CsvSink& sink, std::string_view bytes) {
-  if (sink.fnv1a != nullptr) {
-    *sink.fnv1a = util::fnv1a_accum(*sink.fnv1a, bytes);
-  } else {
-    sink.out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-}
+/// Where the encoded bytes go: an output stream, or an FNV-1a digest that
+/// folds them and keeps no copy. Exactly one is set.
+struct CsvSink {
+  std::ostream* out = nullptr;
+  std::uint64_t* fnv1a = nullptr;
 
-/// The row encoder's output: a fixed chunk that cells are formatted straight
-/// into with std::to_chars. A cell first asks for room for its widest form;
-/// when the chunk cannot give it, the buffered bytes go to the sink and the
-/// chunk starts over. Nothing grows, no row allocates, and the sink sees one
-/// call per chunk.
-class ChunkBuffer {
+  void put(std::string_view bytes) const {
+    if (fnv1a != nullptr) {
+      *fnv1a = util::fnv1a_accum(*fnv1a, bytes);
+    } else {
+      out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+  }
+};
+
+/// One batch's CSV, formatted straight into the buffer with std::to_chars.
+/// A cell first asks for room for its widest form; the buffer grows only
+/// for a batch larger than every one before it, so no row allocates.
+class CsvBuffer {
  public:
-  static constexpr std::size_t kBytes = 32 * 1024;
+  /// Sized for a whole batch on the thread that builds the window, so the
+  /// window's memory comes from, and goes back to, the caller's heap. Grown
+  /// on the encoder threads instead, it stayed resident in their malloc
+  /// arenas: +4.7 MiB peak RSS on a default study at this window (Release,
+  /// 4 vCPU).
+  CsvBuffer() : data_(64 * 1024, '\0') {}
 
-  explicit ChunkBuffer(const CsvSink& sink) : sink_(sink) {}
-  ChunkBuffer(const ChunkBuffer&) = delete;
-  ChunkBuffer& operator=(const ChunkBuffer&) = delete;
-
-  void flush() {
-    put_bytes(sink_, std::string_view{data_, size_});
-    size_ = 0;
-    ++flushes_;
+  void clear() { size_ = 0; }
+  [[nodiscard]] std::string_view bytes() const {
+    return {data_.data(), size_};
   }
-
-  /// Chunks flushed so far; bytes written under an older count are gone.
-  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
   void put(char ch) {
@@ -64,15 +86,8 @@ class ChunkBuffer {
   }
 
   void put(std::string_view bytes) {
-    while (bytes.size() > kBytes - size_) {
-      const std::size_t fits = kBytes - size_;
-      std::memcpy(data_ + size_, bytes.data(), fits);
-      size_ = kBytes;
-      bytes.remove_prefix(fits);
-      flush();
-    }
     if (bytes.empty()) return;
-    std::memcpy(data_ + size_, bytes.data(), bytes.size());
+    std::memcpy(room(bytes.size()), bytes.data(), bytes.size());
     size_ += bytes.size();
   }
 
@@ -113,221 +128,460 @@ class ChunkBuffer {
     commit(ip.append_to(room(net::Ipv4Address::kMaxChars)));
   }
 
-  /// Append a copy of the `bytes` bytes at offset `at` of the current chunk
-  /// and return the copy's offset. When the chunk is too full, it is
-  /// flushed first and the bytes, still intact, move to its front.
-  std::size_t repeat(std::size_t at, std::size_t bytes) {
-    if (kBytes - size_ < bytes) {
-      flush();
-      std::memmove(data_, data_ + at, bytes);
-      size_ = bytes;
-      return 0;
-    }
-    std::memcpy(data_ + size_, data_ + at, bytes);
+  /// Append a copy of the `bytes` bytes at offset `at`.
+  void repeat(std::size_t at, std::size_t bytes) {
+    char* out = room(bytes);
+    std::memcpy(out, data_.data() + at, bytes);
     size_ += bytes;
-    return size_ - bytes;
   }
 
  private:
-  /// At least `bytes` (at most kBytes) free at the end of the chunk.
+  /// At least `bytes` free at the end of the buffer.
   [[nodiscard]] char* room(std::size_t bytes) {
-    if (kBytes - size_ < bytes) flush();
-    return data_ + size_;
+    if (data_.size() - size_ < bytes) {
+      data_.resize(std::max(2 * data_.size(), size_ + bytes));
+    }
+    return data_.data() + size_;
   }
   void commit(const char* end) {
-    size_ = static_cast<std::size_t>(end - data_);
+    size_ = static_cast<std::size_t>(end - data_.data());
   }
 
-  const CsvSink& sink_;
-  std::uint64_t flushes_ = 0;
+  std::string data_;  ///< capacity, reused across batches
   std::size_t size_ = 0;
-  char data_[kBytes];
 };
 
 // lint:hot
-void put_ping_row(ChunkBuffer& chunk, const measure::PingRecord& ping,
+void put_ping_row(CsvBuffer& csv, const measure::PingRecord& ping,
                   bool roundtrip) {
   const probes::Probe& probe = *ping.probe;
-  chunk.put_uint(probe.id);
-  chunk.put(',');
+  csv.put_uint(probe.id);
+  csv.put(',');
   // lint:allow(hot-path-alloc): probes::to_string returns a static string_view
-  chunk.put_text(to_string(probe.platform));
-  chunk.put(',');
-  chunk.put_text(probe.country->code);
-  chunk.put(',');
-  chunk.put_text(geo::to_code(probe.country->continent));
-  chunk.put(',');
-  chunk.put_uint(probe.isp->asn);
-  chunk.put(',');
-  chunk.put_text(cloud::provider_info(ping.region->provider).ticker);
-  chunk.put(',');
-  chunk.put_text(ping.region->region_name);
-  chunk.put(',');
+  csv.put_text(to_string(probe.platform));
+  csv.put(',');
+  csv.put_text(probe.country->code);
+  csv.put(',');
+  csv.put_text(geo::to_code(probe.country->continent));
+  csv.put(',');
+  csv.put_uint(probe.isp->asn);
+  csv.put(',');
+  csv.put_text(cloud::provider_info(ping.region->provider).ticker);
+  csv.put(',');
+  csv.put_text(ping.region->region_name);
+  csv.put(',');
   // lint:allow(hot-path-alloc): measure::to_string returns a static string_view
-  chunk.put_text(to_string(ping.protocol));
-  chunk.put(',');
-  chunk.put_double(ping.rtt_ms, roundtrip);
-  chunk.put(',');
-  chunk.put_uint(ping.day);
-  chunk.put(',');
-  chunk.put_uint(ping.slot);
-  chunk.put('\n');
+  csv.put_text(to_string(ping.protocol));
+  csv.put(',');
+  csv.put_double(ping.rtt_ms, roundtrip);
+  csv.put(',');
+  csv.put_uint(ping.day);
+  csv.put(',');
+  csv.put_uint(ping.slot);
+  csv.put('\n');
 }
 
 /// The cells every hop row of a trace starts with, trailing comma included.
 // lint:hot
-void put_trace_prefix(ChunkBuffer& chunk, const measure::TraceRef& trace,
+void put_trace_prefix(CsvBuffer& csv, const measure::TraceRef& trace,
                       std::uint64_t trace_id, bool roundtrip) {
-  chunk.put_uint(trace_id);
-  chunk.put(',');
-  chunk.put_uint(trace.probe->id);
-  chunk.put(',');
-  chunk.put_text(cloud::provider_info(trace.region->provider).ticker);
-  chunk.put(',');
-  chunk.put_text(trace.region->region_name);
-  chunk.put(',');
-  chunk.put_ip(trace.target_ip);
-  chunk.put(',');
-  chunk.put_uint(trace.day);
-  chunk.put(',');
-  chunk.put_uint(trace.slot);
-  chunk.put(',');
-  chunk.put(trace.completed ? '1' : '0');
-  chunk.put(',');
-  chunk.put_double(trace.end_to_end_ms, roundtrip);
-  chunk.put(',');
+  csv.put_uint(trace_id);
+  csv.put(',');
+  csv.put_uint(trace.probe->id);
+  csv.put(',');
+  csv.put_text(cloud::provider_info(trace.region->provider).ticker);
+  csv.put(',');
+  csv.put_text(trace.region->region_name);
+  csv.put(',');
+  csv.put_ip(trace.target_ip);
+  csv.put(',');
+  csv.put_uint(trace.day);
+  csv.put(',');
+  csv.put_uint(trace.slot);
+  csv.put(',');
+  csv.put(trace.completed ? '1' : '0');
+  csv.put(',');
+  csv.put_double(trace.end_to_end_ms, roundtrip);
+  csv.put(',');
 }
 
 /// A hop's own cells; a silent hop leaves ip and rtt empty.
 // lint:hot
-void put_hop_cells(ChunkBuffer& chunk, const measure::HopRecord& hop,
+void put_hop_cells(CsvBuffer& csv, const measure::HopRecord& hop,
                    bool roundtrip) {
-  chunk.put_uint(hop.ttl);
-  chunk.put(',');
-  chunk.put(hop.responded ? '1' : '0');
-  chunk.put(',');
-  if (hop.responded) chunk.put_ip(hop.ip);
-  chunk.put(',');
-  if (hop.responded) chunk.put_double(hop.rtt_ms, roundtrip);
+  csv.put_uint(hop.ttl);
+  csv.put(',');
+  csv.put(hop.responded ? '1' : '0');
+  csv.put(',');
+  if (hop.responded) csv.put_ip(hop.ip);
+  csv.put(',');
+  if (hop.responded) csv.put_double(hop.rtt_ms, roundtrip);
 }
 
-/// One-shot export of `data` through a fresh writer on `target` (a stream
-/// or a digest), under the writer's phase span.
-template <typename Writer, typename Target>
-void write_once(std::string_view phase_name, Target& target,
-                const measure::Dataset& data, CsvFlavour flavour) {
-  obs::Span phase = obs::span(phase_name);
-  Writer writer(target, flavour);
-  writer.write(data);
-  writer.finish();
+/// Which rows a batch holds.
+enum class Part : unsigned char { Pings, Traces };
+
+[[nodiscard]] std::string_view header_line(Part part, bool canonical) {
+  if (part == Part::Pings) {
+    return "probe_id,platform,country,continent,isp_asn,provider,region,"
+           "protocol,rtt_ms,day,slot\n";
+  }
+  return canonical
+             ? "trace_id,probe_id,provider,region,target_ip,day,slot,"
+               "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms,"
+               "true_mode\n"
+             : "trace_id,probe_id,provider,region,target_ip,day,slot,"
+               "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms\n";
+}
+
+/// One stretch of the row sequence: a part's header line (`rows` null), or
+/// rows [begin, end) of `rows`' pings or traces, the traces numbered from
+/// first_trace_id.
+struct Batch {
+  Part part = Part::Pings;
+  const measure::Dataset* rows = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::uint64_t first_trace_id = 0;
+};
+
+// lint:hot
+void encode_batch(const Batch& batch, bool canonical, CsvBuffer& csv) {
+  csv.clear();
+  if (batch.rows == nullptr) {
+    csv.put(header_line(batch.part, canonical));
+    return;
+  }
+  const measure::Dataset& data = *batch.rows;
+  if (batch.part == Part::Pings) {
+    for (std::size_t row = batch.begin; row < batch.end; ++row) {
+      put_ping_row(csv, data.pings[row], canonical);
+    }
+    return;
+  }
+  std::uint64_t trace_id = batch.first_trace_id;
+  for (std::size_t row = batch.begin; row < batch.end; ++row, ++trace_id) {
+    const measure::TraceRef trace = data.traces[row];
+    // lint:allow(hot-path-alloc): topology::to_string returns a static string_view
+    const std::string_view mode = topology::to_string(trace.true_mode);
+    // The prefix cells repeat on every hop row of the trace: encode them
+    // for the first hop, then copy them for the others.
+    const std::size_t prefix_at = csv.size();
+    std::size_t prefix_bytes = 0;
+    for (const measure::HopRecord& hop : trace.hops) {
+      if (prefix_bytes == 0) {
+        put_trace_prefix(csv, trace, trace_id, canonical);
+        prefix_bytes = csv.size() - prefix_at;
+      } else {
+        csv.repeat(prefix_at, prefix_bytes);
+      }
+      put_hop_cells(csv, hop, canonical);
+      if (canonical) {
+        csv.put(',');
+        csv.put_text(mode);
+      }
+      csv.put('\n');
+    }
+  }
+}
+
+/// Thrown out of a producer whose pipeline is stopping (a thread failed, or
+/// the caller is unwinding); it ends the reader thread and nothing else.
+struct Abandoned {};
+
+/// The ordered encoder. The reader thread runs a producer that cuts the row
+/// sequence into batches and hands each to the next slot of a ring of
+/// kWindow; kEncoders encoder threads claim the handed-over slots in batch
+/// order and format them in parallel; the calling thread retires the slots
+/// strictly in batch order into the sink. Batch n lives in slot n % kWindow,
+/// and a slot's contents pass between the threads with three counters:
+/// handed over → claimed → (encoded) → retired. The reader refills a slot
+/// only once the batch before it there is retired, and every batch — a
+/// header too — is claimed and encoded before it can be retired, so no slot
+/// is ever reused under an encoder.
+class OrderedEncoder {
+ public:
+  /// Hands the row sequence over batch by batch (on the reader thread);
+  /// returns what went wrong, or an empty string.
+  using Producer = std::function<std::string(OrderedEncoder&)>;
+
+  OrderedEncoder(CsvSink sink, CsvFlavour flavour)
+      : sink_(sink), canonical_(flavour == CsvFlavour::Canonical) {}
+  OrderedEncoder(const OrderedEncoder&) = delete;
+  OrderedEncoder& operator=(const OrderedEncoder&) = delete;
+
+  /// Run `produce` and encode and retire everything it hands over. Returns
+  /// the producer's error; rethrows a reader's or an encoder's exception,
+  /// or the sink's. Each happens only after every thread has joined.
+  [[nodiscard]] std::string run(const Producer& produce) {
+    try {
+      threads_.emplace_back([this, &produce] { read(produce); });
+      for (unsigned i = 0; i < kEncoders; ++i) {
+        threads_.emplace_back([this] { encode(); });
+      }
+      retire();
+    } catch (...) {
+      halt();
+      throw;
+    }
+    halt();
+    const std::scoped_lock lock{mutex_};
+    if (failure_) std::rethrow_exception(failure_);
+    return error_;
+  }
+
+  // -- the producer's side, on the reader thread ----------------------------
+
+  /// Hand over `part`'s header line.
+  void header(Part part) { hand_over(Batch{.part = part}, nullptr); }
+
+  /// Hand over `data`'s pings or traces, kCsvBatchRows CSV rows a batch,
+  /// numbering traces on from the ones handed over before. With `copy` a
+  /// batch's rows are copied into its slot, so `data` may change as soon as
+  /// this returns (a store scan reuses its block); without, `data` must
+  /// outlive run(). Returns the CSV rows handed over.
+  std::uint64_t rows(Part part, const measure::Dataset& data, bool copy) {
+    const std::size_t total =
+        part == Part::Pings ? data.pings.size() : data.traces.size();
+    std::uint64_t csv_rows = 0;
+    for (std::size_t begin = 0; begin < total;) {
+      std::size_t end = begin;
+      std::size_t batch_rows = 0;
+      if (part == Part::Pings) {
+        end = std::min(total, begin + kCsvBatchRows);
+        batch_rows = end - begin;
+        csv_rows += batch_rows;
+      } else {
+        do {
+          const std::size_t hops = data.traces.hop_count(end);
+          const std::size_t cost = std::max<std::size_t>(hops, 1);
+          if (end > begin && batch_rows + cost > kCsvBatchRows) break;
+          batch_rows += cost;
+          csv_rows += hops;
+          ++end;
+        } while (end < total);
+      }
+      hand_over(Batch{.part = part,
+                      .rows = &data,
+                      .begin = begin,
+                      .end = end,
+                      .first_trace_id = next_trace_id_},
+                copy ? &data : nullptr);
+      if (part == Part::Traces) next_trace_id_ += end - begin;
+      begin = end;
+    }
+    return csv_rows;
+  }
+
+ private:
+  struct Slot {
+    Batch batch;
+    measure::Dataset copy;  ///< a copied batch's rows; capacity reused
+    CsvBuffer csv;
+  };
+
+  /// Wait for the next batch's slot to be retired, fill it — copying the
+  /// rows out of `copy_from` when set — and hand it to the encoders.
+  void hand_over(Batch batch, const measure::Dataset* copy_from) {
+    std::size_t index = 0;
+    {
+      std::unique_lock lock{mutex_};
+      space_cv_.wait(lock, [this] {
+        return stopping_ || handed_over_ - retired_ < kWindow;
+      });
+      if (stopping_) throw Abandoned{};
+      index = handed_over_ % kWindow;
+    }
+    // The slot is ours: retired, and not yet handed over again.
+    Slot& slot = slots_[index];
+    if (copy_from != nullptr) {
+      slot.copy.clear_rows();
+      if (batch.part == Part::Pings) {
+        slot.copy.append_slice(*copy_from, batch.begin, batch.end, 0, 0);
+      } else {
+        slot.copy.append_slice(*copy_from, 0, 0, batch.begin, batch.end);
+      }
+      batch.rows = &slot.copy;
+      batch.end -= batch.begin;
+      batch.begin = 0;
+    }
+    slot.batch = batch;
+    {
+      const std::scoped_lock lock{mutex_};
+      ++handed_over_;
+    }
+    work_cv_.notify_one();
+  }
+
+  void read(const Producer& produce) {
+    std::string error;
+    try {
+      error = produce(*this);
+    } catch (const Abandoned&) {
+      // Stopping already; whoever stopped the pipeline reports why.
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    {
+      const std::scoped_lock lock{mutex_};
+      reader_done_ = true;
+      if (!error.empty()) {
+        error_ = std::move(error);
+        stopping_ = true;
+      }
+    }
+    work_cv_.notify_all();
+    retire_cv_.notify_all();
+  }
+
+  void encode() {
+    try {
+      for (;;) {
+        std::size_t index = 0;
+        {
+          std::unique_lock lock{mutex_};
+          work_cv_.wait(lock, [this] {
+            return stopping_ || reader_done_ || claimed_ < handed_over_;
+          });
+          if (stopping_ || claimed_ == handed_over_) return;
+          index = claimed_++ % kWindow;
+        }
+        Slot& slot = slots_[index];
+        encode_batch(slot.batch, canonical_, slot.csv);
+        {
+          const std::scoped_lock lock{mutex_};
+          encoded_[index] = 1;
+        }
+        retire_cv_.notify_one();
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+
+  /// The calling thread's loop: fold or write the oldest batch once it is
+  /// encoded, then free its slot for the reader.
+  void retire() {
+    for (;;) {
+      std::size_t index = 0;
+      {
+        std::unique_lock lock{mutex_};
+        retire_cv_.wait(lock, [this] {
+          return stopping_ || encoded_[retired_ % kWindow] != 0 ||
+                 (reader_done_ && retired_ == handed_over_);
+        });
+        if (stopping_ || encoded_[retired_ % kWindow] == 0) return;
+        index = retired_ % kWindow;
+      }
+      sink_.put(slots_[index].csv.bytes());
+      {
+        const std::scoped_lock lock{mutex_};
+        encoded_[index] = 0;
+        ++retired_;
+      }
+      space_cv_.notify_one();
+    }
+  }
+
+  /// Record the first exception and stop the pipeline.
+  void fail(std::exception_ptr failure) {
+    {
+      const std::scoped_lock lock{mutex_};
+      if (!failure_) failure_ = std::move(failure);
+      stopping_ = true;
+    }
+    wake_all();
+  }
+
+  /// Stop whatever still runs and join every thread. Idempotent.
+  void halt() {
+    {
+      const std::scoped_lock lock{mutex_};
+      stopping_ = true;
+    }
+    wake_all();
+    for (std::thread& thread : threads_) {
+      if (thread.joinable()) thread.join();
+    }
+  }
+
+  void wake_all() {
+    space_cv_.notify_all();
+    work_cv_.notify_all();
+    retire_cv_.notify_all();
+  }
+
+  CsvSink sink_;
+  bool canonical_;
+  std::uint64_t next_trace_id_ = 0;  ///< the reader thread's
+  /// Owned by one thread at a time, as the counters below pass them on.
+  std::array<Slot, kWindow> slots_;
+
+  std::mutex mutex_;
+  std::condition_variable space_cv_;   ///< the reader waits for a free slot
+  std::condition_variable work_cv_;    ///< encoders wait for a batch
+  std::condition_variable retire_cv_;  ///< the caller waits for the oldest
+  // lint:guarded_by(mutex_)
+  std::uint64_t handed_over_ = 0;  ///< batches the reader has filled
+  // lint:guarded_by(mutex_)
+  std::uint64_t claimed_ = 0;  ///< batches an encoder has taken
+  // lint:guarded_by(mutex_)
+  std::uint64_t retired_ = 0;  ///< batches written to the sink
+  /// Per slot: 1 once its batch is encoded, until it is retired.
+  // lint:guarded_by(mutex_)
+  std::array<std::uint8_t, kWindow> encoded_{};
+  // lint:guarded_by(mutex_)
+  bool reader_done_ = false;
+  // lint:guarded_by(mutex_)
+  bool stopping_ = false;
+  // lint:guarded_by(mutex_)
+  std::exception_ptr failure_;
+  // lint:guarded_by(mutex_)
+  std::string error_;  ///< the producer's
+
+  std::vector<std::thread> threads_;  ///< last: every thread uses the above
+};
+
+/// `data`'s `parts`, each header first, through the ordered encoder into
+/// `sink`. Returns the CSV rows written.
+std::uint64_t encode_parts(CsvSink sink, CsvFlavour flavour,
+                           const measure::Dataset& data,
+                           std::initializer_list<Part> parts) {
+  std::uint64_t rows = 0;
+  OrderedEncoder encoder{sink, flavour};
+  (void)encoder.run([&](OrderedEncoder& feed) {
+    for (const Part part : parts) {
+      feed.header(part);
+      rows += feed.rows(part, data, /*copy=*/false);
+    }
+    return std::string{};
+  });
+  return rows;
 }
 
 }  // namespace
 
-PingCsvWriter::PingCsvWriter(std::ostream& out, CsvFlavour flavour)
-    : PingCsvWriter(CsvSink{.out = &out}, flavour) {}
-
-PingCsvWriter::PingCsvWriter(std::uint64_t& digest, CsvFlavour flavour)
-    : PingCsvWriter(CsvSink{.fnv1a = &digest}, flavour) {}
-
-PingCsvWriter::PingCsvWriter(CsvSink sink, CsvFlavour flavour)
-    : sink_(sink), flavour_(flavour) {
-  put_bytes(sink_,
-            "probe_id,platform,country,continent,isp_asn,provider,region,"
-            "protocol,rtt_ms,day,slot\n");
-}
-
-// lint:hot
-void PingCsvWriter::write(const measure::Dataset& data) {
-  const bool roundtrip = flavour_ == CsvFlavour::Canonical;
-  ChunkBuffer chunk{sink_};
-  for (const measure::PingRecord& ping : data.pings) {
-    put_ping_row(chunk, ping, roundtrip);
-  }
-  rows_ += data.pings.size();
-  chunk.flush();
-}
-
-void PingCsvWriter::finish() {
-  obs::Registry::global().counter("export.ping_rows_total").inc(rows_);
-}
-
-TraceCsvWriter::TraceCsvWriter(std::ostream& out, CsvFlavour flavour)
-    : TraceCsvWriter(CsvSink{.out = &out}, flavour) {}
-
-TraceCsvWriter::TraceCsvWriter(std::uint64_t& digest, CsvFlavour flavour)
-    : TraceCsvWriter(CsvSink{.fnv1a = &digest}, flavour) {}
-
-TraceCsvWriter::TraceCsvWriter(CsvSink sink, CsvFlavour flavour)
-    : sink_(sink), flavour_(flavour) {
-  put_bytes(sink_,
-            flavour_ == CsvFlavour::Canonical
-                ? "trace_id,probe_id,provider,region,target_ip,day,slot,"
-                  "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms,"
-                  "true_mode\n"
-                : "trace_id,probe_id,provider,region,target_ip,day,slot,"
-                  "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms\n");
-}
-
-// lint:hot
-void TraceCsvWriter::write(const measure::Dataset& data) {
-  constexpr std::uint64_t kNoChunk = std::numeric_limits<std::uint64_t>::max();
-  const bool canonical = flavour_ == CsvFlavour::Canonical;
-  ChunkBuffer chunk{sink_};
-  for (const measure::TraceRef& trace : data.traces) {
-    // lint:allow(hot-path-alloc): topology::to_string returns a static string_view
-    const std::string_view mode = topology::to_string(trace.true_mode);
-    // The prefix cells repeat on every hop row of the trace: encode them
-    // once, then copy them within the chunk for as long as no flush has
-    // dropped them (`prefix_chunk` is the flush count they were written
-    // under, or kNoChunk when a flush split them).
-    std::size_t prefix_at = 0;
-    std::size_t prefix_bytes = 0;
-    std::uint64_t prefix_chunk = kNoChunk;
-    for (const measure::HopRecord& hop : trace.hops) {
-      if (prefix_chunk == chunk.flushes()) {
-        prefix_at = chunk.repeat(prefix_at, prefix_bytes);
-        prefix_chunk = chunk.flushes();
-      } else {
-        const std::uint64_t before = chunk.flushes();
-        prefix_at = chunk.size();
-        put_trace_prefix(chunk, trace, trace_id_, canonical);
-        prefix_bytes = chunk.size() - prefix_at;
-        prefix_chunk = chunk.flushes() == before ? before : kNoChunk;
-      }
-      put_hop_cells(chunk, hop, canonical);
-      if (canonical) {
-        chunk.put(',');
-        chunk.put_text(mode);
-      }
-      chunk.put('\n');
-    }
-    rows_ += trace.hops.size();
-    ++trace_id_;
-  }
-  chunk.flush();
-}
-
-void TraceCsvWriter::finish() {
-  obs::Registry::global().counter("export.trace_rows_total").inc(rows_);
-}
-
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
                       CsvFlavour flavour) {
-  write_once<PingCsvWriter>("core.export.pings_csv", out, data, flavour);
+  obs::Span phase = obs::span("core.export.pings_csv");
+  const std::uint64_t rows =
+      encode_parts(CsvSink{.out = &out}, flavour, data, {Part::Pings});
+  obs::Registry::global().counter("export.ping_rows_total").inc(rows);
 }
 
 void export_traces_csv(std::ostream& out, const measure::Dataset& data,
                        CsvFlavour flavour) {
-  write_once<TraceCsvWriter>("core.export.traces_csv", out, data, flavour);
+  obs::Span phase = obs::span("core.export.traces_csv");
+  const std::uint64_t rows =
+      encode_parts(CsvSink{.out = &out}, flavour, data, {Part::Traces});
+  obs::Registry::global().counter("export.trace_rows_total").inc(rows);
 }
 
 std::uint64_t dataset_hash(const measure::Dataset& data) {
+  obs::Span phase = obs::span("core.export.dataset_hash");
   std::uint64_t digest = kFnvBasis;
-  write_once<PingCsvWriter>("core.export.pings_csv", digest, data,
-                            CsvFlavour::Canonical);
-  write_once<TraceCsvWriter>("core.export.traces_csv", digest, data,
-                             CsvFlavour::Canonical);
+  (void)encode_parts(CsvSink{.fnv1a = &digest}, CsvFlavour::Canonical, data,
+                     {Part::Pings, Part::Traces});
   return digest;
 }
 
@@ -345,31 +599,27 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     return result;
   }
   std::uint64_t digest = kFnvBasis;
+  OrderedEncoder encoder{CsvSink{.fnv1a = &digest}, CsvFlavour::Canonical};
   // The canonical serialisation is the full ping CSV then the full trace
-  // CSV, and FNV-1a is strictly sequential — so the store is scanned twice,
-  // once per CSV, with one block's rows resident at a time.
-  {
-    PingCsvWriter writer(digest, CsvFlavour::Canonical);
-    if (std::string err = store::scan_rows(
-            dir, platform, opened, sc_fleet, atlas_fleet,
-            [&](const measure::Dataset& block) { writer.write(block); });
-        !err.empty()) {
-      result.error = "streamed hash (ping pass): " + err;
-      return result;
+  // CSV, and FNV-1a is strictly sequential — so the reader scans the store
+  // twice, once per CSV, with one decoded block resident at a time.
+  result.error = encoder.run([&](OrderedEncoder& feed) -> std::string {
+    for (const Part part : {Part::Pings, Part::Traces}) {
+      feed.header(part);
+      if (std::string err = store::scan_rows(
+              dir, platform, opened, sc_fleet, atlas_fleet,
+              [&](const measure::Dataset& block) {
+                (void)feed.rows(part, block, /*copy=*/true);
+              });
+          !err.empty()) {
+        return (part == Part::Pings ? "streamed hash (ping pass): "
+                                    : "streamed hash (trace pass): ") +
+               err;
+      }
     }
-    writer.finish();
-  }
-  {
-    TraceCsvWriter writer(digest, CsvFlavour::Canonical);
-    if (std::string err = store::scan_rows(
-            dir, platform, opened, sc_fleet, atlas_fleet,
-            [&](const measure::Dataset& block) { writer.write(block); });
-        !err.empty()) {
-      result.error = "streamed hash (trace pass): " + err;
-      return result;
-    }
-    writer.finish();
-  }
+    return {};
+  });
+  if (!result.ok()) return result;
   result.hash = digest;
   result.rows = opened.durable_rows;
   return result;

@@ -1,18 +1,22 @@
 #pragma once
 // Dataset export: tidy CSVs of the collected pings and traceroutes, in the
-// spirit of the paper's published dataset. The dataset hash reuses the same
-// writers in the canonical flavour: round-trip double formatting and the
+// spirit of the paper's published dataset. The dataset hash folds the same
+// CSV in the canonical flavour: round-trip double formatting and the
 // ground-truth column that the human-facing CSVs deliberately omit, so the
 // hash covers every collected bit.
 //
-// The writers are incremental: construct one against an output stream (or
-// an FNV-1a digest, for the dataset hash), feed it datasets chunk by chunk
-// (a streamed run feeds one store block at a time), then finish(). The
-// one-shot export_*_csv functions and the whole-dataset hash are thin
-// wrappers over a single write() call. Both flavours run the same
-// allocation-free row encoder: cells are formatted straight into a fixed
-// chunk buffer that reaches the stream or digest before write() returns.
+// Every call here runs one ordered encoder (export.cpp). The row sequence
+// (all pings, then all traces, each part after its header line) is cut into
+// batches of at most kCsvBatchRows rows: slices of an in-memory dataset, or
+// of each store block a scan decodes. A reader thread cuts them; two
+// encoder threads format them with one allocation-free row encoder into a
+// window of kCsvWindowBatches reused buffers; the calling thread retires the
+// buffers strictly in batch order into the stream or the FNV-1a digest. So
+// the output is byte for byte what one thread writing row after row would
+// give, and only a bounded window of encoded batches exists at any time.
+// The shape is fixed: `--threads` sizes the campaign executor only.
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
@@ -28,7 +32,7 @@ class IoEnv;
 
 namespace cloudrtt::core {
 
-/// Which CSV a writer produces.
+/// Which CSV an export writes.
 enum class CsvFlavour {
   /// The published dataset: doubles in human-friendly 3-decimal fixed
   /// point, and no ground truth.
@@ -39,61 +43,30 @@ enum class CsvFlavour {
   Canonical,
 };
 
-/// Where a CSV writer's bytes go: an output stream, or an FNV-1a digest
-/// that folds them and keeps no copy. Exactly one is set.
-struct CsvSink {
-  std::ostream* out = nullptr;
-  std::uint64_t* fnv1a = nullptr;
-};
+/// Rows per encoder batch: ping rows, or the hop rows of whole traces. A
+/// trace is never split: one that would overflow a batch starts the next,
+/// and a trace with no hops counts as one row. A canonical batch is about
+/// 64 KiB of CSV. Boundaries never show in the output; tests place rows on
+/// them.
+inline constexpr std::size_t kCsvBatchRows = 512;
 
-/// Incremental ping CSV writer: header on construction, one row per ping per
-/// write() call. Feeding the same rows across several write() calls produces
-/// byte-identical output to one call — which is what makes the streamed
-/// dataset hash equal the in-memory one.
-class PingCsvWriter {
- public:
-  PingCsvWriter(std::ostream& out, CsvFlavour flavour);
-  /// Hashing writer: continues the FNV-1a `digest` over every byte the
-  /// stream writer would write, and writes nothing.
-  PingCsvWriter(std::uint64_t& digest, CsvFlavour flavour);
-  void write(const measure::Dataset& data);
-  void finish();
-
- private:
-  PingCsvWriter(CsvSink sink, CsvFlavour flavour);
-
-  CsvSink sink_;
-  CsvFlavour flavour_;
-  std::uint64_t rows_ = 0;
-};
-
-/// Incremental trace CSV writer (one row per hop); the running trace id
-/// numbers traces across every write() call.
-class TraceCsvWriter {
- public:
-  TraceCsvWriter(std::ostream& out, CsvFlavour flavour);
-  /// Hashing writer, as PingCsvWriter's.
-  TraceCsvWriter(std::uint64_t& digest, CsvFlavour flavour);
-  void write(const measure::Dataset& data);
-  void finish();
-
- private:
-  TraceCsvWriter(CsvSink sink, CsvFlavour flavour);
-
-  CsvSink sink_;
-  CsvFlavour flavour_;
-  std::uint64_t rows_ = 0;
-  std::uint64_t trace_id_ = 0;
-};
+/// Batches the encoder holds at once, encoded or waiting to be: the window
+/// that bounds its memory (~2 MiB of CSV). Tests hash more batches than
+/// this, so the reader reuses every slot.
+inline constexpr std::size_t kCsvWindowBatches = 32;
 
 /// One row per ping: probe id, platform, country, continent, ISP ASN,
-/// provider, region, protocol, rtt_ms, day, slot.
+/// provider, region, protocol, rtt_ms, day, slot. Runs under the
+/// core.export.pings_csv span and adds the rows written to
+/// export.ping_rows_total.
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
                       CsvFlavour flavour = CsvFlavour::Published);
 
 /// One row per traceroute hop: trace id, probe id, provider, region, target
 /// ip, day, slot, completed flag, end-to-end RTT, ttl, responded, hop ip,
-/// hop rtt, and in the canonical flavour the true interconnect mode.
+/// hop rtt, and in the canonical flavour the true interconnect mode. Runs
+/// under the core.export.traces_csv span and adds the rows written to
+/// export.trace_rows_total.
 void export_traces_csv(std::ostream& out, const measure::Dataset& data,
                        CsvFlavour flavour = CsvFlavour::Published);
 
@@ -101,17 +74,24 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 /// the trace CSV, both in the canonical flavour so every collected bit is
 /// covered. Two runs are reproductions of each other iff their hashes
 /// match — this is what `cloudrtt study --dataset-hash` prints and what the
-/// determinism CI gate compares. The writers fold their chunk buffer into
-/// the digest, so no serialized copy of the dataset exists.
+/// determinism CI gate compares. A reader thread cuts `data` into batches,
+/// two encoder threads format them, and the calling thread folds them in
+/// order; no more than kCsvWindowBatches encoded batches exist at a time,
+/// never a serialized copy of the dataset. Runs under its own phase span
+/// (core.export.dataset_hash) and counts no export rows.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
 /// The same hash computed straight from a format=3 store: a read-only
-/// store::open_store, then two store::scan_rows passes in append order
-/// (FNV-1a is sequential, and the canonical serialisation is all pings then
-/// all traces). The open and the scans each hold one block at a time, so
-/// memory stays O(one block) through the hash. Bit-identical to
-/// dataset_hash() over the materialised dataset — the streamed study's
-/// determinism gate depends on it.
+/// store::open_store on the calling thread, then, on the reader thread,
+/// two store::scan_rows passes in append order (FNV-1a is sequential, and
+/// the canonical serialisation is all pings then all traces). The reader
+/// copies each decoded block's rows into the window batch by batch, the two
+/// encoder threads format them, and the calling thread folds them in
+/// order; trace ids run on across blocks. Memory stays O(one block + the
+/// window) through the hash. Bit-identical to dataset_hash() over the
+/// materialised dataset — the streamed study's determinism gate depends on
+/// it. A failed open or scan comes back in `error`, an encoder's exception
+/// is rethrown, both only after every thread has joined.
 struct StreamedHashResult {
   std::uint64_t hash = 0;
   std::uint64_t rows = 0;  ///< task rows hashed (ping+trace pairs)

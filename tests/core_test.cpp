@@ -1,23 +1,30 @@
-// Unit tests for the core layer: JSON writer, the CSV row encoder against a
-// reference writer, and the full JSON report.
+// Unit tests for the core layer: JSON writer, the ordered CSV encoder against
+// a reference writer (across batch boundaries, over repeated calls, and with
+// a failing sink), the export metrics, and the full JSON report.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cfloat>
 #include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/export.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
@@ -193,55 +200,54 @@ using Parts = std::vector<const measure::Dataset*>;
          << "\n  expected: " << line_at(expected);
 }
 
-/// The encoder's output for `parts` fed as one write() call each.
-template <typename Writer>
-[[nodiscard]] std::string encode(const Parts& parts, core::CsvFlavour flavour) {
+/// `parts` joined into one dataset, in order: rows re-bound where the parts'
+/// bindings differ, so the joined rows are the parts' rows.
+[[nodiscard]] measure::Dataset joined(const Parts& parts) {
+  measure::Dataset data;
+  for (const measure::Dataset* part : parts) data.append(*part);
+  return data;
+}
+
+/// What export_pings_csv writes for `data`.
+[[nodiscard]] std::string pings_csv(const measure::Dataset& data,
+                                    core::CsvFlavour flavour) {
   std::ostringstream out;
-  Writer writer(out, flavour);
-  for (const measure::Dataset* part : parts) writer.write(*part);
-  writer.finish();
+  core::export_pings_csv(out, data, flavour);
   return out.str();
 }
 
-/// The same through the hashing writer: the FNV-1a of what encode() writes.
-template <typename Writer>
-[[nodiscard]] std::uint64_t digest_of(const Parts& parts,
-                                      core::CsvFlavour flavour) {
-  std::uint64_t digest = util::kFnv1aBasis;
-  Writer writer(digest, flavour);
-  for (const measure::Dataset* part : parts) writer.write(*part);
-  writer.finish();
-  return digest;
+/// What export_traces_csv writes for `data`.
+[[nodiscard]] std::string traces_csv(const measure::Dataset& data,
+                                     core::CsvFlavour flavour) {
+  std::ostringstream out;
+  core::export_traces_csv(out, data, flavour);
+  return out.str();
 }
 
-/// The two flavours the writers are used in: the published CSVs, and the
+/// The two flavours the encoder is used in: the published CSVs, and the
 /// dataset hash.
 [[nodiscard]] std::vector<core::CsvFlavour> every_flavour() {
   return {core::CsvFlavour::Published, core::CsvFlavour::Canonical};
 }
 
-/// Byte identity with the reference in every flavour, for the stream and
-/// the hashing writers, and for dataset_hash itself.
+/// Byte identity with the reference in every flavour for both exports of
+/// the joined parts, and dataset_hash equal to the FNV-1a of the
+/// reference's canonical bytes.
 void expect_matches_reference(const Parts& parts) {
+  const measure::Dataset data = joined(parts);
   for (const core::CsvFlavour flavour : every_flavour()) {
     SCOPED_TRACE(flavour == core::CsvFlavour::Canonical ? "canonical"
                                                          : "published");
-    const std::string pings = encode<core::PingCsvWriter>(parts, flavour);
-    const std::string traces = encode<core::TraceCsvWriter>(parts, flavour);
-    EXPECT_TRUE(same_bytes(pings, reference_pings_csv(parts, flavour)));
-    EXPECT_TRUE(same_bytes(traces, reference_traces_csv(parts, flavour)));
-    EXPECT_EQ(digest_of<core::PingCsvWriter>(parts, flavour),
-              util::fnv1a(pings));
-    EXPECT_EQ(digest_of<core::TraceCsvWriter>(parts, flavour),
-              util::fnv1a(traces));
+    EXPECT_TRUE(same_bytes(pings_csv(data, flavour),
+                           reference_pings_csv(parts, flavour)));
+    EXPECT_TRUE(same_bytes(traces_csv(data, flavour),
+                           reference_traces_csv(parts, flavour)));
   }
-  if (parts.size() == 1) {
-    constexpr core::CsvFlavour kHash = core::CsvFlavour::Canonical;
-    EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(*parts.front())),
-              core::format_dataset_hash(
-                  util::fnv1a(reference_pings_csv(parts, kHash) +
-                              reference_traces_csv(parts, kHash))));
-  }
+  constexpr core::CsvFlavour kHash = core::CsvFlavour::Canonical;
+  EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(data)),
+            core::format_dataset_hash(
+                util::fnv1a(reference_pings_csv(parts, kHash) +
+                            reference_traces_csv(parts, kHash))));
 }
 
 /// Rows at the encoder's edges, on a probe of the quick study; the dataset
@@ -253,9 +259,10 @@ class EdgeRows {
         cloud::RegionCatalog::instance().all().front();
     quoted_ = template_region;
     quoted_.region_name = "eu-\"west\",1";
-    // Longer than the encoder's 32 KiB chunk, commas and quotes throughout;
-    // and one whose trace prefix is long enough that copying it for the
-    // next hop sometimes needs a flush first.
+    // A 35 KB name, commas and quotes throughout: one cell worth half a
+    // batch of ordinary rows, so a batch buffer grows mid-row; and one whose
+    // trace prefix is long enough that copying it for the next hop can need
+    // the buffer to grow too.
     for (int i = 0; i < 3500; ++i) long_name_ += "a,\"b\"c-d,e";
     long_ = template_region;
     long_.region_name = long_name_;
@@ -356,7 +363,7 @@ TEST_F(CoreRoundTrip, EncoderGivesTheSameBytesForSeveralWritesAsForOne) {
   const std::size_t pings = whole.pings.size();
   const std::size_t traces = whole.traces.size();
   ASSERT_GT(traces, 7u);
-  // Uneven cuts, one of them empty, so parts straddle chunk boundaries.
+  // Uneven cuts, one of them empty, so parts straddle batch boundaries.
   const std::size_t cuts[] = {0, 1, 1, traces / 3, traces / 2, traces - 1,
                               traces};
   std::vector<measure::Dataset> parts(std::size(cuts) - 1);
@@ -367,11 +374,12 @@ TEST_F(CoreRoundTrip, EncoderGivesTheSameBytesForSeveralWritesAsForOne) {
     parts[i].append_slice(whole, begin, end, cuts[i], cuts[i + 1]);
     feed.push_back(&parts[i]);
   }
+  const measure::Dataset rejoined = joined(feed);
   for (const core::CsvFlavour flavour : every_flavour()) {
-    EXPECT_TRUE(same_bytes(encode<core::PingCsvWriter>(feed, flavour),
-                           encode<core::PingCsvWriter>({&whole}, flavour)));
-    EXPECT_TRUE(same_bytes(encode<core::TraceCsvWriter>(feed, flavour),
-                           encode<core::TraceCsvWriter>({&whole}, flavour)));
+    EXPECT_TRUE(
+        same_bytes(pings_csv(rejoined, flavour), pings_csv(whole, flavour)));
+    EXPECT_TRUE(
+        same_bytes(traces_csv(rejoined, flavour), traces_csv(whole, flavour)));
   }
   expect_matches_reference(feed);
 
@@ -392,9 +400,9 @@ TEST_F(CoreRoundTrip, EncoderWritesDblMaxWithoutOverrun) {
   trace.hops.front().rtt_ms = DBL_MAX;
   data.traces.push_back(trace);
   constexpr core::CsvFlavour kHash = core::CsvFlavour::Canonical;
-  EXPECT_TRUE(same_bytes(encode<core::PingCsvWriter>({&data}, kHash),
+  EXPECT_TRUE(same_bytes(pings_csv(data, kHash),
                          reference_pings_csv({&data}, kHash)));
-  EXPECT_TRUE(same_bytes(encode<core::TraceCsvWriter>({&data}, kHash),
+  EXPECT_TRUE(same_bytes(traces_csv(data, kHash),
                          reference_traces_csv({&data}, kHash)));
 
   // 3 decimals: the old "%.3f" buffer cut DBL_MAX at 63 characters; all
@@ -418,16 +426,16 @@ TEST_F(CoreRoundTrip, EncoderWritesDblMaxWithoutOverrun) {
     }
     return rows;
   };
-  const auto ping_rows = data_rows(
-      encode<core::PingCsvWriter>({&data}, core::CsvFlavour::Published));
+  const auto ping_rows =
+      data_rows(pings_csv(data, core::CsvFlavour::Published));
   ASSERT_EQ(ping_rows.size(), 1u);
   ASSERT_EQ(ping_rows[0].size(), 11u);
   EXPECT_EQ(ping_rows[0][8].size(), 309u + 4u);
   EXPECT_EQ(std::strtod(ping_rows[0][8].c_str(), nullptr), DBL_MAX);
   EXPECT_EQ(ping_rows[0][9], std::to_string(ping.day));
 
-  const auto trace_rows = data_rows(
-      encode<core::TraceCsvWriter>({&data}, core::CsvFlavour::Published));
+  const auto trace_rows =
+      data_rows(traces_csv(data, core::CsvFlavour::Published));
   ASSERT_EQ(trace_rows.size(), trace.hops.size());
   for (const std::vector<std::string>& row : trace_rows) {
     ASSERT_EQ(row.size(), 13u);
@@ -435,6 +443,163 @@ TEST_F(CoreRoundTrip, EncoderWritesDblMaxWithoutOverrun) {
     EXPECT_EQ(std::strtod(row[8].c_str(), nullptr), -DBL_MAX);
   }
   EXPECT_EQ(std::strtod(trace_rows[0][12].c_str(), nullptr), DBL_MAX);
+}
+
+/// `pings` copies of the first ping of `source`, then one trace per entry
+/// of `hops` with that many hops, cut from its first trace. Cells vary with
+/// the row, so a batch swapped, dropped or repeated changes the bytes.
+[[nodiscard]] measure::Dataset batch_rows(
+    const measure::Dataset& source, std::size_t pings,
+    const std::vector<std::size_t>& hops) {
+  measure::Dataset data;
+  measure::PingRecord ping = source.pings.front();
+  for (std::size_t row = 0; row < pings; ++row) {
+    ping.rtt_ms = 0.25 * static_cast<double>(row);
+    ping.slot = static_cast<std::uint8_t>(row % 6);
+    data.pings.push_back(ping);
+  }
+  measure::TraceRecord trace = source.traces.front().to_record();
+  for (std::size_t row = 0; row < hops.size(); ++row) {
+    trace.end_to_end_ms = 1.5 * static_cast<double>(row);
+    trace.hops.clear();
+    for (std::size_t hop = 0; hop < hops[row]; ++hop) {
+      trace.hops.push_back(
+          {static_cast<std::uint8_t>(hop % 255 + 1), hop % 3 != 2,
+           net::Ipv4Address{static_cast<std::uint32_t>(0x0a000000u + hop)},
+           0.5 * static_cast<double>(hop + row)});
+    }
+    data.traces.push_back(trace);
+  }
+  return data;
+}
+
+TEST_F(CoreRoundTrip, EncoderMatchesReferenceOnBatchBoundaries) {
+  constexpr std::size_t kBatch = core::kCsvBatchRows;
+  const std::vector<std::size_t> one_batch(kBatch / 16, 16);
+  std::vector<std::size_t> one_batch_and_a_row = one_batch;
+  one_batch_and_a_row.push_back(1);
+  struct Case {
+    const char* name;
+    std::size_t pings;
+    std::vector<std::size_t> hops;
+  };
+  const Case cases[] = {
+      {"no rows", 0, {}},
+      {"one row", 1, {1}},
+      {"exactly one batch", kBatch, one_batch},
+      {"one batch plus one row", kBatch + 1, one_batch_and_a_row},
+      // 200 + 57 + 255 hop rows fill the first batch exactly; 100 + 255
+      // leave too little room for the next 255-hop trace, so it starts the
+      // third batch; a trace with no hops still takes a trace id.
+      {"255-hop traces on batch boundaries",
+       2 * kBatch - 1,
+       {200, 57, 255, 100, 255, 255, 0, 3}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const measure::Dataset data =
+        batch_rows(study().sc_dataset(), c.pings, c.hops);
+    expect_matches_reference({&data});
+  }
+}
+
+// The encoder reuses a window slot as soon as its batch is retired. Had a
+// slot been retired before an encoder claimed its batch, the slot would be
+// refilled under that encoder and encoded twice — which shows only now and
+// then, as a wrong hash or as a call that never returns. So: many calls
+// over one dataset of more batches than the window, and a single value. A
+// hung pipeline cannot be joined, so a watchdog ends the process with a
+// failure instead. Most traces have no hops: each still takes a trace id
+// and a row of its batch's room but writes nothing, which keeps the calls
+// cheap enough for the TSan job.
+TEST_F(CoreRoundTrip, DatasetHashIsOneValueOverRepeatedCalls) {
+  std::vector<std::size_t> hops((core::kCsvWindowBatches + 2) *
+                                core::kCsvBatchRows);
+  for (std::size_t trace = 0; trace < hops.size(); trace += 64) {
+    hops[trace] = 2;
+  }
+  const measure::Dataset data =
+      batch_rows(study().sc_dataset(), 4 * core::kCsvBatchRows, hops);
+  constexpr core::CsvFlavour kHash = core::CsvFlavour::Canonical;
+  const std::uint64_t expected =
+      util::fnv1a(reference_pings_csv({&data}, kHash) +
+                  reference_traces_csv({&data}, kHash));
+  std::promise<int> finished;
+  std::future<int> wrong = finished.get_future();
+  std::thread calls{[&] {
+    int count = 0;
+    for (int call = 0; call < 200; ++call) {
+      if (core::dataset_hash(data) != expected) ++count;
+    }
+    finished.set_value(count);
+  }};
+  if (wrong.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: dataset_hash did not return within 60 s\n");
+    std::_Exit(1);
+  }
+  calls.join();
+  EXPECT_EQ(wrong.get(), 0) << "calls of 200 that hashed to another value";
+}
+
+// The hash writes no file, so it is no export: it leaves the export row
+// counters alone, and an export moves them by exactly the rows it wrote.
+TEST_F(CoreRoundTrip, OnlyExportsCountExportRows) {
+  const measure::Dataset& data = study().sc_dataset();
+  const obs::Counter& ping_rows =
+      obs::Registry::global().counter("export.ping_rows_total");
+  const obs::Counter& trace_rows =
+      obs::Registry::global().counter("export.trace_rows_total");
+  const std::uint64_t pings_before = ping_rows.value();
+  const std::uint64_t traces_before = trace_rows.value();
+  (void)core::dataset_hash(data);
+  EXPECT_EQ(ping_rows.value(), pings_before);
+  EXPECT_EQ(trace_rows.value(), traces_before);
+
+  const auto data_rows = [](const std::string& csv) {
+    return static_cast<std::uint64_t>(
+               std::count(csv.begin(), csv.end(), '\n')) -
+           1;
+  };
+  const std::string pings = pings_csv(data, core::CsvFlavour::Published);
+  EXPECT_EQ(ping_rows.value() - pings_before, data_rows(pings));
+  EXPECT_EQ(trace_rows.value(), traces_before);
+  const std::string traces = traces_csv(data, core::CsvFlavour::Published);
+  EXPECT_EQ(trace_rows.value() - traces_before, data_rows(traces));
+  EXPECT_GT(data_rows(traces), data.traces.size());
+}
+
+/// A stream buffer that throws once more than `room` bytes reach it.
+class FailingStreamBuffer : public std::streambuf {
+ public:
+  explicit FailingStreamBuffer(std::size_t room) : room_(room) {}
+
+ protected:
+  std::streamsize xsputn(const char* /*bytes*/,
+                         std::streamsize count) override {
+    const auto size = static_cast<std::size_t>(count);
+    if (size > room_) throw std::runtime_error("device full");
+    room_ -= size;
+    return count;
+  }
+  int_type overflow(int_type ch) override {
+    if (room_ == 0) throw std::runtime_error("device full");
+    --room_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  std::size_t room_;
+};
+
+// A sink that fails mid-export ends the pipeline: the call rethrows on the
+// caller (after its threads have joined) instead of hanging or aborting.
+TEST_F(CoreRoundTrip, ExportRethrowsAFailingStreamOnTheCaller) {
+  const measure::Dataset& data = study().sc_dataset();
+  ASSERT_GT(traces_csv(data, core::CsvFlavour::Published).size(), 1'000'000u);
+  FailingStreamBuffer buffer{300'000};
+  std::ostream out{&buffer};
+  out.exceptions(std::ios::badbit);
+  EXPECT_THROW(core::export_traces_csv(out, data), std::runtime_error);
 }
 
 TEST_F(CoreRoundTrip, FullReportIsWellFormedJson) {

@@ -283,6 +283,32 @@ TEST(StoreCorruption, TornTrailerSalvagesWholeBlocksAndReplaysTheRest) {
             core::format_dataset_hash(baseline().hash));
 }
 
+// The streamed hash copies each scanned block into the encoders' window
+// batch by batch, and numbers traces on across blocks: over a store of many
+// blocks it equals the in-memory hash of the rows the store holds.
+TEST(StoreRoundTrip, StreamedHashOverManyBlocksEqualsTheInMemoryHash) {
+  const Loaded loaded = load(baseline().dir);
+  ASSERT_TRUE(loaded.opened.ok()) << loaded.opened.error;
+  ASSERT_TRUE(loaded.scan_error.empty()) << loaded.scan_error;
+  std::size_t blocks = 0;
+  for (std::size_t lane = 0; lane < loaded.opened.lane_states.size(); ++lane) {
+    blocks += index_blocks(store::store_lane_path(baseline().dir, kPlatform,
+                                                  lane))
+                  .size();
+  }
+  ASSERT_GE(blocks, 8u);
+
+  store::IoEnv io;
+  const core::StreamedHashResult streamed = core::streamed_dataset_hash(
+      baseline().dir, kPlatform, io, fleet(), nullptr);
+  ASSERT_TRUE(streamed.ok()) << streamed.error;
+  EXPECT_EQ(core::format_dataset_hash(streamed.hash),
+            core::format_dataset_hash(core::dataset_hash(loaded.rows)));
+  EXPECT_EQ(core::format_dataset_hash(streamed.hash),
+            core::format_dataset_hash(baseline().hash));
+  EXPECT_EQ(streamed.rows, loaded.rows.pings.size());
+}
+
 // A streamed resume adopts a torn tail through the same open as an
 // in-memory one, so it counts its salvage in the same metrics.
 TEST(StoreCorruption, StreamedResumeCountsItsSalvage) {
@@ -341,6 +367,8 @@ TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
   EXPECT_TRUE(store::fsck(dir, kPlatform, io).healthy());
 
   const Loaded loaded = load(dir);
+  // The streamed hash meets the block on its reader thread, mid-pipeline;
+  // it must stop its encoders, return, and say which pass refused.
   const core::StreamedHashResult hashed =
       core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
   EXPECT_FALSE(hashed.ok());
@@ -349,6 +377,12 @@ TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
               std::string::npos)
         << error;
   }
+  EXPECT_EQ(hashed.error.rfind("streamed hash (ping pass): lane 0: task 0 of "
+                               "day 3: unknown probe id",
+                               0),
+            0u)
+      << hashed.error;
+  EXPECT_EQ(hashed.hash, 0u);
 }
 
 // Corruption matrix case 2 — a bit flip inside the committed region: the

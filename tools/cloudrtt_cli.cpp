@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <vector>
 
 #include "analysis/resolve.hpp"
@@ -538,16 +539,37 @@ int cmd_study(int argc, const char* const* argv,
       std::cerr << "cannot create " << out_dir << ": " << ec.message() << "\n";
       return 1;
     }
+    // An artefact is written only if its stream is still good once closed;
+    // name every one that is not, and fail the run.
+    bool written = true;
+    const auto write_artefact = [&](std::string_view name,
+                                    const auto& write) {
+      const std::filesystem::path path = out_dir / name;
+      std::ofstream file{path};
+      if (file) write(file);
+      file.close();
+      if (!file) {
+        std::cerr << "cannot write " << path.string() << "\n";
+        written = false;
+      }
+    };
     if (!args.get_flag("no-export")) {
-      std::ofstream pings{out_dir / "pings.csv"};
-      core::export_pings_csv(pings, study.sc_dataset());
-      std::ofstream traces{out_dir / "traceroutes.csv"};
-      core::export_traces_csv(traces, study.sc_dataset());
+      write_artefact("pings.csv", [&](std::ostream& out) {
+        core::export_pings_csv(out, study.sc_dataset());
+      });
+      write_artefact("traceroutes.csv", [&](std::ostream& out) {
+        core::export_traces_csv(out, study.sc_dataset());
+      });
     }
     {
       obs::Span phase = obs::span("core.report");
-      std::ofstream report{out_dir / "report.json"};
-      core::write_full_report(report, study.view());
+      write_artefact("report.json", [&](std::ostream& out) {
+        core::write_full_report(out, study.view());
+      });
+    }
+    if (!written) {
+      flush_observability();
+      return 1;
     }
     std::cout << "artefacts written to " << out_dir.string() << "/\n";
   }
