@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   args.add_option("seed", "7", "world/study seed");
   args.add_option("threads", "1,4,8",
                   "comma-separated worker counts for the campaign-day sweep");
-  args.add_option("bench-id", "15", "the <n> in BENCH_<n>.json");
+  args.add_option("bench-id", "19", "the <n> in BENCH_<n>.json");
   args.add_option("out", "", "report path (default BENCH_<bench-id>.json)");
   args.add_option("trace-out", "",
                   "also write a Chrome-trace JSON of the suite");

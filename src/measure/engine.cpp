@@ -48,6 +48,11 @@ struct EngineMetrics {
   }
 };
 
+[[nodiscard]] topology::InterconnectMode roll(
+    const topology::PairPolicy& policy, util::Rng& rng) {
+  return rng.chance(policy.adherence) ? policy.base : policy.fallback;
+}
+
 /// Probability that a router answers TTL-expired probes, by role.
 [[nodiscard]] double respond_probability(const routing::RouterHop& hop,
                                          bool is_final) {
@@ -62,9 +67,9 @@ struct EngineMetrics {
 topology::InterconnectMode Engine::roll_mode(const probes::Probe& probe,
                                              const cloud::RegionInfo& region,
                                              util::Rng& rng) const {
-  const topology::PairPolicy& policy =
-      world_.interconnect(probe.isp->asn, region.provider, region.continent);
-  return rng.chance(policy.adherence) ? policy.base : policy.fallback;
+  return roll(
+      world_.interconnect(probe.isp->asn, region.provider, region.continent),
+      rng);
 }
 
 double Engine::diurnal_factor(const probes::Probe& probe, std::uint8_t slot) {
@@ -85,24 +90,17 @@ double Engine::diurnal_factor(const probes::Probe& probe, std::uint8_t slot) {
 
 // lint:hot
 Engine::PathDraw Engine::draw_path(const probes::Probe& probe,
-                                   const topology::CloudEndpoint& endpoint,
-                                   util::Rng& rng, std::uint8_t slot,
-                                   MeasurementScratch& scratch) const {
-  const topology::InterconnectMode mode =
-      roll_mode(probe, *endpoint.region, rng);
-  // The build consumes no RNG: the visit's random stream is the mode roll
-  // above and the draws below.
-  builder_.build_into(probe, endpoint, mode, scratch.path);
-  PathDraw draw{scratch.path, lastmile::draw(probe.lastmile, rng)};
-
-  const double base = draw.path.base_rtt_ms();
+                                   const routing::ForwardingPath& path,
+                                   util::Rng& rng, std::uint8_t slot) const {
+  PathDraw draw{path, lastmile::draw(probe.lastmile, rng)};
+  const double base = path.base_rtt_ms();
   const double sigma_rel =
-      base > 0.5 ? std::min(0.6, draw.path.noise_abs_ms() / base) : 0.05;
+      base > 0.5 ? std::min(0.6, path.noise_abs_ms() / base) : 0.05;
   draw.congestion = std::exp(rng.normal(0.0, sigma_rel)) * diurnal_factor(probe, slot);
   // Transient congestion events hit noisier paths more often and harder.
   const double spike_prob = 0.02 + 0.10 * sigma_rel;
   if (rng.chance(spike_prob)) {
-    draw.spike_ms = rng.exponential(5.0 + 3.0 * draw.path.noise_abs_ms());
+    draw.spike_ms = rng.exponential(5.0 + 3.0 * path.noise_abs_ms());
     EngineMetrics::instance().spikes.inc();
   }
   return draw;
@@ -125,9 +123,20 @@ PingRecord Engine::ping(const probes::Probe& probe,
                         Protocol protocol, std::uint32_t day,
                         util::Rng& rng, std::uint8_t slot,
                         MeasurementScratch* scratch) const {
-  MeasurementScratch local;
-  const PathDraw draw =
-      draw_path(probe, endpoint, rng, slot, scratch != nullptr ? *scratch : local);
+  routing::ForwardingPath local;
+  routing::ForwardingPath& path = scratch != nullptr ? scratch->path : local;
+  builder_.build_into(probe, endpoint, roll_mode(probe, *endpoint.region, rng),
+                      path);
+  return ping_over(path, probe, endpoint, protocol, day, rng, slot);
+}
+
+// lint:hot
+PingRecord Engine::ping_over(const routing::ForwardingPath& path,
+                             const probes::Probe& probe,
+                             const topology::CloudEndpoint& endpoint,
+                             Protocol protocol, std::uint32_t day,
+                             util::Rng& rng, std::uint8_t slot) const {
+  const PathDraw draw = draw_path(probe, path, rng, slot);
   PingRecord record;
   record.probe = &probe;
   record.region = endpoint.region;
@@ -145,11 +154,39 @@ PingRecord Engine::ping(const probes::Probe& probe,
   return record;
 }
 
+// lint:hot
+TaskRecords Engine::run_task(const MeasurementTask& task, util::Rng& rng,
+                             MeasurementScratch& scratch) const {
+  const probes::Probe& probe = *task.probe;
+  const topology::CloudEndpoint& endpoint = *task.endpoint;
+  const cloud::RegionInfo& region = *endpoint.region;
+  const topology::PairPolicy& policy =
+      world_.interconnect(probe.isp->asn, region.provider, region.continent);
+  const topology::InterconnectMode ping_mode = roll(policy, rng);
+  builder_.build_into(probe, endpoint, ping_mode, scratch.path);
+  TaskRecords records;
+  records.ping = ping_over(scratch.path, probe, endpoint, Protocol::Tcp,
+                           task.day, rng, task.slot);
+  // A build reads only (probe, endpoint, mode) and the backbone outages,
+  // which only the sequential schedule phase changes: a traceroute that
+  // rolls the ping's mode would rebuild the very same path.
+  if (const topology::InterconnectMode trace_mode = roll(policy, rng);
+      trace_mode != ping_mode) {
+    builder_.build_into(probe, endpoint, trace_mode, scratch.path);
+  }
+  records.trace = trace_over(scratch.path, probe, endpoint, task.day, rng,
+                             scratch.hops, TraceMethod::Classic, task.slot,
+                             task.trace_faults);
+  return records;
+}
+
 Engine::HttpRecord Engine::http_get(const probes::Probe& probe,
                                     const topology::CloudEndpoint& endpoint,
                                     util::Rng& rng) const {
-  MeasurementScratch local;
-  const PathDraw draw = draw_path(probe, endpoint, rng, 0, local);
+  routing::ForwardingPath path;
+  builder_.build_into(probe, endpoint, roll_mode(probe, *endpoint.region, rng),
+                      path);
+  const PathDraw draw = draw_path(probe, path, rng, 0);
   // Each round trip of the exchange rides the same congestion state with
   // independent per-packet noise.
   const auto round_trip = [&] {
@@ -210,11 +247,25 @@ TraceCore Engine::traceroute_into(const probes::Probe& probe,
                                   TraceMethod method, std::uint8_t slot,
                                   const fault::TraceFaults* faults,
                                   MeasurementScratch* scratch) const {
+  routing::ForwardingPath local;
+  routing::ForwardingPath& path = scratch != nullptr ? scratch->path : local;
+  builder_.build_into(probe, endpoint, roll_mode(probe, *endpoint.region, rng),
+                      path);
+  return trace_over(path, probe, endpoint, day, rng, hops_out, method, slot,
+                    faults);
+}
+
+// lint:hot
+TraceCore Engine::trace_over(const routing::ForwardingPath& path,
+                             const probes::Probe& probe,
+                             const topology::CloudEndpoint& endpoint,
+                             std::uint32_t day, util::Rng& rng,
+                             std::vector<HopRecord>& hops_out,
+                             TraceMethod method, std::uint8_t slot,
+                             const fault::TraceFaults* faults) const {
   EngineMetrics& metrics = EngineMetrics::instance();
   metrics.traceroutes.inc();
-  MeasurementScratch local;
-  const PathDraw draw =
-      draw_path(probe, endpoint, rng, slot, scratch != nullptr ? *scratch : local);
+  const PathDraw draw = draw_path(probe, path, rng, slot);
   TraceCore record;
   record.probe = &probe;
   record.region = endpoint.region;

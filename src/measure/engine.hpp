@@ -14,15 +14,36 @@
 namespace cloudrtt::measure {
 
 /// Caller-owned scratch for one measurement stream. The executor keeps one
-/// per worker so every visit builds its path into the same hop vector day
+/// per worker so every task builds its path into the same hop vector day
 /// after day instead of churning the heap; single-shot callers can omit it
-/// (a per-call local is used). Holds no RNG and never affects results.
-struct MeasurementScratch {
+/// (a per-call local is used). Holds no RNG, never affects results, and no
+/// path built here outlives the task that built it. Aligned to a cache line
+/// because the executor's per-worker vector would otherwise pack neighbouring
+/// workers' vector headers, which every hop push writes, into one line.
+struct alignas(64) MeasurementScratch {
   routing::ForwardingPath path;
   /// Worker-local flat hop arena: traceroute_into appends here and the
   /// executor's merge copies the span into the dataset's hop pool. Cleared
   /// per execute phase, capacity recycled across days.
   std::vector<HopRecord> hops;
+};
+
+/// One scheduled <probe, target> measurement (ping + traceroute together).
+/// Fully resolved at schedule time: carries no RNG and touches no shared
+/// campaign state, so any worker may run it.
+struct MeasurementTask {
+  const probes::Probe* probe = nullptr;
+  const topology::CloudEndpoint* endpoint = nullptr;
+  std::uint32_t day = 0;
+  std::uint8_t slot = 0;
+  const fault::TraceFaults* trace_faults = nullptr;
+};
+
+/// What one task yields: its TCP ping and its classic traceroute, whose hops
+/// went to the scratch's hop arena.
+struct TaskRecords {
+  PingRecord ping;
+  TraceCore trace;
 };
 
 class Engine {
@@ -38,6 +59,15 @@ class Engine {
                                 Protocol protocol, std::uint32_t day,
                                 util::Rng& rng, std::uint8_t slot = 0,
                                 MeasurementScratch* scratch = nullptr) const;
+
+  /// A campaign task: the same records and draws as ping(Protocol::Tcp) then
+  /// traceroute_into(Classic) on one RNG, with the trace's hops appended to
+  /// `scratch.hops`. Each measurement rolls its own interconnect mode; the
+  /// traceroute reuses the ping's path when its roll agrees, since a build
+  /// draws no RNG and depends on nothing else that changes within a task.
+  [[nodiscard]] TaskRecords run_task(const MeasurementTask& task,
+                                     util::Rng& rng,
+                                     MeasurementScratch& scratch) const;
 
   /// Traceroute flavour: Classic sends per-TTL probes whose flow identifiers
   /// vary, so ECMP segments answer from either sibling interface and inflate
@@ -108,10 +138,25 @@ class Engine {
     double congestion = 1.0;  ///< shared multiplicative factor this measurement
     double spike_ms = 0.0;    ///< transient congestion event
   };
+  /// One measurement's noise over a built path: last-mile sample,
+  /// congestion factor and spike.
   [[nodiscard]] PathDraw draw_path(const probes::Probe& probe,
-                                   const topology::CloudEndpoint& endpoint,
-                                   util::Rng& rng, std::uint8_t slot,
-                                   MeasurementScratch& scratch) const;
+                                   const routing::ForwardingPath& path,
+                                   util::Rng& rng, std::uint8_t slot) const;
+  /// The draws of ping() and traceroute_into() over a built path; the public
+  /// entries and run_task share them.
+  [[nodiscard]] PingRecord ping_over(const routing::ForwardingPath& path,
+                                     const probes::Probe& probe,
+                                     const topology::CloudEndpoint& endpoint,
+                                     Protocol protocol, std::uint32_t day,
+                                     util::Rng& rng, std::uint8_t slot) const;
+  [[nodiscard]] TraceCore trace_over(const routing::ForwardingPath& path,
+                                     const probes::Probe& probe,
+                                     const topology::CloudEndpoint& endpoint,
+                                     std::uint32_t day, util::Rng& rng,
+                                     std::vector<HopRecord>& hops_out,
+                                     TraceMethod method, std::uint8_t slot,
+                                     const fault::TraceFaults* faults) const;
   [[nodiscard]] double icmp_penalty_ms(const probes::Probe& probe,
                                        util::Rng& rng) const;
 

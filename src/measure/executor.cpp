@@ -86,18 +86,14 @@ void ParallelExecutor::execute(const Engine& engine,
     const std::size_t begin = chunk * kChunkSize;
     const std::size_t end = std::min(begin + kChunkSize, n);
     for (std::size_t i = std::max(begin, skip_tasks); i < end; ++i) {
-      const MeasurementTask& task = tasks[i];
       util::Rng task_rng = chunk_rng.fork(i - begin);
-      pings[i] = engine.ping(*task.probe, *task.endpoint, Protocol::Tcp,
-                             task.day, task_rng, task.slot, &scratch);
       // Hops pack into the worker's flat arena; the slot remembers the range
       // so the canonical merge can copy it into the dataset's hop pool.
       TraceSlot& slot = traces[i];
       slot.hop_begin = static_cast<std::uint32_t>(scratch.hops.size());
-      slot.core = engine.traceroute_into(
-          *task.probe, *task.endpoint, task.day, task_rng, scratch.hops,
-          Engine::TraceMethod::Classic, task.slot, task.trace_faults,
-          &scratch);
+      const TaskRecords records = engine.run_task(tasks[i], task_rng, scratch);
+      pings[i] = records.ping;
+      slot.core = records.trace;
       slot.hop_count =
           static_cast<std::uint32_t>(scratch.hops.size()) - slot.hop_begin;
       slot.worker = static_cast<std::uint32_t>(worker);

@@ -33,17 +33,6 @@
 
 namespace cloudrtt::measure {
 
-/// One scheduled <probe, target> measurement (ping + traceroute together).
-/// Fully resolved at schedule time: carries no RNG and touches no shared
-/// campaign state, so any worker may run it.
-struct MeasurementTask {
-  const probes::Probe* probe = nullptr;
-  const topology::CloudEndpoint* endpoint = nullptr;
-  std::uint32_t day = 0;
-  std::uint8_t slot = 0;
-  const fault::TraceFaults* trace_faults = nullptr;
-};
-
 class ParallelExecutor {
  public:
   /// Tasks per chunk. A constant (never a function of the worker count) so
@@ -80,7 +69,7 @@ class ParallelExecutor {
   /// steady-state days allocate nothing.
   util::Arena staging_;
   /// One per worker, indexed by worker id; each is touched by exactly one
-  /// thread during execute().
+  /// thread during execute(), and sits on cache lines of its own.
   std::vector<MeasurementScratch> worker_scratch_;
 };
 

@@ -1,8 +1,10 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace cloudrtt::util {
 
@@ -109,7 +111,27 @@ double ArgParser::get_double(std::string_view name) const {
   return std::stod(get(name));
 }
 
-long ArgParser::get_int(std::string_view name) const { return std::stol(get(name)); }
+long ArgParser::get_int(std::string_view name, long min, long max) const {
+  const std::string& text = get(name);
+  long value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, failure] = std::from_chars(text.data(), end, value);
+  if (failure == std::errc{} && stop == end && value >= min && value <= max) {
+    return value;
+  }
+  std::string expected = "an integer";
+  if (min != std::numeric_limits<long>::min() &&
+      max != std::numeric_limits<long>::max()) {
+    expected +=
+        " in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+  } else if (min != std::numeric_limits<long>::min()) {
+    expected += " >= " + std::to_string(min);
+  } else if (max != std::numeric_limits<long>::max()) {
+    expected += " <= " + std::to_string(max);
+  }
+  throw ArgError{"--" + std::string{name} + ": expected " + expected +
+                 ", got '" + text + "'"};
+}
 
 bool ArgParser::get_flag(std::string_view name) const {
   const Option* option = find(name);

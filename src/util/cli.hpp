@@ -3,12 +3,21 @@
 // (--days 6), boolean flags (--no-atlas), positionals, and generated help.
 // No dependencies, strict by default (unknown options are errors).
 
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace cloudrtt::util {
+
+/// An option value that is not what its getter asked for; what() is one line
+/// naming the option.
+class ArgError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class ArgParser {
  public:
@@ -30,7 +39,12 @@ class ArgParser {
 
   [[nodiscard]] const std::string& get(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
-  [[nodiscard]] long get_int(std::string_view name) const;
+  /// The whole value as a base-10 integer in [min, max]. Throws ArgError
+  /// otherwise: "42x", "abc" and out-of-range values are refused, never
+  /// truncated or clamped.
+  [[nodiscard]] long get_int(std::string_view name,
+                             long min = std::numeric_limits<long>::min(),
+                             long max = std::numeric_limits<long>::max()) const;
   [[nodiscard]] bool get_flag(std::string_view name) const;
 
   [[nodiscard]] std::string help() const;

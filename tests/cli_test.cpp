@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "fault/plan.hpp"
 #include "util/cli.hpp"
 
@@ -97,6 +101,56 @@ TEST(ArgParser, GetUnknownThrows) {
   ASSERT_TRUE(parser.parse(1, argv));
   EXPECT_THROW((void)parser.get("nope"), std::out_of_range);
   EXPECT_THROW((void)parser.get_flag("count"), std::out_of_range);
+}
+
+// Integer options parse the whole value or throw an error naming the option,
+// which cloudrtt prints as one line before exiting 1.
+TEST(ArgParser, NonNumericIntegerIsRefusedByName) {
+  ArgParser parser = make_parser();
+  const char* argv[] = {"prog", "--count", "abc"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  try {
+    (void)parser.get_int("count");
+    ADD_FAILURE() << "'abc' parsed as an integer";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string_view{error.what()}.find("--count"),
+              std::string_view::npos)
+        << error.what();
+  }
+}
+
+TEST(ArgParser, TrailingGarbageIsRefused) {
+  for (const char* value : {"42x", "7 ", "1.5", ""}) {
+    ArgParser parser = make_parser();
+    const char* argv[] = {"prog", "--count", value};
+    ASSERT_TRUE(parser.parse(3, argv));
+    EXPECT_THROW((void)parser.get_int("count"), std::invalid_argument)
+        << "'" << value << "'";
+  }
+}
+
+TEST(ArgParser, NegativeCountIsRefused) {
+  ArgParser parser = make_parser();
+  const char* argv[] = {"prog", "--count", "-3"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  EXPECT_EQ(parser.get_int("count"), -3);  // unbounded: a plain integer
+  EXPECT_THROW((void)parser.get_int("count", 0), ArgError);
+  EXPECT_THROW((void)parser.get_int("count", 1, 256), ArgError);
+}
+
+TEST(ArgParser, BoundsAreInclusive) {
+  for (const char* value : {"1", "256"}) {
+    ArgParser parser = make_parser();
+    const char* argv[] = {"prog", "--count", value};
+    ASSERT_TRUE(parser.parse(3, argv));
+    EXPECT_EQ(parser.get_int("count", 1, 256), std::stol(value));
+  }
+  for (const char* value : {"0", "257", "100000", "99999999999999999999"}) {
+    ArgParser parser = make_parser();
+    const char* argv[] = {"prog", "--count", value};
+    ASSERT_TRUE(parser.parse(3, argv));
+    EXPECT_THROW((void)parser.get_int("count", 1, 256), ArgError) << value;
+  }
 }
 
 // The study command's fault-injection options, exercised with the same

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "fault/plan.hpp"
 #include "measure/campaign.hpp"
@@ -296,6 +300,99 @@ TEST_F(EngineTest, DiurnalFactorIsBounded) {
       EXPECT_GE(factor, 1.0);
       EXPECT_LE(factor, 1.25);
     }
+  }
+}
+
+[[nodiscard]] bool same_ping(const PingRecord& a, const PingRecord& b) {
+  return a.probe == b.probe && a.region == b.region &&
+         a.protocol == b.protocol && a.rtt_ms == b.rtt_ms && a.day == b.day &&
+         a.slot == b.slot;
+}
+
+[[nodiscard]] bool same_trace(const TraceCore& a, const TraceCore& b) {
+  return a.probe == b.probe && a.region == b.region &&
+         a.target_ip == b.target_ip && a.completed == b.completed &&
+         a.end_to_end_ms == b.end_to_end_ms && a.day == b.day &&
+         a.slot == b.slot && a.true_mode == b.true_mode;
+}
+
+[[nodiscard]] bool same_hops(std::span<const HopRecord> a,
+                             std::span<const HopRecord> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const HopRecord& x, const HopRecord& y) {
+                      return x.ttl == y.ttl && x.responded == y.responded &&
+                             x.ip == y.ip && x.rtt_ms == y.rtt_ms;
+                    });
+}
+
+/// Engine::run_task against the two measurements it stands for: ping() then
+/// traceroute_into() on fresh scratch, from a copy of the same RNG. The
+/// entry's scratch is reused across tasks, as a worker's is.
+void expect_task_entry_matches_split(std::uint64_t seed, bool cut) {
+  topology::World world{topology::WorldConfig{seed}};
+  const probes::ProbeFleet fleet{
+      world, probes::FleetConfig{probes::Platform::Speedchecker, 800}};
+  const Engine engine{world};
+  if (cut) {
+    // Reroute every path that crossed one of the first cables.
+    std::vector<std::pair<std::string_view, std::string_view>> cuts;
+    for (const topology::BackboneLinkRef& link : world.backbone().links()) {
+      if (cuts.size() == 12) break;
+      cuts.emplace_back(link.a, link.b);
+    }
+    world.backbone().set_outages(cuts);
+    ASSERT_TRUE(world.backbone().outages_active());
+  }
+  const fault::TraceFaults faults{0.3, 0.1};
+  util::Rng pick{seed};
+  MeasurementScratch worker;
+  std::size_t same_mode = 0;
+  std::size_t other_mode = 0;
+  constexpr std::size_t kTasks = 2000;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    MeasurementTask task;
+    task.probe = &pick.pick(fleet.probes());
+    task.endpoint = &pick.pick(world.endpoints());
+    task.day = static_cast<std::uint32_t>(pick.below(10));
+    task.slot = static_cast<std::uint8_t>(pick.below(6));
+    task.trace_faults = pick.chance(0.3) ? &faults : nullptr;
+    util::Rng entry_rng = pick.fork(i);
+    util::Rng split_rng = entry_rng;
+
+    const std::size_t hop_begin = worker.hops.size();
+    const TaskRecords got = engine.run_task(task, entry_rng, worker);
+
+    MeasurementScratch fresh;
+    const PingRecord ping =
+        engine.ping(*task.probe, *task.endpoint, Protocol::Tcp, task.day,
+                    split_rng, task.slot, &fresh);
+    const topology::InterconnectMode ping_mode = fresh.path.mode;
+    std::vector<HopRecord> hops;
+    const TraceCore trace = engine.traceroute_into(
+        *task.probe, *task.endpoint, task.day, split_rng, hops,
+        Engine::TraceMethod::Classic, task.slot, task.trace_faults, &fresh);
+    ++(trace.true_mode == ping_mode ? same_mode : other_mode);
+
+    ASSERT_TRUE(same_ping(got.ping, ping))
+        << "seed " << seed << " task " << i;
+    ASSERT_TRUE(same_trace(got.trace, trace))
+        << "seed " << seed << " task " << i;
+    ASSERT_TRUE(same_hops(std::span{worker.hops}.subspan(hop_begin), hops))
+        << "seed " << seed << " task " << i;
+    ASSERT_EQ(entry_rng.next(), split_rng.next())
+        << "seed " << seed << " task " << i;
+  }
+  // Both branches ran: traceroutes that reuse the ping's path and ones that
+  // rolled another mode and rebuilt.
+  EXPECT_GT(same_mode, kTasks / 2);
+  EXPECT_GT(other_mode, 0U);
+  world.backbone().clear_outages();
+}
+
+TEST(TaskEntry, MatchesPingThenTracerouteBitForBit) {
+  for (const std::uint64_t seed : {23U, 57U}) {
+    expect_task_entry_matches_split(seed, /*cut=*/false);
+    expect_task_entry_matches_split(seed, /*cut=*/true);
   }
 }
 

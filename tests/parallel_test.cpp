@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "core/export.hpp"
@@ -115,6 +116,59 @@ TEST(ParallelGate, KillAndResumeWithAtlasAtFourThreads) {
 
   EXPECT_EQ(baseline(23), combined_hash(resumed));
   fs::remove_all(dir);
+}
+
+/// What one parallel_config(23, threads) study adds to the engine's metrics:
+/// every `engine.*` counter's delta, and the ping-RTT histogram's count and
+/// max (the histogram is reset first; nothing else in this suite reads it).
+struct EngineTally {
+  std::map<std::string, double> counters;
+  std::uint64_t rtt_count = 0;
+  double rtt_max = 0.0;
+  std::size_t tasks = 0;  ///< ping rows in both datasets
+};
+
+[[nodiscard]] EngineTally engine_tally(unsigned threads) {
+  obs::Registry& registry = obs::Registry::global();
+  const auto engine_counters = [&registry] {
+    std::map<std::string, double> values;
+    for (const auto& entry : registry.snapshot().counters) {
+      if (entry.name.starts_with("engine.")) values[entry.name] = entry.value;
+    }
+    return values;
+  };
+  obs::Histogram& rtt = registry.histogram("engine.ping.rtt_ms");
+  const std::map<std::string, double> before = engine_counters();
+  rtt.reset();
+  core::Study study{parallel_config(23, threads)};
+  study.run();
+  EngineTally tally;
+  for (const auto& [name, value] : engine_counters()) {
+    const auto prior = before.find(name);
+    tally.counters[name] =
+        value - (prior == before.end() ? 0.0 : prior->second);
+  }
+  tally.rtt_count = rtt.count();
+  tally.rtt_max = rtt.max();
+  tally.tasks =
+      study.sc_dataset().pings.size() + study.atlas_dataset().pings.size();
+  return tally;
+}
+
+TEST(ParallelGate, EngineMetricsAreThreadInvariant) {
+  const EngineTally one = engine_tally(1);
+  const EngineTally four = engine_tally(4);
+  EXPECT_EQ(one.counters, four.counters);
+  EXPECT_EQ(one.rtt_count, four.rtt_count);
+  EXPECT_EQ(one.rtt_max, four.rtt_max);
+  // A task whose traceroute reuses the ping's path still counts one ping
+  // and one traceroute.
+  ASSERT_GT(one.tasks, 0U);
+  EXPECT_EQ(one.counters.at("engine.pings_total"),
+            static_cast<double>(one.tasks));
+  EXPECT_EQ(one.counters.at("engine.traceroutes_total"),
+            static_cast<double>(one.tasks));
+  EXPECT_EQ(one.rtt_count, one.tasks);
 }
 
 TEST(ParallelGate, BusyAccountingIsPublishedAtDayEnd) {

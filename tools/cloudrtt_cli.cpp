@@ -39,6 +39,11 @@ namespace {
 
 using namespace cloudrtt;
 
+/// Upper bound on --threads. The value sizes the campaign worker pool (up to
+/// one thread per 64-task chunk) and the store's lane count, so it has to be
+/// bounded where it enters; past a few per core more threads only cost.
+constexpr long kMaxThreads = 256;
+
 /// Resolve the study's log level: --quiet wins, then an explicit --log-level,
 /// then the CLOUDRTT_LOG environment variable, then info (the study narrates
 /// per-day progress by default).
@@ -318,21 +323,22 @@ int cmd_study(int argc, const char* const* argv,
   }
   core::apply_scale(config, scale);
   if (!args.get("sc-probes").empty()) {
-    config.sc_probes = static_cast<std::size_t>(args.get_int("sc-probes"));
+    config.sc_probes = static_cast<std::size_t>(args.get_int("sc-probes", 0));
   }
   if (!args.get("atlas-probes").empty()) {
     config.atlas_probes =
-        static_cast<std::size_t>(args.get_int("atlas-probes"));
+        static_cast<std::size_t>(args.get_int("atlas-probes", 0));
   }
   config.include_atlas = !args.get_flag("no-atlas");
-  config.sc_campaign.days = static_cast<std::uint32_t>(args.get_int("days"));
+  config.sc_campaign.days =
+      static_cast<std::uint32_t>(args.get_int("days", 0));
   if (!args.get("budget").empty()) {
     config.sc_campaign.daily_budget =
-        static_cast<std::size_t>(args.get_int("budget"));
+        static_cast<std::size_t>(args.get_int("budget", 0));
   }
-  if (const long threads = args.get_int("threads"); threads > 0) {
-    config.threads = static_cast<unsigned>(threads);
-  }
+  config.threads =
+      static_cast<unsigned>(args.get_int("threads", 1, kMaxThreads));
+  const long stop_after_day = args.get_int("stop-after-day", 0);
 
   const auto profile = fault::profile_from_string(args.get("fault-profile"));
   if (!profile) {
@@ -391,8 +397,8 @@ int cmd_study(int argc, const char* const* argv,
     }
     return healthy ? 0 : 1;
   }
-  if (const long stop = args.get_int("stop-after-day"); stop > 0) {
-    control.stop_after_day = static_cast<std::uint32_t>(stop);
+  if (stop_after_day > 0) {
+    control.stop_after_day = static_cast<std::uint32_t>(stop_after_day);
   }
 
   if (!args.get("trace-out").empty()) {
@@ -622,11 +628,17 @@ int main(int argc, char** argv) {
   // Shift argv so subcommand parsers see their own name at index 0.
   const int sub_argc = argc - 1;
   const char* const* sub_argv = argv + 1;
-  if (command == "world") return cmd_world(sub_argc, sub_argv);
-  if (command == "resolve") return cmd_resolve(sub_argc, sub_argv);
-  if (command == "trace") return cmd_trace(sub_argc, sub_argv);
-  if (command == "study") return cmd_study(sub_argc, sub_argv);
-  if (command == "run") return cmd_run(sub_argc, sub_argv);
+  try {
+    if (command == "world") return cmd_world(sub_argc, sub_argv);
+    if (command == "resolve") return cmd_resolve(sub_argc, sub_argv);
+    if (command == "trace") return cmd_trace(sub_argc, sub_argv);
+    if (command == "study") return cmd_study(sub_argc, sub_argv);
+    if (command == "run") return cmd_run(sub_argc, sub_argv);
+  } catch (const util::ArgError& error) {
+    // A malformed option value: one line, like an unknown option.
+    std::cerr << error.what() << "\n";
+    return 1;
+  }
   if (command == "--help" || command == "-h") {
     print_usage();
     return 0;
