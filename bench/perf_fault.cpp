@@ -171,7 +171,7 @@ void BM_CampaignDayStreaming(benchmark::State& state) {
   store::IoEnv io;
   std::size_t rows = 0;
   for (auto _ : state) {
-    store::ShardWriter writer{dir, store::StoreMeta{"speedchecker", 7}, 1, io,
+    store::ShardWriter writer{dir, store::StoreMeta{"speedchecker", 7}, io,
                               /*fresh=*/true};
     measure::RunHooks hooks;
     hooks.day_rows = [&writer](std::uint32_t day, std::size_t cursor,
@@ -208,7 +208,7 @@ void BM_StoreSpillDay(benchmark::State& state) {
   measure::CampaignState done;
   done.next_day = 1;
   for (auto _ : state) {
-    store::ShardWriter writer{dir, store::StoreMeta{"speedchecker", 7}, 1, io,
+    store::ShardWriter writer{dir, store::StoreMeta{"speedchecker", 7}, io,
                               /*fresh=*/true};
     if (!writer.adopt(data, done)) {
       state.SkipWithError("spill was not durable");
@@ -277,7 +277,7 @@ void BM_StoreOpen(benchmark::State& state) {
   measure::CampaignState done;
   done.next_day = 1;
   {
-    store::ShardWriter writer{dir, store::StoreMeta{"speedchecker", 7}, 1, io,
+    store::ShardWriter writer{dir, store::StoreMeta{"speedchecker", 7}, io,
                               /*fresh=*/true};
     if (!writer.adopt(data, done)) {
       state.SkipWithError("spill was not durable");

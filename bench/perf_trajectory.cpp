@@ -18,6 +18,7 @@
 // thread sweeps, the JSON report), and the suite is run by CI as a job, not
 // as a microbenchmark.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -64,29 +65,39 @@ using namespace cloudrtt;
   return "unknown";
 }
 
+/// Upper bound on a --threads entry, as for the cloudrtt CLI: each entry
+/// starts that many campaign workers.
+constexpr unsigned kMaxThreads = 256;
+
+/// The comma-separated --threads list, each entry a whole value in
+/// [1, kMaxThreads]. Throws util::ArgError otherwise.
 [[nodiscard]] std::vector<unsigned> parse_thread_list(const std::string& text) {
   std::vector<unsigned> threads;
   std::string token;
   for (const char ch : text + ",") {
     if (ch == ',') {
       if (!token.empty()) {
-        const long value = std::atol(token.c_str());
-        CLOUDRTT_CHECK(value > 0, "--threads entries must be positive, got '",
-                       token, "'");
-        threads.push_back(static_cast<unsigned>(value));
+        unsigned value = 0;
+        const char* const end = token.data() + token.size();
+        const auto [stop, failure] = std::from_chars(token.data(), end, value);
+        if (failure != std::errc{} || stop != end || value < 1 ||
+            value > kMaxThreads) {
+          throw util::ArgError{"--threads: expected integers in [1, " +
+                               std::to_string(kMaxThreads) + "], got '" +
+                               token + "'"};
+        }
+        threads.push_back(value);
         token.clear();
       }
     } else if (ch != ' ') {
       token.push_back(ch);
     }
   }
-  CLOUDRTT_CHECK(!threads.empty(), "--threads list is empty");
+  if (threads.empty()) throw util::ArgError{"--threads: the list is empty"};
   return threads;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_suite(int argc, char** argv) {
   util::ArgParser args{"perf_trajectory",
                        "record the canonical performance-trajectory suite as "
                        "a BENCH_<n>.json report"};
@@ -214,7 +225,7 @@ int main(int argc, char** argv) {
     for (unsigned rep = 0; rep < reps; ++rep) {
       const obs::Stopwatch watch;
       store::ShardWriter writer{spill_dir,
-                                store::StoreMeta{"speedchecker", seed}, 1, io,
+                                store::StoreMeta{"speedchecker", seed}, io,
                                 /*fresh=*/true};
       CLOUDRTT_CHECK(writer.adopt(reference_data, done),
                      "spill was not durable");
@@ -285,9 +296,9 @@ int main(int argc, char** argv) {
       const obs::Stopwatch watch;
       std::uint64_t rows = 0;
       {
-        store::ShardWriter writer{
-            spill_dir, store::StoreMeta{"speedchecker", seed},
-            std::max(1u, paper_config.threads), io, /*fresh=*/true};
+        store::ShardWriter writer{spill_dir,
+                                  store::StoreMeta{"speedchecker", seed}, io,
+                                  /*fresh=*/true};
         measure::RunHooks hooks;
         hooks.day_rows = [&writer](std::uint32_t day, std::size_t cursor,
                                    std::uint32_t first_task,
@@ -362,4 +373,16 @@ int main(int argc, char** argv) {
     std::cout << "trace written to " << trace_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_suite(argc, argv);
+  } catch (const util::ArgError& error) {
+    // A malformed option value: one line, the parse-failure exit code.
+    std::cerr << error.what() << "\n";
+    return 1;
+  }
 }

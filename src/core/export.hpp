@@ -81,7 +81,7 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 /// (core.export.dataset_hash) and counts no export rows.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
-/// The same hash computed straight from a format=3 store: a read-only
+/// The same hash computed straight from a format=4 store: a read-only
 /// store::open_store on the calling thread, then, on the reader thread,
 /// two store::scan_rows passes in append order (FNV-1a is sequential, and
 /// the canonical serialisation is all pings then all traces). The reader

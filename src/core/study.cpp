@@ -75,20 +75,20 @@ bool Study::run_campaign(std::string_view platform,
     meta.fault_profile = std::string{to_string(config_.fault_profile)};
     const int format =
         control.resume ? store::manifest_format(store_dir, platform, *io) : 0;
-    if (format != 0 && format != 3) {
+    if (format != 0 && format != 4) {
       // Refuse before any writer exists: a fresh ShardWriter would wipe the
       // platform's artefacts, and they are the user's data.
       throw std::runtime_error{
           "Study::run: cannot resume '" + std::string{platform} + "': " +
           store::store_manifest_path(store_dir, platform).string() +
           " is a format=" + std::to_string(format) +
-          " checkpoint, and only format=3 stores resume (legacy CSV "
+          " checkpoint, and only format=4 stores resume (legacy stores and "
           "checkpoints are no longer read) — rerun the campaign from scratch "
           "or point --checkpoint-dir elsewhere"};
     }
-    if (format == 3) {
-      // The open validates and repairs the store and yields the lane byte
-      // marks plus the on-disk row count, which is all restore() needs; it
+    if (format == 4) {
+      // The open validates and repairs the store and yields the shard's
+      // byte mark plus the on-disk row count, which is all restore() needs; it
       // reads no rows. Only an in-memory resume scans them back, so a
       // streaming resume's RAM stays O(day) across kill+resume cycles.
       const store::OpenResult opened =
@@ -117,18 +117,16 @@ bool Study::run_campaign(std::string_view platform,
                                    std::string{platform} + "': " + err};
         }
       }
-      writer = std::make_unique<store::ShardWriter>(
-          store_dir, meta, opened.lane_states.size(), *io, /*fresh=*/false);
-      writer->restore(opened.lane_states,
-                      static_cast<std::size_t>(opened.durable_rows),
-                      static_cast<std::size_t>(opened.durable_rows));
+      writer = std::make_unique<store::ShardWriter>(store_dir, meta, *io,
+                                                    /*fresh=*/false);
+      writer->restore(opened.shard, opened.durable_rows);
       if (!opened.salvage.clean()) {
         CLOUDRTT_LOG_WARN("study.salvaged", {"platform", platform},
                           {"blocks", opened.salvage.salvaged_blocks},
                           {"rows", opened.salvage.salvaged_rows},
                           {"dropped", opened.salvage.dropped_blocks},
                           {"truncated_bytes", opened.salvage.truncated_bytes});
-        // Journal the salvage right away: the repaired lanes + a manifest
+        // Journal the salvage right away: the repaired shard + a manifest
         // carrying day_tasks_done are the new commit point, so a crash
         // during the resumed run never re-salvages the same tail. Drain so
         // the journal is durable before any resumed day enqueues rows.
@@ -140,8 +138,8 @@ bool Study::run_campaign(std::string_view platform,
                         {"day_tasks_done", start.day_tasks_done},
                         {"pings", dataset.pings.size()});
     } else {
-      writer = std::make_unique<store::ShardWriter>(
-          store_dir, meta, std::max(1u, config_.threads), *io, /*fresh=*/true);
+      writer = std::make_unique<store::ShardWriter>(store_dir, meta, *io,
+                                                    /*fresh=*/true);
     }
   }
 

@@ -90,15 +90,17 @@ struct StudyConfig {
 /// How one run() invocation interacts with persistence and early stopping.
 struct RunControl {
   /// Directory for per-day checkpoints; empty disables checkpointing.
-  /// Checkpoints are written as a format=3 streaming store: rows spill to
-  /// per-lane shard files at the end of every day and an atomically-renamed
-  /// manifest is the commit point (see store/shard_writer.hpp).
+  /// Checkpoints are written as a format=4 streaming store: each platform's
+  /// rows spill to its one shard file at the end of every day and an
+  /// atomically-renamed manifest is the commit point (see
+  /// store/shard_writer.hpp).
   std::string checkpoint_dir;
   /// Resume from `checkpoint_dir` when a committed checkpoint exists there
   /// (resuming replays the remaining days bit-identically, salvaging any
   /// uncommitted shard tail a crash left behind). Throws std::runtime_error
-  /// when the checkpoint is corrupt, from another seed, or not a format=3
-  /// store: a legacy format=1/2 CSV checkpoint is refused and left as it is.
+  /// when the checkpoint is corrupt, from another seed, or not a format=4
+  /// store: a legacy format=3 store or format=1/2 CSV checkpoint is refused
+  /// and left as it is.
   bool resume = false;
   /// Stop each campaign once this many days have completed (campaign days
   /// are counted from day 0, so resume + a larger value continues). The

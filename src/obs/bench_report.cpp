@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <utility>
 
 #include "util/json.hpp"
 #include "util/json_value.hpp"
@@ -225,12 +226,16 @@ void write_compare_text(std::ostream& out, const CompareResult& result,
                      "new"});
       continue;
     }
+    // Built by appends: GCC 12 at -O3 flags `(... ? "+" : "") + std::string`
+    // with -Wrestrict.
+    std::string delta{line.delta_pct >= 0.0 ? "+" : ""};
+    delta += util::format_double(line.delta_pct, 1);
+    delta += '%';
+    if (line.regression) delta += "  REGRESSION";
     table.add_row({line.section,
                    util::format_double(line.baseline_ms, 2) + " ms",
                    util::format_double(line.candidate_ms, 2) + " ms",
-                   (line.delta_pct >= 0.0 ? "+" : "") +
-                       util::format_double(line.delta_pct, 1) + "%" +
-                       (line.regression ? "  REGRESSION" : "")});
+                   std::move(delta)});
   }
   out << table.render();
   for (const std::string& name : result.missing_in_candidate) {

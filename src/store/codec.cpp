@@ -96,6 +96,19 @@ struct Reader {
 
 }  // namespace
 
+std::uint64_t block_checksum(const BlockHeader& header,
+                             std::string_view payload) {
+  char fields[6 * sizeof(std::uint64_t)];
+  char* cursor = fields;
+  for (const std::uint64_t field :
+       {header.seq, std::uint64_t{header.day}, std::uint64_t{header.start},
+        std::uint64_t{header.tasks}, header.cursor, header.bytes}) {
+    put_raw(cursor, field);
+  }
+  return util::fnv1a_words(payload,
+                           util::fnv1a_words({fields, sizeof fields}));
+}
+
 std::string format_block_header(const BlockHeader& header) {
   std::string line{kBlockMagic};
   line += "seq=";
@@ -275,11 +288,9 @@ std::filesystem::path store_manifest_path(const std::filesystem::path& dir,
   return dir / (std::string{platform} + ".manifest");
 }
 
-std::filesystem::path store_lane_path(const std::filesystem::path& dir,
-                                      std::string_view platform,
-                                      std::size_t lane) {
-  return dir / (std::string{platform} + ".s" + std::to_string(lane) +
-                ".shard");
+std::filesystem::path store_shard_path(const std::filesystem::path& dir,
+                                       std::string_view platform) {
+  return dir / (std::string{platform} + ".shard");
 }
 
 }  // namespace cloudrtt::store

@@ -1,7 +1,7 @@
 #pragma once
 // Block framing and row serialisation for the streaming store.
 //
-// A shard (lane) file is a sequence of framed blocks, each:
+// A platform's shard file is a sequence of framed blocks, each:
 //
 //   #cloudrtt-blk seq=<n> day=<d> start=<t> tasks=<k> cursor=<c>
 //       bytes=<B> fnv1a=<16 hex>   (one line, then a newline)
@@ -14,14 +14,15 @@
 // exact round-trip by construction (core::dataset_hash is the oracle) and
 // cheap enough that the spill worker's CPU stays invisible next to the
 // campaign even on single-core machines. The framing stays a text line so
-// a shard is greppable for block boundaries; the payload's integrity comes
+// a shard is greppable for block boundaries; the block's integrity comes
 // from `fnv1a`, never from being readable. `seq` increases by one per
-// block within a lane; `cursor` is the country-cycle cursor at the *start*
-// of the block's day, which is what a mid-day salvage needs to replay the
-// schedule phase. `fnv1a` is FNV-1a folded over 64-bit words of the
-// payload (util::fnv1a_words — the byte-serial variant was the worker's
-// single biggest CPU item): any bit flip or torn tail is detectable
-// without trusting file sizes.
+// block through the file; `cursor` is the country-cycle cursor at the
+// *start* of the block's day, which is what a mid-day salvage needs to
+// replay the schedule phase. `fnv1a` is block_checksum(): FNV-1a folded
+// over 64-bit words (util::fnv1a_words — the byte-serial variant was the
+// worker's single biggest CPU item) of the six header fields above it, then
+// of the payload. Any bit flip, torn tail or relabelled header field is
+// detectable without trusting file sizes.
 
 #include <cstdint>
 #include <filesystem>
@@ -40,14 +41,20 @@ inline constexpr std::string_view kBlockMagic = "#cloudrtt-blk ";
 inline constexpr std::size_t kBlockTasks = 512;
 
 struct BlockHeader {
-  std::uint64_t seq = 0;     ///< per-lane block sequence, contiguous from 0
+  std::uint64_t seq = 0;     ///< block sequence through the file, from 0
   std::uint32_t day = 0;
   std::uint32_t start = 0;   ///< first task index of the day in this block
   std::uint32_t tasks = 0;   ///< tasks serialised (1 ping + 1 trace each)
   std::uint64_t cursor = 0;  ///< country-cycle cursor at the day's start
   std::uint64_t bytes = 0;   ///< payload length
-  std::uint64_t fnv1a = 0;   ///< util::fnv1a_words over the payload bytes
+  std::uint64_t fnv1a = 0;   ///< block_checksum(header, payload)
 };
+
+/// The checksum a block's header carries: util::fnv1a_words over `seq`,
+/// `day`, `start`, `tasks`, `cursor` and `bytes` (one word each), continued
+/// over `payload`. `header.fnv1a` itself is not covered.
+[[nodiscard]] std::uint64_t block_checksum(const BlockHeader& header,
+                                           std::string_view payload);
 
 [[nodiscard]] std::string format_block_header(const BlockHeader& header);
 
@@ -75,8 +82,7 @@ void serialize_task(std::string& out, const measure::Dataset& data,
 // Store artefact paths, shared by the writer, salvage and fsck.
 [[nodiscard]] std::filesystem::path store_manifest_path(
     const std::filesystem::path& dir, std::string_view platform);
-[[nodiscard]] std::filesystem::path store_lane_path(
-    const std::filesystem::path& dir, std::string_view platform,
-    std::size_t lane);
+[[nodiscard]] std::filesystem::path store_shard_path(
+    const std::filesystem::path& dir, std::string_view platform);
 
 }  // namespace cloudrtt::store

@@ -5,7 +5,6 @@
 
 #include "obs/log.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace cloudrtt::store {
 
@@ -17,14 +16,10 @@ obs::Registry& registry() { return obs::Registry::global(); }
 
 }  // namespace
 
-ShardWriter::ShardWriter(fs::path dir, StoreMeta meta, std::size_t lanes,
-                         IoEnv& io, bool fresh)
+ShardWriter::ShardWriter(fs::path dir, StoreMeta meta, IoEnv& io, bool fresh)
     : dir_(std::move(dir)),
       meta_(std::move(meta)),
       io_(io),
-      lane_(std::max<std::size_t>(lanes, 1)),
-      alloc_seq_(lane_.size(), 0),
-      lane_torn_(lane_.size(), 0),
       spill_bytes_(registry().counter(
           "store.spill_bytes_total",
           "bytes of framed blocks durably appended to shard files")),
@@ -53,12 +48,10 @@ ShardWriter::ShardWriter(fs::path dir, StoreMeta meta, std::size_t lanes,
   }
   if (fresh) {
     // A non-resume run starts over: drop the manifest first (the commit
-    // point), then the data files it described, so a crash mid-wipe can
+    // point), then the data file it described, so a crash mid-wipe can
     // never resurrect a half-deleted store.
     (void)io_.remove(manifest_path());
-    for (std::size_t lane = 0; lane < lane_.size(); ++lane) {
-      (void)io_.remove(lane_path(lane));
-    }
+    (void)io_.remove(shard_path());
   }
   // Everything above happens-before the worker's first load: thread start
   // synchronises, and every later handoff goes through mutex_.
@@ -75,22 +68,16 @@ ShardWriter::~ShardWriter() {
   worker_.join();
 }
 
-void ShardWriter::restore(const std::vector<LaneState>& lanes,
-                          std::uint64_t durable_pings,
-                          std::uint64_t durable_traces) {
+void ShardWriter::restore(const ShardState& shard,
+                          std::uint64_t durable_tasks) {
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     CLOUDRTT_CHECK(!started_,
                    "restore() must run before the first append/commit");
   }
-  CLOUDRTT_CHECK(lanes.size() == lane_.size(),
-                 "restore() lane count must match the writer's");
-  lane_ = lanes;
-  for (std::size_t lane = 0; lane < lane_.size(); ++lane) {
-    alloc_seq_[lane] = lane_[lane].next_seq;
-  }
-  durable_pings_ = durable_pings;
-  durable_traces_ = durable_traces;
+  shard_ = shard;
+  alloc_seq_ = shard.next_seq;
+  durable_tasks_ = durable_tasks;
 }
 
 void ShardWriter::enqueue(Job job) {
@@ -193,7 +180,6 @@ void ShardWriter::worker_loop() {
 void ShardWriter::do_append_day(const Job& job) {
   const std::size_t tasks = job.rows.pings.size();
   PendingAppend entry;
-  entry.lane = job.day % lane_.size();
   entry.rows = tasks;
   // Exact payload size (fixed-layout records) plus slack per header line.
   entry.bytes.reserve(tasks * 38 + job.rows.traces.hop_pool().size() * 14 +
@@ -205,13 +191,13 @@ void ShardWriter::do_append_day(const Job& job) {
       serialize_task(payload_scratch_, job.rows, i);
     }
     BlockHeader header;
-    header.seq = alloc_seq_[entry.lane]++;
+    header.seq = alloc_seq_++;
     header.day = job.day;
     header.start = job.first_task + static_cast<std::uint32_t>(begin);
     header.tasks = static_cast<std::uint32_t>(count);
     header.cursor = job.cursor;
     header.bytes = payload_scratch_.size();
-    header.fnv1a = util::fnv1a_words(payload_scratch_);
+    header.fnv1a = block_checksum(header, payload_scratch_);
     entry.bytes += format_block_header(header);
     entry.bytes += payload_scratch_;
     ++entry.blocks;
@@ -227,16 +213,16 @@ void ShardWriter::do_append_day(const Job& job) {
 bool ShardWriter::flush() {
   while (!pending_.empty()) {
     const PendingAppend& entry = pending_.front();
-    const fs::path path = lane_path(entry.lane);
-    if (lane_torn_[entry.lane] != 0) {
+    const fs::path path = shard_path();
+    if (torn_) {
       // A previous append may have left torn bytes past the durable mark;
       // cut them off so the retry lands at a block boundary.
-      const IoStatus cut = io_.truncate(path, lane_[entry.lane].durable_bytes);
+      const IoStatus cut = io_.truncate(path, shard_.durable_bytes);
       if (!cut.ok()) {
         enter_degraded(cut.error);
         return false;
       }
-      lane_torn_[entry.lane] = 0;
+      torn_ = false;
     }
     // One append + fsync per entry: a day's blocks were framed into a
     // single buffer when serialised, so the healthy path never re-copies
@@ -246,15 +232,14 @@ bool ShardWriter::flush() {
       // Even a "failed" append may have written a prefix (short write,
       // ENOSPC) or written everything without durability (fsync failure):
       // assume the worst and truncate before the next retry.
-      lane_torn_[entry.lane] = 1;
+      torn_ = true;
       append_failures_.inc();
       enter_degraded(status.error);
       return false;
     }
-    lane_[entry.lane].durable_bytes += entry.bytes.size();
-    lane_[entry.lane].next_seq += entry.blocks;
-    durable_pings_ += entry.rows;
-    durable_traces_ += entry.rows;
+    shard_.durable_bytes += entry.bytes.size();
+    shard_.next_seq += entry.blocks;
+    durable_tasks_ += entry.rows;
     spill_bytes_.inc(entry.bytes.size());
     spill_blocks_.inc(entry.blocks);
     pending_bytes_ -= entry.bytes.size();
@@ -296,23 +281,18 @@ void ShardWriter::do_commit(const measure::CampaignState& state) {
     return;
   }
   std::string manifest;
-  manifest.reserve(256 + lane_.size() * 32);
-  manifest += "format=3\n";
+  manifest.reserve(256);
+  manifest += "format=4\n";
   manifest += "platform=" + meta_.platform + '\n';
   manifest += "seed=" + std::to_string(meta_.seed) + '\n';
   manifest += "fault_profile=" + meta_.fault_profile + '\n';
-  manifest += "lanes=" + std::to_string(lane_.size()) + '\n';
   manifest += "next_day=" + std::to_string(state.next_day) + '\n';
   manifest += "cursor=" + std::to_string(state.cursor) + '\n';
   manifest +=
       "day_tasks_done=" + std::to_string(state.day_tasks_done) + '\n';
-  manifest += "pings=" + std::to_string(durable_pings_) + '\n';
-  manifest += "traces=" + std::to_string(durable_traces_) + '\n';
-  for (std::size_t lane = 0; lane < lane_.size(); ++lane) {
-    manifest += "lane" + std::to_string(lane) + '=' +
-                std::to_string(lane_[lane].durable_bytes) + ':' +
-                std::to_string(lane_[lane].next_seq) + '\n';
-  }
+  manifest += "tasks=" + std::to_string(durable_tasks_) + '\n';
+  manifest += "shard=" + std::to_string(shard_.durable_bytes) + ':' +
+              std::to_string(shard_.next_seq) + '\n';
   const IoStatus status = io_.write_atomic(manifest_path(), manifest);
   if (!status.ok()) {
     commit_failures_.inc();

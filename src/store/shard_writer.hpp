@@ -3,18 +3,16 @@
 //
 // One writer per (store directory, platform). Rows stream out at the end of
 // every executed day as framed, checksummed blocks (see codec.hpp) appended
-// to per-lane shard files; the format=3 manifest — rewritten atomically at
-// day boundaries — is the commit point that makes them part of the dataset.
-// Anything on disk beyond the manifest's per-lane byte marks is an
+// to the platform's one shard file; the format=4 manifest — rewritten
+// atomically at day boundaries — is the commit point that makes them part
+// of the dataset. Anything on disk beyond the manifest's shard mark is an
 // *uncommitted tail* that salvage (salvage.hpp) re-validates block by block
 // on resume.
 //
-// Lanes: the store is created with L lanes (the --threads value at creation,
-// recorded in the manifest and reused on every resume); day D's blocks all
-// go to lane D % L. Appends stay strictly sequential — a single writer
-// thread retires blocks in global day/task order, which is what lets
-// salvage trust that a later-day block implies every earlier day was fully
-// appended, and what lets a row scan merge the lanes by their head blocks.
+// Order: a single writer thread appends every block strictly FIFO, in
+// global day/task order, with a contiguous `seq`. That is what lets salvage
+// trust that a later-day block implies every earlier day was fully
+// appended, and what lets a row scan read the file front to back.
 //
 // Asynchrony: append_day() and commit() only copy the rows and enqueue a
 // job; one background worker serialises, checksums, appends (a day's
@@ -43,7 +41,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "measure/campaign.hpp"
 #include "measure/records.hpp"
@@ -60,9 +58,10 @@ struct StoreMeta {
   std::string fault_profile = "none";
 };
 
-/// Per-lane continuation state: where durable data ends and the next block
-/// sequence number. Produced by open_store(), consumed by restore().
-struct LaneState {
+/// Continuation state of a shard file: where durable data ends and the
+/// next block sequence number. Produced by open_store(), consumed by
+/// restore().
+struct ShardState {
   std::uint64_t durable_bytes = 0;
   std::uint64_t next_seq = 0;
 };
@@ -72,9 +71,16 @@ class ShardWriter {
   /// Open the store directory for writing. `fresh` wipes any existing
   /// artefacts for the platform (a non-resume run starts over); a resume
   /// passes false and then restore()s the state open_store() recovered.
-  /// `lanes` is clamped to >= 1 and fixed for the store's lifetime.
-  ShardWriter(std::filesystem::path dir, StoreMeta meta, std::size_t lanes,
-              IoEnv& io, bool fresh);
+  ShardWriter(std::filesystem::path dir, StoreMeta meta, IoEnv& io,
+              bool fresh);
+
+  /// The same, taking the lane count the store was once split by and
+  /// ignoring it. Only e2ebench/e2e_bench.cpp still calls it, passing
+  /// --threads; delete it once that caller drops the count (ROADMAP's
+  /// benchmark item).
+  ShardWriter(std::filesystem::path dir, StoreMeta meta,
+              std::size_t /*ignored_lanes*/, IoEnv& io, bool fresh)
+      : ShardWriter(std::move(dir), std::move(meta), io, fresh) {}
 
   /// Drains the queue and joins the worker: the store is quiescent (and as
   /// durable as the disk allowed) once the writer is gone.
@@ -86,8 +92,7 @@ class ShardWriter {
   /// Continue writing where a salvaged store left off. Must run before the
   /// first append_day()/commit() — the writer refuses once jobs are in
   /// flight.
-  void restore(const std::vector<LaneState>& lanes,
-               std::uint64_t durable_pings, std::uint64_t durable_traces);
+  void restore(const ShardState& shard, std::uint64_t durable_tasks);
 
   /// Stream one executed day: ping rows [ping_begin, data.pings.size()) and
   /// trace rows [trace_begin, data.traces.size()) of `data` are tasks
@@ -125,8 +130,8 @@ class ShardWriter {
   [[nodiscard]] std::filesystem::path manifest_path() const {
     return store_manifest_path(dir_, meta_.platform);
   }
-  [[nodiscard]] std::filesystem::path lane_path(std::size_t lane) const {
-    return store_lane_path(dir_, meta_.platform, lane);
+  [[nodiscard]] std::filesystem::path shard_path() const {
+    return store_shard_path(dir_, meta_.platform);
   }
 
  private:
@@ -146,7 +151,6 @@ class ShardWriter {
   /// One day's framed blocks, already concatenated: the unit the disk
   /// accepts (one append + fsync) or refuses (requeued until it heals).
   struct PendingAppend {
-    std::size_t lane = 0;
     std::string bytes;         ///< header line + payload, per block, in order
     std::uint64_t rows = 0;    ///< tasks (== pings == traces) across blocks
     std::uint64_t blocks = 0;  ///< framed blocks in `bytes`
@@ -166,17 +170,16 @@ class ShardWriter {
 
   // -- worker-owned state (the caller touches it only in the constructor
   //    and restore(), both strictly before the first enqueue) --------------
-  std::vector<LaneState> lane_;
-  std::vector<std::uint64_t> alloc_seq_;  ///< next seq to assign per lane
-  /// 1 when the lane may carry torn bytes past durable_bytes (a failed
-  /// append); the next flush truncates before appending again.
-  std::vector<std::uint8_t> lane_torn_;
+  ShardState shard_;             ///< the durable mark
+  std::uint64_t alloc_seq_ = 0;  ///< next seq to assign
+  /// True when the shard may carry torn bytes past the durable mark (a
+  /// failed append); the next flush truncates before appending again.
+  bool torn_ = false;
   std::deque<PendingAppend> pending_;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t pending_block_count_ = 0;
   std::string payload_scratch_;  ///< per-block payload, capacity reused
-  std::uint64_t durable_pings_ = 0;
-  std::uint64_t durable_traces_ = 0;
+  std::uint64_t durable_tasks_ = 0;
 
   // -- queue + cross-thread state ------------------------------------------
   std::mutex mutex_;

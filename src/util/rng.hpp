@@ -50,10 +50,12 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 /// byte — a ~5 cycle/byte serial chain — which made it the single biggest
 /// CPU item of the store's spill worker; folding words cuts the chain 8x
 /// while keeping the same mixing algebra. NOT interchangeable with fnv1a():
-/// both sides of an artefact must agree on which variant covers it.
-[[nodiscard]] inline std::uint64_t fnv1a_words(std::string_view bytes) noexcept {
+/// both sides of an artefact must agree on which variant covers it. Every
+/// step is a bijection of the running hash, so two different `hash` starting
+/// values never fold the same bytes to the same result.
+[[nodiscard]] inline std::uint64_t fnv1a_words(
+    std::string_view bytes, std::uint64_t hash = kFnv1aBasis) noexcept {
   constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t hash = kFnv1aBasis;
   const char* cursor = bytes.data();
   std::size_t left = bytes.size();
   for (; left >= 8; left -= 8, cursor += 8) {

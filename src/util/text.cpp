@@ -80,7 +80,10 @@ std::string render_cdf_table(const std::vector<Series>& series,
   }
   table.set_header(std::move(header));
   for (const double p : percentiles) {
-    std::vector<std::string> row{"p" + format_double(p * 100.0, 0)};
+    // Appended, not `"p" + ...`: GCC 12 at -O3 flags that concatenation
+    // with -Wrestrict.
+    std::vector<std::string> row{
+        std::string{"p"}.append(format_double(p * 100.0, 0))};
     for (const EmpiricalCdf& cdf : cdfs) {
       row.push_back(cdf.empty() ? "-" : format_double(cdf.quantile(p), 1));
     }

@@ -82,7 +82,7 @@ TEST(DeterminismGate, KillAndResumeHashesLikeUninterruptedRun) {
   killed.run(first);
   EXPECT_FALSE(killed.completed());
   store::IoEnv io;
-  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 3);
+  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 4);
 
   core::Study resumed{gate_config(23)};
   core::RunControl second;

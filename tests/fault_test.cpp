@@ -317,7 +317,7 @@ TEST(CheckpointResume, KilledAndResumedRunIsBitIdentical) {
   killed.run(first);
   EXPECT_FALSE(killed.completed());
   store::IoEnv io;
-  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 3);
+  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 4);
 
   // ...and resume in a fresh process (a fresh Study stands in for one).
   core::Study resumed{resume_config()};

@@ -7,11 +7,13 @@
 //
 // The corruption matrix fabricates the states a real crash leaves behind:
 // a torn trailer (partial final block), a bit-flipped committed block, a
-// zero-length shard under a non-empty manifest, and a duplicated tail
-// block (a replayed append). Tail damage must salvage; committed damage
-// must refuse. A legacy CSV checkpoint is refused too, and left untouched.
-// A random-damage sweep then checks that every reader of a store — fsck,
-// open_store, scan_rows and the streamed hash — agrees on what it holds.
+// zero-length shard under a non-empty manifest, a duplicated tail block (a
+// replayed append), a relabelled block header, and a shard cut at and
+// inside every tail block. Tail damage must salvage; committed damage must
+// refuse. Legacy stores and checkpoints are refused too, and left
+// untouched. A random-damage sweep then checks that every reader of a
+// store — fsck, open_store with and without repair, scan_rows and the
+// streamed hash — agrees on what it holds.
 
 #include <gtest/gtest.h>
 
@@ -137,10 +139,10 @@ void write_file(const fs::path& path, const std::string& content) {
   out << content;
 }
 
-/// Parse every framed block of a lane file (the baseline store is healthy,
+/// Parse every framed block of a shard file (the baseline store is healthy,
 /// so the walk is expected to consume the whole file).
-[[nodiscard]] std::vector<BlockSpan> index_blocks(const fs::path& lane_file) {
-  const std::string text = read_file(lane_file);
+[[nodiscard]] std::vector<BlockSpan> index_blocks(const fs::path& shard) {
+  const std::string text = read_file(shard);
   std::vector<BlockSpan> blocks;
   std::size_t offset = 0;
   while (offset < text.size()) {
@@ -158,49 +160,62 @@ void write_file(const fs::path& path, const std::string& content) {
   return blocks;
 }
 
-[[nodiscard]] fs::path lane0(const fs::path& dir) {
-  return store::store_lane_path(dir, kPlatform, 0);
+[[nodiscard]] fs::path shard_file(const fs::path& dir) {
+  return store::store_shard_path(dir, kPlatform);
 }
 
-/// Rewrite the manifest of a `lanes`-lane store so only blocks of days <
-/// `upto_day` are committed, leaving the later blocks on disk as an
-/// uncommitted tail — exactly what a crash between the day's appends and
-/// its manifest commit leaves behind.
-void rewind_manifest(const fs::path& dir, std::uint32_t upto_day,
-                     std::size_t lanes = 1) {
+/// Index of the first block of `day` or later (blocks.size() if none).
+[[nodiscard]] std::size_t first_block_of(const std::vector<BlockSpan>& blocks,
+                                         std::uint32_t day) {
+  std::size_t i = 0;
+  while (i < blocks.size() && blocks[i].header.day < day) ++i;
+  return i;
+}
+
+/// Rewrite the manifest so only blocks of days < `upto_day` are committed,
+/// leaving the later blocks on disk as an uncommitted tail — exactly what a
+/// crash between the day's appends and its manifest commit leaves behind.
+void rewind_manifest(const fs::path& dir, std::uint32_t upto_day) {
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
+  const std::size_t kept = first_block_of(blocks, upto_day);
   std::uint64_t rows = 0;
-  std::uint64_t cursor = 0;
-  std::string lane_marks;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    std::uint64_t bytes = 0;
-    std::uint64_t seq = 0;
-    for (const BlockSpan& block :
-         index_blocks(store::store_lane_path(dir, kPlatform, lane))) {
-      if (block.header.day >= upto_day) {
-        // The day-start cursor of the first uncommitted day.
-        if (block.header.day == upto_day) cursor = block.header.cursor;
-        break;
-      }
-      bytes += block.size;
-      rows += block.header.tasks;
-      ++seq;
-    }
-    lane_marks += "lane" + std::to_string(lane) + '=' + std::to_string(bytes) +
-                  ':' + std::to_string(seq) + '\n';
+  std::uint64_t bytes = 0;
+  for (std::size_t i = 0; i < kept; ++i) {
+    rows += blocks[i].header.tasks;
+    bytes += blocks[i].size;
   }
+  // The day-start cursor of the first uncommitted day.
+  const std::uint64_t cursor =
+      kept < blocks.size() && blocks[kept].header.day == upto_day
+          ? blocks[kept].header.cursor
+          : 0;
   std::string manifest;
-  manifest += "format=3\n";
+  manifest += "format=4\n";
   manifest += "platform=" + std::string{kPlatform} + '\n';
   manifest += "seed=" + std::to_string(kSeed) + '\n';
   manifest += "fault_profile=none\n";
-  manifest += "lanes=" + std::to_string(lanes) + '\n';
   manifest += "next_day=" + std::to_string(upto_day) + '\n';
   manifest += "cursor=" + std::to_string(cursor) + '\n';
   manifest += "day_tasks_done=0\n";
-  manifest += "pings=" + std::to_string(rows) + '\n';
-  manifest += "traces=" + std::to_string(rows) + '\n';
-  manifest += lane_marks;
+  manifest += "tasks=" + std::to_string(rows) + '\n';
+  manifest +=
+      "shard=" + std::to_string(bytes) + ':' + std::to_string(kept) + '\n';
   write_file(store::store_manifest_path(dir, kPlatform), manifest);
+}
+
+/// The header fields block_checksum() covers, as they appear in the line.
+constexpr std::string_view kHeaderFields[] = {"seq",   "day",    "start",
+                                              "tasks", "cursor", "bytes"};
+
+/// Relabel one decimal header field of the block framed at `offset`: its
+/// last digit d becomes (d + 1) mod 10, so the line still parses.
+void relabel(std::string& text, std::size_t offset, std::string_view field) {
+  const std::size_t line_end = text.find('\n', offset);
+  const std::size_t key = text.find(' ' + std::string{field} + '=', offset);
+  ASSERT_LT(key, line_end) << field;
+  const std::size_t value_end = text.find_first_of(" \n", key + 1);
+  char& digit = text[value_end - 1];
+  digit = digit == '9' ? '0' : static_cast<char>(digit + 1);
 }
 
 /// Tear a copy of the baseline the way a crash mid-append does: day 0
@@ -208,21 +223,19 @@ void rewind_manifest(const fs::path& dir, std::uint32_t upto_day,
 /// whole block.
 [[nodiscard]] BlockSpan tear_after_one_tail_block(const fs::path& dir) {
   rewind_manifest(dir, 1);
-  const std::vector<BlockSpan> blocks = index_blocks(lane0(dir));
-  std::size_t first_tail = 0;
-  while (first_tail < blocks.size() && blocks[first_tail].header.day < 1) {
-    ++first_tail;
-  }
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
+  const std::size_t first_tail = first_block_of(blocks, 1);
   EXPECT_LT(first_tail + 1, blocks.size());
   if (first_tail + 1 >= blocks.size()) return {};
   const BlockSpan& torn = blocks[first_tail + 1];
-  fs::resize_file(lane0(dir), torn.offset + torn.size / 2);
+  fs::resize_file(shard_file(dir), torn.offset + torn.size / 2);
   return blocks[first_tail];
 }
 
 /// Resume a campaign off `dir` and hash what it collects.
-[[nodiscard]] std::uint64_t resume_hash(const fs::path& dir) {
-  core::Study resumed{store_config()};
+[[nodiscard]] std::uint64_t resume_hash(
+    const fs::path& dir, const core::StudyConfig& config = store_config()) {
+  core::Study resumed{config};
   core::RunControl control;
   control.checkpoint_dir = dir.string();
   control.resume = true;
@@ -248,7 +261,7 @@ TEST(StoreRoundTrip, FsckReportsAHealthyStore) {
   store::IoEnv io;
   const store::FsckReport report = store::fsck(baseline().dir, kPlatform, io);
   EXPECT_TRUE(report.healthy()) << report.error;
-  EXPECT_EQ(report.format, 3);
+  EXPECT_EQ(report.format, 4);
   EXPECT_GT(report.committed_blocks, 0u);
   EXPECT_GT(report.committed_rows, 0u);
   EXPECT_EQ(report.torn_bytes, 0u);
@@ -290,13 +303,7 @@ TEST(StoreRoundTrip, StreamedHashOverManyBlocksEqualsTheInMemoryHash) {
   const Loaded loaded = load(baseline().dir);
   ASSERT_TRUE(loaded.opened.ok()) << loaded.opened.error;
   ASSERT_TRUE(loaded.scan_error.empty()) << loaded.scan_error;
-  std::size_t blocks = 0;
-  for (std::size_t lane = 0; lane < loaded.opened.lane_states.size(); ++lane) {
-    blocks += index_blocks(store::store_lane_path(baseline().dir, kPlatform,
-                                                  lane))
-                  .size();
-  }
-  ASSERT_GE(blocks, 8u);
+  ASSERT_GE(index_blocks(shard_file(baseline().dir)).size(), 8u);
 
   store::IoEnv io;
   const core::StreamedHashResult streamed = core::streamed_dataset_hash(
@@ -340,13 +347,13 @@ TEST(StoreCorruption, StreamedResumeCountsItsSalvage) {
 // A block past the manifest mark whose checksum holds but whose payload
 // does not decode (here: a probe the fleet does not know). Validation
 // decodes no payload, so the open adopts it; every reader of rows must then
-// refuse it, naming lane, day and task, rather than drop it silently.
+// refuse it, naming day and task, rather than drop it silently.
 TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
   const fs::path dir = copy_store("cloudrtt_store_undecodable");
-  const std::vector<BlockSpan> blocks = index_blocks(lane0(dir));
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
   ASSERT_FALSE(blocks.empty());
   const BlockSpan& last = blocks.back();
-  std::string text = read_file(lane0(dir));
+  std::string text = read_file(shard_file(dir));
   std::string payload =
       text.substr(last.offset + last.size - last.header.bytes,
                   last.header.bytes);
@@ -356,8 +363,9 @@ TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
   header.seq = last.header.seq + 1;
   header.day = 3;  // the day the manifest resumes at
   header.start = 0;
-  header.fnv1a = util::fnv1a_words(payload);
-  write_file(lane0(dir), text + store::format_block_header(header) + payload);
+  header.fnv1a = store::block_checksum(header, payload);
+  write_file(shard_file(dir),
+             text + store::format_block_header(header) + payload);
 
   store::IoEnv io;
   const store::OpenResult opened =
@@ -372,13 +380,11 @@ TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
   const core::StreamedHashResult hashed =
       core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
   EXPECT_FALSE(hashed.ok());
-  for (const std::string& error : {loaded.scan_error, hashed.error}) {
-    EXPECT_NE(error.find("lane 0: task 0 of day 3: unknown probe id"),
-              std::string::npos)
-        << error;
-  }
-  EXPECT_EQ(hashed.error.rfind("streamed hash (ping pass): lane 0: task 0 of "
-                               "day 3: unknown probe id",
+  EXPECT_EQ(loaded.scan_error.rfind("task 0 of day 3: unknown probe id", 0),
+            0u)
+      << loaded.scan_error;
+  EXPECT_EQ(hashed.error.rfind("streamed hash (ping pass): task 0 of day 3: "
+                               "unknown probe id",
                                0),
             0u)
       << hashed.error;
@@ -390,11 +396,11 @@ TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
 // not return a silently different dataset.
 TEST(StoreCorruption, BitFlippedCommittedBlockRefusesLoudly) {
   const fs::path dir = copy_store("cloudrtt_store_bitflip");
-  std::string text = read_file(lane0(dir));
+  std::string text = read_file(shard_file(dir));
   const std::size_t payload_start = text.find('\n') + 1;
   ASSERT_LT(payload_start + 8, text.size());
   text[payload_start + 8] = static_cast<char>(text[payload_start + 8] ^ 0x20);
-  write_file(lane0(dir), text);
+  write_file(shard_file(dir), text);
 
   store::IoEnv io;
   const store::OpenResult opened =
@@ -404,11 +410,42 @@ TEST(StoreCorruption, BitFlippedCommittedBlockRefusesLoudly) {
   EXPECT_FALSE(store::fsck(dir, kPlatform, io).healthy());
 }
 
+// A committed block whose checksum holds but whose task run does not
+// continue the previous block's — what a writer bug, not damage, would
+// leave — is refused too: the committed region reads as one campaign.
+TEST(StoreCorruption, CommittedBlockOutOfTaskOrderRefuses) {
+  const fs::path dir = copy_store("cloudrtt_store_task_order");
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
+  ASSERT_GE(blocks.size(), 2u);
+  ASSERT_EQ(blocks[1].header.day, blocks[0].header.day);
+  std::string text = read_file(shard_file(dir));
+  const std::size_t payload_offset =
+      blocks[1].offset + blocks[1].size - blocks[1].header.bytes;
+  store::BlockHeader header = blocks[1].header;
+  header.start += 1;  // same digit count: the byte marks still hold
+  header.fnv1a = store::block_checksum(
+      header, std::string_view{text}.substr(payload_offset,
+                                            blocks[1].header.bytes));
+  text.replace(blocks[1].offset, payload_offset - blocks[1].offset,
+               store::format_block_header(header));
+  write_file(shard_file(dir), text);
+
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
+  EXPECT_FALSE(opened.ok());
+  EXPECT_NE(opened.error.find("committed block 1: day 0 task 513 does not "
+                              "follow day 0 task 512"),
+            std::string::npos)
+      << opened.error;
+  EXPECT_FALSE(store::fsck(dir, kPlatform, io).healthy());
+}
+
 // Corruption matrix case 3 — zero-length shard file under a manifest that
 // commits bytes: the commit point itself lied, refuse.
 TEST(StoreCorruption, ZeroLengthShardUnderNonEmptyManifestRefuses) {
   const fs::path dir = copy_store("cloudrtt_store_zero");
-  fs::resize_file(lane0(dir), 0);
+  fs::resize_file(shard_file(dir), 0);
 
   store::IoEnv io;
   const store::OpenResult opened =
@@ -424,19 +461,13 @@ TEST(StoreCorruption, ZeroLengthShardUnderNonEmptyManifestRefuses) {
 TEST(StoreCorruption, DuplicatedTailBlockIsDroppedNotDoubleCounted) {
   const fs::path dir = copy_store("cloudrtt_store_dup");
   rewind_manifest(dir, 2);
-  const std::vector<BlockSpan> blocks = index_blocks(lane0(dir));
-  std::size_t first_tail = blocks.size();
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    if (blocks[i].header.day >= 2) {
-      first_tail = i;
-      break;
-    }
-  }
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
+  const std::size_t first_tail = first_block_of(blocks, 2);
   ASSERT_LT(first_tail, blocks.size());
-  const std::string text = read_file(lane0(dir));
+  const std::string text = read_file(shard_file(dir));
   const std::string duplicate =
       text.substr(blocks[first_tail].offset, blocks[first_tail].size);
-  write_file(lane0(dir), text + duplicate);
+  write_file(shard_file(dir), text + duplicate);
 
   store::IoEnv io;
   const store::OpenResult opened =
@@ -448,6 +479,46 @@ TEST(StoreCorruption, DuplicatedTailBlockIsDroppedNotDoubleCounted) {
 
   EXPECT_EQ(core::format_dataset_hash(resume_hash(dir)),
             core::format_dataset_hash(baseline().hash));
+}
+
+// A relabelled header field (any of the six the block checksum covers)
+// fails the checksum. In a committed block the open refuses; in the first
+// tail block nothing is adopted, and the resume replays days 1 and 2 from
+// the RNG to the uninterrupted bits — a wrong `cursor` or `day` adopted
+// there would replay the wrong schedule.
+TEST(StoreCorruption, RelabelledHeaderFieldIsNeverTrusted) {
+  for (const std::string_view field : kHeaderFields) {
+    SCOPED_TRACE(field);
+    store::IoEnv io;
+    {
+      const fs::path dir = copy_store("cloudrtt_store_relabel_committed");
+      std::string text = read_file(shard_file(dir));
+      relabel(text, 0, field);
+      write_file(shard_file(dir), text);
+      const store::OpenResult opened =
+          store::open_store(dir, kPlatform, io, /*repair=*/false);
+      EXPECT_FALSE(opened.ok());
+      EXPECT_NE(opened.error.find("committed block 0"), std::string::npos)
+          << opened.error;
+      EXPECT_FALSE(store::fsck(dir, kPlatform, io).healthy());
+    }
+    const fs::path dir = copy_store("cloudrtt_store_relabel_tail");
+    rewind_manifest(dir, 1);
+    const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
+    const std::size_t first_tail = first_block_of(blocks, 1);
+    ASSERT_LT(first_tail, blocks.size());
+    std::string text = read_file(shard_file(dir));
+    relabel(text, blocks[first_tail].offset, field);
+    write_file(shard_file(dir), text);
+    const store::OpenResult opened =
+        store::open_store(dir, kPlatform, io, /*repair=*/false);
+    ASSERT_TRUE(opened.ok()) << opened.error;
+    EXPECT_EQ(opened.salvage.salvaged_blocks, 0u);
+    EXPECT_EQ(opened.state.next_day, 1u);
+    EXPECT_EQ(opened.state.day_tasks_done, 0u);
+    EXPECT_EQ(core::format_dataset_hash(resume_hash(dir)),
+              core::format_dataset_hash(baseline().hash));
+  }
 }
 
 // Degrade-don't-die: a disk that refuses half its appends must not lose a
@@ -465,7 +536,7 @@ TEST(StoreFaults, DegradedWriterCatchesUpAfterTheDiskHeals) {
   store::StoreMeta meta;
   meta.platform = std::string{kPlatform};
   meta.seed = kSeed;
-  store::ShardWriter writer{dir, meta, /*lanes=*/2, io, /*fresh=*/true};
+  store::ShardWriter writer{dir, meta, io, /*fresh=*/true};
 
   measure::CampaignState done;
   done.next_day = 3;
@@ -532,29 +603,66 @@ TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
   }
 }
 
-// Legacy checkpoints (format=1 router-replay quartets, format=2 CSV
-// triplets) are no longer read. A resume over one must refuse, naming the
-// format and the manifest, before any writer exists: a fresh ShardWriter
-// would wipe the platform's artefacts. fsck calls it damaged.
+// Legacy manifests are no longer read: format=1 router-replay quartets,
+// format=2 CSV triplets, and format=3 stores split into lane files. A
+// resume over one must refuse, naming the format and the manifest, before
+// any writer exists (a fresh ShardWriter would wipe the platform's
+// artefacts): every file stays byte-identical and none is added. fsck calls
+// it damaged.
 TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
-  for (const int format : {1, 2}) {
-    SCOPED_TRACE(format);
+  const std::string platform{kPlatform};
+  const std::vector<BlockSpan> blocks =
+      index_blocks(shard_file(baseline().dir));
+  ASSERT_GE(blocks.size(), 2u);
+  const std::string shard_text = read_file(shard_file(baseline().dir));
+  // A format=3 manifest over `lanes` lane files of one block each.
+  const auto lane_store = [&](std::size_t lanes) {
+    std::map<std::string, std::string> files;
+    std::string manifest = "format=3\nplatform=" + platform +
+                           "\nseed=" + std::to_string(kSeed) +
+                           "\nfault_profile=none\nlanes=" +
+                           std::to_string(lanes) +
+                           "\nnext_day=1\ncursor=0\nday_tasks_done=0\n";
+    std::uint64_t tasks = 0;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      tasks += blocks[lane].header.tasks;
+      manifest += "lane" + std::to_string(lane) + '=' +
+                  std::to_string(blocks[lane].size) + ":1\n";
+      files[platform + ".s" + std::to_string(lane) + ".shard"] =
+          shard_text.substr(blocks[lane].offset, blocks[lane].size);
+    }
+    manifest += "pings=" + std::to_string(tasks) +
+                "\ntraces=" + std::to_string(tasks) + '\n';
+    files[platform + ".manifest"] = manifest;
+    return files;
+  };
+  const auto csv_checkpoint = [&](int format) {
+    return std::map<std::string, std::string>{
+        {platform + ".manifest",
+         "format=" + std::to_string(format) + "\nplatform=" + platform +
+             "\nseed=" + std::to_string(kSeed) +
+             "\nnext_day=2\ncursor=0\npings=1\ntraces=1\n"},
+        {platform + ".pings.csv", "probe_id,rtt_ms\n1,12.5\n"},
+        {platform + ".traces.csv", "trace_id,hop_ip\n0,10.0.0.1\n"}};
+  };
+  const struct {
+    int format;
+    std::map<std::string, std::string> files;
+  } cases[] = {{1, csv_checkpoint(1)},
+               {2, csv_checkpoint(2)},
+               {3, lane_store(1)},
+               {3, lane_store(2)}};
+
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const auto& [format, files] = cases[i];
+    SCOPED_TRACE("format=" + std::to_string(format) + ", " +
+                 std::to_string(files.size()) + " files");
     const fs::path dir = fs::path{::testing::TempDir()} /
-                         ("cloudrtt_store_legacy" + std::to_string(format));
+                         ("cloudrtt_store_legacy" + std::to_string(i));
     fs::remove_all(dir);
     fs::create_directories(dir);
+    for (const auto& [name, bytes] : files) write_file(dir / name, bytes);
     const fs::path manifest = store::store_manifest_path(dir, kPlatform);
-    const fs::path pings = dir / (std::string{kPlatform} + ".pings.csv");
-    const fs::path traces = dir / (std::string{kPlatform} + ".traces.csv");
-    const std::string manifest_text =
-        "format=" + std::to_string(format) + "\nplatform=" +
-        std::string{kPlatform} + "\nseed=" + std::to_string(kSeed) +
-        "\nnext_day=2\ncursor=0\npings=1\ntraces=1\n";
-    const std::string ping_text = "probe_id,rtt_ms\n1,12.5\n";
-    const std::string trace_text = "trace_id,hop_ip\n0,10.0.0.1\n";
-    write_file(manifest, manifest_text);
-    write_file(pings, ping_text);
-    write_file(traces, trace_text);
 
     core::Study study{store_config()};
     core::RunControl control;
@@ -562,7 +670,7 @@ TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
     control.resume = true;
     try {
       study.run(control);
-      ADD_FAILURE() << "resume over a legacy checkpoint must throw";
+      ADD_FAILURE() << "resume over a legacy manifest must throw";
     } catch (const std::runtime_error& error) {
       const std::string what = error.what();
       EXPECT_NE(what.find("format=" + std::to_string(format)),
@@ -570,10 +678,11 @@ TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
           << what;
       EXPECT_NE(what.find(manifest.string()), std::string::npos) << what;
     }
-    EXPECT_EQ(read_file(manifest), manifest_text);
-    EXPECT_EQ(read_file(pings), ping_text);
-    EXPECT_EQ(read_file(traces), trace_text);
-    EXPECT_FALSE(fs::exists(lane0(dir)));
+    std::map<std::string, std::string> after;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      after[entry.path().filename().string()] = read_file(entry.path());
+    }
+    EXPECT_EQ(after, files);
 
     store::IoEnv io;
     const store::FsckReport report = store::fsck(dir, kPlatform, io);
@@ -584,13 +693,24 @@ TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
   }
 }
 
-/// Two-lane store for the random-damage sweep: two blocks a day, day 0
-/// committed and days 1 and 2 (one per lane) an uncommitted tail, so damage
-/// lands on both sides of the marks and salvage has to merge lanes. Small
-/// enough that 200 damaged copies are read in well under two seconds.
+/// Store for the random-damage sweep and the cut sweep: two blocks a day,
+/// day 0 committed and days 1 and 2 an uncommitted tail, so damage lands on
+/// both sides of the mark. Two threads, to show they shape nothing on disk.
+/// Small enough that 200 damaged copies are read in a few seconds.
+[[nodiscard]] core::StudyConfig damage_config() {
+  core::StudyConfig config = store_config();
+  config.sc_probes = 300;
+  config.sc_campaign.daily_budget = 520;
+  config.threads = 2;
+  return config;
+}
+
 struct DamageBaseline {
   std::unique_ptr<core::Study> study;
   fs::path dir;
+  std::uint64_t hash = 0;      ///< of the uninterrupted run
+  std::size_t first_tail = 0;  ///< index of the first uncommitted block
+  std::vector<BlockSpan> blocks;
 };
 
 [[nodiscard]] const DamageBaseline& damage_baseline() {
@@ -598,43 +718,57 @@ struct DamageBaseline {
     DamageBaseline b;
     b.dir = fs::path{::testing::TempDir()} / "cloudrtt_store_damage_base";
     fs::remove_all(b.dir);
-    core::StudyConfig config = store_config();
-    config.sc_probes = 300;
-    config.sc_campaign.daily_budget = 520;
-    config.threads = 2;
-    b.study = std::make_unique<core::Study>(config);
+    b.study = std::make_unique<core::Study>(damage_config());
     core::RunControl control;
     control.checkpoint_dir = b.dir.string();
     b.study->run(control);
-    rewind_manifest(b.dir, 1, /*lanes=*/2);
+    b.hash = core::dataset_hash(b.study->sc_dataset());
+    rewind_manifest(b.dir, 1);
+    b.blocks = index_blocks(shard_file(b.dir));
+    b.first_tail = first_block_of(b.blocks, 1);
     return b;
   }();
   return value;
 }
 
-/// One random damage to the store in `dir`: flip a byte, cut a lane, append
-/// a duplicated block or random bytes past the mark, or truncate the
-/// manifest.
+/// One random damage to the store in `dir`: flip a shard byte, cut the
+/// shard anywhere or exactly on a block boundary, append a duplicated block
+/// or random bytes past the mark, swap two adjacent tail blocks, relabel a
+/// header digit, or truncate the manifest.
 void damage(const fs::path& dir, util::Rng& rng) {
-  const fs::path lane = store::store_lane_path(dir, kPlatform, rng.below(2));
-  std::string text = read_file(lane);
-  switch (rng.below(5)) {
+  const DamageBaseline& base = damage_baseline();
+  const std::vector<BlockSpan>& blocks = base.blocks;
+  const BlockSpan& block = blocks[rng.below(blocks.size())];
+  std::string text = read_file(shard_file(dir));
+  switch (rng.below(8)) {
     case 0:
       text[rng.below(text.size())] ^= static_cast<char>(1 + rng.below(255));
       break;
     case 1:
       text.resize(rng.below(text.size()));
       break;
-    case 2: {
-      const std::vector<BlockSpan> blocks = index_blocks(lane);
-      const BlockSpan& copy = blocks[rng.below(blocks.size())];
-      text += text.substr(copy.offset, copy.size);
+    case 2:
+      text.resize(block.offset);
       break;
-    }
     case 3:
+      text += text.substr(block.offset, block.size);
+      break;
+    case 4:
       for (std::uint64_t n = 1 + rng.below(300); n > 0; --n) {
         text += static_cast<char>(rng.below(256));
       }
+      break;
+    case 5: {
+      const std::size_t i =
+          base.first_tail + rng.below(blocks.size() - base.first_tail - 1);
+      const BlockSpan& a = blocks[i];
+      const BlockSpan& b = blocks[i + 1];
+      text = text.substr(0, a.offset) + text.substr(b.offset, b.size) +
+             text.substr(a.offset, a.size) + text.substr(b.offset + b.size);
+      break;
+    }
+    case 6:
+      relabel(text, block.offset, kHeaderFields[rng.below(6)]);
       break;
     default: {
       const fs::path manifest = store::store_manifest_path(dir, kPlatform);
@@ -642,15 +776,19 @@ void damage(const fs::path& dir, util::Rng& rng) {
       return;
     }
   }
-  write_file(lane, text);
+  write_file(shard_file(dir), text);
 }
 
 // Randomized damage across every reader: fsck and open_store must agree on
 // whether the store is usable, and a usable store must read back — through
 // scan_rows and through the streamed hash alike — as a prefix of the rows
-// the campaign collected, never as anything else.
+// the campaign collected, never as anything else. A repairing open (what a
+// resume runs) must leave nothing more to cut and the same rows; once the
+// resume's journal commit lands, a read-only reopen finds nothing to
+// salvage at all.
 TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
   const DamageBaseline& base = damage_baseline();
+  ASSERT_GE(base.blocks.size(), base.first_tail + 2);
   const measure::Dataset& collected = base.study->sc_dataset();
   const probes::ProbeFleet* probes = &base.study->sc_fleet();
   std::map<std::size_t, std::uint64_t> prefix_hashes;  // by row count
@@ -686,10 +824,57 @@ TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
     }
     EXPECT_EQ(core::format_dataset_hash(hash),
               core::format_dataset_hash(prefix->second));
+
+    const store::OpenResult repaired =
+        store::open_store(dir, kPlatform, io, /*repair=*/true);
+    ASSERT_TRUE(repaired.ok()) << repaired.error;
+    EXPECT_EQ(repaired.durable_rows, loaded.opened.durable_rows);
+    const Loaded reopened = load(dir, probes);
+    ASSERT_TRUE(reopened.opened.ok()) << reopened.opened.error;
+    ASSERT_TRUE(reopened.scan_error.empty()) << reopened.scan_error;
+    EXPECT_EQ(reopened.opened.salvage.dropped_blocks, 0u);
+    EXPECT_EQ(reopened.opened.salvage.truncated_bytes, 0u);
+    EXPECT_EQ(reopened.opened.salvage.salvaged_blocks,
+              loaded.opened.salvage.salvaged_blocks);
+    EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(reopened.rows)),
+              core::format_dataset_hash(hash));
+    {
+      store::ShardWriter writer{dir, repaired.meta, io, /*fresh=*/false};
+      writer.restore(repaired.shard, repaired.durable_rows);
+      (void)writer.commit(repaired.state);
+      writer.drain();
+    }
+    const Loaded journaled = load(dir, probes);
+    ASSERT_TRUE(journaled.opened.ok()) << journaled.opened.error;
+    EXPECT_TRUE(journaled.opened.salvage.clean());
+    EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(journaled.rows)),
+              core::format_dataset_hash(hash));
   }
   // The sweep must exercise both verdicts.
   EXPECT_GT(usable, 0u);
   EXPECT_LT(usable, 200u);
+}
+
+// A crash can end the shard anywhere in its uncommitted tail. Cut it at
+// every block boundary (each looks like a finished append) and once inside
+// every block: each resume must land on the uninterrupted run's bits.
+TEST(StoreDamage, CutsAtAndInsideEveryTailBlockResumeBitExactly) {
+  const DamageBaseline& base = damage_baseline();
+  const std::vector<BlockSpan>& blocks = base.blocks;
+  ASSERT_LT(base.first_tail, blocks.size());
+  std::vector<std::size_t> cuts;
+  for (std::size_t i = base.first_tail; i < blocks.size(); ++i) {
+    cuts.push_back(blocks[i].offset);
+    cuts.push_back(blocks[i].offset + blocks[i].size / 2);
+  }
+  cuts.push_back(blocks.back().offset + blocks.back().size);
+  for (const std::size_t cut : cuts) {
+    SCOPED_TRACE(cut);
+    const fs::path dir = copy_store("cloudrtt_store_cut", base.dir);
+    fs::resize_file(shard_file(dir), cut);
+    EXPECT_EQ(core::format_dataset_hash(resume_hash(dir, damage_config())),
+              core::format_dataset_hash(base.hash));
+  }
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //   1  wall-clock regression beyond the threshold
 //   2  dataset-hash drift at identical scale — never suppressed: a faster
 //      wrong dataset is not a win
-//   3  unreadable or malformed report
+//   3  unreadable or malformed report, or a malformed option value
 
 #include <fstream>
 #include <iostream>
@@ -54,21 +54,21 @@ int main(int argc, char** argv) {
                              "(dataset-hash drift still fails)");
   if (!args.parse(argc, argv)) return 3;
 
+  obs::CompareOptions options;
+  try {
+    // 0 is a meaningful threshold — "any regression fails" — so only
+    // negatives (and non-integers) are refused.
+    options.max_regress_pct =
+        static_cast<double>(args.get_int("max-regress-pct", 0));
+  } catch (const util::ArgError& error) {
+    std::cerr << "bench_compare: " << error.what() << "\n";
+    return 3;
+  }
+
   const auto baseline = load_report(args.get("baseline"));
   const auto candidate = load_report(args.get("candidate"));
   if (!baseline || !candidate) return 3;
 
-  obs::CompareOptions options;
-  // 0 is a meaningful threshold — "any regression fails" — so only reject
-  // negatives; everything else overrides the default.
-  const long pct = args.get_int("max-regress-pct");
-  if (pct < 0) {
-    std::cerr << "bench_compare: --max-regress-pct must be >= 0 (0 = fail on "
-                 "any regression), got "
-              << pct << "\n";
-    return 3;
-  }
-  options.max_regress_pct = static_cast<double>(pct);
   const obs::CompareResult result =
       obs::compare_reports(*baseline, *candidate, options);
 

@@ -40,8 +40,8 @@ namespace {
 using namespace cloudrtt;
 
 /// Upper bound on --threads. The value sizes the campaign worker pool (up to
-/// one thread per 64-task chunk) and the store's lane count, so it has to be
-/// bounded where it enters; past a few per core more threads only cost.
+/// one thread per 64-task chunk), so it has to be bounded where it enters;
+/// past a few per core more threads only cost. It shapes nothing on disk.
 constexpr long kMaxThreads = 256;
 
 /// Resolve the study's log level: --quiet wins, then an explicit --log-level,
@@ -293,8 +293,9 @@ int cmd_study(int argc, const char* const* argv,
                   "changes the dataset bits");
   args.add_option("fault-seed", "1337", "fault-schedule seed");
   args.add_option("checkpoint-dir", "", "snapshot the campaign after every "
-                                        "day into this directory (format=3 "
-                                        "streaming store)");
+                                        "day into this directory (format=4 "
+                                        "streaming store: one manifest and "
+                                        "one shard file per platform)");
   args.add_flag("resume", "resume from --checkpoint-dir if a checkpoint "
                           "exists, salvaging any crash-torn shard tail");
   args.add_flag("stream", "stream each day to the store and drop it from "
