@@ -1,8 +1,9 @@
 #pragma once
 // Experiment drivers: one function per table/figure of the paper. Each
 // returns structured rows so bench harnesses can print them and integration
-// tests can assert the paper's qualitative findings on them. The per-exhibit
-// mapping lives in DESIGN.md §3.
+// tests can assert the paper's qualitative findings on them. Each reads a
+// PreparedStudy (analysis/prepared.hpp), which a StudyView converts to. The
+// per-exhibit mapping lives in DESIGN.md §3.
 
 #include <array>
 #include <optional>
@@ -10,7 +11,7 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/study_view.hpp"
+#include "analysis/prepared.hpp"
 #include "analysis/trace_analysis.hpp"
 #include "cloud/provider.hpp"
 #include "geo/continent.hpp"
@@ -34,15 +35,18 @@ struct CountryLatencyRow {
   std::size_t samples = 0;
   std::string_view bucket;  ///< "<30" / "30-60" / "60-100" / "100-250" / ">250"
 };
-[[nodiscard]] std::vector<CountryLatencyRow> fig3_country_latency(const StudyView&);
+[[nodiscard]] std::vector<CountryLatencyRow> fig3_country_latency(
+    const PreparedStudy&);
 [[nodiscard]] std::string_view latency_bucket(double median_ms);
 
 // Fig. 4 — all RTT samples to the nearest in-continent DC, per continent.
-[[nodiscard]] std::vector<util::Series> fig4_continent_rtt(const StudyView&);
+[[nodiscard]] std::vector<util::Series> fig4_continent_rtt(
+    const PreparedStudy&);
 
 // Fig. 5 — quantile-matched Speedchecker-minus-Atlas latency differences per
 // continent (negative = Speedchecker faster).
-[[nodiscard]] std::vector<util::Series> fig5_platform_diff(const StudyView&);
+[[nodiscard]] std::vector<util::Series> fig5_platform_diff(
+    const PreparedStudy&);
 
 // Fig. 6 — per-country RTT distributions to nearest DCs in several target
 // continents (AF -> {EU, NA, AF}; SA -> {NA, SA}).
@@ -52,7 +56,7 @@ struct InterContinentalCell {
   util::Summary summary;
 };
 [[nodiscard]] std::vector<InterContinentalCell> fig6_intercontinental(
-    const StudyView&, geo::Continent src_continent);
+    const PreparedStudy&, geo::Continent src_continent);
 
 // Fig. 15 (A.2) — TCP vs ICMP end-to-end latencies per continent.
 struct ProtocolCompareRow {
@@ -60,11 +64,13 @@ struct ProtocolCompareRow {
   util::Summary tcp;
   util::Summary icmp;
 };
-[[nodiscard]] std::vector<ProtocolCompareRow> fig15_protocols(const StudyView&);
+[[nodiscard]] std::vector<ProtocolCompareRow> fig15_protocols(
+    const PreparedStudy&);
 
 // Fig. 16 (A.3) — platform differences restricted to probes matched by
 // <city, first-hop ASN>; AS/EU/NA only (insufficient intersections elsewhere).
-[[nodiscard]] std::vector<util::Series> fig16_city_asn_diff(const StudyView&);
+[[nodiscard]] std::vector<util::Series> fig16_city_asn_diff(
+    const PreparedStudy&);
 
 // ---------------------------------------------------------------------------
 // Figs. 7 / 19 — wireless last-mile share and absolute latency.
@@ -95,7 +101,8 @@ struct LastMileStats {
   }
 };
 /// `nearest_only` restricts to traces towards the probe's nearest DC (Fig. 19).
-[[nodiscard]] LastMileStats lastmile_stats(const StudyView&, bool nearest_only);
+[[nodiscard]] LastMileStats lastmile_stats(const PreparedStudy&,
+                                          bool nearest_only);
 
 // Figs. 8 / 9 — per-probe coefficient of variation of last-mile latency.
 struct CvGroup {
@@ -104,9 +111,10 @@ struct CvGroup {
   std::vector<double> cell;
   bool home_sufficient = true;  ///< enough home probes to report (Fig. 9 note)
 };
-[[nodiscard]] std::vector<CvGroup> fig8_cv_by_continent(const StudyView&);
+[[nodiscard]] std::vector<CvGroup> fig8_cv_by_continent(
+    const PreparedStudy&);
 /// Representative countries as in Fig. 9: ZA MA JP IR GB UA US MX BR AR.
-[[nodiscard]] std::vector<CvGroup> fig9_cv_by_country(const StudyView&);
+[[nodiscard]] std::vector<CvGroup> fig9_cv_by_country(const PreparedStudy&);
 
 // ---------------------------------------------------------------------------
 // Fig. 10 — interconnection-type share per provider (global, SC traces).
@@ -118,14 +126,15 @@ struct InterconnectShareRow {
   std::size_t paths = 0;
 };
 [[nodiscard]] std::vector<InterconnectShareRow> fig10_interconnect_share(
-    const StudyView&);
+    const PreparedStudy&);
 
 // Fig. 11 — pervasiveness (cloud-owned router share) per provider/continent.
 struct PervasivenessRow {
   std::string_view ticker;
   std::array<std::optional<double>, geo::kContinentCount> median_by_continent;
 };
-[[nodiscard]] std::vector<PervasivenessRow> fig11_pervasiveness(const StudyView&);
+[[nodiscard]] std::vector<PervasivenessRow> fig11_pervasiveness(
+    const PreparedStudy&);
 
 // Figs. 12/13/17/18 — case studies: peering matrix + latency by mode.
 struct PeeringMatrixCell {
@@ -151,7 +160,7 @@ struct PeeringCaseStudy {
   std::vector<PeeringMatrixRow> matrix;
   std::vector<PeeringLatencyRow> latency;
 };
-[[nodiscard]] PeeringCaseStudy peering_case_study(const StudyView&,
+[[nodiscard]] PeeringCaseStudy peering_case_study(const PreparedStudy&,
                                                   std::string_view src_country,
                                                   std::string_view dst_country,
                                                   std::size_t min_cell_paths = 15);
@@ -168,7 +177,7 @@ struct MethodologyStats {
   std::size_t required_samples_per_country = 0;  ///< n = z^2 p(1-p)/eps^2
   double whois_fallback_share_pct = 0.0;  ///< hops resolved via whois
 };
-[[nodiscard]] MethodologyStats sec33_stats(const StudyView&);
+[[nodiscard]] MethodologyStats sec33_stats(const PreparedStudy&);
 
 // Helper shared by Figs. 5/16: quantile-matched differences between two
 // sample sets (positive = `b` faster, i.e. a - b at matched quantiles).

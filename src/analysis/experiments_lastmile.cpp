@@ -1,10 +1,9 @@
 #include <algorithm>
+#include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "analysis/nearest.hpp"
 
 namespace cloudrtt::analysis {
 
@@ -20,154 +19,138 @@ std::string_view to_string(LastMileCategory category) {
 
 namespace {
 
-/// Push a value into a per-continent bucket set plus the Global bucket.
-template <typename Buckets>
-void push_bucketed(Buckets& buckets, LastMileCategory category,
-                   geo::Continent continent, double value) {
-  auto& per_continent = buckets[static_cast<std::size_t>(category)];
-  per_continent[geo::index_of(continent)].push_back(value);
-  per_continent[kGlobalIndex].push_back(value);
+/// Each probe's nearest DC within its own continent (Fig. 19's filter).
+using NearestOf =
+    std::unordered_map<const probes::Probe*, const cloud::RegionInfo*>;
+
+[[nodiscard]] NearestOf nearest_of(const NearestIndex& index) {
+  NearestOf out;
+  for (const probes::Probe* probe : index.probes()) {
+    out.emplace(probe, index.nearest(probe, probe->country->continent));
+  }
+  return out;
 }
 
-void accumulate_lastmile(const StudyView& view, const measure::Dataset& data,
-                         bool is_atlas, bool nearest_only, LastMileStats& stats) {
-  // For Fig. 19 we need each probe's nearest DC (within its continent).
-  std::unordered_map<const probes::Probe*, const cloud::RegionInfo*> nearest_of;
-  if (nearest_only) {
-    const NearestIndex index{data};
-    for (const probes::Probe* probe : index.probes()) {
-      nearest_of.emplace(probe, index.nearest(probe, probe->country->continent));
-    }
-  }
-
-  for (const measure::TraceRef& trace : data.traces) {
+/// Every last-mile value `dataset` contributes to Fig. 7 (or, given each
+/// probe's nearest DC, to Fig. 19): `emit(category, continent, share_pct,
+/// absolute_ms)` once per value pair, in trace order.
+template <typename Emit>
+void visit_lastmile(const PreparedDataset& dataset, bool is_atlas,
+                    const NearestOf* nearest, Emit&& emit) {
+  const measure::TraceColumn& traces = dataset.data().traces;
+  const std::span<const TraceFacts> facts = dataset.trace_facts();
+  for (std::size_t row = 0; row < traces.size(); ++row) {
+    const measure::TraceRef trace = traces[row];
     if (!trace.completed || trace.end_to_end_ms <= 0.0) continue;
-    if (nearest_only) {
-      const auto it = nearest_of.find(trace.probe);
-      if (it == nearest_of.end() || it->second != trace.region) continue;
-    }
-    const LastMileObservation obs = infer_last_mile(trace, *view.resolver);
-    if (!obs.valid) continue;
     const geo::Continent continent = trace.probe->country->continent;
+    if (nearest != nullptr) {
+      // Fig. 19: only traces towards the probe's nearest in-continent DC.
+      const auto it = nearest->find(trace.probe);
+      if (it == nearest->end() || it->second != trace.region) continue;
+    }
+    const LastMileObservation obs = facts[row].last_mile(trace);
+    if (!obs.valid) continue;
     const double share =
         std::clamp(obs.usr_isp_ms / trace.end_to_end_ms * 100.0, 0.0, 100.0);
 
     if (is_atlas) {
-      push_bucketed(stats.share_pct, LastMileCategory::Atlas, continent, share);
-      push_bucketed(stats.absolute_ms, LastMileCategory::Atlas, continent,
-                    obs.usr_isp_ms);
+      emit(LastMileCategory::Atlas, continent, share, obs.usr_isp_ms);
       continue;
     }
     if (obs.access == AccessClass::Home) {
-      push_bucketed(stats.share_pct, LastMileCategory::HomeUsrIsp, continent, share);
-      push_bucketed(stats.absolute_ms, LastMileCategory::HomeUsrIsp, continent,
-                    obs.usr_isp_ms);
+      emit(LastMileCategory::HomeUsrIsp, continent, share, obs.usr_isp_ms);
       if (obs.rtr_isp_ms) {
         const double rtr_share = std::clamp(
             *obs.rtr_isp_ms / trace.end_to_end_ms * 100.0, 0.0, 100.0);
-        push_bucketed(stats.share_pct, LastMileCategory::HomeRtrIsp, continent,
-                      rtr_share);
-        push_bucketed(stats.absolute_ms, LastMileCategory::HomeRtrIsp, continent,
-                      *obs.rtr_isp_ms);
+        emit(LastMileCategory::HomeRtrIsp, continent, rtr_share,
+             *obs.rtr_isp_ms);
       }
     } else if (obs.access == AccessClass::Cell) {
-      push_bucketed(stats.share_pct, LastMileCategory::Cell, continent, share);
-      push_bucketed(stats.absolute_ms, LastMileCategory::Cell, continent,
-                    obs.usr_isp_ms);
+      emit(LastMileCategory::Cell, continent, share, obs.usr_isp_ms);
     }
   }
-}
-
-/// Per-probe last-mile sample streams for the Cv analyses. The probe's
-/// home/cell class is the majority of its per-trace inferences (the paper
-/// cannot see the real access type either).
-struct ProbeLastMile {
-  std::vector<double> samples;
-  std::size_t home_votes = 0;
-  std::size_t cell_votes = 0;
-  [[nodiscard]] bool is_home() const { return home_votes >= cell_votes; }
-};
-
-/// Per-probe last-mile summaries in ascending probe-id order. The
-/// accumulation map is keyed by probe pointer, so its iteration order would
-/// change with every run's heap layout; fig8/fig9 append to their box-plot
-/// series while walking this, so the result is sorted before it is returned
-/// — otherwise the exported series order (and the dataset report) would
-/// differ between two same-seed runs.
-std::vector<std::pair<const probes::Probe*, ProbeLastMile>> collect_per_probe(
-    const StudyView& view) {
-  std::unordered_map<const probes::Probe*, ProbeLastMile> accumulator;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    const LastMileObservation obs = infer_last_mile(trace, *view.resolver);
-    if (!obs.valid) continue;
-    ProbeLastMile& entry = accumulator[trace.probe];
-    entry.samples.push_back(obs.usr_isp_ms);
-    if (obs.access == AccessClass::Home) {
-      ++entry.home_votes;
-    } else {
-      ++entry.cell_votes;
-    }
-  }
-  std::vector<std::pair<const probes::Probe*, ProbeLastMile>> out;
-  out.reserve(accumulator.size());
-  for (auto& [probe, entry] : accumulator) {  // lint:allow(unordered-iter): sorted by probe id on the next line
-    out.emplace_back(probe, std::move(entry));
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.first->id < b.first->id;
-  });
-  return out;
 }
 
 constexpr std::size_t kMinCvSamples = 10;  ///< the paper's >=10-sample rule
 
 }  // namespace
 
-LastMileStats lastmile_stats(const StudyView& view, bool nearest_only) {
-  LastMileStats stats;
-  accumulate_lastmile(view, *view.sc_data, /*is_atlas=*/false, nearest_only, stats);
-  if (view.has_atlas()) {
-    accumulate_lastmile(view, *view.atlas_data, /*is_atlas=*/true, nearest_only,
-                        stats);
+LastMileStats lastmile_stats(const PreparedStudy& study, bool nearest_only) {
+  NearestOf sc_nearest;
+  NearestOf atlas_nearest;
+  if (nearest_only) {
+    sc_nearest = nearest_of(study.sc().nearest());
+    if (study.has_atlas()) atlas_nearest = nearest_of(study.atlas()->nearest());
   }
+  const auto visit = [&](auto&& emit) {
+    visit_lastmile(study.sc(), /*is_atlas=*/false,
+                   nearest_only ? &sc_nearest : nullptr, emit);
+    if (study.has_atlas()) {
+      visit_lastmile(*study.atlas(), /*is_atlas=*/true,
+                     nearest_only ? &atlas_nearest : nullptr, emit);
+    }
+  };
+  // Two walks: count every bucket (each value also lands in Global), then
+  // fill it, so each bucket is allocated once at its final size. These
+  // buckets are the largest thing a report holds.
+  std::array<std::array<std::size_t, geo::kContinentCount + 1>, 4> counts{};
+  visit([&](LastMileCategory category, geo::Continent continent, double,
+            double) {
+    ++counts[static_cast<std::size_t>(category)][geo::index_of(continent)];
+    ++counts[static_cast<std::size_t>(category)][kGlobalIndex];
+  });
+  LastMileStats stats;
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    for (std::size_t i = 0; i < counts[c].size(); ++i) {
+      stats.share_pct[c][i].reserve(counts[c][i]);
+      stats.absolute_ms[c][i].reserve(counts[c][i]);
+    }
+  }
+  visit([&](LastMileCategory category, geo::Continent continent, double share,
+            double absolute) {
+    for (const std::size_t i : {geo::index_of(continent), kGlobalIndex}) {
+      stats.share_pct[static_cast<std::size_t>(category)][i].push_back(share);
+      stats.absolute_ms[static_cast<std::size_t>(category)][i].push_back(
+          absolute);
+    }
+  });
   return stats;
 }
 
-std::vector<CvGroup> fig8_cv_by_continent(const StudyView& view) {
-  const auto per_probe = collect_per_probe(view);
+// Figs. 8/9 read each probe's Cv over its valid last-mile samples, walking
+// the probes in ascending id so the box-plot series come out in the same
+// order on every run.
+std::vector<CvGroup> fig8_cv_by_continent(const PreparedStudy& study) {
   std::vector<CvGroup> groups;
   for (const geo::Continent c : geo::kAllContinents) {
     groups.push_back(CvGroup{std::string{geo::to_code(c)}, {}, {}, true});
   }
-  for (const auto& [probe, entry] : per_probe) {
-    if (entry.samples.size() < kMinCvSamples) continue;
-    const auto cv = util::coefficient_of_variation(entry.samples);
-    if (!cv) continue;
-    CvGroup& group = groups[geo::index_of(probe->country->continent)];
-    (entry.is_home() ? group.home : group.cell).push_back(*cv);
+  for (const ProbeTraceFacts& entry : study.sc().probes()) {
+    if (entry.last_mile_samples < kMinCvSamples) continue;
+    if (!entry.last_mile_cv) continue;
+    CvGroup& group = groups[geo::index_of(entry.probe->country->continent)];
+    (entry.home ? group.home : group.cell).push_back(*entry.last_mile_cv);
   }
   return groups;
 }
 
-std::vector<CvGroup> fig9_cv_by_country(const StudyView& view) {
+std::vector<CvGroup> fig9_cv_by_country(const PreparedStudy& study) {
   static constexpr std::array<std::string_view, 10> kCountries{
       "ZA", "MA", "JP", "IR", "GB", "UA", "US", "MX", "BR", "AR"};
   constexpr std::size_t kMinProbesPerBox = 8;
 
-  const auto per_probe = collect_per_probe(view);
   std::vector<CvGroup> groups;
   for (const std::string_view code : kCountries) {
     groups.push_back(CvGroup{std::string{code}, {}, {}, true});
   }
-  for (const auto& [probe, entry] : per_probe) {
-    if (entry.samples.size() < kMinCvSamples) continue;
+  for (const ProbeTraceFacts& entry : study.sc().probes()) {
+    if (entry.last_mile_samples < kMinCvSamples) continue;
     const auto it = std::find(kCountries.begin(), kCountries.end(),
-                              std::string_view{probe->country->code});
+                              std::string_view{entry.probe->country->code});
     if (it == kCountries.end()) continue;
-    const auto cv = util::coefficient_of_variation(entry.samples);
-    if (!cv) continue;
+    if (!entry.last_mile_cv) continue;
     CvGroup& group = groups[static_cast<std::size_t>(it - kCountries.begin())];
-    (entry.is_home() ? group.home : group.cell).push_back(*cv);
+    (entry.home ? group.home : group.cell).push_back(*entry.last_mile_cv);
   }
   // The paper excludes home boxes with insufficient samples (ZA & MA there).
   for (CvGroup& group : groups) {

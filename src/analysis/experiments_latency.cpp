@@ -3,20 +3,8 @@
 #include <unordered_map>
 
 #include "analysis/experiments.hpp"
-#include "analysis/nearest.hpp"
 
 namespace cloudrtt::analysis {
-
-namespace {
-
-/// Experiments rebuild the index on demand; construction is a single linear
-/// pass over the pings, which keeps the functions self-contained and safe
-/// when several studies live in one process (tests).
-[[nodiscard]] NearestIndex nearest_index_for(const measure::Dataset& data) {
-  return NearestIndex{data};
-}
-
-}  // namespace
 
 std::string_view latency_bucket(double median_ms) {
   if (median_ms < 30.0) return "<30";
@@ -26,8 +14,9 @@ std::string_view latency_bucket(double median_ms) {
   return ">250";
 }
 
-std::vector<CountryLatencyRow> fig3_country_latency(const StudyView& view) {
-  const NearestIndex& index = nearest_index_for(*view.sc_data);
+std::vector<CountryLatencyRow> fig3_country_latency(
+    const PreparedStudy& study) {
+  const NearestIndex& index = study.sc().nearest();
   std::map<std::string_view, std::vector<double>> per_country;
   std::unordered_map<std::string_view, const geo::CountryInfo*> infos;
   for (const probes::Probe* probe : index.probes()) {
@@ -53,8 +42,8 @@ std::vector<CountryLatencyRow> fig3_country_latency(const StudyView& view) {
   return rows;
 }
 
-std::vector<util::Series> fig4_continent_rtt(const StudyView& view) {
-  const NearestIndex& index = nearest_index_for(*view.sc_data);
+std::vector<util::Series> fig4_continent_rtt(const PreparedStudy& study) {
+  const NearestIndex& index = study.sc().nearest();
   std::vector<util::Series> series;
   for (const geo::Continent c : geo::kAllContinents) {
     series.push_back(util::Series{std::string{geo::to_code(c)}, {}});
@@ -82,11 +71,11 @@ std::vector<double> quantile_differences(std::vector<double> a, std::vector<doub
   return diffs;
 }
 
-std::vector<util::Series> fig5_platform_diff(const StudyView& view) {
+std::vector<util::Series> fig5_platform_diff(const PreparedStudy& study) {
   std::vector<util::Series> series;
-  if (!view.has_atlas()) return series;
-  const NearestIndex& sc = nearest_index_for(*view.sc_data);
-  const NearestIndex& atlas = nearest_index_for(*view.atlas_data);
+  if (!study.has_atlas()) return series;
+  const NearestIndex& sc = study.sc().nearest();
+  const NearestIndex& atlas = study.atlas()->nearest();
 
   std::array<std::vector<double>, geo::kContinentCount> sc_samples;
   std::array<std::vector<double>, geo::kContinentCount> atlas_samples;
@@ -110,8 +99,8 @@ std::vector<util::Series> fig5_platform_diff(const StudyView& view) {
   return series;
 }
 
-std::vector<InterContinentalCell> fig6_intercontinental(const StudyView& view,
-                                                        geo::Continent src) {
+std::vector<InterContinentalCell> fig6_intercontinental(
+    const PreparedStudy& study, geo::Continent src) {
   static constexpr std::array<std::string_view, 8> kAfrica{
       "DZ", "EG", "ET", "KE", "MA", "SN", "TN", "ZA"};
   static constexpr std::array<std::string_view, 8> kSouthAmerica{
@@ -126,7 +115,7 @@ std::vector<InterContinentalCell> fig6_intercontinental(const StudyView& view,
     targets = {geo::Continent::NorthAmerica, geo::Continent::SouthAmerica};
   }
 
-  const NearestIndex& index = nearest_index_for(*view.sc_data);
+  const NearestIndex& index = study.sc().nearest();
   std::vector<InterContinentalCell> cells;
   for (const std::string_view country : countries) {
     for (const geo::Continent dst : targets) {
@@ -146,15 +135,16 @@ std::vector<InterContinentalCell> fig6_intercontinental(const StudyView& view,
   return cells;
 }
 
-std::vector<ProtocolCompareRow> fig15_protocols(const StudyView& view) {
+std::vector<ProtocolCompareRow> fig15_protocols(const PreparedStudy& study) {
+  const measure::Dataset& data = study.sc().data();
   std::array<std::vector<double>, geo::kContinentCount> tcp;
   std::array<std::vector<double>, geo::kContinentCount> icmp;
-  for (const measure::PingRecord& ping : view.sc_data->pings) {
+  for (const measure::PingRecord& ping : data.pings) {
     if (ping.protocol == measure::Protocol::Tcp) {
       tcp[geo::index_of(ping.probe->country->continent)].push_back(ping.rtt_ms);
     }
   }
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
+  for (const measure::TraceRef& trace : data.traces) {
     if (trace.completed) {
       icmp[geo::index_of(trace.probe->country->continent)].push_back(
           trace.end_to_end_ms);
@@ -171,50 +161,30 @@ std::vector<ProtocolCompareRow> fig15_protocols(const StudyView& view) {
   return rows;
 }
 
-std::vector<util::Series> fig16_city_asn_diff(const StudyView& view) {
+std::vector<util::Series> fig16_city_asn_diff(const PreparedStudy& study) {
   std::vector<util::Series> series;
-  if (!view.has_atlas()) return series;
-  const NearestIndex& sc = nearest_index_for(*view.sc_data);
-  const NearestIndex& atlas = nearest_index_for(*view.atlas_data);
+  if (!study.has_atlas()) return series;
 
-  // First-hop ASN per probe, inferred from its traceroutes (the paper's
-  // <city, ASN> key). One trace per probe suffices: the serving ISP is
-  // stable.
-  const auto first_hop_asn =
-      [&](const measure::Dataset& data) {
-        std::unordered_map<const probes::Probe*, topology::Asn> out;
-        for (const measure::TraceRef& trace : data.traces) {
-          if (out.contains(trace.probe)) continue;
-          for (const measure::HopRecord& hop : trace.hops) {
-            if (!hop.responded || net::is_private(hop.ip)) continue;
-            if (const auto res = view.resolver->resolve(hop.ip)) {
-              out.emplace(trace.probe, res->asn);
-            }
-            break;
-          }
-        }
-        return out;
-      };
-  const auto sc_asn = first_hop_asn(*view.sc_data);
-  const auto atlas_asn = first_hop_asn(*view.atlas_data);
-
-  // Bucket samples by <city, ASN> per platform.
+  // Bucket samples by <city, first-hop ASN> per platform: the paper's key,
+  // with the ASN inferred from each probe's traceroutes (the serving ISP is
+  // stable, so the first trace that resolves one suffices).
   using Key = std::pair<std::string_view, topology::Asn>;
   std::map<Key, std::vector<double>> sc_buckets;
   std::map<Key, std::vector<double>> atlas_buckets;
-  const auto fill = [](const NearestIndex& index, const auto& asn_of, auto& buckets) {
+  const auto fill = [](const PreparedDataset& dataset, auto& buckets) {
+    const NearestIndex& index = dataset.nearest();
     for (const probes::Probe* probe : index.probes()) {
-      const auto it = asn_of.find(probe);
-      if (it == asn_of.end()) continue;
+      const ProbeTraceFacts* facts = dataset.probe_facts(probe);
+      if (facts == nullptr || !facts->first_hop_asn) continue;
       const auto samples =
           index.samples_to_nearest(probe, probe->country->continent);
       if (samples.empty()) continue;
-      auto& bucket = buckets[Key{probe->city->name, it->second}];
+      auto& bucket = buckets[Key{probe->city->name, *facts->first_hop_asn}];
       bucket.insert(bucket.end(), samples.begin(), samples.end());
     }
   };
-  fill(sc, sc_asn, sc_buckets);
-  fill(atlas, atlas_asn, atlas_buckets);
+  fill(study.sc(), sc_buckets);
+  fill(*study.atlas(), atlas_buckets);
 
   // Matched pairs, grouped by continent; the paper only reports AS/EU/NA.
   std::array<std::vector<double>, geo::kContinentCount> diffs;
@@ -236,31 +206,29 @@ std::vector<util::Series> fig16_city_asn_diff(const StudyView& view) {
   return series;
 }
 
-MethodologyStats sec33_stats(const StudyView& view) {
+MethodologyStats sec33_stats(const PreparedStudy& study) {
+  const measure::Dataset& data = study.sc().data();
   MethodologyStats stats;
-  stats.ping_count = view.sc_data->pings.size();
-  stats.trace_count = view.sc_data->traces.size();
+  stats.ping_count = data.pings.size();
+  stats.trace_count = data.traces.size();
   stats.required_samples_per_country =
       util::required_sample_size(util::z_score_for_confidence(0.95), 0.5, 0.02);
 
   std::array<std::size_t, geo::kContinentCount> counts{};
   std::vector<double> tcp;
   std::vector<double> icmp;
-  for (const measure::PingRecord& ping : view.sc_data->pings) {
+  for (const measure::PingRecord& ping : data.pings) {
     ++counts[geo::index_of(ping.probe->country->continent)];
     if (ping.protocol == measure::Protocol::Tcp) tcp.push_back(ping.rtt_ms);
   }
+  for (const measure::TraceRef& trace : data.traces) {
+    if (trace.completed) icmp.push_back(trace.end_to_end_ms);
+  }
   std::size_t whois_hops = 0;
   std::size_t resolved_hops = 0;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    if (trace.completed) icmp.push_back(trace.end_to_end_ms);
-    for (const measure::HopRecord& hop : trace.hops) {
-      if (!hop.responded) continue;
-      if (const auto res = view.resolver->resolve(hop.ip)) {
-        ++resolved_hops;
-        if (res->source == ResolutionSource::Whois) ++whois_hops;
-      }
-    }
+  for (const TraceFacts& facts : study.sc().trace_facts()) {
+    resolved_hops += facts.resolved_hops;
+    whois_hops += facts.whois_hops;
   }
   const double total = static_cast<double>(stats.ping_count);
   for (std::size_t i = 0; i < geo::kContinentCount; ++i) {

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "analysis/experiments.hpp"
@@ -46,15 +47,16 @@ struct ModeCounts {
 
 }  // namespace
 
-std::vector<InterconnectShareRow> fig10_interconnect_share(const StudyView& view) {
+std::vector<InterconnectShareRow> fig10_interconnect_share(
+    const PreparedStudy& study) {
+  const measure::TraceColumn& traces = study.sc().data().traces;
+  const std::span<const TraceFacts> facts = study.sc().trace_facts();
   std::array<ModeCounts, cloud::kPeeringFigureProviders.size()> counts;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    const InterconnectObservation obs =
-        classify_interconnect(trace, *view.resolver);
-    if (!obs.valid) continue;
-    const std::size_t column = figure_column(trace.region->provider);
+  for (std::size_t row = 0; row < traces.size(); ++row) {
+    if (!facts[row].interconnect_valid) continue;
+    const std::size_t column = figure_column(traces[row].region->provider);
     if (column >= counts.size()) continue;
-    counts[column].add(obs.mode);
+    counts[column].add(facts[row].mode);
   }
   std::vector<InterconnectShareRow> rows;
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -86,13 +88,16 @@ std::vector<InterconnectShareRow> fig10_interconnect_share(const StudyView& view
   return rows;
 }
 
-std::vector<PervasivenessRow> fig11_pervasiveness(const StudyView& view) {
+std::vector<PervasivenessRow> fig11_pervasiveness(const PreparedStudy& study) {
+  const measure::TraceColumn& traces = study.sc().data().traces;
+  const std::span<const TraceFacts> facts = study.sc().trace_facts();
   std::array<std::array<std::vector<double>, geo::kContinentCount>,
              cloud::kPeeringFigureProviders.size()>
       values;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    const auto ratio = pervasiveness(trace, *view.resolver);
+  for (std::size_t row = 0; row < traces.size(); ++row) {
+    const auto ratio = facts[row].pervasiveness();
     if (!ratio) continue;
+    const measure::TraceRef trace = traces[row];
     const std::size_t column = figure_column(trace.region->provider);
     if (column >= values.size()) continue;
     values[column][geo::index_of(trace.probe->country->continent)].push_back(
@@ -112,7 +117,7 @@ std::vector<PervasivenessRow> fig11_pervasiveness(const StudyView& view) {
   return rows;
 }
 
-PeeringCaseStudy peering_case_study(const StudyView& view,
+PeeringCaseStudy peering_case_study(const PreparedStudy& prepared,
                                     std::string_view src_country,
                                     std::string_view dst_country,
                                     std::size_t min_cell_paths) {
@@ -136,21 +141,23 @@ PeeringCaseStudy peering_case_study(const StudyView& view,
   std::array<std::vector<double>, 9> direct_latency;
   std::array<std::vector<double>, 9> intermediate_latency;
 
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
+  const measure::TraceColumn& traces = prepared.sc().data().traces;
+  const std::span<const TraceFacts> facts = prepared.sc().trace_facts();
+  for (std::size_t row = 0; row < traces.size(); ++row) {
+    const measure::TraceRef trace = traces[row];
     if (trace.probe->country->code != src_country) continue;
     if (trace.region->country != dst_country) continue;
-    const InterconnectObservation obs =
-        classify_interconnect(trace, *view.resolver);
-    if (!obs.valid) continue;
+    if (!facts[row].interconnect_valid) continue;
+    const topology::InterconnectMode mode = facts[row].mode;
     const std::size_t column = figure_column(trace.region->provider);
     if (column >= 9) continue;
     const auto row_it = isp_row.find(trace.probe->isp->asn);
     if (row_it != isp_row.end()) {
-      cell_counts[row_it->second][column].add(obs.mode);
+      cell_counts[row_it->second][column].add(mode);
     }
     if (trace.completed) {
-      const bool direct = obs.mode == topology::InterconnectMode::Direct ||
-                          obs.mode == topology::InterconnectMode::DirectIxp;
+      const bool direct = mode == topology::InterconnectMode::Direct ||
+                          mode == topology::InterconnectMode::DirectIxp;
       (direct ? direct_latency : intermediate_latency)[column].push_back(
           trace.end_to_end_ms);
     }

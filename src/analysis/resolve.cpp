@@ -1,13 +1,14 @@
 #include "analysis/resolve.hpp"
 
+#include <bit>
+
 #include "obs/metrics.hpp"
 
 namespace cloudrtt::analysis {
 
 namespace {
 
-/// Resolver counters, resolved once: resolve() runs for every traceroute hop
-/// of every analysis, so no per-call Registry lookups.
+/// Resolver counters, resolved once, so resolve() makes no Registry lookup.
 struct ResolveMetrics {
   obs::Counter& lookups;
   obs::Counter& misses;
@@ -75,6 +76,40 @@ std::optional<Resolution> IpToAsn::resolve(net::Ipv4Address addr) const {
   }
   metrics.misses.inc();
   return std::nullopt;
+}
+
+std::optional<Resolution> ResolutionTable::resolve(net::Ipv4Address addr) {
+  if (2 * (resolutions_.size() + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home_slot(addr);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.entry == 0) {
+      resolutions_.push_back(resolver_->resolve(addr));
+      slot.addr = addr.value();
+      slot.entry = static_cast<std::uint32_t>(resolutions_.size());
+      return resolutions_.back();
+    }
+    if (slot.addr == addr.value()) return resolutions_[slot.entry - 1];
+  }
+}
+
+std::size_t ResolutionTable::home_slot(net::Ipv4Address addr) const {
+  // Fibonacci hashing: the product's top bits index the table.
+  return static_cast<std::size_t>(
+      (std::uint64_t{addr.value()} * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+void ResolutionTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 1024 : old.size() * 2, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.entry == 0) continue;
+    std::size_t i = home_slot(net::Ipv4Address{slot.addr});
+    while (slots_[i].entry != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
 }  // namespace cloudrtt::analysis

@@ -2,7 +2,97 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace cloudrtt::analysis {
+
+namespace {
+
+/// Every responded hop of `trace`, resolved through `resolver`.
+[[nodiscard]] std::vector<std::optional<Resolution>> resolve_hops(
+    const measure::TraceRef& trace, const IpToAsn& resolver) {
+  std::vector<std::optional<Resolution>> hops;
+  hops.reserve(trace.hops.size());
+  for (const measure::HopRecord& hop : trace.hops) {
+    hops.push_back(hop.responded ? resolver.resolve(hop.ip) : std::nullopt);
+  }
+  return hops;
+}
+
+/// True when `asn` resolves at some hop strictly between `begin` and `end`.
+[[nodiscard]] bool appears_between(HopResolutions hops, std::size_t begin,
+                                   std::size_t end, topology::Asn asn) {
+  for (std::size_t i = begin + 1; i < end; ++i) {
+    if (hops[i] && hops[i]->asn == asn) return true;
+  }
+  return false;
+}
+
+[[nodiscard]] InterconnectObservation classify(
+    const std::optional<Resolution>& target, HopResolutions hops,
+    const IpToAsn& resolver) {
+  InterconnectObservation out;
+  if (!target) return out;
+  out.cloud_asn = target->asn;
+
+  // Walk the AS path with consecutive duplicates collapsed, each run tagged
+  // by its first hop. The serving ISP is the first non-IXP AS; the distinct
+  // ASes between it and the first appearance of the cloud WAN are the
+  // intermediates, with IXPs removed (they are points of traffic exchange,
+  // not transit — §6.1).
+  std::optional<std::size_t> isp;  ///< hop where the ISP's run starts
+  const Resolution* previous = nullptr;
+  bool reached_cloud = false;
+  bool crossed_ixp = false;
+  int intermediates = 0;
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (!hops[i]) continue;
+    const Resolution& res = *hops[i];
+    if (previous != nullptr && previous->asn == res.asn) continue;
+    previous = &res;
+    if (!isp) {
+      if (!res.is_ixp) {
+        isp = i;
+        out.isp_asn = res.asn;
+      }
+      continue;
+    }
+    if (res.asn == out.cloud_asn) {
+      reached_cloud = true;
+      break;
+    }
+    if (res.is_ixp || resolver.is_ixp_asn(res.asn)) {
+      crossed_ixp = true;
+      continue;
+    }
+    if (res.asn == out.isp_asn) continue;  // ISP reappearing (own backhaul)
+    if (!appears_between(hops, *isp, i, res.asn)) ++intermediates;
+  }
+  if (!reached_cloud) return out;
+
+  out.valid = true;
+  out.crossed_ixp = crossed_ixp;
+  out.intermediate_as_count = intermediates;
+  if (intermediates == 0) {
+    out.mode = crossed_ixp ? topology::InterconnectMode::DirectIxp
+                           : topology::InterconnectMode::Direct;
+  } else if (intermediates == 1) {
+    out.mode = topology::InterconnectMode::OneAs;
+  } else {
+    out.mode = topology::InterconnectMode::Public;
+  }
+  return out;
+}
+
+[[nodiscard]] TraceFacts facts_of(const measure::TraceRef& trace,
+                                  const IpToAsn& resolver) {
+  const std::vector<std::optional<Resolution>> hops =
+      resolve_hops(trace, resolver);
+  return derive_facts(trace, hops, resolver.resolve(trace.target_ip),
+                      resolver);
+}
+
+}  // namespace
 
 AsPath as_level_path(const measure::TraceRef& trace, const IpToAsn& resolver) {
   AsPath path;
@@ -21,125 +111,77 @@ AsPath as_level_path(const measure::TraceRef& trace, const IpToAsn& resolver) {
 
 InterconnectObservation classify_interconnect(const measure::TraceRef& trace,
                                               const IpToAsn& resolver) {
-  InterconnectObservation out;
-  const auto target = resolver.resolve(trace.target_ip);
-  if (!target) return out;
-  out.cloud_asn = target->asn;
-
-  // Ordered, collapsed AS path with IXP hops tagged.
-  struct Entry {
-    topology::Asn asn;
-    bool ixp;
-  };
-  std::vector<Entry> path;
-  for (const measure::HopRecord& hop : trace.hops) {
-    if (!hop.responded) continue;
-    const auto res = resolver.resolve(hop.ip);
-    if (!res) continue;
-    if (path.empty() || path.back().asn != res->asn) {
-      path.push_back(Entry{res->asn, res->is_ixp});
-    }
-  }
-
-  // Serving ISP: the first non-IXP AS on the path.
-  std::size_t isp_pos = path.size();
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (!path[i].ixp) {
-      isp_pos = i;
-      out.isp_asn = path[i].asn;
-      break;
-    }
-  }
-  if (isp_pos == path.size()) return out;
-
-  // First appearance of the cloud WAN.
-  std::size_t cloud_pos = path.size();
-  for (std::size_t i = isp_pos + 1; i < path.size(); ++i) {
-    if (path[i].asn == out.cloud_asn) {
-      cloud_pos = i;
-      break;
-    }
-  }
-  if (cloud_pos == path.size()) return out;  // never reached the cloud AS
-
-  // Count distinct intermediate ASes, removing IXPs (they are points of
-  // traffic exchange, not transit — §6.1).
-  std::vector<topology::Asn> intermediates;
-  for (std::size_t i = isp_pos + 1; i < cloud_pos; ++i) {
-    if (path[i].ixp || resolver.is_ixp_asn(path[i].asn)) {
-      out.crossed_ixp = true;
-      continue;
-    }
-    if (path[i].asn == out.isp_asn) continue;  // ISP reappearing (own backhaul)
-    if (std::find(intermediates.begin(), intermediates.end(), path[i].asn) ==
-        intermediates.end()) {
-      intermediates.push_back(path[i].asn);
-    }
-  }
-
-  out.valid = true;
-  out.intermediate_as_count = static_cast<int>(intermediates.size());
-  if (intermediates.empty()) {
-    out.mode = out.crossed_ixp ? topology::InterconnectMode::DirectIxp
-                               : topology::InterconnectMode::Direct;
-  } else if (intermediates.size() == 1) {
-    out.mode = topology::InterconnectMode::OneAs;
-  } else {
-    out.mode = topology::InterconnectMode::Public;
-  }
-  return out;
+  const std::vector<std::optional<Resolution>> hops =
+      resolve_hops(trace, resolver);
+  return classify(resolver.resolve(trace.target_ip), hops, resolver);
 }
 
 LastMileObservation infer_last_mile(const measure::TraceRef& trace,
                                     const IpToAsn& resolver) {
-  LastMileObservation out;
-  bool saw_private = false;
-  std::optional<double> first_private_rtt;
-  bool first_hop_examined = false;
-
-  for (const measure::HopRecord& hop : trace.hops) {
-    if (!hop.responded) {
-      first_hop_examined = true;
-      continue;
-    }
-    if (net::is_private(hop.ip)) {
-      if (!saw_private) first_private_rtt = hop.rtt_ms;
-      saw_private = true;
-      first_hop_examined = true;
-      continue;
-    }
-    // First public hop: must belong to some AS to anchor the ISP ingress.
-    if (!resolver.resolve(hop.ip)) {
-      first_hop_examined = true;
-      continue;
-    }
-    out.valid = true;
-    out.usr_isp_ms = hop.rtt_ms;
-    out.access = saw_private ? AccessClass::Home : AccessClass::Cell;
-    if (saw_private && first_private_rtt) {
-      out.rtr_isp_ms = std::max(0.0, out.usr_isp_ms - *first_private_rtt);
-    }
-    return out;
-  }
-  (void)first_hop_examined;
-  return out;  // nothing usable responded
+  return facts_of(trace, resolver).last_mile(trace);
 }
 
 std::optional<double> pervasiveness(const measure::TraceRef& trace,
                                     const IpToAsn& resolver) {
-  const auto target = resolver.resolve(trace.target_ip);
-  if (!target) return std::nullopt;
-  std::size_t resolved = 0;
-  std::size_t cloud_owned = 0;
-  for (const measure::HopRecord& hop : trace.hops) {
+  return facts_of(trace, resolver).pervasiveness();
+}
+
+TraceFacts derive_facts(const measure::TraceRef& trace, HopResolutions hops,
+                        const std::optional<Resolution>& target,
+                        const IpToAsn& resolver) {
+  CLOUDRTT_CHECK(hops.size() == trace.hops.size() &&
+                     trace.hops.size() <= TraceFacts::kNoHop,
+                 "derive_facts: ", hops.size(), " resolutions for ",
+                 trace.hops.size(), " hops (at most 255)");
+  TraceFacts facts;
+  const InterconnectObservation interconnect = classify(target, hops, resolver);
+  facts.interconnect_valid = interconnect.valid;
+  facts.mode = interconnect.mode;
+  facts.target_resolved = target.has_value();
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    const measure::HopRecord& hop = trace.hops[i];
     if (!hop.responded) continue;
-    const auto res = resolver.resolve(hop.ip);
-    if (!res) continue;
-    ++resolved;
-    if (res->asn == target->asn) ++cloud_owned;
+    const auto index = static_cast<std::uint8_t>(i);
+    // The last mile (§5): a private hop before the first public hop that
+    // resolves marks a home router; that public hop anchors the ISP ingress.
+    if (net::is_private(hop.ip)) {
+      if (facts.private_hop == TraceFacts::kNoHop &&
+          facts.isp_hop == TraceFacts::kNoHop) {
+        facts.private_hop = index;
+      }
+      continue;
+    }
+    if (facts.first_public_hop == TraceFacts::kNoHop) {
+      facts.first_public_hop = index;
+    }
+    if (!hops[i]) continue;
+    if (facts.isp_hop == TraceFacts::kNoHop) facts.isp_hop = index;
+    ++facts.resolved_hops;
+    if (hops[i]->source == ResolutionSource::Whois) ++facts.whois_hops;
+    if (target && hops[i]->asn == target->asn) ++facts.cloud_hops;
   }
-  if (resolved < 3) return std::nullopt;
-  return static_cast<double>(cloud_owned) / static_cast<double>(resolved);
+  return facts;
+}
+
+LastMileObservation TraceFacts::last_mile(
+    const measure::TraceRef& trace) const {
+  LastMileObservation out;
+  if (isp_hop == kNoHop) return out;  // nothing usable responded
+  out.valid = true;
+  out.usr_isp_ms = trace.hops[isp_hop].rtt_ms;
+  if (private_hop == kNoHop) {
+    out.access = AccessClass::Cell;
+  } else {
+    out.access = AccessClass::Home;
+    out.rtr_isp_ms =
+        std::max(0.0, out.usr_isp_ms - trace.hops[private_hop].rtt_ms);
+  }
+  return out;
+}
+
+std::optional<double> TraceFacts::pervasiveness() const {
+  if (!target_resolved || resolved_hops < 3) return std::nullopt;
+  return static_cast<double>(cloud_hops) / static_cast<double>(resolved_hops);
 }
 
 }  // namespace cloudrtt::analysis

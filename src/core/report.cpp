@@ -1,6 +1,7 @@
 #include "core/report.hpp"
 
 #include <ostream>
+#include <utility>
 
 #include "analysis/experiments.hpp"
 #include "cloud/region.hpp"
@@ -62,9 +63,9 @@ void write_table1(JsonWriter& json) {
   json.end_array();
 }
 
-void write_fig3(JsonWriter& json, const analysis::StudyView& view) {
+void write_fig3(JsonWriter& json, const analysis::PreparedStudy& study) {
   json.begin_array();
-  for (const auto& row : analysis::fig3_country_latency(view)) {
+  for (const auto& row : analysis::fig3_country_latency(study)) {
     json.begin_object();
     json.field("country", row.country);
     json.field("continent", geo::to_code(row.continent));
@@ -76,10 +77,10 @@ void write_fig3(JsonWriter& json, const analysis::StudyView& view) {
   json.end_array();
 }
 
-void write_fig6(JsonWriter& json, const analysis::StudyView& view,
+void write_fig6(JsonWriter& json, const analysis::PreparedStudy& study,
                 geo::Continent src) {
   json.begin_array();
-  for (const auto& cell : analysis::fig6_intercontinental(view, src)) {
+  for (const auto& cell : analysis::fig6_intercontinental(study, src)) {
     if (cell.summary.count == 0) continue;
     json.begin_object();
     json.field("src_country", cell.src_country);
@@ -91,35 +92,28 @@ void write_fig6(JsonWriter& json, const analysis::StudyView& view,
   json.end_array();
 }
 
-void write_lastmile(JsonWriter& json, const analysis::LastMileStats& stats) {
+/// Medians of every bucket of at least 5 values. The stats come by value:
+/// each median sorts its bucket in place and frees it, instead of a copy.
+void write_lastmile(JsonWriter& json, analysis::LastMileStats stats) {
+  const auto medians = [&json](std::string_view key, auto& buckets) {
+    json.key(key);
+    json.begin_object();
+    for (std::size_t i = 0; i <= geo::kContinentCount; ++i) {
+      if (buckets[i].size() < 5) continue;
+      const std::string_view label =
+          i == analysis::kGlobalIndex ? "Global"
+                                      : geo::to_code(geo::kAllContinents[i]);
+      json.field(label, util::median(std::move(buckets[i])));
+    }
+    json.end_object();
+  };
   json.begin_array();
   for (const analysis::LastMileCategory category : analysis::kLastMileCategories) {
+    const auto c = static_cast<std::size_t>(category);
     json.begin_object();
     json.field("category", to_string(category));
-    json.key("share_pct_median");
-    json.begin_object();
-    for (std::size_t i = 0; i <= geo::kContinentCount; ++i) {
-      const auto& values = stats.share(category, i);
-      const std::string_view label =
-          i == analysis::kGlobalIndex ? "Global"
-                                      : geo::to_code(geo::kAllContinents[i]);
-      if (values.size() >= 5) {
-        json.field(label, util::median(values));
-      }
-    }
-    json.end_object();
-    json.key("absolute_ms_median");
-    json.begin_object();
-    for (std::size_t i = 0; i <= geo::kContinentCount; ++i) {
-      const auto& values = stats.absolute(category, i);
-      const std::string_view label =
-          i == analysis::kGlobalIndex ? "Global"
-                                      : geo::to_code(geo::kAllContinents[i]);
-      if (values.size() >= 5) {
-        json.field(label, util::median(values));
-      }
-    }
-    json.end_object();
+    medians("share_pct_median", stats.share_pct[c]);
+    medians("absolute_ms_median", stats.absolute_ms[c]);
     json.end_object();
   }
   json.end_array();
@@ -140,9 +134,9 @@ void write_cv_groups(JsonWriter& json, const std::vector<analysis::CvGroup>& gro
   json.end_array();
 }
 
-void write_fig10(JsonWriter& json, const analysis::StudyView& view) {
+void write_fig10(JsonWriter& json, const analysis::PreparedStudy& study) {
   json.begin_array();
-  for (const auto& row : analysis::fig10_interconnect_share(view)) {
+  for (const auto& row : analysis::fig10_interconnect_share(study)) {
     json.begin_object();
     json.field("provider", row.ticker);
     json.field("direct_pct", row.direct_pct);
@@ -154,9 +148,9 @@ void write_fig10(JsonWriter& json, const analysis::StudyView& view) {
   json.end_array();
 }
 
-void write_fig11(JsonWriter& json, const analysis::StudyView& view) {
+void write_fig11(JsonWriter& json, const analysis::PreparedStudy& study) {
   json.begin_array();
-  for (const auto& row : analysis::fig11_pervasiveness(view)) {
+  for (const auto& row : analysis::fig11_pervasiveness(study)) {
     json.begin_object();
     json.field("provider", row.ticker);
     json.key("median_by_continent");
@@ -219,6 +213,9 @@ void write_case_study(JsonWriter& json, const analysis::PeeringCaseStudy& study)
 }  // namespace
 
 void write_full_report(std::ostream& out, const analysis::StudyView& view) {
+  // Every exhibit reads the same prepared state: each hop address resolved
+  // once, one nearest index per dataset, one pass over each dataset's traces.
+  const analysis::PreparedStudy study{view};
   JsonWriter json{out};
   json.begin_object();
 
@@ -226,50 +223,50 @@ void write_full_report(std::ostream& out, const analysis::StudyView& view) {
   write_table1(json);
 
   json.key("fig3_country_latency");
-  write_fig3(json, view);
+  write_fig3(json, study);
 
   json.key("fig4_continent_rtt");
-  write_series_summaries(json, analysis::fig4_continent_rtt(view));
+  write_series_summaries(json, analysis::fig4_continent_rtt(study));
 
-  if (view.has_atlas()) {
+  if (study.has_atlas()) {
     json.key("fig5_platform_diff");
-    write_series_summaries(json, analysis::fig5_platform_diff(view));
+    write_series_summaries(json, analysis::fig5_platform_diff(study));
     json.key("fig16_city_asn_diff");
-    write_series_summaries(json, analysis::fig16_city_asn_diff(view));
+    write_series_summaries(json, analysis::fig16_city_asn_diff(study));
   }
 
   json.key("fig6a_africa");
-  write_fig6(json, view, geo::Continent::Africa);
+  write_fig6(json, study, geo::Continent::Africa);
   json.key("fig6b_south_america");
-  write_fig6(json, view, geo::Continent::SouthAmerica);
+  write_fig6(json, study, geo::Continent::SouthAmerica);
 
   json.key("fig7_lastmile");
-  write_lastmile(json, analysis::lastmile_stats(view, false));
+  write_lastmile(json, analysis::lastmile_stats(study, false));
   json.key("fig19_lastmile_nearest");
-  write_lastmile(json, analysis::lastmile_stats(view, true));
+  write_lastmile(json, analysis::lastmile_stats(study, true));
 
   json.key("fig8_cv_by_continent");
-  write_cv_groups(json, analysis::fig8_cv_by_continent(view));
+  write_cv_groups(json, analysis::fig8_cv_by_continent(study));
   json.key("fig9_cv_by_country");
-  write_cv_groups(json, analysis::fig9_cv_by_country(view));
+  write_cv_groups(json, analysis::fig9_cv_by_country(study));
 
   json.key("fig10_interconnect_share");
-  write_fig10(json, view);
+  write_fig10(json, study);
   json.key("fig11_pervasiveness");
-  write_fig11(json, view);
+  write_fig11(json, study);
 
   json.key("fig12_de_gb");
-  write_case_study(json, analysis::peering_case_study(view, "DE", "GB"));
+  write_case_study(json, analysis::peering_case_study(study, "DE", "GB"));
   json.key("fig13_jp_in");
-  write_case_study(json, analysis::peering_case_study(view, "JP", "IN"));
+  write_case_study(json, analysis::peering_case_study(study, "JP", "IN"));
   json.key("fig17_ua_gb");
-  write_case_study(json, analysis::peering_case_study(view, "UA", "GB"));
+  write_case_study(json, analysis::peering_case_study(study, "UA", "GB"));
   json.key("fig18_bh_in");
-  write_case_study(json, analysis::peering_case_study(view, "BH", "IN"));
+  write_case_study(json, analysis::peering_case_study(study, "BH", "IN"));
 
   json.key("fig15_protocols");
   json.begin_array();
-  for (const auto& row : analysis::fig15_protocols(view)) {
+  for (const auto& row : analysis::fig15_protocols(study)) {
     json.begin_object();
     json.field("continent", geo::to_code(row.continent));
     json.key("tcp");
@@ -280,7 +277,7 @@ void write_full_report(std::ostream& out, const analysis::StudyView& view) {
   }
   json.end_array();
 
-  const analysis::MethodologyStats stats = analysis::sec33_stats(view);
+  const analysis::MethodologyStats stats = analysis::sec33_stats(study);
   json.key("sec33_methodology");
   json.begin_object();
   json.field("ping_count", stats.ping_count);

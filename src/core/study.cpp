@@ -73,20 +73,18 @@ bool Study::run_campaign(std::string_view platform,
     meta.platform = std::string{platform};
     meta.seed = config_.seed;
     meta.fault_profile = std::string{to_string(config_.fault_profile)};
-    const int format =
-        control.resume ? store::manifest_format(store_dir, platform, *io) : 0;
-    if (format != 0 && format != 4) {
-      // Refuse before any writer exists: a fresh ShardWriter would wipe the
-      // platform's artefacts, and they are the user's data.
-      throw std::runtime_error{
-          "Study::run: cannot resume '" + std::string{platform} + "': " +
-          store::store_manifest_path(store_dir, platform).string() +
-          " is a format=" + std::to_string(format) +
-          " checkpoint, and only format=4 stores resume (legacy stores and "
-          "checkpoints are no longer read) — rerun the campaign from scratch "
-          "or point --checkpoint-dir elsewhere"};
+    store::StorePresence presence;
+    if (control.resume) {
+      presence = store::find_store(store_dir, platform, *io);
+      if (!presence.error.empty()) {
+        // Refuse before any writer exists: a fresh ShardWriter would wipe
+        // the platform's artefacts, and they are the user's data.
+        throw std::runtime_error{"Study::run: cannot resume '" +
+                                 std::string{platform} + "': " +
+                                 presence.error};
+      }
     }
-    if (format == 4) {
+    if (presence.found) {
       // The open validates and repairs the store and yields the shard's
       // byte mark plus the on-disk row count, which is all restore() needs; it
       // reads no rows. Only an in-memory resume scans them back, so a

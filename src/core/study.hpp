@@ -99,8 +99,9 @@ struct RunControl {
   /// (resuming replays the remaining days bit-identically, salvaging any
   /// uncommitted shard tail a crash left behind). Throws std::runtime_error
   /// when the checkpoint is corrupt, from another seed, or not a format=4
-  /// store: a legacy format=3 store or format=1/2 CSV checkpoint is refused
-  /// and left as it is.
+  /// store: a legacy format=3 store, a format=1/2 CSV checkpoint, or a
+  /// manifest that is empty or names no format is refused before any
+  /// writer exists, and left as it is (store::find_store).
   bool resume = false;
   /// Stop each campaign once this many days have completed (campaign days
   /// are counted from day 0, so resume + a larger value continues). The

@@ -158,24 +158,39 @@ struct Chain {
 
 }  // namespace
 
-int manifest_format(const fs::path& dir, std::string_view platform,
-                    IoEnv& io) {
-  const std::optional<std::string> text =
-      io.read_file(store_manifest_path(dir, platform));
-  if (!text.has_value()) return 0;
+StorePresence find_store(const fs::path& dir, std::string_view platform,
+                         IoEnv& io) {
+  StorePresence presence;
+  const fs::path path = store_manifest_path(dir, platform);
+  const std::optional<std::string> text = io.read_file(path);
+  if (!text.has_value()) return presence;
+  presence.found = true;
   const std::string_view view{*text};
   constexpr std::string_view kKey = "format=";
-  if (!view.starts_with(kKey)) return 0;
-  const std::size_t end = view.find('\n', kKey.size());
-  int format = 0;
-  if (!parse_number(view.substr(kKey.size(),
-                                end == std::string_view::npos
-                                    ? std::string_view::npos
-                                    : end - kKey.size()),
-                    format)) {
-    return 0;
+  const std::size_t end = view.find('\n');
+  if (!view.starts_with(kKey) ||
+      !parse_number(view.substr(kKey.size(), end == std::string_view::npos
+                                                 ? std::string_view::npos
+                                                 : end - kKey.size()),
+                    presence.format)) {
+    presence.format = 0;
+    presence.error = "damaged manifest " + path.string() +
+                     ": it names no format (commits replace it atomically, "
+                     "so only damage does that); its shard is left as it "
+                     "is — restore the manifest or point --checkpoint-dir "
+                     "elsewhere";
+  } else if (presence.format >= 1 && presence.format <= 3) {
+    presence.error = "legacy format=" + std::to_string(presence.format) +
+                     " manifest " + path.string() +
+                     ": only format=4 stores are read (legacy stores and "
+                     "checkpoints are no longer read) — rerun the campaign "
+                     "from scratch or point --checkpoint-dir elsewhere";
+  } else if (presence.format != 4) {
+    presence.error = "manifest " + path.string() + " names format=" +
+                     std::to_string(presence.format) +
+                     ", which this build does not read";
   }
-  return format;
+  return presence;
 }
 
 OpenResult open_store(const fs::path& dir, std::string_view platform,
@@ -350,15 +365,14 @@ std::string scan_rows(
 
 FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
   FsckReport report;
-  report.format = manifest_format(dir, platform, io);
-  if (report.format == 0) {
+  const StorePresence presence = find_store(dir, platform, io);
+  report.format = presence.format;
+  if (!presence.found) {
     report.error = "no store or checkpoint manifest found";
     return report;
   }
-  if (report.format != 4) {
-    report.error = "legacy format=" + std::to_string(report.format) +
-                   " manifest; only format=4 stores are read — re-run the "
-                   "campaign from scratch";
+  if (!presence.error.empty()) {
+    report.error = presence.error;
     return report;
   }
   const OpenResult opened = open_store(dir, platform, io, /*repair=*/false);

@@ -77,12 +77,25 @@ struct OpenResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Manifest format under `dir` for `platform`: 4 (one shard file), 3 (legacy
-/// store split into lanes), 2 (legacy CSV checkpoint), 1 (pre-address-plan
-/// legacy), 0 (none/unreadable). Only format=4 is read; resume and fsck use
-/// this to refuse the others.
-[[nodiscard]] int manifest_format(const std::filesystem::path& dir,
-                                  std::string_view platform, IoEnv& io);
+/// Whether `dir` holds a store for `platform`, decided from its manifest
+/// alone: the one test resume and fsck make before touching anything.
+///  * No manifest: nothing was committed. A fresh writer's wipe and a kill
+///    before the first commit both leave exactly that, so there is no
+///    store, whatever shard file is there.
+///  * A format=4 manifest: a store; open_store() reads it.
+///  * Anything else is refused with `error`, and the caller must leave the
+///    directory as it is: a legacy manifest (format=1 router-replay
+///    quartets, format=2 CSV checkpoints, format=3 stores split into lane
+///    files), or one that is empty or names no format this build reads.
+///    Commits replace the manifest atomically, so only damage leaves one
+///    unreadable, and the shard next to it holds committed rows.
+struct StorePresence {
+  bool found = false;  ///< a manifest exists
+  int format = 0;      ///< its format= value; 0 when it has no readable one
+  std::string error;   ///< why a found store is refused; empty for format=4
+};
+[[nodiscard]] StorePresence find_store(const std::filesystem::path& dir,
+                                       std::string_view platform, IoEnv& io);
 
 /// Open a format=4 store: strict-validate the committed region, salvage the
 /// tail, return the resume state. `repair` additionally truncates torn and
@@ -106,10 +119,11 @@ struct OpenResult {
     const std::function<void(const measure::Dataset&)>& per_block);
 
 /// Offline integrity check (`cloudrtt study --fsck`): open_store's
-/// validation without repair. A legacy format=1/2/3 manifest is reported
-/// unhealthy. fsck has no probe fleets and decodes no payload, so a block
-/// that passes its checksum but does not decode still reports HEALTHY;
-/// scan_rows() (a resume, the streamed dataset hash) refuses it.
+/// validation without repair. A missing manifest, and every manifest
+/// find_store() refuses, is reported unhealthy. fsck has no probe fleets
+/// and decodes no payload, so a block that passes its checksum but does not
+/// decode still reports HEALTHY; scan_rows() (a resume, the streamed dataset
+/// hash) refuses it.
 struct FsckReport {
   int format = 0;
   std::uint64_t committed_blocks = 0;

@@ -1,7 +1,10 @@
 #include "store/shard_writer.hpp"
 
 #include <algorithm>
+#include <string>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 #include "obs/log.hpp"
 #include "util/check.hpp"
@@ -13,6 +16,30 @@ namespace {
 namespace fs = std::filesystem;
 
 obs::Registry& registry() { return obs::Registry::global(); }
+
+/// `<platform>.s<N>.shard` under `dir`: the lane files of a format=3 store.
+[[nodiscard]] std::vector<fs::path> legacy_lane_files(
+    const fs::path& dir, std::string_view platform) {
+  std::vector<fs::path> lanes;
+  const std::string prefix = std::string{platform} + ".s";
+  constexpr std::string_view kSuffix = ".shard";
+  std::error_code ec;
+  for (fs::directory_iterator it{dir, ec}, end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() <= prefix.size() + kSuffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(kSuffix)) {
+      continue;
+    }
+    const std::string_view lane{name.data() + prefix.size(),
+                                name.size() - prefix.size() - kSuffix.size()};
+    if (std::all_of(lane.begin(), lane.end(),
+                    [](char c) { return c >= '0' && c <= '9'; })) {
+      lanes.push_back(it->path());
+    }
+  }
+  return lanes;
+}
 
 }  // namespace
 
@@ -48,10 +75,14 @@ ShardWriter::ShardWriter(fs::path dir, StoreMeta meta, IoEnv& io, bool fresh)
   }
   if (fresh) {
     // A non-resume run starts over: drop the manifest first (the commit
-    // point), then the data file it described, so a crash mid-wipe can
+    // point), then the data files it described — the shard, and the lane
+    // files a legacy format=3 store split it into — so a crash mid-wipe can
     // never resurrect a half-deleted store.
     (void)io_.remove(manifest_path());
     (void)io_.remove(shard_path());
+    for (const fs::path& lane : legacy_lane_files(dir_, meta_.platform)) {
+      (void)io_.remove(lane);
+    }
   }
   // Everything above happens-before the worker's first load: thread start
   // synchronises, and every later handoff goes through mutex_.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "analysis/geolocate.hpp"
 #include "analysis/nearest.hpp"
 #include "analysis/resolve.hpp"
@@ -348,6 +351,47 @@ TEST(NearestIndexTest, PicksLowestMeanRegion) {
   EXPECT_EQ(index.samples(&probe, far)->size(), 2u);
   EXPECT_EQ(index.samples_to_nearest(&probe).size(), 3u);
   EXPECT_EQ(index.nearest(&probe, geo::Continent::Oceania), nullptr);
+}
+
+// Footnote 1 picks the region of lowest mean RTT. Equal means go to the
+// lower region_name, then the lower provider (Amazon and Alibaba share
+// region names), so the pick never depends on the order pings arrive in.
+TEST(NearestIndexTest, EqualMeansPickTheSameRegionInEitherPingOrder) {
+  const auto& catalog = cloud::RegionCatalog::instance().all();
+  const auto find = [&](cloud::ProviderId provider, std::string_view name) {
+    const auto it = std::find_if(
+        catalog.begin(), catalog.end(), [&](const cloud::RegionInfo& r) {
+          return r.provider == provider && r.region_name == name;
+        });
+    return it == catalog.end() ? nullptr : &*it;
+  };
+  const cloud::RegionInfo* frankfurt =
+      find(cloud::ProviderId::Amazon, "eu-central-1");
+  const cloud::RegionInfo* ireland = find(cloud::ProviderId::Amazon, "eu-west-1");
+  const cloud::RegionInfo* alibaba =
+      find(cloud::ProviderId::Alibaba, "eu-central-1");
+  ASSERT_TRUE(frankfurt && ireland && alibaba);
+
+  const auto nearest = [](const cloud::RegionInfo* first,
+                          const cloud::RegionInfo* second) {
+    probes::Probe probe;
+    probe.id = 1;
+    measure::Dataset data;
+    // Means 20 and 20, summed in different orders.
+    for (const double rtt : {10.0, 30.0}) {
+      data.pings.push_back(
+          measure::PingRecord{&probe, first, measure::Protocol::Tcp, rtt, 0});
+    }
+    for (const double rtt : {30.0, 10.0}) {
+      data.pings.push_back(
+          measure::PingRecord{&probe, second, measure::Protocol::Tcp, rtt, 0});
+    }
+    return NearestIndex{data}.nearest(&probe);
+  };
+  EXPECT_EQ(nearest(frankfurt, ireland), frankfurt);
+  EXPECT_EQ(nearest(ireland, frankfurt), frankfurt);
+  EXPECT_EQ(nearest(alibaba, frankfurt), frankfurt);
+  EXPECT_EQ(nearest(frankfurt, alibaba), frankfurt);
 }
 
 TEST(QuantileDifferences, SignReflectsOrdering) {

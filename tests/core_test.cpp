@@ -633,6 +633,21 @@ TEST_F(CoreRoundTrip, FullReportIsWellFormedJson) {
   }
 }
 
+/// write_full_report over the quick study (Speedchecker and Atlas) as a
+/// literal. e2ebench pins the report's FNV-1a at the default scale; this
+/// pins it in ctest, so a byte drift in any exhibit fails the suite. It
+/// only moves in a deliberate change to an exhibit, recorded in CHANGES.md.
+constexpr std::string_view kPinnedReportHash = "5190462bde40ec35";
+
+class ReportGate : public CoreRoundTrip {};
+
+TEST_F(ReportGate, FullReportMatchesPinnedLiteral) {
+  std::ostringstream out;
+  core::write_full_report(out, study().view());
+  EXPECT_EQ(core::format_dataset_hash(util::fnv1a(out.str())),
+            kPinnedReportHash);
+}
+
 TEST(StudyApi, ViewBeforeRunAbortsWithContractMessage) {
   core::StudyConfig config = core::StudyConfig::quick();
   config.sc_probes = 100;

@@ -105,7 +105,7 @@ TEST(ParallelGate, KillAndResumeWithAtlasAtFourThreads) {
   killed.run(first);
   EXPECT_FALSE(killed.completed());
   store::IoEnv io;
-  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 4);
+  ASSERT_EQ(store::find_store(dir, "speedchecker", io).format, 4);
 
   core::Study resumed{parallel_config(23, 4)};
   core::RunControl second;

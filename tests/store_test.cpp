@@ -10,13 +10,15 @@
 // zero-length shard under a non-empty manifest, a duplicated tail block (a
 // replayed append), a relabelled block header, and a shard cut at and
 // inside every tail block. Tail damage must salvage; committed damage must
-// refuse. Legacy stores and checkpoints are refused too, and left
-// untouched. A random-damage sweep then checks that every reader of a
-// store — fsck, open_store with and without repair, scan_rows and the
-// streamed hash — agrees on what it holds.
+// refuse. Legacy stores and checkpoints, and a shard next to an empty or
+// unreadable manifest, are refused too, and left untouched. A random-damage
+// sweep then checks that every reader of a store — fsck, open_store with
+// and without repair, scan_rows and the streamed hash — agrees on what it
+// holds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -137,6 +139,16 @@ struct BlockSpan {
 void write_file(const fs::path& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
+}
+
+/// Every file under `dir`, by name, with its bytes.
+[[nodiscard]] std::map<std::string, std::string> dir_files(
+    const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = read_file(entry.path());
+  }
+  return files;
 }
 
 /// Parse every framed block of a shard file (the baseline store is healthy,
@@ -608,7 +620,8 @@ TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
 // resume over one must refuse, naming the format and the manifest, before
 // any writer exists (a fresh ShardWriter would wipe the platform's
 // artefacts): every file stays byte-identical and none is added. fsck calls
-// it damaged.
+// it damaged. A fresh run over a format=3 store wipes it, lane files
+// included, and leaves only its own format=4 files.
 TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
   const std::string platform{kPlatform};
   const std::vector<BlockSpan> blocks =
@@ -678,17 +691,81 @@ TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
           << what;
       EXPECT_NE(what.find(manifest.string()), std::string::npos) << what;
     }
-    std::map<std::string, std::string> after;
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-      after[entry.path().filename().string()] = read_file(entry.path());
-    }
-    EXPECT_EQ(after, files);
+    EXPECT_EQ(dir_files(dir), files);
 
     store::IoEnv io;
     const store::FsckReport report = store::fsck(dir, kPlatform, io);
     EXPECT_FALSE(report.healthy());
     EXPECT_EQ(report.format, format);
     EXPECT_NE(report.error.find("legacy"), std::string::npos) << report.error;
+    EXPECT_NE(report.render(kPlatform).find("DAMAGED"), std::string::npos);
+
+    if (format == 3) {
+      core::Study fresh{store_config()};
+      core::RunControl fresh_control;
+      fresh_control.checkpoint_dir = dir.string();
+      fresh_control.stop_after_day = 1;
+      fresh.run(fresh_control);
+      std::vector<std::string> names;
+      for (const auto& [name, bytes] : dir_files(dir)) names.push_back(name);
+      EXPECT_EQ(names, (std::vector<std::string>{platform + ".manifest",
+                                                 platform + ".shard"}));
+      EXPECT_EQ(store::find_store(dir, kPlatform, io).format, 4);
+      EXPECT_TRUE(store::fsck(dir, kPlatform, io).healthy());
+    }
+  }
+}
+
+// A shard next to a manifest that is empty or names no format holds
+// committed rows: commits replace the manifest atomically, so only damage
+// leaves it so. A resume must refuse before any writer exists and leave
+// every file byte-identical, and fsck must call the store damaged. (A
+// *missing* manifest, by contrast, means nothing was committed.)
+TEST(StoreResume, DamagedManifestIsRefusedAndLeftUntouched) {
+  core::StudyConfig config = store_config();
+  config.sc_probes = 200;
+  config.sc_campaign.days = 2;
+  const fs::path stopped =
+      fs::path{::testing::TempDir()} / "cloudrtt_store_manifest_base";
+  fs::remove_all(stopped);
+  {
+    core::Study first{config};
+    core::RunControl control;
+    control.checkpoint_dir = stopped.string();
+    control.stop_after_day = 1;
+    first.run(control);
+    ASSERT_FALSE(first.completed());
+  }
+
+  for (const std::string damaged : {"", "platform=speedchecker\nseed=23\n"}) {
+    SCOPED_TRACE("manifest '" + damaged + "'");
+    const fs::path dir = copy_store("cloudrtt_store_manifest", stopped);
+    const fs::path manifest = store::store_manifest_path(dir, kPlatform);
+    write_file(manifest, damaged);
+    const std::map<std::string, std::string> before = dir_files(dir);
+    ASSERT_FALSE(before.at(std::string{kPlatform} + ".shard").empty());
+
+    core::Study resumed{config};
+    core::RunControl control;
+    control.checkpoint_dir = dir.string();
+    control.resume = true;
+    try {
+      resumed.run(control);
+      ADD_FAILURE() << "resume next to a damaged manifest must throw";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("damaged manifest"), std::string::npos) << what;
+      EXPECT_NE(what.find(manifest.string()), std::string::npos) << what;
+    }
+    EXPECT_EQ(dir_files(dir), before);
+
+    store::IoEnv io;
+    const store::StorePresence presence =
+        store::find_store(dir, kPlatform, io);
+    EXPECT_TRUE(presence.found);
+    EXPECT_FALSE(presence.error.empty());
+    const store::FsckReport report = store::fsck(dir, kPlatform, io);
+    EXPECT_FALSE(report.healthy());
     EXPECT_NE(report.render(kPlatform).find("DAMAGED"), std::string::npos);
   }
 }

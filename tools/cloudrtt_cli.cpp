@@ -374,8 +374,10 @@ int cmd_study(int argc, const char* const* argv,
 
   if (args.get_flag("fsck")) {
     // Offline integrity check: no world build, no campaign — read the store
-    // artefacts for both platforms and report. Exit 0 only when every store
-    // present is healthy and at least one was found.
+    // artefacts for both platforms and report. A platform is present when
+    // its manifest exists (store::find_store); an empty, unreadable or
+    // legacy one reports DAMAGED. Exit 0 only when every store present is
+    // healthy and at least one was found.
     if (control.checkpoint_dir.empty()) {
       std::cerr << "--fsck needs --checkpoint-dir\n";
       return 1;
@@ -385,7 +387,7 @@ int cmd_study(int argc, const char* const* argv,
     bool found = false;
     bool healthy = true;
     for (const std::string_view platform : {"speedchecker", "atlas"}) {
-      if (store::manifest_format(store_dir, platform, io) == 0) continue;
+      if (!store::find_store(store_dir, platform, io).found) continue;
       found = true;
       const store::FsckReport report = store::fsck(store_dir, platform, io);
       std::cout << report.render(platform) << "\n";
