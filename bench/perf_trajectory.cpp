@@ -263,13 +263,13 @@ int run_suite(int argc, char** argv) {
 
   // --- paper_day_stream (--paper) ------------------------------------------
   // `--scale paper` as a first-class benchmarked configuration: a 115k-probe
-  // fleet runs one campaign day with every committed day's rows streamed
-  // through store::ShardWriter and dropped from RAM, exactly what
-  // `cloudrtt run --scale paper` does. The section hash is the streamed
-  // store hash (bit-identical to the in-memory hash by construction) and
+  // fleet runs one campaign day with every batch of rows streamed through
+  // store::ShardWriter and dropped from RAM, exactly what `cloudrtt run
+  // --scale paper` does. The section hash is the streamed store hash
+  // (bit-identical to the in-memory hash by construction) and
   // report.peak_rss_bytes — recorded after this leg — is the committed
-  // evidence that paper scale fits in O(one day) of memory (CI asserts a
-  // ceiling on it).
+  // evidence that paper scale fits in a batch of rows plus a day's
+  // serialised spill (CI asserts a ceiling on it).
   if (args.get_flag("paper")) {
     const core::ScaleSpec paper = core::parse_scale("paper");
     const probes::ProbeFleet paper_fleet{

@@ -51,8 +51,8 @@ bool Study::run_campaign(std::string_view platform,
   if (control.stream && !persist) {
     throw std::runtime_error{
         "Study::run: RunControl::stream requires checkpoint_dir — a streamed "
-        "run keeps only one day's rows in memory, so the store is the only "
-        "copy of the data"};
+        "run drops each batch of rows once it is spilled, so the store is "
+        "the only copy of the data"};
   }
   const std::filesystem::path store_dir{control.checkpoint_dir};
 
@@ -88,7 +88,8 @@ bool Study::run_campaign(std::string_view platform,
       // The open validates and repairs the store and yields the shard's
       // byte mark plus the on-disk row count, which is all restore() needs; it
       // reads no rows. Only an in-memory resume scans them back, so a
-      // streaming resume's RAM stays O(day) across kill+resume cycles.
+      // streaming resume's RAM stays that of a batch and a day's spill
+      // across kill+resume cycles.
       const store::OpenResult opened =
           store::open_store(store_dir, platform, *io, /*repair=*/true);
       if (!opened.ok()) {
@@ -155,8 +156,8 @@ bool Study::run_campaign(std::string_view platform,
       (void)writer->append_day(day, day_start_cursor, first_task, data,
                                ping_begin, trace_begin);
     };
-    // Streaming: once append_day has copied the day's columns into its job,
-    // the campaign may drop them — the store is the only copy from here on.
+    // Streaming: once append_day has copied a batch's columns into its job,
+    // the campaign drops them — the store is the only copy from here on.
     hooks.drop_day_rows = control.stream;
   }
   if (writer != nullptr || control.stop_after_day) {

@@ -91,9 +91,9 @@ struct StudyConfig {
 struct RunControl {
   /// Directory for per-day checkpoints; empty disables checkpointing.
   /// Checkpoints are written as a format=4 streaming store: each platform's
-  /// rows spill to its one shard file at the end of every day and an
-  /// atomically-renamed manifest is the commit point (see
-  /// store/shard_writer.hpp).
+  /// rows are serialised batch by batch as the day runs, appended to its one
+  /// shard file when the day ends, and an atomically-renamed manifest is the
+  /// commit point (see store/shard_writer.hpp).
   std::string checkpoint_dir;
   /// Resume from `checkpoint_dir` when a committed checkpoint exists there
   /// (resuming replays the remaining days bit-identically, salvaging any
@@ -110,8 +110,10 @@ struct RunControl {
   /// construction and each platform forks its own RNG stream — so a stopped
   /// Speedchecker campaign no longer blocks Atlas from running its days.
   std::optional<std::uint32_t> stop_after_day;
-  /// Stream each day's rows to the store and drop them from memory once the
-  /// day commits: RAM high-water is O(one day's columns), not O(study).
+  /// Stream rows to the store and drop them from memory batch by batch (see
+  /// measure::ParallelExecutor::kBatchTasks): RAM holds one batch of rows
+  /// and the day's serialised spill (~140 B a task, kept until the disk has
+  /// it), not the study and not a day's columns.
   /// Requires `checkpoint_dir` (throws otherwise). The in-memory datasets
   /// and view() are unavailable after a streamed run; the dataset hash comes
   /// from core::streamed_dataset_hash over the store instead, and is

@@ -206,15 +206,15 @@ Dataset Campaign::run(util::Rng rng, const CampaignState& start,
   dataset.bind(&fleet_, nullptr);
 
   // Reservation hints come from the schedule, not from AoS guesses: the
-  // daily budget bounds a day's rows exactly, and in streaming mode only one
-  // day is ever resident. The executor adds the exact per-day hop count at
-  // merge time; kHopsPerTaskHint pre-sizes the pool so steady-state days
-  // reallocate nothing.
+  // daily budget bounds a day's rows, and a run that drops its rows keeps
+  // one executor batch resident at most. The executor adds each batch's
+  // exact hop count at merge time; kHopsPerTaskHint pre-sizes the pool so
+  // steady-state batches reallocate nothing.
   constexpr std::size_t kHopsPerTaskHint = 12;
-  const std::size_t resident_days =
-      hooks.drop_day_rows ? std::min<std::uint32_t>(1, config_.days)
-                          : config_.days - start.next_day;
-  const std::size_t row_hint = resident_days * config_.daily_budget;
+  const std::size_t row_hint =
+      hooks.drop_day_rows
+          ? std::min(ParallelExecutor::kBatchTasks, config_.daily_budget)
+          : (config_.days - start.next_day) * config_.daily_budget;
   dataset.reserve(dataset.pings.size() + row_hint,
                   dataset.traces.size() + row_hint);
   dataset.reserve_hops(row_hint * kHopsPerTaskHint);
@@ -448,13 +448,23 @@ Dataset Campaign::run(util::Rng rng, const CampaignState& start,
                      " tasks of day ", day, " are done but the schedule ",
                      "produced only ", day_tasks.size(),
                      " (checkpoint from another configuration?)");
-      const std::size_t base_pings = dataset.pings.size();
-      const std::size_t base_traces = dataset.traces.size();
+      // Each merged batch goes to the hook as soon as it lands and, when
+      // the run drops its rows, leaves RAM right after.
+      const auto hand_on = [&](std::size_t first_task, std::size_t ping_begin,
+                               std::size_t trace_begin) {
+        if (hooks.day_rows) {
+          hooks.day_rows(day, day_start_cursor,
+                         static_cast<std::uint32_t>(first_task), dataset,
+                         ping_begin, trace_begin);
+        }
+        if (hooks.drop_day_rows) dataset.clear_rows();
+      };
       const util::Rng exec_rng = day_rng.fork("exec");
-      executor.execute(engine_, day_tasks, exec_rng, dataset, skip);
-      if (hooks.day_rows) {
-        hooks.day_rows(day, day_start_cursor, static_cast<std::uint32_t>(skip),
-                       dataset, base_pings, base_traces);
+      executor.execute(engine_, day_tasks, exec_rng, dataset, skip, hand_on);
+      // A day with nothing left to run still reaches the hook once, with
+      // no rows, so a store closes every day it is told about.
+      if (skip == day_tasks.size()) {
+        hand_on(skip, dataset.pings.size(), dataset.traces.size());
       }
       day_tasks.clear();
     }
@@ -490,13 +500,10 @@ Dataset Campaign::run(util::Rng rng, const CampaignState& start,
                            config_.days - start.next_day, day_delivered,
                            busy_fraction_gauge.value());
 
-    bool stop = false;
-    if (hooks.after_day) {
-      const CampaignState state{day + 1, cursor};
-      stop = !hooks.after_day(state, dataset);
+    if (hooks.after_day &&
+        !hooks.after_day(CampaignState{day + 1, cursor}, dataset)) {
+      break;
     }
-    if (hooks.drop_day_rows) dataset.clear_rows();
-    if (stop) break;
   }
   return dataset;
 }

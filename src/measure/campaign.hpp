@@ -77,13 +77,15 @@ struct CampaignState {
 struct RunHooks {
   /// Fault schedule; null = clean run (no fault RNG draws at all).
   const fault::FaultPlan* faults = nullptr;
-  /// Called after each executed day with the day's slice of the columnar
-  /// dataset, before after_day: the day's rows are [ping_begin,
+  /// Called once per executor batch (ParallelExecutor::kBatchTasks tasks,
+  /// the day's last batch shorter) as soon as the batch merges, in task
+  /// order, before the day's after_day: the batch's rows are [ping_begin,
   /// data.pings.size()) and [trace_begin, data.traces.size()).
   /// `day_start_cursor` is the country cursor at the day's start and
-  /// `first_task` the day-relative index of the first new row (nonzero on a
-  /// mid-day resume). The streaming store hooks in here; measure itself
-  /// never depends on the store layer.
+  /// `first_task` the day-relative index of the batch's first row: a
+  /// multiple of kBatchTasks, or the resume point on a mid-day resume. A day
+  /// with nothing to run gets one call with no rows. The streaming store
+  /// hooks in here; measure itself never depends on the store layer.
   std::function<void(std::uint32_t day, std::size_t day_start_cursor,
                      std::uint32_t first_task, const Dataset& data,
                      std::size_t ping_begin, std::size_t trace_begin)>
@@ -91,10 +93,10 @@ struct RunHooks {
   /// Called after each completed day with the advanced state and the dataset
   /// so far (checkpointing). Return false to stop before the next day.
   std::function<bool(const CampaignState&, const Dataset&)> after_day;
-  /// Streaming mode: drop each day's rows (and hop pool) from RAM once
-  /// day_rows/after_day have consumed them — the store becomes the only
-  /// copy and the campaign's high-water memory is O(one day's columns).
-  /// The Dataset run() returns is then empty of rows.
+  /// Streaming mode: drop each batch's rows (and hops) from RAM as soon as
+  /// day_rows returns — the store becomes the only copy, and the campaign's
+  /// resident rows are one batch whatever the daily volume. after_day and
+  /// the Dataset run() returns then hold no rows.
   bool drop_day_rows = false;
 };
 

@@ -439,7 +439,7 @@ struct Dataset {
   void reserve_hops(std::size_t hops) { traces.reserve_hops(hops); }
 
   /// Drop every row but keep the binding and column capacity — the streaming
-  /// campaign calls this after each committed day so RAM stays O(day).
+  /// campaign calls this after handing on each batch, so RAM holds a batch.
   void clear_rows() {
     pings.clear();
     traces.clear();

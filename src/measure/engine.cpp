@@ -273,9 +273,10 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
   record.day = day;
   record.slot = slot;
   record.true_mode = draw.path.mode;
-  // hops_out is a day-long arena: grow it geometrically or not at all. An
+  // hops_out is a batch-long arena: grow it geometrically or not at all. An
   // exact `size + hops` reserve here would reallocate (and copy the whole
-  // arena) every few tasks once size reaches capacity — O(day²) in disguise.
+  // arena) every few tasks once size reaches capacity — O(batch²) in
+  // disguise.
   if (const std::size_t want = hops_out.size() + draw.path.hops.size();
       want > hops_out.capacity()) {
     hops_out.reserve(

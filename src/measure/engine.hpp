@@ -24,7 +24,7 @@ struct alignas(64) MeasurementScratch {
   routing::ForwardingPath path;
   /// Worker-local flat hop arena: traceroute_into appends here and the
   /// executor's merge copies the span into the dataset's hop pool. Cleared
-  /// per execute phase, capacity recycled across days.
+  /// per batch, capacity recycled across batches and days.
   std::vector<HopRecord> hops;
 };
 

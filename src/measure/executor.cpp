@@ -1,8 +1,11 @@
 #include "measure/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -20,7 +23,7 @@ namespace {
 /// trace buffer after the pool joins.
 struct WorkerStats {
   std::uint64_t busy_ns = 0;   ///< time inside run_chunk
-  std::uint64_t wait_ns = 0;   ///< gaps between chunks (queue contention)
+  std::uint64_t wait_ns = 0;   ///< gaps between chunks (queue, lanes, merges)
   std::uint64_t chunks = 0;
   std::uint64_t start_ns = 0;  ///< when the worker began draining
   std::uint64_t end_ns = 0;    ///< when the worker ran out of chunks
@@ -40,28 +43,25 @@ struct TraceSlot {
   std::uint32_t worker = 0;
 };
 
+/// One batch in flight: its tasks, its result slots (drawn from the lane's
+/// staging arena) and how many of its chunks are still to finish.
+struct Lane {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::span<PingRecord> pings;
+  std::span<TraceSlot> traces;
+  std::atomic<std::size_t> chunks_left{0};
+};
+
 }  // namespace
 
 void ParallelExecutor::execute(const Engine& engine,
                                std::span<const MeasurementTask> tasks,
                                const util::Rng& chunk_root, Dataset& out,
-                               std::size_t skip_tasks) {
+                               std::size_t skip_tasks,
+                               const BatchSink& merged) {
   const std::size_t n = tasks.size();
-  if (n == 0 || skip_tasks >= n) return;
-  const std::size_t chunk_count = (n + kChunkSize - 1) / kChunkSize;
-  // Chunks wholly inside the skipped prefix never run; the chunk indices of
-  // the rest are unchanged, so their RNG forks match a full run exactly.
-  const std::size_t first_chunk = skip_tasks / kChunkSize;
-
-  // Results land in slots indexed by task position so the merge order is the
-  // schedule order no matter which worker ran which chunk. The slot vectors
-  // draw from the recycled staging arena: after the first day of a campaign
-  // these two allocations cost nothing.
-  staging_.reset();
-  std::vector<PingRecord, util::ArenaAllocator<PingRecord>> pings(
-      n, util::ArenaAllocator<PingRecord>{staging_});
-  std::vector<TraceSlot, util::ArenaAllocator<TraceSlot>> traces(
-      n, util::ArenaAllocator<TraceSlot>{staging_});
+  if (skip_tasks >= n) return;
 
   obs::Registry& registry = obs::Registry::global();
   obs::Histogram& chunk_ms = registry.histogram(
@@ -75,24 +75,85 @@ void ParallelExecutor::execute(const Engine& engine,
       "Cumulative worker busy time across execute phases in milliseconds");
   obs::Gauge& staging_high_water = registry.gauge(
       "measure.staging_arena_high_water_bytes",
-      "High-water mark of the executor's per-day staging arena");
+      "High-water mark of the executor's staging arenas (two batches)");
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+
+  // Chunks wholly inside the skipped prefix never run; the chunk indices of
+  // the rest are unchanged, so their RNG forks match a full run exactly.
+  const std::size_t first_chunk = skip_tasks / kChunkSize;
+  const std::size_t chunk_count = (n + kChunkSize - 1) / kChunkSize;
+  const std::size_t batch_count =
+      (chunk_count + kBatchChunks - 1) / kBatchChunks;
+  const std::size_t workers =
+      std::min<std::size_t>(threads_, chunk_count - first_chunk);
+  if (worker_scratch_.size() < workers * kLanes) {
+    worker_scratch_.resize(workers * kLanes);
+  }
+  const auto scratch_of = [&](std::size_t worker,
+                              std::size_t batch) -> MeasurementScratch& {
+    return worker_scratch_[worker * kLanes + batch % kLanes];
+  };
+
+  // Results land in slots indexed by task position within the batch, so the
+  // merge order is the schedule order no matter which worker ran which
+  // chunk. Batch b uses lane b % kLanes; opening it recycles the lane's
+  // staging arena and the workers' hop arenas of that lane (capacity kept),
+  // which is safe because batch b - kLanes has merged and no chunk of b has
+  // started.
+  std::array<Lane, kLanes> lanes;
+  const auto open_lane = [&](std::size_t batch) {
+    Lane& lane = lanes[batch % kLanes];
+    util::Arena& arena = staging_[batch % kLanes];
+    arena.reset();
+    lane.begin = std::max(skip_tasks, batch * kBatchTasks);
+    lane.end = std::min(n, (batch + 1) * kBatchTasks);
+    const std::size_t rows = lane.end - lane.begin;
+    lane.pings = {arena.allocate_array<PingRecord>(rows), rows};
+    lane.traces = {arena.allocate_array<TraceSlot>(rows), rows};
+    std::uninitialized_value_construct(lane.pings.begin(), lane.pings.end());
+    std::uninitialized_value_construct(lane.traces.begin(), lane.traces.end());
+    const std::size_t chunk_end = (lane.end + kChunkSize - 1) / kChunkSize;
+    lane.chunks_left.store(chunk_end - lane.begin / kChunkSize,
+                           std::memory_order_relaxed);
+    for (std::size_t w = 0; w < workers; ++w) scratch_of(w, batch).hops.clear();
+  };
+
+  // Hand-off between the pool and the calling thread, which merges. A
+  // worker may run chunks of batches below `open_limit` (their lanes are
+  // open); it waits for the merge to open the next lane rather than
+  // overwrite one that has not merged yet.
+  std::mutex mutex;
+  std::condition_variable changed;
+  std::atomic<std::size_t> next_chunk{first_chunk};
+  std::atomic<std::size_t> open_limit{0};
+  std::atomic<bool> abort{false};
+  std::exception_ptr failure;
+  const auto fail = [&] {
+    {
+      const std::scoped_lock lock{mutex};
+      if (!failure) failure = std::current_exception();
+      abort.store(true, std::memory_order_relaxed);
+    }
+    changed.notify_all();
+  };
 
   const auto run_chunk = [&](std::size_t chunk, WorkerStats& stats,
                              std::size_t worker) {
-    MeasurementScratch& scratch = worker_scratch_[worker];
+    const std::size_t batch = chunk / kBatchChunks;
+    Lane& lane = lanes[batch % kLanes];
+    MeasurementScratch& scratch = scratch_of(worker, batch);
     const std::uint64_t start_ns = obs::monotonic_ns();
     const util::Rng chunk_rng = chunk_root.fork(chunk);
     const std::size_t begin = chunk * kChunkSize;
     const std::size_t end = std::min(begin + kChunkSize, n);
-    for (std::size_t i = std::max(begin, skip_tasks); i < end; ++i) {
+    for (std::size_t i = std::max(begin, lane.begin); i < end; ++i) {
       util::Rng task_rng = chunk_rng.fork(i - begin);
       // Hops pack into the worker's flat arena; the slot remembers the range
       // so the canonical merge can copy it into the dataset's hop pool.
-      TraceSlot& slot = traces[i];
+      TraceSlot& slot = lane.traces[i - lane.begin];
       slot.hop_begin = static_cast<std::uint32_t>(scratch.hops.size());
       const TaskRecords records = engine.run_task(tasks[i], task_rng, scratch);
-      pings[i] = records.ping;
+      lane.pings[i - lane.begin] = records.ping;
       slot.core = records.trace;
       slot.hop_count =
           static_cast<std::uint32_t>(scratch.hops.size()) - slot.hop_begin;
@@ -108,83 +169,167 @@ void ParallelExecutor::execute(const Engine& engine,
                                {{"chunk", static_cast<double>(chunk)},
                                 {"tasks", static_cast<double>(end - begin)}});
     }
+    // The last chunk of a batch releases its slots to the merging thread.
+    bool last = false;
+    {
+      const std::scoped_lock lock{mutex};
+      last = lane.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    }
+    if (last) changed.notify_all();
   };
 
-  const std::uint64_t phase_start_ns = obs::monotonic_ns();
-  const std::size_t workers =
-      std::min<std::size_t>(threads_, chunk_count - first_chunk);
+  // Canonical merge: schedule-order append, making the dataset identical for
+  // every worker-pool size. Then the batch is handed on and its lane reopens
+  // for the batch kLanes ahead.
+  std::size_t next_merge = first_chunk / kBatchChunks;
+  const auto merge_next = [&] {
+    Lane& lane = lanes[next_merge % kLanes];
+    const std::size_t ping_begin = out.pings.size();
+    const std::size_t trace_begin = out.traces.size();
+    {
+      const obs::Span merge_span{"merge"};
+      const std::uint64_t merge_start_ns = obs::monotonic_ns();
+      // Reservation hints are exact: the schedule told us the row count and
+      // the workers counted the hops. The columns grow geometrically past
+      // them, so a day of batches copies no column more than a few times.
+      const std::size_t rows = lane.end - lane.begin;
+      out.pings.reserve(ping_begin + rows);
+      out.traces.reserve(trace_begin + rows);
+      std::size_t hop_total = 0;
+      for (const TraceSlot& slot : lane.traces) hop_total += slot.hop_count;
+      out.traces.reserve_hops(hop_total);
+      for (const PingRecord& ping : lane.pings) out.pings.push_back(ping);
+      for (const TraceSlot& slot : lane.traces) {
+        const std::vector<HopRecord>& hops =
+            scratch_of(slot.worker, next_merge).hops;
+        out.traces.push_back(
+            slot.core, std::span{hops}.subspan(slot.hop_begin, slot.hop_count));
+      }
+      if (recorder.enabled()) {
+        recorder.record_complete("executor.merge", "executor", merge_start_ns,
+                                 obs::monotonic_ns() - merge_start_ns,
+                                 {{"tasks", static_cast<double>(rows)}});
+      }
+    }
+    merged(lane.begin, ping_begin, trace_begin);
+    ++next_merge;
+    if (next_merge + kLanes - 1 < batch_count) {
+      open_lane(next_merge + kLanes - 1);
+      {
+        const std::scoped_lock lock{mutex};
+        open_limit.store(next_merge + kLanes, std::memory_order_release);
+      }
+      changed.notify_all();
+    }
+  };
+  const auto merge_ready = [&] {
+    const Lane& lane = lanes[next_merge % kLanes];
+    return lane.chunks_left.load(std::memory_order_acquire) == 0;
+  };
+  // Block until the next batch to merge has finished (or a worker failed).
+  const auto await_merge = [&] {
+    std::unique_lock lock{mutex};
+    changed.wait(lock, [&] {
+      return merge_ready() || abort.load(std::memory_order_relaxed);
+    });
+  };
+
+  for (std::size_t batch = next_merge;
+       batch < std::min(batch_count, next_merge + kLanes); ++batch) {
+    open_lane(batch);
+  }
+  open_limit.store(next_merge + kLanes, std::memory_order_release);
+
   std::vector<WorkerStats> stats(workers);
-  if (worker_scratch_.size() < workers) worker_scratch_.resize(workers);
-  // Hop arenas restart empty each phase (capacity recycled): slot ranges are
-  // relative to this call's appends.
-  for (MeasurementScratch& scratch : worker_scratch_) scratch.hops.clear();
-
-  // One worker drains the shared chunk counter until it runs dry. The gap
-  // between finishing one chunk and starting the next is queue wait — with a
-  // lock-free counter it should stay near zero; growth means the chunks are
-  // too small or the allocator is contended.
-  const auto drain = [&](WorkerStats& stats_entry, std::size_t worker,
-                         std::atomic<std::size_t>& next_chunk) {
-    stats_entry.start_ns = obs::monotonic_ns();
-    std::uint64_t idle_since = stats_entry.start_ns;
-    for (std::size_t chunk = next_chunk.fetch_add(1); chunk < chunk_count;
-         chunk = next_chunk.fetch_add(1)) {
-      const std::uint64_t pick_ns = obs::monotonic_ns();
-      stats_entry.wait_ns += pick_ns - idle_since;
-      run_chunk(chunk, stats_entry, worker);
-      idle_since = obs::monotonic_ns();
-    }
-    stats_entry.end_ns = obs::monotonic_ns();
-  };
-
-  if (workers <= 1) {
-    stats[0].start_ns = phase_start_ns;
-    for (std::size_t chunk = first_chunk; chunk < chunk_count; ++chunk) {
-      run_chunk(chunk, stats[0], 0);
-    }
-    stats[0].end_ns = obs::monotonic_ns();
-  } else {
-    std::atomic<std::size_t> next_chunk{first_chunk};
-    std::mutex failure_mutex;
-    std::exception_ptr failure;
-    const auto guarded = [&](std::size_t worker) {
-      // Worker 0 is the calling thread — leave its name ("main") alone.
-      if (worker != 0 && recorder.enabled()) {
+  const auto pool_worker = [&](std::size_t worker) {
+    WorkerStats& entry = stats[worker];
+    entry.start_ns = obs::monotonic_ns();
+    std::uint64_t idle_since = entry.start_ns;
+    try {
+      if (recorder.enabled()) {
         recorder.name_this_thread("worker " + std::to_string(worker));
       }
-      try {
-        drain(stats[worker], worker, next_chunk);
-      } catch (...) {
-        stats[worker].end_ns = obs::monotonic_ns();
-        const std::scoped_lock lock{failure_mutex};
-        if (!failure) failure = std::current_exception();
+      while (!abort.load(std::memory_order_relaxed)) {
+        const std::size_t chunk = next_chunk.fetch_add(1);
+        if (chunk >= chunk_count) break;
+        const std::size_t batch = chunk / kBatchChunks;
+        if (batch >= open_limit.load(std::memory_order_acquire)) {
+          std::unique_lock lock{mutex};
+          changed.wait(lock, [&] {
+            return batch < open_limit.load(std::memory_order_acquire) ||
+                   abort.load(std::memory_order_relaxed);
+          });
+          if (abort.load(std::memory_order_relaxed)) break;
+        }
+        entry.wait_ns += obs::monotonic_ns() - idle_since;
+        run_chunk(chunk, entry, worker);
+        idle_since = obs::monotonic_ns();
       }
-    };
-    std::vector<std::thread> pool;
+    } catch (...) {
+      fail();
+    }
+    entry.end_ns = obs::monotonic_ns();
+  };
+
+  // The calling thread is worker 0: it runs chunks like the others, but
+  // merges each batch as soon as its last chunk lands, in order, so the
+  // pool never waits on a merge barrier. It never waits for a lane it must
+  // merge itself: before running a chunk beyond the open lanes it merges
+  // the batches in the way.
+  const std::uint64_t phase_start_ns = obs::monotonic_ns();
+  std::vector<std::thread> pool;
+  WorkerStats& own = stats[0];
+  own.start_ns = phase_start_ns;
+  std::uint64_t idle_since = phase_start_ns;
+  try {
     pool.reserve(workers - 1);
     for (std::size_t w = 1; w < workers; ++w) {
-      pool.emplace_back(guarded, w);
+      pool.emplace_back(pool_worker, w);
     }
-    guarded(0);  // the calling thread is worker 0
-    for (std::thread& worker : pool) worker.join();
-    if (failure) std::rethrow_exception(failure);
+    bool claiming = true;
+    while (next_merge < batch_count && !abort.load(std::memory_order_relaxed)) {
+      if (merge_ready()) {
+        merge_next();
+        continue;
+      }
+      if (claiming) {
+        const std::size_t chunk = next_chunk.fetch_add(1);
+        if (chunk < chunk_count) {
+          while (chunk / kBatchChunks >= next_merge + kLanes &&
+                 !abort.load(std::memory_order_relaxed)) {
+            await_merge();
+            if (merge_ready()) merge_next();
+          }
+          if (abort.load(std::memory_order_relaxed)) break;
+          own.wait_ns += obs::monotonic_ns() - idle_since;
+          run_chunk(chunk, own, 0);
+          idle_since = obs::monotonic_ns();
+          continue;
+        }
+        claiming = false;
+      }
+      await_merge();
+    }
+  } catch (...) {
+    fail();
   }
-
-  const std::uint64_t phase_end_ns = obs::monotonic_ns();
+  own.end_ns = obs::monotonic_ns();
+  for (std::thread& worker : pool) worker.join();
+  if (failure) std::rethrow_exception(failure);
 
   // Fold per-worker accounting into the registry: a busy-time counter that
   // only ever grows plus a busy-fraction gauge for the phase just finished.
-  // (The old `measure.worker_busy` up/down gauge was last-write-wins across
-  // workers and therefore useless under contention.)
+  const std::uint64_t wall_ns = obs::monotonic_ns() - phase_start_ns;
   std::uint64_t total_busy_ns = 0;
   for (const WorkerStats& entry : stats) total_busy_ns += entry.busy_ns;
-  const std::uint64_t wall_ns = phase_end_ns - phase_start_ns;
   if (wall_ns > 0) {
     busy_fraction.set(static_cast<double>(total_busy_ns) /
                       (static_cast<double>(wall_ns) *
                        static_cast<double>(workers)));
   }
   busy_ms_total.inc(static_cast<std::uint64_t>(to_ms(total_busy_ns)));
+  staging_high_water.set(static_cast<double>(
+      staging_[0].high_water_bytes() + staging_[1].high_water_bytes()));
 
   if (recorder.enabled()) {
     for (std::size_t w = 0; w < stats.size(); ++w) {
@@ -199,36 +344,6 @@ void ParallelExecutor::execute(const Engine& engine,
            {"queue_wait_ms", to_ms(entry.wait_ns)}});
     }
   }
-
-  {
-    // Canonical merge: schedule-order append, making the dataset identical
-    // for every worker-pool size.
-    const obs::Span merge_span{"merge"};
-    const std::uint64_t merge_start_ns = obs::monotonic_ns();
-    // Slots [0, skip_tasks) never ran. Reservation hints are exact: the
-    // schedule told us the row count and the workers counted the hops.
-    out.pings.reserve(out.pings.size() + (n - skip_tasks));
-    out.traces.reserve(out.traces.size() + (n - skip_tasks));
-    std::size_t hop_total = 0;
-    for (std::size_t i = skip_tasks; i < n; ++i) hop_total += traces[i].hop_count;
-    out.traces.reserve_hops(hop_total);
-    for (std::size_t i = skip_tasks; i < n; ++i) {
-      out.pings.push_back(pings[i]);
-    }
-    for (std::size_t i = skip_tasks; i < n; ++i) {
-      const TraceSlot& slot = traces[i];
-      out.traces.push_back(
-          slot.core, std::span{worker_scratch_[slot.worker].hops}.subspan(
-                         slot.hop_begin, slot.hop_count));
-    }
-    if (recorder.enabled()) {
-      recorder.record_complete(
-          "executor.merge", "executor", merge_start_ns,
-          obs::monotonic_ns() - merge_start_ns,
-          {{"tasks", static_cast<double>(n - skip_tasks)}});
-    }
-  }
-  staging_high_water.set(static_cast<double>(staging_.high_water_bytes()));
 }
 
 }  // namespace cloudrtt::measure

@@ -7,11 +7,16 @@
 // and emits a flat list of MeasurementTasks. The *execute* phase, this
 // module, runs those tasks: it shards the list into fixed-size chunks,
 // forks an independent RNG per chunk from a single execution root, and
-// merges results back in task order.
+// merges results back in task order, one batch of chunks at a time.
+//
+// The pool drains the day's chunks in order without stopping at batch
+// boundaries; the calling thread merges each batch as soon as its last
+// chunk lands and hands it on, while the pool runs ahead into the next
+// batch (never further: staging holds two batches).
 //
 // Determinism across thread counts falls out of three choices:
-//  * the chunk size is a constant (not derived from the worker count), so
-//    the chunk decomposition is identical for --threads 1 and --threads N;
+//  * the chunk and batch sizes are constants (not derived from the worker
+//    count), so the decomposition is identical for --threads 1 and N;
 //  * each task's RNG is forked from (execution root, chunk index, offset
 //    within chunk) — never from any other task's draws;
 //  * results land in preallocated slots indexed by task position and are
@@ -19,7 +24,9 @@
 //    finished first.
 // So core::dataset_hash is bit-identical for every worker-pool size.
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -38,6 +45,19 @@ class ParallelExecutor {
   /// Tasks per chunk. A constant (never a function of the worker count) so
   /// the RNG forking tree is identical for any --threads value.
   static constexpr std::size_t kChunkSize = 64;
+  /// Chunks per batch: a day merges and hands on its rows 4,096 tasks at a
+  /// time, so the staging slots and the workers' hop arenas hold two
+  /// batches, never a whole day. Also a constant: batch boundaries fall on
+  /// the same tasks at every --threads value and every daily volume.
+  static constexpr std::size_t kBatchChunks = 64;
+  static constexpr std::size_t kBatchTasks = kBatchChunks * kChunkSize;
+
+  /// Receives each merged batch: `first_task` is its first task index in the
+  /// day, and its rows are `out`'s ping rows from `ping_begin` and trace rows
+  /// from `trace_begin` to the end. It may clear `out`'s rows.
+  using BatchSink = std::function<void(std::size_t first_task,
+                                       std::size_t ping_begin,
+                                       std::size_t trace_begin)>;
 
   explicit ParallelExecutor(unsigned threads = 1)
       : threads_(threads == 0 ? 1 : threads) {}
@@ -45,31 +65,37 @@ class ParallelExecutor {
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// Run every task and append one ping row + one trace row (hops spliced
-  /// into the flat pool) per task to `out`'s columns, in task order.
-  /// `chunk_root` seeds the per-chunk RNG tree; pass
-  /// the same value to get the same records at any thread count. With one
-  /// worker (or few tasks) this degenerates to an inline loop — no pool.
-  /// Worker exceptions are rethrown here after all workers have joined.
+  /// into the flat pool) per task to `out`'s columns, in task order, calling
+  /// `merged` on the calling thread after each batch lands. Batch b covers
+  /// the day's tasks [b * kBatchTasks, (b + 1) * kBatchTasks). `chunk_root`
+  /// seeds the per-chunk RNG tree; pass the same value to get the same
+  /// records at any thread count. With one worker (or few tasks) this
+  /// degenerates to an inline loop — no pool. Worker exceptions (and the
+  /// sink's) are rethrown here after all workers have joined.
   /// `skip_tasks` elides execution (and appending) of the first tasks while
   /// keeping the chunk decomposition and RNG forks of the remainder
   /// identical to a full run — a mid-day resume executes tasks
   /// [skip_tasks, n) with exactly the records a full run would have given
   /// them, because each task's RNG is forked per (chunk, offset), never
-  /// advanced by its neighbours.
-  /// Non-const: the executor owns per-day scratch (the staging arena and
-  /// per-worker path scratch) that it recycles between calls — state that
-  /// never influences the records, only the allocation count.
+  /// advanced by its neighbours. The first batch then starts at skip_tasks.
+  /// Non-const: the executor owns per-batch scratch (the staging arenas and
+  /// per-worker path and hop scratch) that it recycles between batches —
+  /// state that never influences the records, only the allocation count.
   void execute(const Engine& engine, std::span<const MeasurementTask> tasks,
                const util::Rng& chunk_root, Dataset& out,
-               std::size_t skip_tasks = 0);
+               std::size_t skip_tasks, const BatchSink& merged);
 
  private:
+  /// Batches in flight: the one the calling thread merges next, and the
+  /// one the pool runs ahead into meanwhile.
+  static constexpr std::size_t kLanes = 2;
+
   unsigned threads_;
-  /// Result-slot staging for the current day; reset (not freed) per call so
-  /// steady-state days allocate nothing.
-  util::Arena staging_;
-  /// One per worker, indexed by worker id; each is touched by exactly one
-  /// thread during execute(), and sits on cache lines of its own.
+  /// Result-slot staging, one arena per lane; reset (not freed) per batch
+  /// so steady-state batches allocate nothing.
+  std::array<util::Arena, kLanes> staging_;
+  /// One per worker and lane, at worker * kLanes + lane; each is touched by
+  /// one thread at a time, and sits on cache lines of its own.
   std::vector<MeasurementScratch> worker_scratch_;
 };
 

@@ -1,11 +1,14 @@
 #include "store/shard_writer.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
 
+#include "measure/executor.hpp"
 #include "obs/log.hpp"
 #include "util/check.hpp"
 
@@ -14,6 +17,11 @@ namespace cloudrtt::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+// The campaign hands each day on in executor batches. Batches that start on
+// a block boundary frame the blocks one append of the whole day would.
+static_assert(measure::ParallelExecutor::kBatchTasks % kBlockTasks == 0,
+              "an executor batch must hold whole store blocks");
 
 obs::Registry& registry() { return obs::Registry::global(); }
 
@@ -144,7 +152,7 @@ bool ShardWriter::append_day(std::uint32_t day, std::size_t day_start_cursor,
 
 bool ShardWriter::commit(const measure::CampaignState& state) {
   Job job;
-  job.is_commit = true;
+  job.kind = Job::Kind::Commit;
   job.state = state;
   enqueue(std::move(job));
   return !degraded();
@@ -181,6 +189,12 @@ bool ShardWriter::adopt(const measure::Dataset& data,
 
 void ShardWriter::drain() {
   std::unique_lock<std::mutex> lock{mutex_};
+  // Not through enqueue(): closing a day is no write of the caller's, so a
+  // drain before restore() stays legal.
+  Job close;
+  close.kind = Job::Kind::Close;
+  jobs_.push_back(std::move(close));
+  work_cv_.notify_one();
   idle_cv_.wait(lock, [this] { return jobs_.empty() && !worker_busy_; });
 }
 
@@ -195,10 +209,16 @@ void ShardWriter::worker_loop() {
       jobs_.pop_front();
       worker_busy_ = true;
     }
-    if (job.is_commit) {
-      do_commit(job.state);
-    } else {
-      do_append_day(job);
+    switch (job.kind) {
+      case Job::Kind::Rows:
+        do_append_rows(job);
+        break;
+      case Job::Kind::Commit:
+        do_commit(job.state);
+        break;
+      case Job::Kind::Close:
+        if (open_day_) close_day();
+        break;
     }
     {
       const std::lock_guard<std::mutex> lock{mutex_};
@@ -208,13 +228,29 @@ void ShardWriter::worker_loop() {
   }
 }
 
-void ShardWriter::do_append_day(const Job& job) {
+void ShardWriter::DayBytes::append(std::string_view bytes) {
+  if (bytes.empty()) return;
+  if (size_ + bytes.size() > capacity_) {
+    const std::size_t grown_capacity =
+        std::max(size_ + bytes.size(), capacity_ + capacity_ / 2);
+    void* grown = std::realloc(data_, grown_capacity);
+    if (grown == nullptr) throw std::bad_alloc{};
+    data_ = static_cast<char*>(grown);
+    capacity_ = grown_capacity;
+  }
+  std::memcpy(data_ + size_, bytes.data(), bytes.size());
+  size_ += bytes.size();
+}
+
+void ShardWriter::do_append_rows(const Job& job) {
+  if (open_day_ && *open_day_ != job.day) close_day();
   const std::size_t tasks = job.rows.pings.size();
-  PendingAppend entry;
-  entry.rows = tasks;
-  // Exact payload size (fixed-layout records) plus slack per header line.
-  entry.bytes.reserve(tasks * 38 + job.rows.traces.hop_pool().size() * 14 +
-                      (tasks / kBlockTasks + 1) * 112);
+  if (!open_day_) {
+    open_day_ = job.day;
+    open_.bytes = std::move(spare_bytes_);
+    open_.bytes.clear();
+  }
+  open_.rows += tasks;
   for (std::size_t begin = 0; begin < tasks; begin += kBlockTasks) {
     const std::size_t count = std::min(kBlockTasks, tasks - begin);
     payload_scratch_.clear();
@@ -229,15 +265,20 @@ void ShardWriter::do_append_day(const Job& job) {
     header.cursor = job.cursor;
     header.bytes = payload_scratch_.size();
     header.fnv1a = block_checksum(header, payload_scratch_);
-    entry.bytes += format_block_header(header);
-    entry.bytes += payload_scratch_;
-    ++entry.blocks;
+    open_.bytes.append(format_block_header(header));
+    open_.bytes.append(payload_scratch_);
+    ++open_.blocks;
   }
-  if (entry.blocks > 0) {
-    pending_bytes_ += entry.bytes.size();
-    pending_block_count_ += entry.blocks;
-    pending_.push_back(std::move(entry));
+}
+
+void ShardWriter::close_day() {
+  if (open_.blocks > 0) {
+    pending_bytes_ += open_.bytes.size();
+    pending_block_count_ += open_.blocks;
+    pending_.push_back(std::move(open_));
   }
+  open_ = PendingAppend{};
+  open_day_.reset();
   (void)flush();
 }
 
@@ -258,7 +299,7 @@ bool ShardWriter::flush() {
     // One append + fsync per entry: a day's blocks were framed into a
     // single buffer when serialised, so the healthy path never re-copies
     // them, and a degraded backlog drains one day at a time.
-    const IoStatus status = io_.append(path, entry.bytes);
+    const IoStatus status = io_.append(path, entry.bytes.view());
     if (!status.ok()) {
       // Even a "failed" append may have written a prefix (short write,
       // ENOSPC) or written everything without durability (fsync failure):
@@ -275,6 +316,7 @@ bool ShardWriter::flush() {
     spill_blocks_.inc(entry.blocks);
     pending_bytes_ -= entry.bytes.size();
     pending_block_count_ -= entry.blocks;
+    spare_bytes_ = std::move(pending_.front().bytes);
     pending_.pop_front();
   }
   pending_count_.store(0, std::memory_order_relaxed);
@@ -305,6 +347,7 @@ void ShardWriter::enter_degraded(const std::string& reason) {
 }
 
 void ShardWriter::do_commit(const measure::CampaignState& state) {
+  if (open_day_) close_day();
   if (!flush()) {
     // The manifest must never advance past data the disk refused: skip the
     // commit and let a later day (or the final commit) catch up.

@@ -1,13 +1,13 @@
 #pragma once
 // ShardWriter: the crash-safe streaming spine of a campaign.
 //
-// One writer per (store directory, platform). Rows stream out at the end of
-// every executed day as framed, checksummed blocks (see codec.hpp) appended
-// to the platform's one shard file; the format=4 manifest — rewritten
-// atomically at day boundaries — is the commit point that makes them part
-// of the dataset. Anything on disk beyond the manifest's shard mark is an
-// *uncommitted tail* that salvage (salvage.hpp) re-validates block by block
-// on resume.
+// One writer per (store directory, platform). Rows stream in batch by batch
+// as the campaign executes them, and leave as framed, checksummed blocks
+// (see codec.hpp) appended to the platform's one shard file, one append per
+// day; the format=4 manifest — rewritten atomically at day boundaries — is
+// the commit point that makes them part of the dataset. Anything on disk
+// beyond the manifest's shard mark is an *uncommitted tail* that salvage
+// (salvage.hpp) re-validates block by block on resume.
 //
 // Order: a single writer thread appends every block strictly FIFO, in
 // global day/task order, with a contiguous `seq`. That is what lets salvage
@@ -15,13 +15,17 @@
 // appended, and what lets a row scan read the file front to back.
 //
 // Asynchrony: append_day() and commit() only copy the rows and enqueue a
-// job; one background worker serialises, checksums, appends (a day's
-// blocks frame into one buffer and retire with a single fsynced write) and
-// rewrites the manifest. The campaign thread therefore pays row copies,
-// not disk I/O, and the spill overlaps the execution of later days. drain() blocks until
-// every queued job has retired; the destructor drains, so by the time the
-// writer goes out of scope the store is quiescent and everything the disk
-// accepted is durable. restore() must be called before the first enqueue.
+// job; one background worker serialises and checksums each batch into the
+// day's one buffer, appends that buffer with a single fsynced write when the
+// day closes — at commit(), when a batch of a later day arrives, or at
+// drain() — and rewrites the manifest. The campaign thread therefore pays
+// row copies of one batch, not disk I/O, and the spill overlaps execution.
+// The serialised day (~140 B a task) is the only per-day memory the writer
+// keeps; it stays until the disk has taken it, and its buffer then serves
+// the next day. drain() closes the open day and blocks until every queued
+// job has retired; the destructor drains, so by the time the writer goes
+// out of scope the store is quiescent and everything the disk accepted is
+// durable. restore() must be called before the first enqueue.
 //
 // Degrade-don't-die: when the disk misbehaves (see store::FaultyIoEnv) the
 // worker keeps serialised blocks queued in memory, logs one loud warning,
@@ -35,9 +39,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -94,19 +100,24 @@ class ShardWriter {
   /// flight.
   void restore(const ShardState& shard, std::uint64_t durable_tasks);
 
-  /// Stream one executed day: ping rows [ping_begin, data.pings.size()) and
+  /// Stream rows of one day: ping rows [ping_begin, data.pings.size()) and
   /// trace rows [trace_begin, data.traces.size()) of `data` are tasks
   /// [first_task, ...) of `day`, with `day_start_cursor` the country cursor
-  /// at the day's start. Copies the row slice (a columnar splice — a handful
-  /// of bulk copies, no per-trace allocation) and enqueues it for the
-  /// worker; returns the advisory "not degraded as of the last retired job".
+  /// at the day's start. A day may arrive in several calls (the campaign
+  /// hands on one executor batch per call), in task order; `first_task`
+  /// then stays a multiple of kBlockTasks, so the blocks fall where one
+  /// call with the whole day would put them. Copies the row slice (a
+  /// columnar splice — a handful of bulk copies, no per-trace allocation)
+  /// and enqueues it for the worker; returns the advisory "not degraded as
+  /// of the last retired job".
   bool append_day(std::uint32_t day, std::size_t day_start_cursor,
                   std::uint32_t first_task, const measure::Dataset& data,
                   std::size_t ping_begin, std::size_t trace_begin);
 
-  /// Enqueue a manifest commit of `state`. The worker skips it while blocks
-  /// are still pending — the manifest must never claim rows the disk does
-  /// not hold. Advisory return, like append_day().
+  /// Enqueue a manifest commit of `state`: the worker closes the open day
+  /// (one append + fsync of its blocks), then writes the manifest — unless
+  /// blocks are still pending, because the manifest must never claim rows
+  /// the disk does not hold. Advisory return, like append_day().
   bool commit(const measure::CampaignState& state);
 
   /// Write a whole collected dataset at once: every day of `data` as
@@ -117,8 +128,8 @@ class ShardWriter {
   bool adopt(const measure::Dataset& data,
              const measure::CampaignState& state);
 
-  /// Block until every enqueued job has retired. On return degraded() and
-  /// pending_blocks() describe the store's true state.
+  /// Close the open day and block until every enqueued job has retired. On
+  /// return degraded() and pending_blocks() describe the store's true state.
   void drain();
 
   [[nodiscard]] bool degraded() const {
@@ -135,12 +146,13 @@ class ShardWriter {
   }
 
  private:
-  /// One enqueued unit: a day's rows (a columnar slice copied off the
-  /// campaign thread — hop lists already live in the column's flat pool, so
-  /// the copy is a fixed number of bulk vector splices) or a manifest
-  /// commit.
+  /// One enqueued unit: a batch of a day's rows (a columnar slice copied
+  /// off the campaign thread — hop lists already live in the column's flat
+  /// pool, so the copy is a fixed number of bulk vector splices), a
+  /// manifest commit, or drain()'s request to close the open day.
   struct Job {
-    bool is_commit = false;
+    enum class Kind : unsigned char { Rows, Commit, Close };
+    Kind kind = Kind::Rows;
     std::uint32_t day = 0;
     std::size_t cursor = 0;
     std::uint32_t first_task = 0;
@@ -148,17 +160,53 @@ class ShardWriter {
     measure::CampaignState state;
   };
 
+  /// A day's bytes, grown with std::realloc: a growing block is extended in
+  /// place or remapped, so the buffer never holds its old and new copy at
+  /// once, as a std::string's regrowth does. The writer does not learn a
+  /// day's size before its last batch, so the buffer grows as batches come.
+  class DayBytes {
+   public:
+    DayBytes() = default;
+    DayBytes(DayBytes&& other) noexcept
+        : data_(std::exchange(other.data_, nullptr)),
+          size_(std::exchange(other.size_, 0)),
+          capacity_(std::exchange(other.capacity_, 0)) {}
+    DayBytes& operator=(DayBytes&& other) noexcept {
+      std::swap(data_, other.data_);
+      std::swap(size_, other.size_);
+      std::swap(capacity_, other.capacity_);
+      return *this;
+    }
+    DayBytes(const DayBytes&) = delete;
+    DayBytes& operator=(const DayBytes&) = delete;
+    ~DayBytes() { std::free(data_); }
+
+    void append(std::string_view bytes);
+    void clear() { size_ = 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::string_view view() const { return {data_, size_}; }
+
+   private:
+    char* data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+  };
+
   /// One day's framed blocks, already concatenated: the unit the disk
   /// accepts (one append + fsync) or refuses (requeued until it heals).
   struct PendingAppend {
-    std::string bytes;         ///< header line + payload, per block, in order
+    DayBytes bytes;            ///< header line + payload, per block, in order
     std::uint64_t rows = 0;    ///< tasks (== pings == traces) across blocks
     std::uint64_t blocks = 0;  ///< framed blocks in `bytes`
   };
 
   void enqueue(Job job);
   void worker_loop();
-  void do_append_day(const Job& job);
+  /// Frame a batch's blocks into the open day, closing an earlier one.
+  void do_append_rows(const Job& job);
+  /// Queue the open day's blocks for the disk and flush: the one append a
+  /// day makes. A day that got no rows queues nothing but still flushes.
+  void close_day();
   void do_commit(const measure::CampaignState& state);
   /// Drain the pending queue in order; stops at the first failed append.
   bool flush();
@@ -175,6 +223,12 @@ class ShardWriter {
   /// True when the shard may carry torn bytes past the durable mark (a
   /// failed append); the next flush truncates before appending again.
   bool torn_ = false;
+  /// The day whose batches are arriving, and its blocks so far.
+  std::optional<std::uint32_t> open_day_;
+  PendingAppend open_;
+  /// The buffer of the last day the disk took, kept for the next day: a
+  /// streamed run allocates its day buffer once, not once a day.
+  DayBytes spare_bytes_;
   std::deque<PendingAppend> pending_;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t pending_block_count_ = 0;

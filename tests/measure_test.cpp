@@ -13,7 +13,10 @@
 #include "fault/plan.hpp"
 #include "measure/campaign.hpp"
 #include "measure/engine.hpp"
+#include "measure/executor.hpp"
+#include "obs/metrics.hpp"
 #include "probes/fleet.hpp"
+#include "store/codec.hpp"
 #include "topology/world.hpp"
 #include "util/stats.hpp"
 
@@ -563,6 +566,60 @@ TEST_F(CampaignTest, ResumeMidCampaignMatchesStraightRun) {
     EXPECT_EQ(straight.pings[i].probe, resumed.pings[i].probe);
     EXPECT_DOUBLE_EQ(straight.pings[i].rtt_ms, resumed.pings[i].rtt_ms);
   }
+}
+
+// A streamed campaign holds one executor batch of rows, not one day, so its
+// memory does not grow with the daily volume. Counted, not read off RSS: at
+// daily budgets B (two batches) and 8B, every call of the day_rows hook
+// sees only the batch just merged, each batch starts on a store block
+// boundary right where the previous one ended, and the executor's staging
+// arena peaks at the same size.
+TEST_F(CampaignTest, StreamedRunHoldsOneBatchWhateverTheDailyVolume) {
+  constexpr std::size_t kBatch = ParallelExecutor::kBatchTasks;
+  // Every connected probe joins its country's visit and measures many
+  // targets, so even 8B tasks a day are there to be had: the budget binds.
+  config_.visit_probes_by_continent.fill(fleet_.probes().size());
+  config_.visit_probes_cap = fleet_.probes().size();
+  config_.extra_targets = 150;
+  config_.threads = 2;
+  const obs::Gauge& staging = obs::Registry::global().gauge(
+      "measure.staging_arena_high_water_bytes");
+  std::vector<double> staging_high_water;
+  for (const std::size_t budget : {2 * kBatch, 16 * kBatch}) {
+    SCOPED_TRACE(budget);
+    config_.daily_budget = budget;
+    const Campaign campaign{world_, fleet_, config_};
+    std::size_t rows = 0;
+    std::size_t batches = 0;
+    std::uint32_t day_seen = 0;
+    std::size_t day_rows = 0;
+    RunHooks hooks;
+    hooks.drop_day_rows = true;
+    hooks.day_rows = [&](std::uint32_t day, std::size_t /*cursor*/,
+                         std::uint32_t first_task, const Dataset& data,
+                         std::size_t ping_begin, std::size_t trace_begin) {
+      if (day != day_seen) {
+        day_seen = day;
+        day_rows = 0;
+      }
+      EXPECT_EQ(ping_begin, 0u);
+      EXPECT_EQ(trace_begin, 0u);
+      EXPECT_LE(data.pings.size(), kBatch);
+      EXPECT_EQ(data.traces.size(), data.pings.size());
+      EXPECT_EQ(first_task % store::kBlockTasks, 0u);
+      EXPECT_EQ(first_task, day_rows);
+      day_rows += data.pings.size();
+      rows += data.pings.size();
+      ++batches;
+    };
+    const Dataset left = campaign.run(util::Rng{5}, CampaignState{}, hooks);
+    EXPECT_TRUE(left.pings.empty());
+    EXPECT_EQ(rows, config_.days * budget);
+    EXPECT_EQ(batches, config_.days * (budget / kBatch));
+    staging_high_water.push_back(staging.value());
+  }
+  EXPECT_GT(staging_high_water[0], 0.0);
+  EXPECT_LE(staging_high_water[1], staging_high_water[0]);
 }
 
 TEST_F(CampaignTest, OnlyConnectedProbesMeasure) {

@@ -33,6 +33,7 @@
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
+#include "measure/executor.hpp"
 #include "obs/metrics.hpp"
 #include "store/codec.hpp"
 #include "store/io_env.hpp"
@@ -859,16 +860,22 @@ void damage(const fs::path& dir, util::Rng& rng) {
 // Randomized damage across every reader: fsck and open_store must agree on
 // whether the store is usable, and a usable store must read back — through
 // scan_rows and through the streamed hash alike — as a prefix of the rows
-// the campaign collected, never as anything else. A repairing open (what a
-// resume runs) must leave nothing more to cut and the same rows; once the
-// resume's journal commit lands, a read-only reopen finds nothing to
-// salvage at all.
+// the campaign collected, never as anything else. What --resume runs
+// (store::find_store, then the resume) must follow fsck's verdict: a
+// damaged store is refused before any writer exists and left
+// byte-identical, and a usable one resumes to the uninterrupted run's
+// bits. A repairing open (the resume's first step) must leave nothing more
+// to cut and the same rows; once the resume's journal commit lands, a
+// read-only reopen finds nothing to salvage at all.
 TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
   const DamageBaseline& base = damage_baseline();
   ASSERT_GE(base.blocks.size(), base.first_tail + 2);
   const measure::Dataset& collected = base.study->sc_dataset();
   const probes::ProbeFleet* probes = &base.study->sc_fleet();
   std::map<std::size_t, std::uint64_t> prefix_hashes;  // by row count
+  // One Study resumes every copy: run() is repeatable, and building the
+  // world 200 times would dominate the sweep.
+  core::Study resumer{damage_config()};
   std::size_t usable = 0;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     SCOPED_TRACE(seed);
@@ -881,8 +888,25 @@ TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
     const Loaded loaded = load(dir, probes);
     ASSERT_EQ(report.healthy(), loaded.opened.ok())
         << report.error << " | " << loaded.opened.error;
-    if (!loaded.opened.ok()) continue;
+    const store::StorePresence presence = store::find_store(dir, kPlatform, io);
+    EXPECT_TRUE(presence.found);
+    EXPECT_TRUE(presence.error.empty() || !report.healthy()) << presence.error;
+    const fs::path resume_dir = copy_store("cloudrtt_store_damage_resume", dir);
+    core::RunControl resume;
+    resume.checkpoint_dir = resume_dir.string();
+    resume.resume = true;
+    if (!loaded.opened.ok()) {
+      const std::map<std::string, std::string> before = dir_files(resume_dir);
+      EXPECT_THROW(resumer.run(resume), std::runtime_error);
+      EXPECT_EQ(dir_files(resume_dir), before);
+      continue;
+    }
     ++usable;
+    resumer.run(resume);
+    ASSERT_TRUE(resumer.completed());
+    EXPECT_EQ(
+        core::format_dataset_hash(core::dataset_hash(resumer.sc_dataset())),
+        core::format_dataset_hash(base.hash));
     const core::StreamedHashResult streamed =
         core::streamed_dataset_hash(dir, kPlatform, io, probes, nullptr);
     ASSERT_TRUE(loaded.scan_error.empty()) << loaded.scan_error;
@@ -930,6 +954,82 @@ TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
   // The sweep must exercise both verdicts.
   EXPECT_GT(usable, 0u);
   EXPECT_LT(usable, 200u);
+}
+
+// A resume can start inside a day of several executor batches. Its first
+// batch then runs from the resume point to the next batch boundary and the
+// later ones are whole, yet the blocks must fall where the uninterrupted
+// run put them: cut the shard at block boundaries before, on and after the
+// day's first batch boundary, and each resume must leave that run's shard
+// byte for byte, and its bits.
+TEST(StoreDamage, MidDayCutsAcrossBatchesResumeToTheSameShard) {
+  core::StudyConfig config = store_config();
+  config.sc_probes = 1500;
+  config.sc_campaign.daily_budget = 15000;
+  config.threads = 3;
+  const fs::path base =
+      fs::path{::testing::TempDir()} / "cloudrtt_store_batches";
+  fs::remove_all(base);
+  std::uint64_t hash = 0;
+  {
+    core::Study study{config};
+    core::RunControl control;
+    control.checkpoint_dir = base.string();
+    study.run(control);
+    hash = core::dataset_hash(study.sc_dataset());
+  }
+  const std::string shard = read_file(shard_file(base));
+  rewind_manifest(base, 1);
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(base));
+  const std::size_t first_tail = first_block_of(blocks, 1);
+  ASSERT_GT(first_block_of(blocks, 2) - first_tail,
+            measure::ParallelExecutor::kBatchTasks / store::kBlockTasks + 3);
+  for (const std::size_t cut : {3u, 8u, 11u}) {
+    SCOPED_TRACE(cut);
+    const fs::path dir = copy_store("cloudrtt_store_batches_cut", base);
+    fs::resize_file(shard_file(dir), blocks[first_tail + cut].offset);
+    EXPECT_EQ(core::format_dataset_hash(resume_hash(dir, config)),
+              core::format_dataset_hash(hash));
+    EXPECT_TRUE(read_file(shard_file(dir)) == shard);
+  }
+}
+
+// The store's bytes are pinned, not only the rows they decode to: block
+// framing, `seq` numbering, per-day appends and manifests are all part of
+// the on-disk contract that salvage and resume rely on. A small streamed
+// study (Speedchecker days of ~7,000 tasks, so a day spans several of the
+// executor's batches, and three Atlas days) must leave byte-for-byte the
+// same four files at one and at four threads. FNV-1a of each file.
+TEST(StoreGate, StreamedStoreMatchesPinnedLiteral) {
+  core::StudyConfig config;
+  config.seed = 23;
+  config.sc_probes = 1500;
+  config.atlas_probes = 400;
+  config.sc_campaign.days = 3;
+  config.atlas_campaign.days = 3;
+  config.atlas_campaign.daily_budget = 6000;
+  const std::map<std::string, std::string> pinned = {
+      {"atlas.manifest", "bca55c0095cc6da7"},
+      {"atlas.shard", "7059d6b200f15001"},
+      {"speedchecker.manifest", "5e8614e592877aec"},
+      {"speedchecker.shard", "a3ff2548d3e7a61f"}};
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    config.threads = threads;
+    const fs::path dir = fs::path{::testing::TempDir()} / "cloudrtt_store_gate";
+    fs::remove_all(dir);
+    core::Study study{config};
+    core::RunControl control;
+    control.checkpoint_dir = dir.string();
+    control.stream = true;
+    study.run(control);
+    ASSERT_TRUE(study.completed());
+    std::map<std::string, std::string> hashes;
+    for (const auto& [name, bytes] : dir_files(dir)) {
+      hashes[name] = core::format_dataset_hash(util::fnv1a(bytes));
+    }
+    EXPECT_EQ(hashes, pinned);
+  }
 }
 
 // A crash can end the shard anywhere in its uncommitted tail. Cut it at

@@ -220,7 +220,8 @@ TEST(Text, ThresholdTableReportsFractions) {
   EXPECT_NE(out.find("50.0%"), std::string::npos);
 }
 
-// Property sweep: quantile_sorted is monotone in q for any sample set.
+// Property sweep: quantile_sorted is monotone in q for any sample set, and
+// quantile() — a selection over an unsorted copy — returns its bits.
 class QuantileMonotone : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QuantileMonotone, MonotoneInQ) {
@@ -228,13 +229,18 @@ TEST_P(QuantileMonotone, MonotoneInQ) {
   std::vector<double> values;
   const auto n = 1 + rng.below(200);
   for (std::uint64_t i = 0; i < n; ++i) values.push_back(rng.uniform(0, 1000));
+  // Ties too: the selection must pick the same neighbour a sort would.
+  for (std::uint64_t i = 0; i < n / 4; ++i) values.push_back(values[i]);
+  const std::vector<double> unsorted = values;
   std::sort(values.begin(), values.end());
   double prev = quantile_sorted(values, 0.0);
   for (double q = 0.05; q <= 1.0; q += 0.05) {
     const double current = quantile_sorted(values, q);
     EXPECT_GE(current, prev - 1e-12);
+    EXPECT_EQ(quantile(unsorted, q), current) << "q=" << q;
     prev = current;
   }
+  EXPECT_EQ(median(unsorted), quantile_sorted(values, 0.5));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantileMonotone,

@@ -4,7 +4,7 @@
 //   cloudrtt resolve <ip> [--seed N]                IP -> ASN through the pipeline
 //   cloudrtt trace <country> <provider> [...]       one annotated traceroute
 //   cloudrtt study   [--sc-probes N --days D ...]   full campaign + artefacts
-//   cloudrtt run     [--scale paper ...]            streaming study, O(day) RAM
+//   cloudrtt run     [--scale paper ...]            streaming study, batch RAM
 
 #include <cstdint>
 #include <cstdlib>
@@ -298,10 +298,11 @@ int cmd_study(int argc, const char* const* argv,
                                         "one shard file per platform)");
   args.add_flag("resume", "resume from --checkpoint-dir if a checkpoint "
                           "exists, salvaging any crash-torn shard tail");
-  args.add_flag("stream", "stream each day to the store and drop it from "
-                          "memory (needs --checkpoint-dir; RAM stays O(day); "
-                          "CSV export and report.json are skipped — the "
-                          "store is the dataset)");
+  args.add_flag("stream", "stream rows to the store batch by batch and drop "
+                          "them from memory (needs --checkpoint-dir; RAM "
+                          "holds one batch of rows and the day's serialised "
+                          "spill; CSV export and report.json are skipped — "
+                          "the store is the dataset)");
   args.add_flag("fsck", "validate the checkpoint store in --checkpoint-dir "
                         "and exit (0 = healthy)");
   args.add_option("stop-after-day", "0", "abandon each campaign once this many "
@@ -590,11 +591,13 @@ int cmd_study(int argc, const char* const* argv,
 }
 
 int cmd_run(int argc, const char* const* argv) {
-  // `cloudrtt run` — the streaming-first spelling of `study`: rows spill to
-  // the store day by day (RAM stays O(one day's columns), which is what lets
-  // `--scale paper` run the 115k-probe fleet), the store is the artefact,
-  // and the dataset hash is printed from the streamed scan. Defaults are
-  // prepended so later (user) arguments override them.
+  // `cloudrtt run` — the streaming-first spelling of `study`: rows leave RAM
+  // batch by batch as the campaign executes them, and each day's spill is
+  // appended when the day commits (RAM holds one batch of rows plus the
+  // day's ~140 B a task of serialised spill, which is what lets `--scale
+  // paper` run the 115k-probe fleet), the store is the artefact, and the
+  // dataset hash is printed from the streamed scan. Defaults are prepended
+  // so later (user) arguments override them.
   std::vector<const char*> forwarded;
   forwarded.push_back("cloudrtt run");
   forwarded.push_back("--stream");
@@ -604,7 +607,7 @@ int cmd_run(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) forwarded.push_back(argv[i]);
   return cmd_study(static_cast<int>(forwarded.size()), forwarded.data(),
                    "cloudrtt run",
-                   "run the campaign streaming each day to the store "
+                   "run the campaign streaming each batch to the store "
                    "(study --stream with a default store dir)");
 }
 
@@ -616,7 +619,7 @@ void print_usage() {
       "  resolve  resolve an IPv4 address through the analysis pipeline\n"
       "  trace    run one annotated traceroute\n"
       "  study    run the full campaign and export artefacts\n"
-      "  run      streaming study: O(day) memory, --scale paper capable\n\n"
+      "  run      streaming study: memory per batch, --scale paper capable\n\n"
       "run `cloudrtt <subcommand> --help` for details.\n";
 }
 
