@@ -1,32 +1,44 @@
 #include "common.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string_view>
 
 #include "core/scale.hpp"
-#include "obs/trace.hpp"
 
 namespace cloudrtt::bench {
 
-std::string bench_scale_name() {
-  const core::ScaleSpec spec = core::resolve_scale("");
-  return spec.ok() ? spec.name : "default";
+namespace {
+
+[[noreturn]] void refuse(std::string_view variable, const std::string& why) {
+  std::cerr << variable << ": " << why << "\n";
+  std::exit(1);
 }
+
+[[nodiscard]] core::ScaleSpec bench_scale() {
+  core::ScaleSpec spec = core::resolve_scale("");
+  if (!spec.ok()) refuse("CLOUDRTT_SCALE", spec.error);
+  return spec;
+}
+
+}  // namespace
 
 core::StudyConfig bench_config() {
   core::StudyConfig config;
   if (const char* env = std::getenv("CLOUDRTT_SEED")) {
-    config.seed = static_cast<std::uint64_t>(std::atoll(env));
+    const std::string_view text{env};
+    const char* const end = text.data() + text.size();
+    std::uint64_t seed = 0;
+    const auto [stop, failure] = std::from_chars(text.data(), end, seed);
+    if (failure != std::errc{} || stop != end) {
+      refuse("CLOUDRTT_SEED",
+             "expected an unsigned integer, got '" + std::string{text} + "'");
+    }
+    config.seed = seed;
   }
-  // Benches run a slightly lighter daily budget than the CLI default.
-  config.sc_campaign.daily_budget = 12000;
-  core::ScaleSpec spec = core::resolve_scale("");
-  if (!spec.ok()) {
-    std::cerr << spec.error << " — falling back to default scale\n";
-    spec = core::ScaleSpec{};
-  }
-  core::apply_scale(config, spec);
+  core::apply_scale(config, bench_scale());
   return config;
 }
 
@@ -34,22 +46,17 @@ const core::Study& shared_study() {
   static core::Study study = [] {
     core::Study s{bench_config()};
     s.run();
-    if (const char* env = std::getenv("CLOUDRTT_BENCH_PHASES");
-        env != nullptr && std::string_view{env} == "1") {
-      std::cerr << "-- phase timings (CLOUDRTT_BENCH_PHASES=1) --\n";
-      obs::SpanTracker::global().write_text(std::cerr);
-    }
     return s;
   }();
   return study;
 }
 
 void print_header(const std::string& exhibit, const std::string& claim) {
+  const core::StudyConfig config = bench_config();
   std::cout << "==============================================================\n";
   std::cout << exhibit << "\n";
   std::cout << "paper: " << claim << "\n";
-  const core::StudyConfig config = bench_config();
-  std::cout << "scale: " << bench_scale_name() << " (" << config.sc_probes
+  std::cout << "scale: " << bench_scale().name << " (" << config.sc_probes
             << " SC probes / " << config.atlas_probes
             << " Atlas probes), seed " << config.seed
             << " (set CLOUDRTT_SCALE / CLOUDRTT_SEED to change)\n";
@@ -58,46 +65,5 @@ void print_header(const std::string& exhibit, const std::string& claim) {
 
 std::string pct(double value) { return util::format_double(value, 1) + "%"; }
 std::string ms(double value) { return util::format_double(value, 1); }
-
-void print_peering_case_study(const analysis::PeeringCaseStudy& study) {
-  std::cout << "\n-- interconnection matrix (" << study.src_country << " ISPs x "
-            << "providers, DCs in " << study.dst_country << ") --\n";
-  util::TextTable matrix;
-  std::vector<std::string> header{"ISP"};
-  for (const cloud::ProviderId id : cloud::kPeeringFigureProviders) {
-    header.emplace_back(cloud::provider_info(id).ticker);
-  }
-  matrix.set_header(std::move(header));
-  for (const analysis::PeeringMatrixRow& row : study.matrix) {
-    std::vector<std::string> cells{row.isp_label};
-    for (const analysis::PeeringMatrixCell& cell : row.cells) {
-      if (!cell.has_data) {
-        cells.emplace_back("-");
-      } else {
-        cells.push_back(std::string{topology::to_string(cell.majority)} + " " +
-                        util::format_double(cell.majority_pct, 0) + "%");
-      }
-    }
-    matrix.add_row(std::move(cells));
-  }
-  std::cout << matrix.render();
-
-  std::cout << "\n-- latency by interconnection type (completed ICMP e2e) --\n";
-  util::TextTable latency;
-  latency.set_header({"provider", "direct n", "direct p25/med/p75",
-                      "interm. n", "interm. p25/med/p75"});
-  for (const analysis::PeeringLatencyRow& row : study.latency) {
-    if (row.direct.count == 0 && row.intermediate.count == 0) continue;
-    const auto fmt = [](const util::Summary& s) {
-      return util::format_double(s.p25, 0) + "/" + util::format_double(s.median, 0) +
-             "/" + util::format_double(s.p75, 0);
-    };
-    latency.add_row({std::string{row.ticker} + (row.valid ? "" : " (thin)"),
-                     std::to_string(row.direct.count), fmt(row.direct),
-                     std::to_string(row.intermediate.count),
-                     fmt(row.intermediate)});
-  }
-  std::cout << latency.render();
-}
 
 }  // namespace cloudrtt::bench

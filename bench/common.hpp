@@ -1,12 +1,15 @@
 #pragma once
-// Shared plumbing for the per-figure bench harnesses: a lazily-run study at
-// "bench" scale (larger than the test quick scale, smaller than the paper's
-// six months) and small printing helpers.
+// Shared plumbing for the ablation, what-if and extension harnesses: the
+// study `cloudrtt study` runs, at the scale and seed the environment names,
+// and small printing helpers. The paper's own exhibits are not harnesses:
+// `cloudrtt study` writes them all to report.txt.
 //
 // Environment knobs:
 //   CLOUDRTT_SCALE  — fleet scale: default | paper (115k/8.5k probes) |
 //                     NxM probe counts | float multiplier (see core/scale.hpp)
 //   CLOUDRTT_SEED   — study seed (default 42)
+// A malformed value ends the harness with one line naming the variable and
+// exit status 1, as the CLI does for a malformed option.
 
 #include <string>
 
@@ -16,14 +19,10 @@
 
 namespace cloudrtt::bench {
 
-/// Study configuration for benches, after applying the environment knobs.
+/// `cloudrtt study`'s configuration at the environment's scale and seed.
 [[nodiscard]] core::StudyConfig bench_config();
 
-/// Canonical name of the effective scale ("default", "paper", "NxM", or the
-/// multiplier spelling), for harness headers and bench reports.
-[[nodiscard]] std::string bench_scale_name();
-
-/// Build + run a study once per process.
+/// Build + run a study of bench_config() once per process.
 [[nodiscard]] const core::Study& shared_study();
 
 /// Print the standard harness header: exhibit id, what the paper showed,
@@ -32,9 +31,5 @@ void print_header(const std::string& exhibit, const std::string& claim);
 
 [[nodiscard]] std::string pct(double value);
 [[nodiscard]] std::string ms(double value);
-
-/// Print a peering case study (matrix + latency-by-interconnection), the
-/// shared body of the Fig. 12/13/17/18 harnesses.
-void print_peering_case_study(const analysis::PeeringCaseStudy& study);
 
 }  // namespace cloudrtt::bench

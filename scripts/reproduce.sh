@@ -1,26 +1,38 @@
 #!/usr/bin/env bash
-# Reproduce everything: build, run the full test suite, regenerate every
-# table/figure harness, and leave the transcripts next to the sources.
+# Reproduce everything: build, run the full test suite, run one study that
+# writes every paper exhibit (report.txt, report.json and the CSVs), then
+# the ablation, what-if and extension experiments, and leave the transcripts
+# next to the sources.
 #
-# Usage: scripts/reproduce.sh [scale]   (scale multiplies probe counts and
-# budgets; 1.0 by default, ~4 approaches paper-like densities)
+# Usage: scripts/reproduce.sh [scale]   (default | paper | NxM probe counts
+# | a float multiplier on the default fleet; default by default)
+#
+# The perf_* binaries are not run: they are benchmarks, and perf_trajectory
+# would overwrite the committed BENCH_*.json baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SCALE="${1:-1.0}"
-export CLOUDRTT_SCALE="$SCALE"
+SCALE="${1:-default}"
+OUT="reproduce-out"
 
-cmake -B build -G Ninja
-cmake --build build
+# No -G: a build/ configured earlier keeps whatever generator it has.
+cmake -B build -S .
+cmake --build build -j "$(nproc 2>/dev/null || echo 2)"
 
 ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt
 
+./build/tools/cloudrtt study --scale "$SCALE" --out "$OUT" --quiet
+echo "exhibits: $OUT/report.txt (and report.json, pings.csv, traceroutes.csv)"
+
+# The experiments beyond the paper's exhibits; the ext_* harnesses run the
+# same study as the command above.
+export CLOUDRTT_SCALE="$SCALE"
 : > bench_output.txt
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  echo "### $(basename "$b")" | tee -a bench_output.txt
-  "$b" 2>&1 | tee -a bench_output.txt
+for b in ablation_peering ablation_uplinks ablation_wired_lastmile whatif_5g \
+         ext_interdc ext_paris ext_bgp ext_temporal ext_geolocation; do
+  echo "### $b" | tee -a bench_output.txt
+  "./build/bench/$b" 2>&1 | tee -a bench_output.txt
   echo | tee -a bench_output.txt
 done
 
-echo "done: test_output.txt + bench_output.txt (scale $SCALE)"
+echo "done: test_output.txt, $OUT/ and bench_output.txt (scale $SCALE)"

@@ -1,6 +1,6 @@
 #pragma once
 // Experiment drivers: one function per table/figure of the paper. Each
-// returns structured rows so bench harnesses can print them and integration
+// returns structured rows so the reports can print them and integration
 // tests can assert the paper's qualitative findings on them. Each reads a
 // PreparedStudy (analysis/prepared.hpp), which a StudyView converts to. The
 // per-exhibit mapping lives in DESIGN.md §3.

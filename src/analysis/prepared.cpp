@@ -126,7 +126,7 @@ PreparedStudy::PreparedStudy(const StudyView& view)
 
 PreparedStudy::PreparedStudy(const StudyView& view,
                              std::optional<ResolutionTable> table)
-    : sc_(sc_data_of(view), table ? &*table : nullptr) {
+    : view_(view), sc_(sc_data_of(view), table ? &*table : nullptr) {
   if (view.has_atlas()) {
     atlas_.emplace(*view.atlas_data, table ? &*table : nullptr);
   }

@@ -77,6 +77,8 @@ class PreparedStudy {
  public:
   /*implicit*/ PreparedStudy(const StudyView& view);
 
+  /// The view it was prepared from: the world and both fleets.
+  [[nodiscard]] const StudyView& view() const { return view_; }
   [[nodiscard]] const PreparedDataset& sc() const { return sc_; }
   /// nullptr when the view has no Atlas dataset.
   [[nodiscard]] const PreparedDataset* atlas() const {
@@ -87,6 +89,7 @@ class PreparedStudy {
  private:
   PreparedStudy(const StudyView& view, std::optional<ResolutionTable> table);
 
+  StudyView view_;
   PreparedDataset sc_;
   std::optional<PreparedDataset> atlas_;
 };

@@ -2,7 +2,7 @@
 // The 195 compute-region catalogue.
 //
 // Per-continent counts match Table 1 of the paper exactly (verified by a
-// unit test and printed by bench/tab1_endpoints). City placements follow the
+// unit test and printed as Table 1 of report.txt). City placements follow the
 // providers' real ~2021 footprints; a handful of fill-ins keep the counts at
 // the table's values where the public record is ambiguous.
 

@@ -3,6 +3,8 @@
 // distance->latency conversion used by every latency model in the simulator.
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 namespace cloudrtt::geo {
 
@@ -24,6 +26,14 @@ inline constexpr double kFibreKmPerMsOneWay = 200.0;
 
 /// Great-circle distance (haversine).
 [[nodiscard]] double haversine_km(const GeoPoint& a, const GeoPoint& b);
+
+/// For each point, the distance to its nearest *other* point (another
+/// element, so a duplicate location gives 0; +infinity when there is none):
+/// the minimum of haversine_km(points[i], points[j]) over j != i, the same
+/// bits as that all-pairs loop. A sweep over the points sorted by latitude
+/// computes it without visiting every pair.
+[[nodiscard]] std::vector<double> nearest_neighbour_km(
+    std::span<const GeoPoint> points);
 
 /// Minimum physically possible round-trip time over `km` of fibre.
 [[nodiscard]] inline double fibre_rtt_ms(double km) {

@@ -114,50 +114,6 @@ std::string render_threshold_table(const std::vector<Series>& series,
   return table.render();
 }
 
-namespace {
-
-std::string box_glyph(const Summary& s, double axis_min, double axis_max,
-                      std::size_t width) {
-  if (s.count == 0 || axis_max <= axis_min) return std::string(width, ' ');
-  std::string glyph(width, ' ');
-  const auto pos = [&](double v) {
-    double frac = (v - axis_min) / (axis_max - axis_min);
-    frac = std::clamp(frac, 0.0, 1.0);
-    return static_cast<std::size_t>(std::lround(frac * static_cast<double>(width - 1)));
-  };
-  for (std::size_t i = pos(s.min); i <= pos(s.max); ++i) glyph[i] = '-';
-  for (std::size_t i = pos(s.p25); i <= pos(s.p75); ++i) glyph[i] = '=';
-  glyph[pos(s.median)] = '|';
-  return glyph;
-}
-
-}  // namespace
-
-std::string render_box_table(const std::vector<Series>& series,
-                             const std::string& value_unit) {
-  std::vector<Summary> summaries;
-  summaries.reserve(series.size());
-  double axis_min = 0.0;
-  double axis_max = 0.0;
-  for (const Series& s : series) {
-    summaries.push_back(summarize(s.values));
-    if (summaries.back().count > 0) {
-      axis_max = std::max(axis_max, summaries.back().p90 * 1.1);
-    }
-  }
-  TextTable table;
-  table.set_header({"series", "n", "min", "p25", "median", "p75", "p90",
-                    "box (" + value_unit + ", axis 0.." + format_double(axis_max, 0) + ")"});
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const Summary& s = summaries[i];
-    table.add_row({series[i].label, std::to_string(s.count), format_double(s.min, 1),
-                   format_double(s.p25, 1), format_double(s.median, 1),
-                   format_double(s.p75, 1), format_double(s.p90, 1),
-                   box_glyph(s, axis_min, axis_max, 32)});
-  }
-  return table.render();
-}
-
 std::string bar(double value, double maximum, std::size_t width) {
   if (maximum <= 0.0) return std::string(width, ' ');
   const double frac = std::clamp(value / maximum, 0.0, 1.0);
@@ -184,15 +140,6 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& cells) {
     out << '"';
   }
   out << '\n';
-}
-
-void write_series_csv(std::ostream& out, const std::vector<Series>& series) {
-  write_csv_row(out, {"label", "value"});
-  for (const Series& s : series) {
-    for (const double v : s.values) {
-      write_csv_row(out, {s.label, format_double(v, 4)});
-    }
-  }
 }
 
 }  // namespace cloudrtt::util

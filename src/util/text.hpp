@@ -1,7 +1,6 @@
 #pragma once
-// Plain-text rendering for the bench harnesses: aligned tables, ASCII box
-// plots and CDF tables mirroring the paper's figures, and CSV export so the
-// series can be re-plotted externally.
+// Plain-text rendering for report.txt and the harnesses: aligned tables,
+// CDF and threshold tables mirroring the paper's figures, and CSV rows.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,16 +55,8 @@ struct Series {
     const std::vector<Series>& series, const std::vector<double>& thresholds,
     const std::string& value_unit = "ms");
 
-/// Render box-plot rows (min/p25/median/p75/p90/max) plus an ASCII glyph of
-/// the IQR whiskers on a shared axis.
-[[nodiscard]] std::string render_box_table(const std::vector<Series>& series,
-                                           const std::string& value_unit = "ms");
-
 /// A horizontal bar of `width` cells filled proportionally to value/maximum.
 [[nodiscard]] std::string bar(double value, double maximum, std::size_t width = 24);
-
-/// Write series out as tidy CSV (label,value) for external plotting.
-void write_series_csv(std::ostream& out, const std::vector<Series>& series);
 
 /// Write arbitrary rows as CSV with proper quoting.
 void write_csv_row(std::ostream& out, const std::vector<std::string>& cells);

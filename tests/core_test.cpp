@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cfloat>
 #include <charconv>
 #include <chrono>
@@ -19,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/export.hpp"
@@ -646,6 +648,114 @@ TEST_F(ReportGate, FullReportMatchesPinnedLiteral) {
   core::write_full_report(out, study().view());
   EXPECT_EQ(core::format_dataset_hash(util::fnv1a(out.str())),
             kPinnedReportHash);
+}
+
+/// The text write_full_report renders next to the JSON (report.txt).
+[[nodiscard]] std::string text_report(const core::Study& study) {
+  std::ostringstream json;
+  std::ostringstream text;
+  core::write_full_report(json, study.view(), &text);
+  return text.str();
+}
+
+/// report.txt over the same quick study, pinned the same way; a run at 4
+/// threads must render the same bytes.
+constexpr std::string_view kPinnedTextReportHash = "cf539b888202c892";
+
+TEST_F(ReportGate, TextReportMatchesPinnedLiteral) {
+  core::StudyConfig config = core::StudyConfig::quick();
+  config.threads = 4;
+  core::Study threaded{config};
+  threaded.run();
+  for (const core::Study* run : {&study(), &std::as_const(threaded)}) {
+    SCOPED_TRACE(run->config().threads);
+    EXPECT_EQ(core::format_dataset_hash(util::fnv1a(text_report(*run))),
+              kPinnedTextReportHash);
+  }
+}
+
+/// The 19 exhibit headers of report.txt, in paper order.
+constexpr std::array<std::string_view, 19> kExhibitTitles{
+    "Table 1 — ",  "Fig. 1b / Fig. 2 — ", "§3.3 — ",
+    "Fig. 3 — ",   "Fig. 4 — ",           "Fig. 5 — ",
+    "Fig. 6 — ",   "Fig. 7 — ",           "Fig. 8 — ",
+    "Fig. 9 — ",   "Fig. 10 — ",          "Fig. 11 — ",
+    "Fig. 12 — ",  "Fig. 13 — ",          "Fig. 15 — ",
+    "Fig. 16 — ",  "Fig. 17 (A.4) — ",    "Fig. 18 (A.4) — ",
+    "Fig. 19 — "};
+
+/// Every exhibit, in order, each title right below a rule and above its
+/// "paper:" line; no share printed as "nan".
+void expect_complete_text_report(const std::string& text) {
+  const std::string rule(62, '=');
+  std::size_t at = 0;
+  for (const std::string_view title : kExhibitTitles) {
+    const std::string header = rule + "\n" + std::string{title};
+    at = text.find(header, at);
+    ASSERT_NE(at, std::string::npos) << title;
+    const std::size_t line_end = text.find('\n', at + header.size());
+    EXPECT_EQ(text.compare(line_end + 1, 7, "paper: "), 0) << title;
+  }
+  EXPECT_EQ(text.find("nan"), std::string::npos);
+}
+
+[[nodiscard]] std::string run_text_report(const core::StudyConfig& config) {
+  core::Study study{config};
+  study.run();
+  return text_report(study);
+}
+
+TEST(TextReport, RendersEveryExhibitWithoutAtlas) {
+  core::StudyConfig config = core::StudyConfig::quick();
+  config.sc_probes = 600;
+  config.include_atlas = false;
+  const std::string text = run_text_report(config);
+  expect_complete_text_report(text);
+  EXPECT_EQ(text.find("RIPE Atlas ("), std::string::npos);
+  // Fig. 14's Atlas column and every geoDensity ratio have no Atlas probes.
+  const auto rows_after = [&text](std::string_view heading) {
+    std::istringstream lines{text.substr(text.find(heading))};
+    std::vector<std::vector<std::string>> rows;
+    std::string line;
+    for (int i = 0; std::getline(lines, line) && i < 3 + 6; ++i) {
+      if (i < 3) continue;  // the heading, the column names, the rule
+      std::istringstream cells{line};
+      rows.emplace_back(std::istream_iterator<std::string>{cells},
+                        std::istream_iterator<std::string>{});
+    }
+    return rows;
+  };
+  for (const auto& row : rows_after("-- probe closeness")) {
+    ASSERT_EQ(row.size(), 3u);
+    EXPECT_EQ(row[2], "-") << row[0];
+  }
+  for (const auto& row : rows_after("-- geoDensity ratio")) {
+    ASSERT_EQ(row.size(), 4u);
+    EXPECT_EQ(row[2], "0") << row[0];
+    EXPECT_EQ(row[3], "-") << row[0];
+  }
+}
+
+TEST(TextReport, RendersTheSmokeStudy) {
+  core::StudyConfig config;
+  config.sc_probes = 200;
+  config.atlas_probes = 50;
+  config.sc_campaign.days = 1;
+  expect_complete_text_report(run_text_report(config));
+}
+
+// With no Speedchecker day there is no country median: the HPL share of
+// Fig. 3 has no denominator and reads "-".
+TEST(TextReport, ZeroDenominatorsReadDash) {
+  core::StudyConfig config = core::StudyConfig::quick();
+  config.sc_probes = 200;
+  config.include_atlas = false;
+  config.sc_campaign.days = 0;
+  const std::string text = run_text_report(config);
+  expect_complete_text_report(text);
+  EXPECT_NE(text.find("countries measured: 0\n  median < MTP (20 ms):  0\n"
+                      "  median < HPL (100 ms): 0 (-)\n"),
+            std::string::npos);
 }
 
 TEST(StudyApi, ViewBeforeRunAbortsWithContractMessage) {

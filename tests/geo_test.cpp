@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #include "geo/continent.hpp"
 #include "geo/coords.hpp"
 #include "geo/country.hpp"
+#include "util/rng.hpp"
 
 namespace cloudrtt::geo {
 namespace {
@@ -47,6 +53,95 @@ TEST(Coords, OffsetNormalizesLongitude) {
   const GeoPoint moved = offset(near_dateline, 90.0, 300.0);
   EXPECT_LE(moved.lon_deg, 180.0);
   EXPECT_GT(moved.lon_deg, -180.0);
+}
+
+// The all-pairs loop Fig. 14's closeness ran before the latitude sweep:
+// each point's minimum distance to every other element, in that order.
+[[nodiscard]] std::vector<double> all_pairs_nearest_km(
+    const std::vector<GeoPoint>& points) {
+  std::vector<double> nearest;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      if (i == j) continue;
+      best = std::min(best, haversine_km(points[i], points[j]));
+    }
+    nearest.push_back(best);
+  }
+  return nearest;
+}
+
+/// A random point set of one of several shapes: clustered or spread,
+/// with repeated points, shared latitudes, and points within a hair of a
+/// pole or of the antimeridian.
+[[nodiscard]] std::vector<GeoPoint> random_points(util::Rng& rng) {
+  const std::size_t n = 2 + rng.below(300);
+  const double lat_span = rng.chance(0.5) ? 0.5 : 90.0;
+  const GeoPoint centre{rng.uniform(-60.0, 60.0), rng.uniform(-179.0, 180.0)};
+  std::vector<GeoPoint> points;
+  while (points.size() < n) {
+    GeoPoint p;
+    switch (rng.below(6)) {
+      case 0:  // a repeat of an earlier point
+        if (!points.empty()) {
+          points.push_back(points[rng.below(points.size())]);
+          continue;
+        }
+        [[fallthrough]];
+      case 1:  // a cluster member
+        p = {std::clamp(centre.lat_deg + rng.uniform(-lat_span, lat_span),
+                        -90.0, 90.0),
+             centre.lon_deg + rng.uniform(-0.5, 0.5)};
+        break;
+      case 2:  // on the latitude of an earlier point
+        p = {points.empty() ? 10.0 : points[rng.below(points.size())].lat_deg,
+             rng.uniform(-179.9, 180.0)};
+        break;
+      case 3:  // near a pole
+        p = {(rng.chance(0.5) ? 1.0 : -1.0) * (90.0 - rng.uniform(0.0, 1e-3)),
+             rng.uniform(-179.9, 180.0)};
+        break;
+      case 4:  // either side of the antimeridian
+        p = {rng.uniform(-30.0, 30.0),
+             rng.chance(0.5) ? 180.0 - rng.uniform(0.0, 0.01)
+                             : -180.0 + rng.uniform(1e-9, 0.01)};
+        break;
+      default:
+        p = {rng.uniform(-90.0, 90.0), rng.uniform(-179.9, 180.0)};
+        break;
+    }
+    p.lon_deg = std::clamp(p.lon_deg, -179.999999, 180.0);
+    points.push_back(p);
+  }
+  return points;
+}
+
+TEST(Coords, NearestNeighbourSweepEqualsAllPairsBitForBit) {
+  util::Rng rng{2021};
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const std::vector<GeoPoint> points = random_points(rng);
+    const std::vector<double> want = all_pairs_nearest_km(points);
+    const std::vector<double> got = nearest_neighbour_km(points);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+TEST(Coords, NearestNeighbourOfDuplicatesAndLonePoints) {
+  EXPECT_TRUE(nearest_neighbour_km({}).empty());
+  const std::vector<GeoPoint> lone{{10.0, 20.0}};
+  EXPECT_EQ(nearest_neighbour_km(lone),
+            std::vector<double>{std::numeric_limits<double>::infinity()});
+  const std::vector<GeoPoint> twins{{10.0, 20.0}, {10.0, 20.0}, {50.0, 0.0}};
+  const std::vector<double> nearest = nearest_neighbour_km(twins);
+  EXPECT_EQ(nearest[0], 0.0);
+  EXPECT_EQ(nearest[1], 0.0);
+  EXPECT_EQ(nearest[2], haversine_km(twins[2], twins[0]));
 }
 
 TEST(Continent, CodesRoundTrip) {

@@ -357,6 +357,12 @@ using topology::TransitHub;
                                                    const geo::GeoPoint& to) {
   PathBuilder::TransitPlan plan;
   plan.first = ref_nearest_hub(from);
+  if (plan.first.carrier == nullptr) {
+    // No carrier has a hub: the plans cannot match, so the caller's
+    // comparison fails too.
+    ADD_FAILURE() << "the reference found no tier-1 hub";
+    return plan;
+  }
   plan.exit = ref_nearest_hub_of(*plan.first.carrier, to);
   if (geo::haversine_km(plan.exit->location, to) > 2500.0) {
     plan.second = ref_nearest_hub(to, plan.first.carrier);

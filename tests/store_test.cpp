@@ -783,40 +783,85 @@ TEST(StoreResume, DamagedManifestIsRefusedAndLeftUntouched) {
   return config;
 }
 
+/// The same shape with days of three executor batches (9,000 tasks: two
+/// whole batches and a part), so damage falls inside batches and on the
+/// blocks either side of a batch boundary. Three threads.
+[[nodiscard]] core::StudyConfig batched_damage_config() {
+  core::StudyConfig config = store_config();
+  config.sc_probes = 2500;
+  config.sc_campaign.daily_budget = 9000;
+  config.threads = 3;
+  return config;
+}
+
 struct DamageBaseline {
+  core::StudyConfig config;
   std::unique_ptr<core::Study> study;
   fs::path dir;
   std::uint64_t hash = 0;      ///< of the uninterrupted run
   std::size_t first_tail = 0;  ///< index of the first uncommitted block
   std::vector<BlockSpan> blocks;
+  /// Blocks that open a batch after a day's first, and the blocks just
+  /// before them: where a day's batches meet on disk.
+  std::vector<std::size_t> batch_edges;
 };
 
+[[nodiscard]] DamageBaseline make_damage_baseline(
+    const core::StudyConfig& config, const std::string& name) {
+  DamageBaseline b;
+  b.config = config;
+  b.dir = fs::path{::testing::TempDir()} / name;
+  fs::remove_all(b.dir);
+  b.study = std::make_unique<core::Study>(config);
+  core::RunControl control;
+  control.checkpoint_dir = b.dir.string();
+  b.study->run(control);
+  b.hash = core::dataset_hash(b.study->sc_dataset());
+  rewind_manifest(b.dir, 1);
+  b.blocks = index_blocks(shard_file(b.dir));
+  b.first_tail = first_block_of(b.blocks, 1);
+  for (std::size_t i = 1; i < b.blocks.size(); ++i) {
+    const std::uint32_t start = b.blocks[i].header.start;
+    if (start > 0 && start % measure::ParallelExecutor::kBatchTasks == 0) {
+      b.batch_edges.push_back(i - 1);
+      b.batch_edges.push_back(i);
+    }
+  }
+  return b;
+}
+
 [[nodiscard]] const DamageBaseline& damage_baseline() {
-  static const DamageBaseline value = [] {
-    DamageBaseline b;
-    b.dir = fs::path{::testing::TempDir()} / "cloudrtt_store_damage_base";
-    fs::remove_all(b.dir);
-    b.study = std::make_unique<core::Study>(damage_config());
-    core::RunControl control;
-    control.checkpoint_dir = b.dir.string();
-    b.study->run(control);
-    b.hash = core::dataset_hash(b.study->sc_dataset());
-    rewind_manifest(b.dir, 1);
-    b.blocks = index_blocks(shard_file(b.dir));
-    b.first_tail = first_block_of(b.blocks, 1);
-    return b;
-  }();
+  static const DamageBaseline value =
+      make_damage_baseline(damage_config(), "cloudrtt_store_damage_base");
   return value;
 }
 
-/// One random damage to the store in `dir`: flip a shard byte, cut the
-/// shard anywhere or exactly on a block boundary, append a duplicated block
-/// or random bytes past the mark, swap two adjacent tail blocks, relabel a
-/// header digit, or truncate the manifest.
-void damage(const fs::path& dir, util::Rng& rng) {
-  const DamageBaseline& base = damage_baseline();
+[[nodiscard]] const DamageBaseline& batched_damage_baseline() {
+  static const DamageBaseline value = make_damage_baseline(
+      batched_damage_config(), "cloudrtt_store_batched_damage_base");
+  return value;
+}
+
+/// One random damage to the store in `dir`, a copy of `base`'s: flip a
+/// shard byte, cut the shard anywhere or exactly on a block boundary,
+/// append a duplicated block or random bytes past the mark, swap two
+/// adjacent tail blocks, relabel a header digit, or truncate the manifest.
+/// Half of the block-aimed damage goes to the blocks either side of a batch
+/// boundary when the days have any.
+void damage(const DamageBaseline& base, const fs::path& dir, util::Rng& rng) {
   const std::vector<BlockSpan>& blocks = base.blocks;
-  const BlockSpan& block = blocks[rng.below(blocks.size())];
+  // A block index in [from, to).
+  const auto pick = [&](std::size_t from, std::size_t to) {
+    std::vector<std::size_t> edges;
+    for (const std::size_t i : base.batch_edges) {
+      if (i >= from && i < to) edges.push_back(i);
+    }
+    if (!edges.empty() && rng.chance(0.5)) {
+      return edges[rng.below(edges.size())];
+    }
+    return from + rng.below(to - from);
+  };
+  const BlockSpan& block = blocks[pick(0, blocks.size())];
   std::string text = read_file(shard_file(dir));
   switch (rng.below(8)) {
     case 0:
@@ -837,8 +882,7 @@ void damage(const fs::path& dir, util::Rng& rng) {
       }
       break;
     case 5: {
-      const std::size_t i =
-          base.first_tail + rng.below(blocks.size() - base.first_tail - 1);
+      const std::size_t i = pick(base.first_tail, blocks.size() - 1);
       const BlockSpan& a = blocks[i];
       const BlockSpan& b = blocks[i + 1];
       text = text.substr(0, a.offset) + text.substr(b.offset, b.size) +
@@ -867,21 +911,20 @@ void damage(const fs::path& dir, util::Rng& rng) {
 // bits. A repairing open (the resume's first step) must leave nothing more
 // to cut and the same rows; once the resume's journal commit lands, a
 // read-only reopen finds nothing to salvage at all.
-TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
-  const DamageBaseline& base = damage_baseline();
+void sweep_random_damage(const DamageBaseline& base, std::uint64_t seeds) {
   ASSERT_GE(base.blocks.size(), base.first_tail + 2);
   const measure::Dataset& collected = base.study->sc_dataset();
   const probes::ProbeFleet* probes = &base.study->sc_fleet();
   std::map<std::size_t, std::uint64_t> prefix_hashes;  // by row count
   // One Study resumes every copy: run() is repeatable, and building the
-  // world 200 times would dominate the sweep.
-  core::Study resumer{damage_config()};
+  // world for every copy would dominate the sweep.
+  core::Study resumer{base.config};
   std::size_t usable = 0;
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
     SCOPED_TRACE(seed);
     const fs::path dir = copy_store("cloudrtt_store_damage", base.dir);
     util::Rng rng{seed};
-    damage(dir, rng);
+    damage(base, dir, rng);
 
     store::IoEnv io;
     const store::FsckReport report = store::fsck(dir, kPlatform, io);
@@ -953,7 +996,26 @@ TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
   }
   // The sweep must exercise both verdicts.
   EXPECT_GT(usable, 0u);
-  EXPECT_LT(usable, 200u);
+  EXPECT_LT(usable, seeds);
+}
+
+TEST(StoreDamage, ReadersAgreeOnRandomDamage) {
+  sweep_random_damage(damage_baseline(), 200);
+}
+
+// The same sweep over days of three batches each: the uncommitted tail
+// holds two such days, and the damage often lands where batches meet.
+TEST(StoreDamage, ReadersAgreeOnRandomDamageAcrossBatches) {
+  const DamageBaseline& base = batched_damage_baseline();
+  for (std::uint32_t day = 0; day < 3; ++day) {
+    std::uint64_t tasks = 0;
+    for (const BlockSpan& block : base.blocks) {
+      if (block.header.day == day) tasks += block.header.tasks;
+    }
+    ASSERT_GT(tasks, 2 * measure::ParallelExecutor::kBatchTasks) << day;
+  }
+  ASSERT_GE(base.batch_edges.size(), 2u * 2 * 3);
+  sweep_random_damage(base, 20);
 }
 
 // A resume can start inside a day of several executor batches. Its first
@@ -1049,7 +1111,7 @@ TEST(StoreDamage, CutsAtAndInsideEveryTailBlockResumeBitExactly) {
     SCOPED_TRACE(cut);
     const fs::path dir = copy_store("cloudrtt_store_cut", base.dir);
     fs::resize_file(shard_file(dir), cut);
-    EXPECT_EQ(core::format_dataset_hash(resume_hash(dir, damage_config())),
+    EXPECT_EQ(core::format_dataset_hash(resume_hash(dir, base.config)),
               core::format_dataset_hash(base.hash));
   }
 }

@@ -3,7 +3,7 @@
 //   cloudrtt world   [--seed N]                     topology inventory
 //   cloudrtt resolve <ip> [--seed N]                IP -> ASN through the pipeline
 //   cloudrtt trace <country> <provider> [...]       one annotated traceroute
-//   cloudrtt study   [--sc-probes N --days D ...]   full campaign + artefacts
+//   cloudrtt study   [--sc-probes N --days D ...]   full campaign, CSVs, reports
 //   cloudrtt run     [--scale paper ...]            streaming study, batch RAM
 
 #include <cstdint>
@@ -301,7 +301,7 @@ int cmd_study(int argc, const char* const* argv,
   args.add_flag("stream", "stream rows to the store batch by batch and drop "
                           "them from memory (needs --checkpoint-dir; RAM "
                           "holds one batch of rows and the day's serialised "
-                          "spill; CSV export and report.json are skipped — "
+                          "spill; CSV export and the reports are skipped — "
                           "the store is the dataset)");
   args.add_flag("fsck", "validate the checkpoint store in --checkpoint-dir "
                         "and exit (0 = healthy)");
@@ -310,7 +310,8 @@ int cmd_study(int argc, const char* const* argv,
                                          "simulates a killed driver");
   args.add_flag("quiet", "only warnings and errors (log level warn)");
   args.add_flag("no-atlas", "skip the Atlas campaign");
-  args.add_flag("no-export", "skip CSV export (report.json only)");
+  args.add_flag("no-export", "skip CSV export (report.json and report.txt "
+                             "only)");
   args.add_flag("dataset-hash", "print the FNV-1a hash of the full exported "
                                 "dataset (reproducibility gate)");
   if (!args.parse(argc, argv)) return 1;
@@ -552,16 +553,19 @@ int cmd_study(int argc, const char* const* argv,
     // An artefact is written only if its stream is still good once closed;
     // name every one that is not, and fail the run.
     bool written = true;
-    const auto write_artefact = [&](std::string_view name,
-                                    const auto& write) {
-      const std::filesystem::path path = out_dir / name;
-      std::ofstream file{path};
-      if (file) write(file);
+    const auto close_artefact = [&](std::ofstream& file,
+                                    std::string_view name) {
       file.close();
       if (!file) {
-        std::cerr << "cannot write " << path.string() << "\n";
+        std::cerr << "cannot write " << (out_dir / name).string() << "\n";
         written = false;
       }
+    };
+    const auto write_artefact = [&](std::string_view name,
+                                    const auto& write) {
+      std::ofstream file{out_dir / name};
+      if (file) write(file);
+      close_artefact(file, name);
     };
     if (!args.get_flag("no-export")) {
       write_artefact("pings.csv", [&](std::ostream& out) {
@@ -572,10 +576,14 @@ int cmd_study(int argc, const char* const* argv,
       });
     }
     {
+      // Both reports come from one preparation and one computation of
+      // each exhibit.
       obs::Span phase = obs::span("core.report");
+      std::ofstream text{out_dir / "report.txt"};
       write_artefact("report.json", [&](std::ostream& out) {
-        core::write_full_report(out, study.view());
+        core::write_full_report(out, study.view(), &text);
       });
+      close_artefact(text, "report.txt");
     }
     if (!written) {
       flush_observability();
