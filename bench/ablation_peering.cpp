@@ -23,13 +23,8 @@ struct Snapshot {
   double bh_in_median = 0.0;
 };
 
-Snapshot snapshot(bool edge_pops) {
+Snapshot snapshot(cloudrtt::core::StudyConfig config, bool edge_pops) {
   using namespace cloudrtt;
-  core::StudyConfig config;
-  config.sc_probes = 4000;
-  config.sc_campaign.days = 6;
-  config.sc_campaign.daily_budget = 9000;
-  config.include_atlas = false;
   config.enable_edge_pops = edge_pops;
   core::Study study{config};
   study.run();
@@ -77,13 +72,15 @@ Snapshot snapshot(bool edge_pops) {
 
 int main() {
   using namespace cloudrtt;
+  const core::StudyConfig config = bench::ablation_config();
   bench::print_header(
       "Ablation — remove every edge PoP and direct-peering agreement",
       "tests the paper's §6 attribution: peering drives the big-3's direct "
-      "share, path ownership and Asia's consistency, but buys little in EU");
+      "share, path ownership and Asia's consistency, but buys little in EU",
+      config);
 
-  const Snapshot base = snapshot(/*edge_pops=*/true);
-  const Snapshot ablated = snapshot(/*edge_pops=*/false);
+  const Snapshot base = snapshot(config, /*edge_pops=*/true);
+  const Snapshot ablated = snapshot(config, /*edge_pops=*/false);
 
   util::TextTable table;
   table.set_header({"metric", "baseline", "no peering", "delta"});

@@ -21,13 +21,8 @@ struct Snapshot {
   double bh_in_transit = 0.0;  // BH -> IN over non-direct paths (median)
 };
 
-Snapshot snapshot(bool uplinks) {
+Snapshot snapshot(cloudrtt::core::StudyConfig config, bool uplinks) {
   using namespace cloudrtt;
-  core::StudyConfig config;
-  config.sc_probes = 4000;
-  config.sc_campaign.days = 6;
-  config.sc_campaign.daily_budget = 9000;
-  config.include_atlas = false;
   config.enable_uplink_gateways = uplinks;
   core::Study study{config};
   study.run();
@@ -67,14 +62,16 @@ Snapshot snapshot(bool uplinks) {
 
 int main() {
   using namespace cloudrtt;
+  const core::StudyConfig config = bench::ablation_config();
   bench::print_header(
       "Ablation — remove the regional uplink/gateway hairpins",
       "separates routing policy from geography in Fig. 6a / Fig. 18: the "
       "hairpins, not the cables, cause most of the north-Africa and Gulf "
-      "penalties");
+      "penalties",
+      config);
 
-  const Snapshot base = snapshot(/*uplinks=*/true);
-  const Snapshot flat = snapshot(/*uplinks=*/false);
+  const Snapshot base = snapshot(config, /*uplinks=*/true);
+  const Snapshot flat = snapshot(config, /*uplinks=*/false);
 
   util::TextTable table;
   table.set_header({"median RTT", "with hairpins", "without", "delta"});

@@ -18,15 +18,21 @@ struct Snapshot {
   double global_lastmile_ms = 0.0;
 };
 
-Snapshot snapshot(bool wired) {
-  using namespace cloudrtt;
-  core::StudyConfig config;
+/// The study both arms run: 4,000 Speedchecker probes for 6 days of 9,000
+/// tasks and 1,200 Atlas probes for 5 days of 2,500, seed 42.
+cloudrtt::core::StudyConfig base_config() {
+  cloudrtt::core::StudyConfig config;
   config.sc_probes = 4000;
   config.atlas_probes = 1200;
   config.sc_campaign.days = 6;
   config.sc_campaign.daily_budget = 9000;
   config.atlas_campaign.days = 5;
   config.atlas_campaign.daily_budget = 2500;
+  return config;
+}
+
+Snapshot snapshot(cloudrtt::core::StudyConfig config, bool wired) {
+  using namespace cloudrtt;
   if (wired) config.sc_access_override = lastmile::AccessTech::Wired;
   core::Study study{config};
   study.run();
@@ -56,13 +62,15 @@ Snapshot snapshot(bool wired) {
 
 int main() {
   using namespace cloudrtt;
+  const core::StudyConfig config = base_config();
   bench::print_header(
       "Ablation — wire the Speedchecker fleet",
       "validates §4.2: the Fig. 5 platform gap is the wireless last-mile; "
-      "with SC wired, the EU/NA/AS differences collapse towards zero");
+      "with SC wired, the EU/NA/AS differences collapse towards zero",
+      config);
 
-  const Snapshot wireless = snapshot(/*wired=*/false);
-  const Snapshot wired = snapshot(/*wired=*/true);
+  const Snapshot wireless = snapshot(config, /*wired=*/false);
+  const Snapshot wired = snapshot(config, /*wired=*/true);
 
   util::TextTable table;
   table.set_header({"metric", "SC wireless", "SC wired", "delta"});

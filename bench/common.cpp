@@ -42,6 +42,15 @@ core::StudyConfig bench_config() {
   return config;
 }
 
+core::StudyConfig ablation_config() {
+  core::StudyConfig config;
+  config.sc_probes = 4000;
+  config.sc_campaign.days = 6;
+  config.sc_campaign.daily_budget = 9000;
+  config.include_atlas = false;
+  return config;
+}
+
 const core::Study& shared_study() {
   static core::Study study = [] {
     core::Study s{bench_config()};
@@ -51,15 +60,22 @@ const core::Study& shared_study() {
   return study;
 }
 
-void print_header(const std::string& exhibit, const std::string& claim) {
-  const core::StudyConfig config = bench_config();
+void print_header(const std::string& exhibit, const std::string& claim,
+                  const core::StudyConfig& config) {
+  const auto campaign = [](std::size_t probes,
+                           const measure::CampaignConfig& c) {
+    return std::to_string(probes) + " probes, " + std::to_string(c.days) +
+           " days of " + std::to_string(c.daily_budget) + " tasks";
+  };
   std::cout << "==============================================================\n";
   std::cout << exhibit << "\n";
   std::cout << "paper: " << claim << "\n";
-  std::cout << "scale: " << bench_scale().name << " (" << config.sc_probes
-            << " SC probes / " << config.atlas_probes
-            << " Atlas probes), seed " << config.seed
-            << " (set CLOUDRTT_SCALE / CLOUDRTT_SEED to change)\n";
+  std::cout << "study: Speedchecker "
+            << campaign(config.sc_probes, config.sc_campaign) << "; Atlas "
+            << (config.include_atlas
+                    ? campaign(config.atlas_probes, config.atlas_campaign)
+                    : std::string{"off"})
+            << "; seed " << config.seed << "\n";
   std::cout << "==============================================================\n";
 }
 

@@ -21,7 +21,8 @@ int main() {
       "Extension — BGP view: Internet flattening & path-length validation",
       "big-3 reachable in ~2 AS hops, largely Tier-1-free (the flat "
       "Internet); small providers behind 3-4 hop transit chains; BGP and "
-      "traceroute AS-path lengths must agree");
+      "traceroute AS-path lengths must agree",
+      bench::bench_config());
 
   const core::Study& study = bench::shared_study();
   const topology::BgpGraph& graph = study.world().bgp();

@@ -22,7 +22,8 @@ int main() {
       "Extension — apparent path stretch under GeoIP geolocation",
       "with honest router locations, paths stretch ~1.2-2.5x over the great "
       "circle; with a realistic GeoIP database the tail blows past 5-10x — "
-      "the paper's §3.3 refusal, quantified");
+      "the paper's §3.3 refusal, quantified",
+      bench::bench_config());
 
   const core::Study& study = bench::shared_study();
   const analysis::GeoDatabase geodb =

@@ -19,7 +19,8 @@ int main() {
       "Extension — inter-datacenter latency (private WAN vs public haul)",
       "hypergiants move horizontal traffic on their backbones; small "
       "providers cross the public Internet — visible as a per-km latency "
-      "premium and fatter tails");
+      "premium and fatter tails",
+      bench::bench_config());
 
   const core::Study& study = bench::shared_study();
   const measure::Engine engine{study.world()};

@@ -20,7 +20,8 @@ int main() {
       "Extension — classic vs Paris traceroute on ECMP transit",
       "classic traceroute sees extra interfaces and inflated hop RTTs on "
       "load-balanced segments; Paris pins the flow. AS-level conclusions "
-      "survive either way (the paper's saving grace)");
+      "survive either way (the paper's saving grace)",
+      bench::bench_config());
 
   const core::Study& study = bench::shared_study();
   const measure::Engine engine{study.world()};

@@ -17,7 +17,8 @@ int main() {
       "Extension — diurnal congestion and day-over-day stability",
       "latencies swell around the local evening peak (strongest on weak "
       "backhauls) while per-continent daily medians stay stable — the "
-      "network is predictable even where it is slow");
+      "network is predictable even where it is slow",
+      bench::bench_config());
 
   const core::Study& study = bench::shared_study();
 

@@ -38,13 +38,13 @@ void BM_LogDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_LogDisabled);
 
-/// Enabled statement into the JSON-lines sink (buffer reset per iteration
-/// batch to bound memory) — the slow path, for contrast.
-void BM_LogEnabledJson(benchmark::State& state) {
+/// Enabled statement into the text sink (buffer reset per iteration batch
+/// to bound memory) — the slow path, for contrast.
+void BM_LogEnabledText(benchmark::State& state) {
   obs::Logger& logger = obs::Logger::global();
   logger.clear_sinks();
   std::ostringstream sink;
-  logger.add_sink(std::make_unique<obs::JsonLinesSink>(sink));
+  logger.add_sink(std::make_unique<obs::TextSink>(sink));
   logger.set_level(obs::Level::Debug);
   std::uint64_t day = 0;
   for (auto _ : state) {
@@ -59,7 +59,7 @@ void BM_LogEnabledJson(benchmark::State& state) {
   logger.set_level(obs::Level::Error);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_LogEnabledJson);
+BENCHMARK(BM_LogEnabledText);
 
 void BM_CounterInc(benchmark::State& state) {
   obs::Counter& counter = obs::Registry::global().counter("perf.counter");
@@ -82,16 +82,6 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HistogramRecord);
-
-void BM_ScopedTimer(benchmark::State& state) {
-  obs::Histogram& histogram = obs::Registry::global().histogram("perf.timer_ms");
-  for (auto _ : state) {
-    obs::ScopedTimer timer{histogram};
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ScopedTimer);
 
 void BM_SpanNesting(benchmark::State& state) {
   for (auto _ : state) {

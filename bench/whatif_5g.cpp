@@ -18,13 +18,8 @@ struct Snapshot {
   double lastmile_median = 0.0;
 };
 
-Snapshot snapshot(double air_scale) {
+Snapshot snapshot(cloudrtt::core::StudyConfig config, double air_scale) {
   using namespace cloudrtt;
-  core::StudyConfig config;
-  config.sc_probes = 4000;
-  config.include_atlas = false;
-  config.sc_campaign.days = 6;
-  config.sc_campaign.daily_budget = 9000;
   config.sc_air_scale = air_scale;
   core::Study study{config};
   study.run();
@@ -53,13 +48,15 @@ Snapshot snapshot(double air_scale) {
 
 int main() {
   using namespace cloudrtt;
+  const core::StudyConfig config = bench::ablation_config();
   bench::print_header(
       "What-if — 5G-class radio legs (air medians x0.15)",
       "§7: MTP stays hard even with dramatically better wireless, because "
-      "the wired tail and the transit path remain; HPL headroom grows");
+      "the wired tail and the transit path remain; HPL headroom grows",
+      config);
 
-  const Snapshot today = snapshot(1.0);
-  const Snapshot fiveg = snapshot(0.15);
+  const Snapshot today = snapshot(config, 1.0);
+  const Snapshot fiveg = snapshot(config, 0.15);
 
   util::TextTable table;
   table.set_header({"continent", "<=MTP today", "<=MTP 5G", "<=HPL today",

@@ -17,7 +17,7 @@ MAX_KILLS=${MAX_KILLS:-60}
 # The gate is vacuous unless kills actually interrupt runs: completions that
 # arrive before MIN_KILLS landed restart the loop on a fresh checkpoint.
 MIN_KILLS=${MIN_KILLS:-3}
-# SCALE=paper (or NxM / a multiplier) swaps the small fixed fleets for a
+# SCALE=paper (or NxM probe counts) swaps the small fixed fleets for a
 # --scale run: the full paper-scale fleet with a truncated campaign, so kills
 # land on 115k-probe day batches without the full paper task volume.
 SCALE=${SCALE:-}

@@ -4,8 +4,8 @@
 # the ablation, what-if and extension experiments, and leave the transcripts
 # next to the sources.
 #
-# Usage: scripts/reproduce.sh [scale]   (default | paper | NxM probe counts
-# | a float multiplier on the default fleet; default by default)
+# Usage: scripts/reproduce.sh [scale]   (default | paper | NxM probe counts,
+# e.g. 600x150; default by default)
 #
 # The perf_* binaries are not run: they are benchmarks, and perf_trajectory
 # would overwrite the committed BENCH_*.json baseline.

@@ -49,9 +49,6 @@ class IpToAsn {
     return ixp_asns_.contains(asn);
   }
 
-  [[nodiscard]] std::size_t rib_size() const { return rib_.entry_count(); }
-  [[nodiscard]] std::size_t whois_size() const { return whois_.entry_count(); }
-
  private:
   net::PrefixTrie<topology::Asn> rib_;
   net::PrefixTrie<topology::Asn> whois_;

@@ -9,18 +9,12 @@ namespace cloudrtt::core {
 
 namespace {
 
-/// Strict full-string parse helpers: std::from_chars consumes a prefix, so a
-/// trailing garbage character means the spelling is not that kind of number.
+/// Strict full-string parse: std::from_chars consumes a prefix, so a
+/// trailing garbage character means the spelling is not a probe count.
 [[nodiscard]] bool parse_size(std::string_view text, std::size_t& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   return ec == std::errc{} && ptr == text.data() + text.size() && out > 0;
-}
-
-[[nodiscard]] bool parse_double(std::string_view text, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size() && out > 0.0;
 }
 
 }  // namespace
@@ -46,19 +40,10 @@ ScaleSpec parse_scale(std::string_view text) {
       spec.atlas_probes = atlas;
       return spec;
     }
-  } else if (double multiplier = 0.0; parse_double(text, multiplier)) {
-    // Legacy spelling: CLOUDRTT_SCALE as a float multiplier on the default
-    // fleet (0.1 for smoke runs, 20 to approach paper densities).
-    spec.name = std::string{text};
-    spec.sc_probes =
-        std::max<std::size_t>(1, static_cast<std::size_t>(6000 * multiplier));
-    spec.atlas_probes =
-        std::max<std::size_t>(1, static_cast<std::size_t>(1500 * multiplier));
-    return spec;
   }
   spec.error = "unrecognised scale '" + std::string{text} +
-               "' — expected default, paper, NxM probe counts (e.g. "
-               "12000x3000), or a float multiplier";
+               "' — expected default, paper or NxM probe counts (e.g. "
+               "12000x3000)";
   return spec;
 }
 

@@ -9,9 +9,8 @@
 //
 //   default   6,000 SC / 1,500 Atlas  (multiplier 1.0)
 //   paper     115,000 SC / 8,500 Atlas — the paper's fleet, streamed
-//   NxM       explicit probe counts, e.g. 12000x3000
-//   <float>   legacy multiplier on the default counts, e.g. 0.1 or 20
-//             (kept so existing CLOUDRTT_SCALE=0.1 invocations still work)
+//   NxM       explicit probe counts, e.g. 12000x3000 (600x150 is a tenth of
+//             the default fleet)
 //
 // Daily task budgets scale proportionally with each platform's probe count,
 // so "paper" runs the paper's task volume, not just its fleet size.
@@ -39,8 +38,8 @@ struct ScaleSpec {
   }
 };
 
-/// Parse one scale spelling: "default", "paper", "NxM", or a float
-/// multiplier. Returns a spec with `error` set on anything else.
+/// Parse one scale spelling: "default", "paper" or "NxM". Returns a spec
+/// with `error` set on anything else.
 [[nodiscard]] ScaleSpec parse_scale(std::string_view text);
 
 /// Resolve the effective scale: a non-empty `flag_value` (the --scale flag)

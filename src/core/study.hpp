@@ -63,11 +63,9 @@ struct StudyConfig {
     sc_campaign.days = 10;
     sc_campaign.daily_budget = 15000;
     sc_campaign.run_case_studies = true;
-    sc_campaign.paper_fleet_size = 115000.0;
     atlas_campaign.days = 8;
     atlas_campaign.daily_budget = 3500;
     atlas_campaign.run_case_studies = false;
-    atlas_campaign.paper_fleet_size = 8500.0;
     // Corneo et al. measured from every connected Atlas probe; the >=100
     // per-country rule is a Speedchecker scheduling constraint only.
     atlas_campaign.paper_country_threshold = 1.0;

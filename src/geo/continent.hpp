@@ -36,18 +36,6 @@ inline constexpr std::size_t kContinentCount = kAllContinents.size();
   return "??";
 }
 
-[[nodiscard]] constexpr std::string_view full_name(Continent c) noexcept {
-  switch (c) {
-    case Continent::Africa: return "Africa";
-    case Continent::Asia: return "Asia";
-    case Continent::Europe: return "Europe";
-    case Continent::NorthAmerica: return "North America";
-    case Continent::Oceania: return "Oceania";
-    case Continent::SouthAmerica: return "South America";
-  }
-  return "Unknown";
-}
-
 [[nodiscard]] constexpr std::optional<Continent> continent_from_code(
     std::string_view code) noexcept {
   for (const Continent c : kAllContinents) {

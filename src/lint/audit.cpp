@@ -295,7 +295,7 @@ void check_hot_region(const AuditFile& file, std::size_t file_index,
   const auto flag = [&](std::size_t pos, std::string_view what) {
     report(file_index, Rule::HotPathAlloc, line_of(code, pos),
            where + std::string{what} +
-               "; steer toward util::Arena, caller scratch, or string_view");
+               "; steer toward caller scratch or string_view");
   };
 
   struct SimpleBan {

@@ -52,8 +52,8 @@ std::string_view rule_summary(Rule rule) {
       return "lint:frozen type with a public non-const member function or "
              "const_cast";
     case Rule::HotPathAlloc:
-      return "allocation or temporary in a lint:hot function (use "
-             "util::Arena / caller scratch)";
+      return "allocation or temporary in a lint:hot function (use caller "
+             "scratch)";
     case Rule::LayeringDag:
       return "include edge against the src/ layer order (lint/layers.hpp)";
     case Rule::AllowHygiene:

@@ -51,8 +51,8 @@
 //                    file): `new`, make_unique/make_shared, std::function,
 //                    to_string, ostringstream, std::string/std::vector
 //                    value declarations or temporaries, and operator[] on a
-//                    map-typed symbol. Steer toward util::Arena, caller
-//                    scratch, and string_view.
+//                    map-typed symbol. Steer toward caller-owned scratch
+//                    and string_view.
 //   layering-dag     an `#include "module/..."` edge between src/ modules
 //                    that points against the declared layer order
 //                    (src/lint/layers.hpp) — the cycle class PR 5 broke by

@@ -185,9 +185,8 @@ Dataset Campaign::run(util::Rng rng, const CampaignState& start,
       registry.counter("campaign.fault.outage_budget_lost_total");
   obs::Histogram& fault_backoff_ms =
       registry.histogram("campaign.fault.backoff_ms");
-  obs::Gauge& peak_rss_gauge = registry.gauge(
-      "process.peak_rss_bytes",
-      "Peak resident set size (VmHWM) in bytes, 0 where procfs is absent");
+  // VmHWM in bytes; 0 where procfs is absent.
+  obs::Gauge& peak_rss_gauge = registry.gauge("process.peak_rss_bytes");
   obs::Gauge& busy_fraction_gauge =
       registry.gauge("measure.worker_busy_fraction");
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();

@@ -48,7 +48,6 @@ struct CampaignConfig {
   std::size_t extra_targets = 4;
   /// The paper's per-country inclusion threshold: >=100 of 115k probes.
   double paper_country_threshold = 100.0;
-  double paper_fleet_size = 115000.0;
   /// Case-study tasks (Speedchecker campaigns only in the paper's setup).
   bool run_case_studies = false;
   std::size_t case_study_probes = 16;

@@ -180,30 +180,6 @@ TaskRecords Engine::run_task(const MeasurementTask& task, util::Rng& rng,
   return records;
 }
 
-Engine::HttpRecord Engine::http_get(const probes::Probe& probe,
-                                    const topology::CloudEndpoint& endpoint,
-                                    util::Rng& rng) const {
-  routing::ForwardingPath path;
-  builder_.build_into(probe, endpoint, roll_mode(probe, *endpoint.region, rng),
-                      path);
-  const PathDraw draw = draw_path(probe, path, rng, 0);
-  // Each round trip of the exchange rides the same congestion state with
-  // independent per-packet noise.
-  const auto round_trip = [&] {
-    return draw.last_mile.total_ms() +
-           draw.path.base_rtt_ms() * draw.congestion *
-               std::exp(rng.normal(0.0, 0.03)) +
-           0.3;
-  };
-  HttpRecord record;
-  record.connect_ms = round_trip() + draw.spike_ms;  // SYN / SYN-ACK
-  const double server_processing = rng.exponential(12.0);
-  record.ttfb_ms = record.connect_ms + round_trip() + server_processing;
-  const double transfer = rng.exponential(20.0);  // payload + slow-start tail
-  record.total_ms = record.ttfb_ms + transfer;
-  return record;
-}
-
 double Engine::interdc_rtt(const topology::CloudEndpoint& src,
                            const topology::CloudEndpoint& dst,
                            util::Rng& rng) const {

@@ -109,19 +109,6 @@ class Engine {
   [[nodiscard]] static double diurnal_factor(const probes::Probe& probe,
                                              std::uint8_t slot);
 
-  /// HTTP GET against a VM (Speedchecker's third measurement type, §3.2):
-  /// TCP handshake, request/response, payload transfer. Application-level
-  /// latency sits above the network RTT, which is why the paper calls its
-  /// ping numbers a lower bound (§7).
-  struct HttpRecord {
-    double connect_ms = 0.0;  ///< TCP handshake completion
-    double ttfb_ms = 0.0;     ///< first response byte
-    double total_ms = 0.0;    ///< payload fully received
-  };
-  [[nodiscard]] HttpRecord http_get(const probes::Probe& probe,
-                                    const topology::CloudEndpoint& endpoint,
-                                    util::Rng& rng) const;
-
   [[nodiscard]] const routing::PathBuilder& path_builder() const { return builder_; }
 
   /// Per-measurement interconnect-mode roll (pair policy + adherence).

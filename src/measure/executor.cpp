@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,23 +32,11 @@ struct WorkerStats {
   return static_cast<double>(ns) / 1e6;
 }
 
-/// Per-task trace staging: scalar core plus the hop range inside the worker
-/// arena that produced it. Trivially destructible, so the slots live in the
-/// recycled staging arena like the ping slots.
-struct TraceSlot {
-  TraceCore core;
-  std::uint32_t hop_begin = 0;
-  std::uint32_t hop_count = 0;
-  std::uint32_t worker = 0;
-};
-
-/// One batch in flight: its tasks, its result slots (drawn from the lane's
-/// staging arena) and how many of its chunks are still to finish.
+/// One batch in flight: its tasks and how many of its chunks are still to
+/// finish. Its result slots are the executor's staging of the same lane.
 struct Lane {
   std::size_t begin = 0;
   std::size_t end = 0;
-  std::span<PingRecord> pings;
-  std::span<TraceSlot> traces;
   std::atomic<std::size_t> chunks_left{0};
 };
 
@@ -64,18 +51,14 @@ void ParallelExecutor::execute(const Engine& engine,
   if (skip_tasks >= n) return;
 
   obs::Registry& registry = obs::Registry::global();
-  obs::Histogram& chunk_ms = registry.histogram(
-      "measure.chunk_ms", "Wall-clock per executed chunk in milliseconds");
-  obs::Gauge& busy_fraction = registry.gauge(
-      "measure.worker_busy_fraction",
-      "Fraction of the last execute phase the worker pool spent inside "
-      "chunks (1.0 = no idle time)");
-  obs::Counter& busy_ms_total = registry.counter(
-      "measure.worker_busy_ms_total",
-      "Cumulative worker busy time across execute phases in milliseconds");
-  obs::Gauge& staging_high_water = registry.gauge(
-      "measure.staging_arena_high_water_bytes",
-      "High-water mark of the executor's staging arenas (two batches)");
+  obs::Histogram& chunk_ms = registry.histogram("measure.chunk_ms");
+  // Fraction of the execute phase the pool spent inside chunks (1.0 = no
+  // idle time); the counter accumulates busy time across phases.
+  obs::Gauge& busy_fraction = registry.gauge("measure.worker_busy_fraction");
+  obs::Counter& busy_ms_total =
+      registry.counter("measure.worker_busy_ms_total");
+  obs::Gauge& staging_high_water =
+      registry.gauge("measure.staging_arena_high_water_bytes");
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
 
   // Chunks wholly inside the skipped prefix never run; the chunk indices of
@@ -96,22 +79,19 @@ void ParallelExecutor::execute(const Engine& engine,
 
   // Results land in slots indexed by task position within the batch, so the
   // merge order is the schedule order no matter which worker ran which
-  // chunk. Batch b uses lane b % kLanes; opening it recycles the lane's
-  // staging arena and the workers' hop arenas of that lane (capacity kept),
-  // which is safe because batch b - kLanes has merged and no chunk of b has
-  // started.
+  // chunk. Batch b uses lane b % kLanes; opening it refills the lane's
+  // staging and clears the workers' hop vectors of that lane (capacity
+  // kept), which is safe because batch b - kLanes has merged and no chunk of
+  // b has started.
   std::array<Lane, kLanes> lanes;
   const auto open_lane = [&](std::size_t batch) {
     Lane& lane = lanes[batch % kLanes];
-    util::Arena& arena = staging_[batch % kLanes];
-    arena.reset();
+    Staging& staging = staging_[batch % kLanes];
     lane.begin = std::max(skip_tasks, batch * kBatchTasks);
     lane.end = std::min(n, (batch + 1) * kBatchTasks);
     const std::size_t rows = lane.end - lane.begin;
-    lane.pings = {arena.allocate_array<PingRecord>(rows), rows};
-    lane.traces = {arena.allocate_array<TraceSlot>(rows), rows};
-    std::uninitialized_value_construct(lane.pings.begin(), lane.pings.end());
-    std::uninitialized_value_construct(lane.traces.begin(), lane.traces.end());
+    staging.pings.assign(rows, PingRecord{});
+    staging.traces.assign(rows, TraceSlot{});
     const std::size_t chunk_end = (lane.end + kChunkSize - 1) / kChunkSize;
     lane.chunks_left.store(chunk_end - lane.begin / kChunkSize,
                            std::memory_order_relaxed);
@@ -141,6 +121,7 @@ void ParallelExecutor::execute(const Engine& engine,
                              std::size_t worker) {
     const std::size_t batch = chunk / kBatchChunks;
     Lane& lane = lanes[batch % kLanes];
+    Staging& staging = staging_[batch % kLanes];
     MeasurementScratch& scratch = scratch_of(worker, batch);
     const std::uint64_t start_ns = obs::monotonic_ns();
     const util::Rng chunk_rng = chunk_root.fork(chunk);
@@ -148,12 +129,12 @@ void ParallelExecutor::execute(const Engine& engine,
     const std::size_t end = std::min(begin + kChunkSize, n);
     for (std::size_t i = std::max(begin, lane.begin); i < end; ++i) {
       util::Rng task_rng = chunk_rng.fork(i - begin);
-      // Hops pack into the worker's flat arena; the slot remembers the range
-      // so the canonical merge can copy it into the dataset's hop pool.
-      TraceSlot& slot = lane.traces[i - lane.begin];
+      // Hops pack into the worker's flat hop vector; the slot remembers the
+      // range so the canonical merge can copy it into the dataset's hop pool.
+      TraceSlot& slot = staging.traces[i - lane.begin];
       slot.hop_begin = static_cast<std::uint32_t>(scratch.hops.size());
       const TaskRecords records = engine.run_task(tasks[i], task_rng, scratch);
-      lane.pings[i - lane.begin] = records.ping;
+      staging.pings[i - lane.begin] = records.ping;
       slot.core = records.trace;
       slot.hop_count =
           static_cast<std::uint32_t>(scratch.hops.size()) - slot.hop_begin;
@@ -183,7 +164,8 @@ void ParallelExecutor::execute(const Engine& engine,
   // for the batch kLanes ahead.
   std::size_t next_merge = first_chunk / kBatchChunks;
   const auto merge_next = [&] {
-    Lane& lane = lanes[next_merge % kLanes];
+    const Lane& lane = lanes[next_merge % kLanes];
+    const Staging& staging = staging_[next_merge % kLanes];
     const std::size_t ping_begin = out.pings.size();
     const std::size_t trace_begin = out.traces.size();
     {
@@ -196,10 +178,10 @@ void ParallelExecutor::execute(const Engine& engine,
       out.pings.reserve(ping_begin + rows);
       out.traces.reserve(trace_begin + rows);
       std::size_t hop_total = 0;
-      for (const TraceSlot& slot : lane.traces) hop_total += slot.hop_count;
+      for (const TraceSlot& slot : staging.traces) hop_total += slot.hop_count;
       out.traces.reserve_hops(hop_total);
-      for (const PingRecord& ping : lane.pings) out.pings.push_back(ping);
-      for (const TraceSlot& slot : lane.traces) {
+      for (const PingRecord& ping : staging.pings) out.pings.push_back(ping);
+      for (const TraceSlot& slot : staging.traces) {
         const std::vector<HopRecord>& hops =
             scratch_of(slot.worker, next_merge).hops;
         out.traces.push_back(
@@ -328,8 +310,15 @@ void ParallelExecutor::execute(const Engine& engine,
                        static_cast<double>(workers)));
   }
   busy_ms_total.inc(static_cast<std::uint64_t>(to_ms(total_busy_ns)));
-  staging_high_water.set(static_cast<double>(
-      staging_[0].high_water_bytes() + staging_[1].high_water_bytes()));
+  // The study's high water, not this campaign's: a later campaign with
+  // smaller batches must not hide an earlier one's staging.
+  std::size_t staging_bytes = 0;
+  for (const Staging& lane : staging_) {
+    staging_bytes += lane.pings.capacity() * sizeof(PingRecord) +
+                     lane.traces.capacity() * sizeof(TraceSlot);
+  }
+  staging_high_water.set(std::max(staging_high_water.value(),
+                                  static_cast<double>(staging_bytes)));
 
   if (recorder.enabled()) {
     for (std::size_t w = 0; w < stats.size(); ++w) {

@@ -35,7 +35,6 @@
 #include "measure/records.hpp"
 #include "probes/fleet.hpp"
 #include "topology/world.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace cloudrtt::measure {
@@ -46,7 +45,7 @@ class ParallelExecutor {
   /// the RNG forking tree is identical for any --threads value.
   static constexpr std::size_t kChunkSize = 64;
   /// Chunks per batch: a day merges and hands on its rows 4,096 tasks at a
-  /// time, so the staging slots and the workers' hop arenas hold two
+  /// time, so the staging slots and the workers' hop vectors hold two
   /// batches, never a whole day. Also a constant: batch boundaries fall on
   /// the same tasks at every --threads value and every daily volume.
   static constexpr std::size_t kBatchChunks = 64;
@@ -78,9 +77,11 @@ class ParallelExecutor {
   /// [skip_tasks, n) with exactly the records a full run would have given
   /// them, because each task's RNG is forked per (chunk, offset), never
   /// advanced by its neighbours. The first batch then starts at skip_tasks.
-  /// Non-const: the executor owns per-batch scratch (the staging arenas and
+  /// Non-const: the executor owns per-batch scratch (the staging slots and
   /// per-worker path and hop scratch) that it recycles between batches —
   /// state that never influences the records, only the allocation count.
+  /// The gauge `measure.staging_arena_high_water_bytes` keeps the largest
+  /// staging footprint any executor of the process has reached.
   void execute(const Engine& engine, std::span<const MeasurementTask> tasks,
                const util::Rng& chunk_root, Dataset& out,
                std::size_t skip_tasks, const BatchSink& merged);
@@ -90,10 +91,24 @@ class ParallelExecutor {
   /// one the pool runs ahead into meanwhile.
   static constexpr std::size_t kLanes = 2;
 
+  /// Per-task trace staging: the scalar core plus the task's hop range in
+  /// the worker scratch that produced it.
+  struct TraceSlot {
+    TraceCore core;
+    std::uint32_t hop_begin = 0;
+    std::uint32_t hop_count = 0;
+    std::uint32_t worker = 0;
+  };
+  /// Result slots of the batch a lane holds, indexed by task position in the
+  /// batch. Refilled per batch with their capacity kept, so steady-state
+  /// batches allocate nothing.
+  struct Staging {
+    std::vector<PingRecord> pings;
+    std::vector<TraceSlot> traces;
+  };
+
   unsigned threads_;
-  /// Result-slot staging, one arena per lane; reset (not freed) per batch
-  /// so steady-state batches allocate nothing.
-  std::array<util::Arena, kLanes> staging_;
+  std::array<Staging, kLanes> staging_;
   /// One per worker and lane, at worker * kLanes + lane; each is touched by
   /// one thread at a time, and sits on cache lines of its own.
   std::vector<MeasurementScratch> worker_scratch_;

@@ -3,7 +3,7 @@
 namespace cloudrtt::net {
 
 PrefixAllocator::PrefixAllocator(Ipv4Address pool_start)
-    : start_(pool_start.value()), cursor_(pool_start.value()) {}
+    : cursor_(pool_start.value()) {}
 
 Ipv4Prefix PrefixAllocator::allocate(std::uint8_t length) {
   if (length < 8 || length > 30) {

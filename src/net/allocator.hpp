@@ -22,10 +22,7 @@ class PrefixAllocator {
   /// Next free prefix of the given length (8..30). Throws on exhaustion.
   [[nodiscard]] Ipv4Prefix allocate(std::uint8_t length);
 
-  [[nodiscard]] std::uint64_t allocated_addresses() const { return cursor_ - start_; }
-
  private:
-  std::uint64_t start_;
   std::uint64_t cursor_;  ///< first unallocated address (64-bit to spot exhaustion)
 };
 

@@ -1,6 +1,5 @@
 #include "obs/log.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -37,42 +36,13 @@ void write_number(std::ostream& out, double value) {
   out << buffer;
 }
 
-void write_json_escaped(std::ostream& out, std::string_view text) {
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out << buffer;
-        } else {
-          out << ch;
-        }
-    }
-  }
-}
-
-void write_field_value(std::ostream& out, const Field& field, bool json) {
+void write_field_value(std::ostream& out, const Field& field) {
   switch (field.kind) {
     case Field::Kind::Int: out << field.i; break;
     case Field::Kind::Uint: out << field.u; break;
     case Field::Kind::Float: write_number(out, field.d); break;
     case Field::Kind::Bool: out << (field.b ? "true" : "false"); break;
-    case Field::Kind::Str:
-      if (json) {
-        out << '"';
-        write_json_escaped(out, field.s);
-        out << '"';
-      } else {
-        out << field.s;
-      }
-      break;
+    case Field::Kind::Str: out << field.s; break;
   }
 }
 
@@ -103,32 +73,14 @@ void TextSink::write(const LogRecord& record) {
   for (std::size_t i = 0; i < record.field_count; ++i) {
     const Field& field = record.fields[i];
     out << ' ' << field.name << '=';
-    write_field_value(out, field, /*json=*/false);
+    write_field_value(out, field);
   }
   out << '\n';
-}
-
-void JsonLinesSink::write(const LogRecord& record) {
-  std::ostream& out = *out_;
-  out << "{\"t_ms\":";
-  write_number(out, record.t_ms);
-  out << ",\"level\":\"" << to_string(record.level) << "\",\"event\":\"";
-  write_json_escaped(out, record.event);
-  out << '"';
-  for (std::size_t i = 0; i < record.field_count; ++i) {
-    const Field& field = record.fields[i];
-    out << ",\"";
-    write_json_escaped(out, field.name);
-    out << "\":";
-    write_field_value(out, field, /*json=*/true);
-  }
-  out << "}\n";
 }
 
 struct Logger::Impl {
   std::mutex mutex;
   std::vector<std::unique_ptr<Sink>> sinks;
-  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
 };
 
 Logger::Logger() : impl_(std::make_unique<Impl>()) {
@@ -160,9 +112,6 @@ void Logger::emit(Level level, std::string_view event,
   record.event = event;
   record.fields = fields.begin();
   record.field_count = fields.size();
-  record.t_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - impl_->start)
-                    .count();
   const std::scoped_lock lock{impl_->mutex};
   for (const std::unique_ptr<Sink>& sink : impl_->sinks) sink->write(record);
 }

@@ -3,9 +3,8 @@
 //
 // Design goals, in order: (1) a disabled statement costs one relaxed atomic
 // load and a predictable branch — cheap enough for the measurement hot path;
-// (2) records are structured (event name + typed key/value fields), so the
-// JSON-lines sink is machine-readable without parsing free text; (3) sinks
-// are pluggable (stderr text, JSON-lines file, test capture).
+// (2) records are structured (event name + typed key=value fields); (3) sinks
+// are pluggable (stderr text, test capture).
 //
 //   CLOUDRTT_LOG_INFO("campaign.day", {"day", day}, {"budget_left", left});
 //
@@ -73,7 +72,6 @@ struct LogRecord {
   std::string_view event;
   const Field* fields = nullptr;
   std::size_t field_count = 0;
-  double t_ms = 0.0;  ///< milliseconds since logger start (steady clock)
 };
 
 /// Output backend. Implementations must tolerate concurrent emit() callers:
@@ -88,18 +86,6 @@ class Sink {
 class TextSink : public Sink {
  public:
   explicit TextSink(std::ostream& out) : out_(&out) {}
-  void write(const LogRecord& record) override;
-
- private:
-  std::ostream* out_;
-};
-
-/// One JSON object per line: {"t_ms":1.2,"level":"info","event":"x","day":3}.
-/// Field names and string values are escaped with the same rules as
-/// util::JsonWriter, so any JSON-lines consumer can ingest the stream.
-class JsonLinesSink : public Sink {
- public:
-  explicit JsonLinesSink(std::ostream& out) : out_(&out) {}
   void write(const LogRecord& record) override;
 
  private:

@@ -1,9 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -26,37 +24,6 @@ void atomic_max(std::atomic<double>& target, double candidate) {
          !target.compare_exchange_weak(current, candidate,
                                        std::memory_order_relaxed)) {
   }
-}
-
-[[nodiscard]] std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// "campaign.tasks_total" -> "cloudrtt_campaign_tasks_total".
-[[nodiscard]] std::string prometheus_name(std::string_view name) {
-  std::string out = "cloudrtt_";
-  for (const char ch : name) {
-    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-                    (ch >= '0' && ch <= '9') || ch == '_';
-    out.push_back(ok ? ch : '_');
-  }
-  return out;
-}
-
-[[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-/// Counters carry the conventional `_total` unit suffix in the exposition
-/// even when the in-process dotted name predates the convention.
-[[nodiscard]] std::string prometheus_counter_name(std::string_view name) {
-  std::string out = prometheus_name(name);
-  if (!ends_with(out, "_total")) out += "_total";
-  return out;
 }
 
 }  // namespace
@@ -121,13 +88,6 @@ void Histogram::reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-ScopedTimer::ScopedTimer(Histogram& histogram)
-    : histogram_(histogram), start_ns_(now_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-  histogram_.record(static_cast<double>(now_ns() - start_ns_) / 1e6);
-}
-
 struct Registry::Impl {
   mutable std::mutex mutex;
   // std::map keeps exports sorted and deterministic; std::deque keeps the
@@ -141,18 +101,6 @@ struct Registry::Impl {
   std::deque<Counter> counter_storage;
   std::deque<Gauge> gauge_storage;
   std::deque<Histogram> histogram_storage;
-  // Optional `# HELP` text per metric name, set on first registration.
-  std::map<std::string, std::string, std::less<>> help;
-
-  void set_help(std::string_view name, std::string_view text) {
-    if (text.empty()) return;
-    help.emplace(std::string{name}, std::string{text});
-  }
-
-  [[nodiscard]] std::string_view help_for(std::string_view name) const {
-    const auto it = help.find(name);
-    return it == help.end() ? std::string_view{} : it->second;
-  }
 };
 
 Registry::Registry() : impl_(std::make_unique<Impl>()) {}
@@ -189,27 +137,6 @@ Histogram& Registry::histogram(std::string_view name) {
   if (it != impl_->histograms.end()) return *it->second;
   Histogram& created = impl_->histogram_storage.emplace_back();
   impl_->histograms.emplace(std::string{name}, &created);
-  return created;
-}
-
-Counter& Registry::counter(std::string_view name, std::string_view help) {
-  Counter& created = counter(name);
-  const std::scoped_lock lock{impl_->mutex};
-  impl_->set_help(name, help);
-  return created;
-}
-
-Gauge& Registry::gauge(std::string_view name, std::string_view help) {
-  Gauge& created = gauge(name);
-  const std::scoped_lock lock{impl_->mutex};
-  impl_->set_help(name, help);
-  return created;
-}
-
-Histogram& Registry::histogram(std::string_view name, std::string_view help) {
-  Histogram& created = histogram(name);
-  const std::scoped_lock lock{impl_->mutex};
-  impl_->set_help(name, help);
   return created;
 }
 
@@ -257,48 +184,6 @@ void Registry::write_json(std::ostream& out) const {
   write_json_fields(json);
   json.end_object();
   out << '\n';
-}
-
-void Registry::write_prometheus(std::ostream& out) const {
-  const std::scoped_lock lock{impl_->mutex};
-  char buffer[64];
-  const auto number = [&](double value) -> const char* {
-    std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-    return buffer;
-  };
-  const auto help_line = [&](const std::string& prom, std::string_view name) {
-    const std::string_view help = impl_->help_for(name);
-    out << "# HELP " << prom << ' ';
-    if (help.empty()) {
-      out << "cloudrtt metric " << name;
-    } else {
-      out << help;
-    }
-    out << '\n';
-  };
-  for (const auto& [name, counter] : impl_->counters) {
-    const std::string prom = prometheus_counter_name(name);
-    help_line(prom, name);
-    out << "# TYPE " << prom << " counter\n"
-        << prom << ' ' << counter->value() << '\n';
-  }
-  for (const auto& [name, gauge] : impl_->gauges) {
-    const std::string prom = prometheus_name(name);
-    help_line(prom, name);
-    out << "# TYPE " << prom << " gauge\n"
-        << prom << ' ' << number(gauge->value()) << '\n';
-  }
-  for (const auto& [name, histogram] : impl_->histograms) {
-    const std::string prom = prometheus_name(name);
-    help_line(prom, name);
-    out << "# TYPE " << prom << " summary\n";
-    for (const double q : {0.5, 0.9, 0.99}) {
-      out << prom << "{quantile=\"" << number(q) << "\"} ";
-      out << number(histogram->quantile(q)) << '\n';
-    }
-    out << prom << "_sum " << number(histogram->sum()) << '\n'
-        << prom << "_count " << histogram->count() << '\n';
-  }
 }
 
 Registry::Snapshot Registry::snapshot() const {

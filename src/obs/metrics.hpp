@@ -1,7 +1,6 @@
 #pragma once
 // Metrics registry: named counters, gauges, and log-bucketed histograms
-// behind a process-wide Registry, exportable as JSON (for --metrics-out) and
-// Prometheus-style text.
+// behind a process-wide Registry, exported as JSON (for --metrics-out).
 //
 // Hot-path cost: Counter::inc is one relaxed atomic add; Histogram::record is
 // one log2 plus three relaxed atomics. Callers on hot paths should look the
@@ -87,23 +86,9 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// RAII wall-clock timer recording milliseconds into a histogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& histogram);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram& histogram_;
-  std::uint64_t start_ns_;
-};
-
 /// Named-metric registry. `global()` is the process-wide instance every
 /// instrumented subsystem uses; separate instances exist for tests.
-/// Metric names are dotted paths ("campaign.tasks_total"); the Prometheus
-/// exporter rewrites them to `cloudrtt_campaign_tasks_total`.
+/// Metric names are dotted paths ("campaign.tasks_total").
 class Registry {
  public:
   Registry();
@@ -118,14 +103,6 @@ class Registry {
   [[nodiscard]] Gauge& gauge(std::string_view name);
   [[nodiscard]] Histogram& histogram(std::string_view name);
 
-  /// Find-or-create with a `# HELP` description for the Prometheus
-  /// exposition. The help text is set on first registration and never
-  /// overwritten, so hot-path callers can keep using the plain overloads.
-  [[nodiscard]] Counter& counter(std::string_view name, std::string_view help);
-  [[nodiscard]] Gauge& gauge(std::string_view name, std::string_view help);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::string_view help);
-
   /// Zero every metric value; registrations (and references) survive.
   void reset_values();
 
@@ -135,14 +112,6 @@ class Registry {
   void write_json_fields(util::JsonWriter& json) const;
   /// Standalone JSON document wrapper around write_json_fields.
   void write_json(std::ostream& out) const;
-
-  /// Prometheus text exposition with `# HELP` / `# TYPE` headers per metric
-  /// family. Dotted names are sanitized (dots → underscores) under the
-  /// `cloudrtt_` prefix, and counters that do not already end in the
-  /// conventional `_total` unit suffix get it appended, so the output
-  /// scrapes cleanly. Histograms render as summaries (quantile-labelled
-  /// rows plus `_sum`/`_count`).
-  void write_prometheus(std::ostream& out) const;
 
   struct Snapshot {
     struct Entry {

@@ -38,7 +38,6 @@ namespace cloudrtt::obs {
 class Stopwatch {
  public:
   Stopwatch() : start_ns_(monotonic_ns()) {}
-  void restart() { start_ns_ = monotonic_ns(); }
   [[nodiscard]] double elapsed_ms() const {
     return static_cast<double>(monotonic_ns() - start_ns_) / 1e6;
   }

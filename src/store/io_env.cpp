@@ -19,10 +19,7 @@ namespace fs = std::filesystem;
 }
 
 void count_fsync() {
-  obs::Registry::global()
-      .counter("store.fsyncs_total",
-               "fsync calls issued by the streaming store's I/O layer")
-      .inc();
+  obs::Registry::global().counter("store.fsyncs_total").inc();
 }
 
 /// Write the whole buffer, retrying on partial writes and EINTR.

@@ -322,21 +322,13 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
     result.salvage.repaired = true;
   }
   obs::Registry& registry = obs::Registry::global();
-  registry
-      .counter("store.salvage_blocks_total",
-               "uncommitted blocks adopted on resume")
+  registry.counter("store.salvage_blocks_total")
       .inc(result.salvage.salvaged_blocks);
-  registry
-      .counter("store.salvage_rows_total",
-               "task rows recovered from uncommitted tails")
+  registry.counter("store.salvage_rows_total")
       .inc(result.salvage.salvaged_rows);
-  registry
-      .counter("store.salvage_dropped_blocks_total",
-               "tail blocks rejected during salvage")
+  registry.counter("store.salvage_dropped_blocks_total")
       .inc(result.salvage.dropped_blocks);
-  registry
-      .counter("store.salvage_truncated_bytes_total",
-               "torn tail bytes cut away during salvage")
+  registry.counter("store.salvage_truncated_bytes_total")
       .inc(result.salvage.truncated_bytes);
   return result;
 }

@@ -55,28 +55,15 @@ ShardWriter::ShardWriter(fs::path dir, StoreMeta meta, IoEnv& io, bool fresh)
     : dir_(std::move(dir)),
       meta_(std::move(meta)),
       io_(io),
-      spill_bytes_(registry().counter(
-          "store.spill_bytes_total",
-          "bytes of framed blocks durably appended to shard files")),
-      spill_blocks_(registry().counter(
-          "store.spill_blocks_total", "framed blocks durably appended")),
-      append_failures_(registry().counter(
-          "store.append_failures_total",
-          "shard appends the I/O layer refused (degrade-don't-die)")),
-      commits_(registry().counter("store.commits_total",
-                                  "manifest commits that reached disk")),
-      commits_skipped_(registry().counter(
-          "store.commits_skipped_total",
-          "manifest commits skipped because blocks were still pending")),
-      commit_failures_(registry().counter(
-          "store.commit_failures_total",
-          "manifest writes the I/O layer refused")),
-      pending_blocks_gauge_(registry().gauge(
-          "store.pending_blocks", "serialised blocks waiting for the disk")),
-      pending_bytes_gauge_(registry().gauge(
-          "store.pending_bytes", "bytes of blocks waiting for the disk")),
-      degraded_gauge_(registry().gauge(
-          "store.degraded", "1 while the store is spilling to memory")) {
+      spill_bytes_(registry().counter("store.spill_bytes_total")),
+      spill_blocks_(registry().counter("store.spill_blocks_total")),
+      append_failures_(registry().counter("store.append_failures_total")),
+      commits_(registry().counter("store.commits_total")),
+      commits_skipped_(registry().counter("store.commits_skipped_total")),
+      commit_failures_(registry().counter("store.commit_failures_total")),
+      pending_blocks_gauge_(registry().gauge("store.pending_blocks")),
+      pending_bytes_gauge_(registry().gauge("store.pending_bytes")),
+      degraded_gauge_(registry().gauge("store.degraded")) {
   const IoStatus made = io_.create_directories(dir_);
   if (!made.ok()) {
     enter_degraded(made.error);

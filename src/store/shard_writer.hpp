@@ -250,15 +250,15 @@ class ShardWriter {
   std::atomic<bool> degraded_{false};
   std::atomic<std::size_t> pending_count_{0};
 
-  obs::Counter& spill_bytes_;
+  obs::Counter& spill_bytes_;      ///< framed bytes durably appended
   obs::Counter& spill_blocks_;
-  obs::Counter& append_failures_;
-  obs::Counter& commits_;
-  obs::Counter& commits_skipped_;
-  obs::Counter& commit_failures_;
+  obs::Counter& append_failures_;  ///< appends the I/O layer refused
+  obs::Counter& commits_;          ///< manifest commits that reached disk
+  obs::Counter& commits_skipped_;  ///< skipped: blocks were still pending
+  obs::Counter& commit_failures_;  ///< manifest writes the I/O layer refused
   obs::Gauge& pending_blocks_gauge_;
   obs::Gauge& pending_bytes_gauge_;
-  obs::Gauge& degraded_gauge_;
+  obs::Gauge& degraded_gauge_;  ///< 1 while the store spills to memory
 
   std::thread worker_;  ///< last member: joins after everything else lives
 };

@@ -32,11 +32,7 @@ struct AsInfo {
   /// Set only for AsType::CloudWan.
   cloud::ProviderId provider = cloud::ProviderId::Amazon;
 
-  [[nodiscard]] bool is_cloud() const { return type == AsType::CloudWan; }
   [[nodiscard]] bool is_ixp() const { return type == AsType::Ixp; }
-  [[nodiscard]] bool is_transit() const {
-    return type == AsType::Tier1Transit || type == AsType::RegionalTransit;
-  }
 };
 
 }  // namespace cloudrtt::topology

@@ -211,13 +211,8 @@ constexpr UplinkRule kUplinks[] = {
 }  // namespace
 
 Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
-  const auto all = countries.all();
-  nodes_.reserve(all.size());
-  for (const geo::CountryInfo& c : all) {
-    index_.emplace(std::string{c.code}, nodes_.size());
-    nodes_.push_back(&c);
-  }
-  adjacency_.resize(nodes_.size());
+  const std::size_t n = node_count();
+  adjacency_.resize(n);
 
   for (const BackboneLink& link : kLinks) {
     const auto ia = node_index(link.a);
@@ -227,11 +222,11 @@ Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
     catalog_.push_back(BackboneLinkRef{link.a, link.b, link.kind});
     double km = link.length_km;
     if (km <= 0.0) {
-      km = geo::haversine_km(nodes_[*ia]->centroid, nodes_[*ib]->centroid) * 1.2;
+      km = geo::haversine_km(node(*ia).centroid, node(*ib).centroid) * 1.2;
     }
     double quality = link.quality;
     if (quality <= 0.0) {
-      quality = 0.5 * (nodes_[*ia]->backhaul_quality + nodes_[*ib]->backhaul_quality);
+      quality = 0.5 * (node(*ia).backhaul_quality + node(*ib).backhaul_quality);
     }
     add_edge(link.a, link.b, km, quality);
   }
@@ -240,11 +235,12 @@ Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
   // neighbours so the intra-continent fabric is dense without listing every
   // border by hand. Duplicates with explicit links are harmless (Dijkstra
   // picks the cheaper edge).
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::vector<std::pair<double, std::size_t>> near;
-    for (std::size_t j = 0; j < nodes_.size(); ++j) {
-      if (i == j || nodes_[i]->continent != nodes_[j]->continent) continue;
-      near.emplace_back(geo::haversine_km(nodes_[i]->centroid, nodes_[j]->centroid), j);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j || node(i).continent != node(j).continent) continue;
+      near.emplace_back(
+          geo::haversine_km(node(i).centroid, node(j).centroid), j);
     }
     std::sort(near.begin(), near.end());
     const std::size_t take = std::min<std::size_t>(3, near.size());
@@ -252,8 +248,8 @@ Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
       const std::size_t j = near[k].second;
       const double km = near[k].first * 1.25;
       const double quality =
-          0.5 * (nodes_[i]->backhaul_quality + nodes_[j]->backhaul_quality);
-      add_edge(nodes_[i]->code, nodes_[j]->code, km, quality);
+          0.5 * (node(i).backhaul_quality + node(j).backhaul_quality);
+      add_edge(node(i).code, node(j).code, km, quality);
     }
   }
 
@@ -261,7 +257,7 @@ Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
 }
 
 void Backbone::precompute_nominal_routes() {
-  const std::size_t n = nodes_.size();
+  const std::size_t n = node_count();
   nominal_.resize(n * n);
   for (std::size_t from = 0; from < n; ++from) {
     const SearchState state = shortest_paths(from, std::nullopt);
@@ -272,9 +268,9 @@ void Backbone::precompute_nominal_routes() {
 }
 
 std::optional<std::size_t> Backbone::node_index(std::string_view code) const {
-  const auto it = index_.find(std::string{code});
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const geo::CountryInfo* info = countries_.find(code);
+  if (info == nullptr) return std::nullopt;
+  return static_cast<std::size_t>(info - countries_.all().data());
 }
 
 void Backbone::add_edge(std::string_view a, std::string_view b, double km,
@@ -307,7 +303,7 @@ const BackboneRoute& Backbone::route(std::string_view from, std::string_view to)
   }
   // lint:allow(guarded-by): emptiness check only; set_outages never runs concurrently with readers
   if (outage_keys_.empty()) {
-    return nominal_[*ia * nodes_.size() + *ib];
+    return nominal_[*ia * node_count() + *ib];
   }
   // References into the node-based map stay valid across later inserts, and
   // set_outages (the only eraser) never runs concurrently with readers.
@@ -327,7 +323,7 @@ Backbone::SearchState Backbone::shortest_paths(
   // Dijkstra over cost = km * detour(quality) + penalty expressed in km
   // (1 ms RTT == 100 km of fibre, so penalties are comparable).
   constexpr double kKmPerPenaltyMs = 100.0;
-  const std::size_t n = nodes_.size();
+  const std::size_t n = node_count();
   SearchState state;
   state.dist.assign(n, std::numeric_limits<double>::infinity());
   state.prev.assign(n, n);
@@ -364,7 +360,7 @@ BackboneRoute Backbone::extract_route(std::size_t from, std::size_t to,
                                       const SearchState& state) const {
   BackboneRoute result;
   if (from == to) {
-    result.countries = {nodes_[from]->code};
+    result.countries = {node(from).code};
     result.reachable = true;
     return result;
   }
@@ -389,7 +385,7 @@ BackboneRoute Backbone::extract_route(std::size_t from, std::size_t to,
     quality_accum += 1.0 - edge.quality;
     ++edge_count;
   }
-  for (const std::size_t v : path) result.countries.push_back(nodes_[v]->code);
+  for (const std::size_t v : path) result.countries.push_back(node(v).code);
   result.jitter_scale =
       edge_count == 0 ? 0.0 : quality_accum / static_cast<double>(edge_count);
   result.reachable = true;

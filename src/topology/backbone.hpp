@@ -17,7 +17,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -85,7 +84,9 @@ class Backbone {
   [[nodiscard]] double physical_km(const geo::GeoPoint& a, std::string_view ca,
                                    const geo::GeoPoint& b, std::string_view cb) const;
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t node_count() const {
+    return countries_.all().size();
+  }
   [[nodiscard]] std::size_t edge_count() const { return edges_ / 2; }
 
   /// The explicit long-haul catalogue (no auto-mesh edges) — the episode
@@ -139,7 +140,11 @@ class Backbone {
   [[nodiscard]] BackboneRoute extract_route(std::size_t from, std::size_t to,
                                             const SearchState& state) const;
 
+  /// A country's node is its row in the country table.
   [[nodiscard]] std::optional<std::size_t> node_index(std::string_view code) const;
+  [[nodiscard]] const geo::CountryInfo& node(std::size_t index) const {
+    return countries_.all()[index];
+  }
   void add_edge(std::string_view a, std::string_view b, double km, double quality);
   /// Route every pair once, up front, so route() never writes shared state
   /// on the nominal path.
@@ -151,8 +156,6 @@ class Backbone {
   }
 
   const geo::CountryTable& countries_;
-  std::vector<const geo::CountryInfo*> nodes_;
-  std::unordered_map<std::string, std::size_t> index_;
   std::vector<std::vector<Edge>> adjacency_;
   std::vector<BackboneLinkRef> catalog_;
   std::size_t edges_ = 0;

@@ -32,7 +32,6 @@ class JsonValue {
   [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }
   [[nodiscard]] bool is_number() const { return kind_ == Kind::Number; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::String; }
-  [[nodiscard]] bool is_bool() const { return kind_ == Kind::Bool; }
 
   /// Typed accessors; the fallback is returned when the kind mismatches.
   [[nodiscard]] bool as_bool(bool fallback = false) const;

@@ -63,14 +63,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-double Rng::pareto(double scale, double alpha) noexcept {
-  CLOUDRTT_CHECK(scale > 0.0 && alpha > 0.0,
-                 "pareto needs positive scale/alpha, got ", scale, "/", alpha);
-  double u = uniform();
-  if (u < 1e-300) u = 1e-300;
-  return scale / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
   double total = 0.0;
   for (const double w : weights) total += (w > 0.0 ? w : 0.0);

@@ -149,9 +149,6 @@ class Rng {
 
   [[nodiscard]] double exponential(double mean) noexcept;
 
-  /// Pareto (heavy tail) with given scale (minimum) and shape alpha > 0.
-  [[nodiscard]] double pareto(double scale, double alpha) noexcept;
-
   /// Index drawn according to non-negative weights (at least one > 0).
   [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights) noexcept;
 

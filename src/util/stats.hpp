@@ -58,7 +58,6 @@ class EmpiricalCdf {
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
   [[nodiscard]] bool empty() const { return sorted_.empty(); }
-  [[nodiscard]] const std::vector<double>& sorted_samples() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;

@@ -1,12 +1,13 @@
-// The cloudrtt binary's store commands, run as an operator runs them: a
-// checkpoint directory whose manifest was emptied next to a shard of
-// committed rows must make `--fsck` exit 1 and `--resume` exit 1 without
-// touching a file.
+// The cloudrtt binary run as an operator runs it: a checkpoint directory
+// whose manifest was emptied next to a shard of committed rows must make
+// `--fsck` exit 1 and `--resume` exit 1 without touching a file, and a scale
+// it does not know must end `study` with one line before anything runs.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -73,6 +74,24 @@ TEST(CliStore, EmptiedManifestFailsFsckAndResume) {
 
   EXPECT_EQ(run(study + " --resume > /dev/null 2>&1"), 1);
   EXPECT_EQ(dir_digests(store), before);
+  fs::remove_all(work);
+}
+
+// `--scale 0.1`, the retired spelling of 600x150, exits 1 with one line that
+// names the scale, and writes nothing.
+TEST(CliScale, BareMultiplierIsRefused) {
+  const fs::path work = fs::path{::testing::TempDir()} / "cloudrtt_cli_scale";
+  fs::remove_all(work);
+  fs::create_directories(work);
+  const std::string cli = CLOUDRTT_CLI;
+  EXPECT_EQ(run(cli + " study --scale 0.1 --quiet --out " +
+                (work / "out").string() + " > /dev/null 2> " +
+                (work / "err.txt").string()),
+            1);
+  const std::string error = read_file(work / "err.txt");
+  EXPECT_NE(error.find("scale '0.1'"), std::string::npos) << error;
+  EXPECT_EQ(std::count(error.begin(), error.end(), '\n'), 1) << error;
+  EXPECT_FALSE(fs::exists(work / "out"));
   fs::remove_all(work);
 }
 

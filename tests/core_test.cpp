@@ -25,6 +25,7 @@
 
 #include "core/export.hpp"
 #include "core/report.hpp"
+#include "core/scale.hpp"
 #include "core/study.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
@@ -756,6 +757,45 @@ TEST(TextReport, ZeroDenominatorsReadDash) {
   EXPECT_NE(text.find("countries measured: 0\n  median < MTP (20 ms):  0\n"
                       "  median < HPL (100 ms): 0 (-)\n"),
             std::string::npos);
+}
+
+// --scale and CLOUDRTT_SCALE take exactly three spellings: default, paper and
+// NxM probe counts. 600x150 is a tenth of the default fleet, with the budgets
+// scaled to match.
+TEST(Scale, AcceptsDefaultPaperAndProbeCounts) {
+  const core::ScaleSpec fallback = core::parse_scale("default");
+  ASSERT_TRUE(fallback.ok());
+  EXPECT_EQ(fallback.sc_probes, 6000u);
+  EXPECT_EQ(fallback.atlas_probes, 1500u);
+  const core::ScaleSpec paper = core::parse_scale("paper");
+  ASSERT_TRUE(paper.ok());
+  EXPECT_EQ(paper.sc_probes, 115000u);
+  EXPECT_EQ(paper.atlas_probes, 8500u);
+  const core::ScaleSpec tenth = core::parse_scale("600x150");
+  ASSERT_TRUE(tenth.ok());
+  EXPECT_EQ(tenth.name, "600x150");
+  core::StudyConfig config;
+  core::apply_scale(config, tenth);
+  EXPECT_EQ(config.sc_probes, 600u);
+  EXPECT_EQ(config.atlas_probes, 150u);
+  EXPECT_EQ(config.sc_campaign.daily_budget, 1500u);
+  EXPECT_EQ(config.atlas_campaign.daily_budget, 350u);
+}
+
+// A bare multiplier is not a scale; the refusal names the value and the
+// spellings that are accepted.
+TEST(Scale, RefusesBareMultipliersAndMalformedCounts) {
+  for (const std::string_view text :
+       {"0.1", "20", "1e3", "600x", "x150", "600x0", "600x150x2"}) {
+    const core::ScaleSpec spec = core::parse_scale(text);
+    EXPECT_FALSE(spec.ok()) << text;
+    EXPECT_NE(spec.error.find("'" + std::string{text} + "'"),
+              std::string::npos)
+        << spec.error;
+    for (const std::string_view spelling : {"default", "paper", "NxM"}) {
+      EXPECT_NE(spec.error.find(spelling), std::string::npos) << spec.error;
+    }
+  }
 }
 
 TEST(StudyApi, ViewBeforeRunAbortsWithContractMessage) {

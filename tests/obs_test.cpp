@@ -1,6 +1,6 @@
-// Unit tests for the observability subsystem: log-level filtering, sink
-// formats and escaping, counter/gauge/histogram semantics, quantile
-// extraction, JSON/Prometheus export, and span nesting.
+// Unit tests for the observability subsystem: log-level filtering, the text
+// sink's format, counter/gauge/histogram semantics, quantile extraction, JSON
+// export, and span nesting.
 
 #include <gtest/gtest.h>
 
@@ -20,15 +20,11 @@ namespace {
 /// restore the stderr sink afterwards.
 class CaptureLog {
  public:
-  explicit CaptureLog(Level level, bool json = false) {
+  explicit CaptureLog(Level level) {
     Logger& logger = Logger::global();
     previous_level_ = logger.level();
     logger.clear_sinks();
-    if (json) {
-      logger.add_sink(std::make_unique<JsonLinesSink>(stream_));
-    } else {
-      logger.add_sink(std::make_unique<TextSink>(stream_));
-    }
+    logger.add_sink(std::make_unique<TextSink>(stream_));
     logger.set_level(level);
   }
   ~CaptureLog() {
@@ -95,34 +91,6 @@ TEST(TextSinkTest, FormatsFields) {
   EXPECT_NE(out.find("country=DE"), std::string::npos);
   EXPECT_NE(out.find("ratio=0.25"), std::string::npos);
   EXPECT_NE(out.find("done=true"), std::string::npos);
-}
-
-TEST(JsonLinesSinkTest, EmitsOneValidObjectPerLine) {
-  CaptureLog capture{Level::Info, /*json=*/true};
-  CLOUDRTT_LOG_INFO("a", {"n", 1});
-  CLOUDRTT_LOG_INFO("b", {"x", 2.5});
-  const std::string out = capture.text();
-  // Two lines, each a JSON object.
-  const std::size_t newline = out.find('\n');
-  ASSERT_NE(newline, std::string::npos);
-  const std::string first = out.substr(0, newline);
-  EXPECT_EQ(first.front(), '{');
-  EXPECT_EQ(first.back(), '}');
-  EXPECT_NE(first.find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(first.find("\"event\":\"a\""), std::string::npos);
-  EXPECT_NE(first.find("\"n\":1"), std::string::npos);
-  EXPECT_NE(out.find("\"x\":2.5"), std::string::npos);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-}
-
-TEST(JsonLinesSinkTest, EscapesStringsAndKeys) {
-  CaptureLog capture{Level::Info, /*json=*/true};
-  CLOUDRTT_LOG_INFO("weird \"event\"", {"pa\tth", "C:\\dir\nnext"});
-  const std::string out = capture.text();
-  EXPECT_NE(out.find("\"event\":\"weird \\\"event\\\"\""), std::string::npos);
-  EXPECT_NE(out.find("\"pa\\tth\":\"C:\\\\dir\\nnext\""), std::string::npos);
-  // The record stays on one line despite the embedded newline.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1);
 }
 
 TEST(CounterTest, IncrementAndReset) {
@@ -234,79 +202,6 @@ TEST(RegistryTest, JsonExportContainsEverything) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-TEST(RegistryTest, PrometheusExportRoundTripsTheSameMetrics) {
-  Registry registry;
-  registry.counter("campaign.tasks_total").inc(42);
-  registry.gauge("world.endpoints").set(195.0);
-  for (int i = 0; i < 100; ++i) {
-    registry.histogram("engine.ping.rtt_ms").record(25.0);
-  }
-  std::ostringstream prom_out;
-  registry.write_prometheus(prom_out);
-  const std::string prom = prom_out.str();
-  EXPECT_NE(prom.find("# TYPE cloudrtt_campaign_tasks_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("cloudrtt_campaign_tasks_total 42"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE cloudrtt_world_endpoints gauge"),
-            std::string::npos);
-  EXPECT_NE(prom.find("cloudrtt_engine_ping_rtt_ms_count 100"),
-            std::string::npos);
-  EXPECT_NE(prom.find("cloudrtt_engine_ping_rtt_ms{quantile=\"0.5\"}"),
-            std::string::npos);
-  // The JSON export of the same registry agrees on the raw values.
-  std::ostringstream json_out;
-  registry.write_json(json_out);
-  const std::string json = json_out.str();
-  EXPECT_NE(json.find("\"campaign.tasks_total\": 42"), std::string::npos);
-  EXPECT_NE(json.find("\"world.endpoints\": 195"), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 100"), std::string::npos);
-}
-
-TEST(RegistryTest, PrometheusExportCarriesHelpAndTotalSuffix) {
-  Registry registry;
-  registry
-      .counter("engine.traceroute.ecmp_detours",
-               "Flows that took an ECMP detour")
-      .inc(3);
-  registry.counter("campaign.tasks_total").inc(9);
-  registry.gauge("measure.worker_busy_fraction", "Executor busy fraction")
-      .set(0.75);
-  std::ostringstream out;
-  registry.write_prometheus(out);
-  const std::string prom = out.str();
-
-  // Counters lacking the conventional unit suffix get `_total` appended in
-  // the exposition; names that already carry it are left alone.
-  EXPECT_NE(
-      prom.find("# TYPE cloudrtt_engine_traceroute_ecmp_detours_total counter"),
-      std::string::npos);
-  EXPECT_NE(prom.find("cloudrtt_engine_traceroute_ecmp_detours_total 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("cloudrtt_campaign_tasks_total 9"), std::string::npos);
-  EXPECT_EQ(prom.find("_total_total"), std::string::npos);
-
-  // Registered help text lands in # HELP; unregistered metrics still get a
-  // header naming the dotted in-process metric.
-  EXPECT_NE(
-      prom.find("# HELP cloudrtt_engine_traceroute_ecmp_detours_total "
-                "Flows that took an ECMP detour"),
-      std::string::npos);
-  EXPECT_NE(prom.find("# HELP cloudrtt_measure_worker_busy_fraction "
-                      "Executor busy fraction"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# HELP cloudrtt_campaign_tasks_total cloudrtt metric "
-                      "campaign.tasks_total"),
-            std::string::npos);
-
-  // Help is set on first registration and never overwritten, so hot-path
-  // re-lookups cannot clobber it.
-  registry.gauge("measure.worker_busy_fraction", "a different text").set(0.5);
-  std::ostringstream again;
-  registry.write_prometheus(again);
-  EXPECT_NE(again.str().find("Executor busy fraction"), std::string::npos);
-  EXPECT_EQ(again.str().find("a different text"), std::string::npos);
-}
-
 TEST(RegistryTest, ResetValuesKeepsRegistrations) {
   Registry registry;
   Counter& counter = registry.counter("c");
@@ -316,17 +211,6 @@ TEST(RegistryTest, ResetValuesKeepsRegistrations) {
   EXPECT_EQ(counter.value(), 0u);
   EXPECT_EQ(registry.histogram("h").count(), 0u);
   EXPECT_EQ(&counter, &registry.counter("c"));
-}
-
-TEST(ScopedTimerTest, RecordsElapsedMilliseconds) {
-  Registry registry;
-  Histogram& histogram = registry.histogram("timer_ms");
-  {
-    ScopedTimer timer{histogram};
-  }
-  EXPECT_EQ(histogram.count(), 1u);
-  EXPECT_GE(histogram.max(), 0.0);
-  EXPECT_LT(histogram.max(), 1000.0);  // sanity: far under a second
 }
 
 TEST(SpanTest, NestingBuildsATree) {

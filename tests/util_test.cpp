@@ -1,17 +1,15 @@
 // Unit tests for the util library: PRNG determinism and distribution sanity,
-// descriptive statistics, the §3.3 confidence calculator, and the bump
-// arena behind the executor's per-day scratch.
+// descriptive statistics, the §3.3 confidence calculator, and the JSON
+// reader and writer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <set>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/json.hpp"
 #include "util/json_value.hpp"
 #include "util/rng.hpp"
@@ -245,77 +243,6 @@ TEST_P(QuantileMonotone, MonotoneInQ) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantileMonotone,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-TEST(Arena, BumpAllocatesDistinctAlignedStorage) {
-  Arena arena;
-  auto* a = arena.allocate_array<std::uint64_t>(4);
-  auto* b = arena.allocate_array<std::uint64_t>(4);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % alignof(std::uint64_t), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(std::uint64_t), 0u);
-  // Writes through one allocation never alias the other.
-  std::memset(a, 0xAB, 4 * sizeof(std::uint64_t));
-  std::memset(b, 0xCD, 4 * sizeof(std::uint64_t));
-  EXPECT_EQ(*reinterpret_cast<std::uint8_t*>(a), 0xAB);
-  EXPECT_EQ(*reinterpret_cast<std::uint8_t*>(b), 0xCD);
-  EXPECT_GE(arena.live_bytes(), 8 * sizeof(std::uint64_t));
-}
-
-TEST(Arena, ResetRecyclesBlocksWithoutReleasingThem) {
-  Arena arena{1024};
-  (void)arena.allocate(600, 8);
-  (void)arena.allocate(600, 8);  // spills into a second block
-  const std::size_t reserved = arena.reserved_bytes();
-  const std::size_t blocks = arena.block_count();
-  EXPECT_GE(blocks, 2u);
-
-  arena.reset();
-  EXPECT_EQ(arena.live_bytes(), 0u);
-  // Steady state: the same shape refills from retained blocks — no growth.
-  (void)arena.allocate(600, 8);
-  (void)arena.allocate(600, 8);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
-  EXPECT_EQ(arena.block_count(), blocks);
-}
-
-TEST(Arena, HighWaterTracksPeakAcrossResets) {
-  Arena arena{1024};
-  (void)arena.allocate(900, 8);
-  const std::size_t peak = arena.high_water_bytes();
-  EXPECT_GE(peak, 900u);
-  arena.reset();
-  (void)arena.allocate(100, 8);
-  // A smaller day never lowers the gauge; a bigger one raises it.
-  EXPECT_EQ(arena.high_water_bytes(), peak);
-  (void)arena.allocate(2000, 8);
-  EXPECT_GT(arena.high_water_bytes(), peak);
-}
-
-TEST(Arena, OversizedRequestsGetDedicatedBlocks) {
-  Arena arena{256};
-  auto* big = arena.allocate_array<std::byte>(10000);
-  ASSERT_NE(big, nullptr);
-  std::memset(big, 0x5A, 10000);  // the whole span must be writable
-  EXPECT_GE(arena.reserved_bytes(), 10000u);
-  // A small follow-up allocation still succeeds from uniform blocks.
-  EXPECT_NE(arena.allocate(64, 8), nullptr);
-}
-
-TEST(ArenaAllocator, BacksStandardContainers) {
-  Arena arena;
-  std::vector<int, ArenaAllocator<int>> values{ArenaAllocator<int>{arena}};
-  for (int i = 0; i < 1000; ++i) values.push_back(i);
-  for (std::size_t i = 0; i < 1000; ++i) {
-    ASSERT_EQ(values[i], static_cast<int>(i));
-  }
-  EXPECT_GT(arena.live_bytes(), 0u);
-  // Allocator equality follows the underlying arena, not the value type.
-  Arena other;
-  EXPECT_TRUE(ArenaAllocator<int>{arena} == ArenaAllocator<double>{arena});
-  EXPECT_TRUE(ArenaAllocator<int>{arena} != ArenaAllocator<int>{other});
-}
 
 TEST(JsonValue, ParsesScalarsContainersAndEscapes) {
   std::string error;

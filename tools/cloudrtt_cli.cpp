@@ -264,7 +264,7 @@ int cmd_study(int argc, const char* const* argv,
   util::ArgParser args{program, description};
   args.add_option("seed", "42", "study seed");
   args.add_option("scale", "", "fleet scale: default | paper (115k/8.5k "
-                               "probes) | NxM probe counts | float multiplier "
+                               "probes) | NxM probe counts "
                                "(default: CLOUDRTT_SCALE or default)");
   args.add_option("sc-probes", "", "Speedchecker fleet size (overrides "
                                    "--scale; default 6000)");
