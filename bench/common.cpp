@@ -19,7 +19,10 @@ namespace {
 
 [[nodiscard]] core::ScaleSpec bench_scale() {
   core::ScaleSpec spec = core::resolve_scale("");
-  if (!spec.ok()) refuse("CLOUDRTT_SCALE", spec.error);
+  if (!spec.ok()) {
+    std::cerr << spec.error << "\n";  // names CLOUDRTT_SCALE already
+    std::exit(1);
+  }
   return spec;
 }
 

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "analysis/resolve.hpp"
 #include "analysis/trace_analysis.hpp"
 #include "measure/engine.hpp"
@@ -60,21 +62,27 @@ void BM_BackboneRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_BackboneRoute);
 
+/// The call Engine::run_task makes: build_into into one reused path, whose
+/// hop vector keeps its capacity. One case per interconnect mode (the
+/// argument is the InterconnectMode value; the label names it).
 void BM_PathBuild(benchmark::State& state) {
   Fixture& f = Fixture::instance();
   const routing::PathBuilder builder{f.world};
+  const auto mode = static_cast<topology::InterconnectMode>(state.range(0));
   util::Rng rng{3};
   const auto& probes = f.fleet.probes();
   const auto& endpoints = f.world.endpoints();
+  routing::ForwardingPath path;
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
     const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
-    benchmark::DoNotOptimize(
-        builder.build(probe, endpoint, topology::InterconnectMode::Public));
+    builder.build_into(probe, endpoint, mode, path);
+    benchmark::DoNotOptimize(path.hops.data());
   }
+  state.SetLabel(std::string{topology::to_string(mode)});
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_PathBuild);
+BENCHMARK(BM_PathBuild)->DenseRange(0, 3);
 
 void BM_Traceroute(benchmark::State& state) {
   Fixture& f = Fixture::instance();

@@ -48,11 +48,13 @@ ScaleSpec parse_scale(std::string_view text) {
 }
 
 ScaleSpec resolve_scale(std::string_view flag_value) {
-  if (!flag_value.empty()) return parse_scale(flag_value);
-  if (const char* env = std::getenv("CLOUDRTT_SCALE")) {
-    return parse_scale(env);
+  const char* env = std::getenv("CLOUDRTT_SCALE");
+  if (flag_value.empty() && env == nullptr) return ScaleSpec{};
+  ScaleSpec spec = parse_scale(flag_value.empty() ? env : flag_value);
+  if (!spec.ok()) {
+    spec.error.insert(0, flag_value.empty() ? "CLOUDRTT_SCALE: " : "--scale: ");
   }
-  return ScaleSpec{};
+  return spec;
 }
 
 void apply_scale(StudyConfig& config, const ScaleSpec& spec) {

@@ -43,7 +43,9 @@ struct ScaleSpec {
 [[nodiscard]] ScaleSpec parse_scale(std::string_view text);
 
 /// Resolve the effective scale: a non-empty `flag_value` (the --scale flag)
-/// wins, else the CLOUDRTT_SCALE environment variable, else "default".
+/// wins, else the CLOUDRTT_SCALE environment variable, else "default". An
+/// error names where the refused spelling came from (`--scale: ` or
+/// `CLOUDRTT_SCALE: `).
 [[nodiscard]] ScaleSpec resolve_scale(std::string_view flag_value);
 
 /// Apply a spec to a StudyConfig: probe counts, plus daily budgets scaled

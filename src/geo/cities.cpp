@@ -31,7 +31,6 @@ CityDirectory::CityDirectory() {
       city.weight = 1.0 / static_cast<double>(i + 1);
       cities.push_back(std::move(city));
     }
-    codes_.emplace_back(country.code);
     per_country_.push_back(std::move(cities));
   }
 }
@@ -42,10 +41,10 @@ const CityDirectory& CityDirectory::instance() {
 }
 
 std::span<const City> CityDirectory::cities(std::string_view country) const {
-  for (std::size_t i = 0; i < codes_.size(); ++i) {
-    if (codes_[i] == country) return per_country_[i];
-  }
-  return {};
+  const geo::CountryTable& table = geo::CountryTable::instance();
+  const geo::CountryInfo* info = table.find(country);
+  if (info == nullptr) return {};
+  return per_country_[static_cast<std::size_t>(info - table.all().data())];
 }
 
 }  // namespace cloudrtt::geo

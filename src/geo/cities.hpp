@@ -29,12 +29,16 @@ class CityDirectory {
  public:
   [[nodiscard]] static const CityDirectory& instance();
 
+  /// A country's cities; empty for an unknown code.
   [[nodiscard]] std::span<const City> cities(std::string_view country) const;
+  /// The cities of the country at `row` of CountryTable::instance().all().
+  [[nodiscard]] std::span<const City> cities(std::size_t row) const {
+    return per_country_[row];
+  }
 
  private:
   CityDirectory();
-  std::vector<std::string> codes_;
-  std::vector<std::vector<City>> per_country_;
+  std::vector<std::vector<City>> per_country_;  ///< in country-table order
 };
 
 }  // namespace cloudrtt::geo

@@ -51,6 +51,10 @@ class CountryTable {
   [[nodiscard]] const CountryInfo* find(std::string_view code) const;
   /// Throwing lookup for code paths where a miss is a programming error.
   [[nodiscard]] const CountryInfo& at(std::string_view code) const;
+  /// The code's row in all(); throws like at() for an unknown code.
+  [[nodiscard]] std::size_t row(std::string_view code) const {
+    return static_cast<std::size_t>(&at(code) - countries_.data());
+  }
   [[nodiscard]] std::vector<const CountryInfo*> in_continent(Continent c) const;
 
   [[nodiscard]] double total_sc_weight() const { return total_sc_weight_; }

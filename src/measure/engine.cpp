@@ -68,7 +68,7 @@ topology::InterconnectMode Engine::roll_mode(const probes::Probe& probe,
                                              const cloud::RegionInfo& region,
                                              util::Rng& rng) const {
   return roll(
-      world_.interconnect(probe.isp->asn, region.provider, region.continent),
+      world_.interconnect(*probe.isp, region.provider, region.continent),
       rng);
 }
 
@@ -161,7 +161,7 @@ TaskRecords Engine::run_task(const MeasurementTask& task, util::Rng& rng,
   const topology::CloudEndpoint& endpoint = *task.endpoint;
   const cloud::RegionInfo& region = *endpoint.region;
   const topology::PairPolicy& policy =
-      world_.interconnect(probe.isp->asn, region.provider, region.continent);
+      world_.interconnect(*probe.isp, region.provider, region.continent);
   const topology::InterconnectMode ping_mode = roll(policy, rng);
   builder_.build_into(probe, endpoint, ping_mode, scratch.path);
   TaskRecords records;
@@ -277,6 +277,11 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
   CLOUDRTT_DCHECK(hop_limit > 0 && hop_limit <= hop_count,
                   "traceroute hop_limit ", hop_limit, " outside path of ",
                   hop_count, " hops");
+  // Tallied per trace: every worker adds to the shared counters.
+  std::uint64_t lost_hops = 0;
+  std::uint64_t unresponsive_hops = 0;
+  std::uint64_t rate_limited_hops = 0;
+  std::uint64_t ecmp_detours = 0;
   for (std::size_t i = 0; i < hop_limit; ++i) {
     const routing::RouterHop& hop = draw.path.hops[i];
     const bool is_final = i + 1 == hop_count;
@@ -286,14 +291,14 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
     if (!is_final && out.responded && loss_boost > 0.0 &&
         rng.chance(loss_boost)) {
       out.responded = false;
-      metrics.fault_lost_hops.inc();
+      ++lost_hops;
     }
     if (is_final) {
       // Cloud perimeter firewalls occasionally drop the final ICMP echo.
       out.responded = !rng.chance(0.07);
       if (!out.responded) metrics.firewall_drops.inc();
     } else if (!out.responded) {
-      metrics.unresponsive_hops.inc();
+      ++unresponsive_hops;
     }
     if (out.responded) {
       // The first hop of a home path sits before the wired tail: only the
@@ -308,7 +313,7 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
       rtt += rng.exponential(0.4);
       if (!is_final && rng.chance(0.05)) {
         rtt += rng.exponential(14.0);  // control-plane rate limiting (§3.3)
-        metrics.rate_limited_hops.inc();
+        ++rate_limited_hops;
       }
       out.ip = hop.ip;
       // Classic traceroute varies the flow identifier per TTL, so ECMP
@@ -319,7 +324,7 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
         out.ip = hop.alt_ip;
         rtt += rng.exponential(2.5);
         if (rng.chance(0.08)) rtt += rng.exponential(9.0);
-        metrics.ecmp_detours.inc();
+        ++ecmp_detours;
       }
       out.rtt_ms = std::max(0.1, rtt);
     }
@@ -329,6 +334,10 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
       record.end_to_end_ms = out.rtt_ms + icmp_penalty_ms(probe, rng);
     }
   }
+  if (lost_hops != 0) metrics.fault_lost_hops.inc(lost_hops);
+  if (unresponsive_hops != 0) metrics.unresponsive_hops.inc(unresponsive_hops);
+  if (rate_limited_hops != 0) metrics.rate_limited_hops.inc(rate_limited_hops);
+  if (ecmp_detours != 0) metrics.ecmp_detours.inc(ecmp_detours);
   if (record.completed) metrics.traceroutes_completed.inc();
   return record;
 }

@@ -33,7 +33,6 @@ class HostAllocator {
   explicit HostAllocator(Ipv4Prefix prefix) : prefix_(prefix), next_(1) {}
 
   [[nodiscard]] Ipv4Address allocate();
-  [[nodiscard]] const Ipv4Prefix& prefix() const { return prefix_; }
   [[nodiscard]] std::uint64_t remaining() const;
 
  private:

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "util/check.hpp"
@@ -101,21 +100,23 @@ template <typename T>
   return (addr - first) / sizeof(T);
 }
 
-/// Distances from `from` to every hub, in flat hub order.
-void price_hubs(const geo::GeoPoint& from, std::span<double> out) {
-  std::size_t h = 0;
-  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
-    for (const topology::TransitHub& hub : carrier.hubs) {
-      out[h++] = geo::haversine_km(from, hub.location);
-    }
-  }
+/// The centroid of the country at `row`: its own backbone node, spur 0.
+[[nodiscard]] topology::Waypoint centroid(const topology::World& world,
+                                          std::size_t row) {
+  return topology::Waypoint{world.countries().all()[row].centroid, row, 0.0};
 }
 
 /// Mutable builder state threading location, RTT and jitter budget.
+///
+/// Each move passes `direct_km`, the great-circle km from the current point
+/// to the next, which the backbone reads only inside one country. Every leg
+/// but the probe's own runs between catalogue points, so the caller passes a
+/// table entry: a hub pair's or a hub and region's row, or, when one end is
+/// a centroid, the other end's spur (haversine_km is bitwise symmetric).
 class Builder {
  public:
-  Builder(const topology::World& world, ForwardingPath& path)
-      : world_(world), path_(path) {}
+  Builder(const topology::Backbone& backbone, ForwardingPath& path)
+      : backbone_(backbone), path_(path) {}
 
   void push(net::Ipv4Address ip, topology::Asn asn, const geo::GeoPoint& loc,
             bool is_private, bool cloud_owned, double processing_ms = 0.2,
@@ -125,176 +126,171 @@ class Builder {
                                    std::sqrt(var_), alt_ip});
   }
 
-  /// `load_balanced` segments expose an ECMP sibling interface that classic
-  /// per-TTL traceroute may hit instead (transit cores are ECMP-heavy;
-  /// access and cloud segments are pinned).
-  void push_router(topology::Asn asn, std::string_view site,
+  void push_router(topology::Asn asn, net::Ipv4Address ip,
                    const geo::GeoPoint& loc, bool cloud_owned,
-                   double processing_ms = 0.2, bool load_balanced = false) {
-    net::Ipv4Address alt;
-    if (load_balanced) {
-      alt_scratch_.assign(site);
-      alt_scratch_ += "/ecmp-b";
-      alt = world_.router_ip(asn, alt_scratch_);
-    }
-    push(world_.router_ip(asn, site), asn, loc, false, cloud_owned, processing_ms,
-         alt);
+                   double processing_ms) {
+    push(ip, asn, loc, false, cloud_owned, processing_ms);
   }
 
-  /// Compose a router site label in the reused scratch buffer: the returned
-  /// view is valid until the next site() call, which is exactly long enough
-  /// for the push_router it feeds. One path mints at most two heap buffers
-  /// (the scratches), not one string per visible router.
-  [[nodiscard]] std::string_view site(std::string_view a, std::string_view b,
-                                      std::string_view c = {},
-                                      std::string_view d = {}) {
-    site_scratch_.clear();
-    site_scratch_.append(a);
-    site_scratch_.append(b);
-    site_scratch_.append(c);
-    site_scratch_.append(d);
-    return site_scratch_;
+  /// A router on a load-balanced segment exposes an ECMP sibling interface
+  /// that classic per-TTL traceroute may hit instead (transit cores are
+  /// ECMP-heavy; access and cloud segments are pinned).
+  void push_router(topology::Asn asn, const topology::EcmpPair& pair,
+                   const geo::GeoPoint& loc, double processing_ms) {
+    push(pair.ip, asn, loc, false, false, processing_ms, pair.sibling);
   }
 
-  /// Move over the public backbone between two concrete points.
-  void advance_public(const geo::GeoPoint& to, std::string_view to_cc,
+  /// Move over the public backbone to `to`.
+  void advance_public(const topology::Waypoint& to, double direct_km,
                       double sigma_base, double jitter_mult) {
-    const auto cost = world_.backbone().segment_cost(loc_, cc_, to, to_cc);
+    const auto cost = backbone_.segment_cost(here_, to, direct_km);
     const double seg_rtt = geo::fibre_rtt_ms(cost.effective_km) + cost.penalty_ms;
     rtt_ += seg_rtt;
     const double sigma_abs =
         (sigma_base + jitter_mult * cost.jitter_scale) * seg_rtt;
     var_ += sigma_abs * sigma_abs;
-    loc_ = to;
-    cc_ = to_cc;
-  }
-
-  /// Move along a pre-priced leg of `km` cable to a new location (used to
-  /// split one physical run across several visible routers).
-  void advance_fixed(double km, const geo::GeoPoint& to, std::string_view to_cc,
-                     double sigma) {
-    const double seg_rtt = geo::fibre_rtt_ms(km);
-    rtt_ += seg_rtt;
-    const double sigma_abs = sigma * seg_rtt;
-    var_ += sigma_abs * sigma_abs;
-    loc_ = to;
-    cc_ = to_cc;
+    here_ = to;
   }
 
   /// Move over a private/managed backbone (cloud WAN or carrier core):
   /// low jitter, no transit-border penalties, but the glass still follows
   /// the physical cable systems, not the great circle.
-  void advance_managed(const geo::GeoPoint& to, std::string_view to_cc,
+  void advance_managed(const topology::Waypoint& to, double direct_km,
                        double detour, double sigma) {
-    const double km = world_.backbone().physical_km(loc_, cc_, to, to_cc);
-    const double seg_rtt = geo::fibre_rtt_ms(km * detour);
-    rtt_ += seg_rtt;
-    const double sigma_abs = sigma * seg_rtt;
-    var_ += sigma_abs * sigma_abs;
-    loc_ = to;
-    cc_ = to_cc;
+    add_leg(backbone_.physical_km(here_, to, direct_km) * detour, sigma);
+    here_ = to;
   }
 
-  void set_origin(const geo::GeoPoint& loc, std::string_view cc) {
-    loc_ = loc;
-    cc_ = cc;
+  /// Inside a provider's WAN to `to`. The run is priced once over the
+  /// physical cable systems; a long haul exposes `mid_router` halfway (the
+  /// paper's pervasiveness counts these).
+  void run_wan(const topology::Waypoint& to, double direct_km,
+               topology::Asn asn, net::Ipv4Address mid_router) {
+    const double km = backbone_.physical_km(here_, to, direct_km);
+    if (km > kWanMidHopKm) {
+      const geo::GeoPoint mid{(here_.at.lat_deg + to.at.lat_deg) / 2.0,
+                              (here_.at.lon_deg + to.at.lon_deg) / 2.0};
+      add_leg(km * kWanDetour / 2.0, 0.02);
+      push(mid_router, asn, mid, false, true, 0.25);
+      add_leg(km * kWanDetour / 2.0, 0.02);
+    } else {
+      add_leg(km * kWanDetour, 0.02);
+    }
+    here_ = to;
+  }
+
+  void set_origin(const topology::Waypoint& at) {
+    here_ = at;
     var_ = 0.35 * 0.35;  // floor: NIC/serialisation noise
   }
 
-  [[nodiscard]] const geo::GeoPoint& location() const { return loc_; }
-  [[nodiscard]] std::string_view country() const { return cc_; }
+  [[nodiscard]] const topology::Waypoint& here() const { return here_; }
 
  private:
-  const topology::World& world_;
+  /// A leg of `km` cable at relative jitter `sigma`, in place.
+  void add_leg(double km, double sigma) {
+    const double seg_rtt = geo::fibre_rtt_ms(km);
+    rtt_ += seg_rtt;
+    const double sigma_abs = sigma * seg_rtt;
+    var_ += sigma_abs * sigma_abs;
+  }
+
+  const topology::Backbone& backbone_;
   ForwardingPath& path_;
-  geo::GeoPoint loc_{};
-  std::string_view cc_;
+  topology::Waypoint here_;
   double rtt_ = 0.0;
   double var_ = 0.0;
-  std::string site_scratch_;  ///< backs site(); reused across push_router calls
-  std::string alt_scratch_;   ///< ECMP sibling label (site() view stays valid)
 };
 
 }  // namespace
 
 PathBuilder::PathBuilder(const topology::World& world) : world_(world) {
   HubTables& t = tables_;
+  const auto countries = world_.countries().all();
+  const auto waypoint = [&](const geo::GeoPoint& at, std::string_view code) {
+    const std::size_t row = world_.countries().row(code);
+    return topology::Waypoint{at, row,
+                              geo::haversine_km(at, countries[row].centroid)};
+  };
+  std::vector<const topology::TransitHub*> hubs;  // flat hub order
   for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
-    for (const topology::TransitHub& entry : carrier.hubs) {
-      for (const topology::TransitHub& exit : carrier.hubs) {
-        t.pair_km.push_back(geo::haversine_km(entry.location, exit.location));
-      }
+    t.carrier_first.push_back(hubs.size());
+    for (const topology::TransitHub& hub : carrier.hubs) hubs.push_back(&hub);
+  }
+  t.hubs = hubs.size();
+  // One row of distances from `from` to every hub, in flat hub order.
+  const auto price_hubs = [&hubs](const geo::GeoPoint& from,
+                                  std::vector<double>& rows) {
+    for (const topology::TransitHub* hub : hubs) {
+      rows.push_back(geo::haversine_km(from, hub->location));
     }
-    t.hubs += carrier.hubs.size();
+  };
+  for (const topology::TransitHub* hub : hubs) {
+    t.hub_points.push_back(waypoint(hub->location, hub->country));
+    price_hubs(hub->location, t.hub_km);
   }
-  const auto countries = world_.countries().all();
-  const auto& endpoints = world_.endpoints();
-  t.country_km.resize(countries.size() * t.hubs);
-  t.endpoint_km.resize(endpoints.size() * t.hubs);
-  for (std::size_t c = 0; c < countries.size(); ++c) {
-    price_hubs(countries[c].centroid,
-               std::span{t.country_km}.subspan(c * t.hubs, t.hubs));
-    t.country_ixp.push_back(
-        choose_ixp(countries[c].code, countries[c].centroid));
+  for (const geo::CountryInfo& country : countries) {
+    price_hubs(country.centroid, t.country_km);
+    t.country_ixp.push_back(choose_ixp(country.code, country.centroid));
   }
-  for (std::size_t e = 0; e < endpoints.size(); ++e) {
-    price_hubs(endpoints[e].region->location,
-               std::span{t.endpoint_km}.subspan(e * t.hubs, t.hubs));
+  for (const topology::CloudEndpoint& endpoint : world_.endpoints()) {
+    const cloud::RegionInfo& region = *endpoint.region;
+    price_hubs(region.location, t.endpoint_km);
+    t.endpoint_points.push_back(waypoint(region.location, region.country));
+  }
+  for (const topology::IxpInfo& ixp : topology::known_ixps()) {
+    t.ixp_points.push_back(waypoint(ixp.location, ixp.country));
   }
 }
 
 // lint:hot
-const geo::CountryInfo& PathBuilder::choice_country(
-    std::string_view code, const geo::GeoPoint& at) const {
-  const geo::CountryInfo* info = world_.countries().find(code);
-  CLOUDRTT_CHECK(info != nullptr && info->centroid == at, "path choice in ",
-                 code, " made away from its centroid");
-  return *info;
-}
-
-// lint:hot
-std::size_t PathBuilder::country_index(const geo::CountryInfo& from) const {
-  const auto countries = world_.countries().all();
-  const std::size_t index = position_in(countries, from);
-  CLOUDRTT_CHECK(index < countries.size(), "country ", from.code,
-                 " is not a row of the country table");
-  return index;
-}
-
-// lint:hot
-std::span<const double> PathBuilder::country_km(
-    const geo::CountryInfo& from) const {
-  return std::span{tables_.country_km}.subspan(
-      country_index(from) * tables_.hubs, tables_.hubs);
-}
-
-// lint:hot
-std::span<const double> PathBuilder::endpoint_km(
+std::size_t PathBuilder::endpoint_index(
     const topology::CloudEndpoint& endpoint) const {
   const std::span<const topology::CloudEndpoint> endpoints{world_.endpoints()};
   const std::size_t index = position_in(endpoints, endpoint);
   CLOUDRTT_CHECK(index < endpoints.size(), "endpoint ",
                  endpoint.region->region_name,
                  " is not a row of world.endpoints()");
-  return std::span{tables_.endpoint_km}.subspan(index * tables_.hubs,
+  return index;
+}
+
+// lint:hot
+std::span<const double> PathBuilder::country_km(std::size_t row) const {
+  CLOUDRTT_DCHECK(row < world_.countries().all().size(), "country row ", row);
+  return std::span{tables_.country_km}.subspan(row * tables_.hubs,
+                                               tables_.hubs);
+}
+
+// lint:hot
+std::span<const double> PathBuilder::endpoint_km(std::size_t endpoint) const {
+  return std::span{tables_.endpoint_km}.subspan(endpoint * tables_.hubs,
                                                 tables_.hubs);
 }
 
 // lint:hot
+std::size_t PathBuilder::hub_index(const topology::TransitCarrier& carrier,
+                                   const topology::TransitHub& hub) const {
+  // Both come from tier1_carriers(), so the differences stay in one array.
+  const auto carrier_row =
+      static_cast<std::size_t>(&carrier - topology::tier1_carriers().data());
+  return tables_.carrier_first[carrier_row] +
+         static_cast<std::size_t>(&hub - carrier.hubs.data());
+}
+
+// lint:hot
 PathBuilder::CarrierPlan PathBuilder::carrier_plan(
-    const geo::CountryInfo& from, const topology::CloudEndpoint& to) const {
+    std::size_t from, const topology::CloudEndpoint& to) const {
   const HubKm from_km = country_km(from);
-  const HubKm to_km = endpoint_km(to);
+  const HubKm to_km = endpoint_km(endpoint_index(to));
   CarrierPlan best;
   double best_cost = std::numeric_limits<double>::infinity();
   std::size_t first = 0;
-  std::size_t block = 0;  // the carrier's entry x exit block in pair_km
   for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
     const std::size_t n = carrier.hubs.size();
     for (std::size_t entry = 0; entry < n; ++entry) {
+      const double* pair_km = &tables_.hub_km[(first + entry) * tables_.hubs];
       for (std::size_t exit = 0; exit < n; ++exit) {
-        const double cost = from_km[first + entry] +
-                            tables_.pair_km[block + entry * n + exit] +
+        const double cost = from_km[first + entry] + pair_km[first + exit] +
                             to_km[first + exit];
         if (cost < best_cost) {
           best_cost = cost;
@@ -304,21 +300,21 @@ PathBuilder::CarrierPlan PathBuilder::carrier_plan(
       }
     }
     first += n;
-    block += n * n;
   }
   return best;
 }
 
 // lint:hot
 PathBuilder::TransitPlan PathBuilder::transit_plan(
-    const geo::CountryInfo& from, const topology::CloudEndpoint& to) const {
-  return transit_haul(country_km(from), endpoint_km(to));
+    std::size_t from, const topology::CloudEndpoint& to) const {
+  return transit_haul(country_km(from), endpoint_km(endpoint_index(to)));
 }
 
 PathBuilder::TransitPlan PathBuilder::transit_plan(
     const topology::CloudEndpoint& from,
     const topology::CloudEndpoint& to) const {
-  return transit_haul(endpoint_km(from), endpoint_km(to));
+  return transit_haul(endpoint_km(endpoint_index(from)),
+                      endpoint_km(endpoint_index(to)));
 }
 
 bool PathBuilder::wan_serves(cloud::ProviderId provider,
@@ -354,26 +350,29 @@ void PathBuilder::build_into(const probes::Probe& probe,
                              ForwardingPath& path) const {
   path.hops.clear();
   path.mode = mode;
-  Builder b{world_, path};
+  const topology::AddressPlan& plan = world_.address_plan();
+  const std::size_t hubs = tables_.hubs;
+  Builder b{world_.backbone(), path};
 
   const topology::IspNetwork& isp = *probe.isp;
+  const geo::CountryInfo& home = world_.countries().all()[isp.country_row];
+  const std::size_t e = endpoint_index(endpoint);
   const cloud::RegionInfo& region = *endpoint.region;
-  const cloud::ProviderInfo& provider = cloud::provider_info(region.provider);
-  const topology::Asn cloud_asn = provider.asn;
+  const topology::Waypoint& dc = tables_.endpoint_points[e];
+  const HubKm dc_km = endpoint_km(e);
+  const topology::Asn cloud_asn = cloud::provider_info(region.provider).asn;
   const bool wan = wan_serves(region.provider, region);
 
-  b.set_origin(probe.location, isp.country);
+  // The probe's own leg to its home centroid is the one distance a build
+  // prices; every later leg reads the tables.
+  const double probe_km = geo::haversine_km(probe.location, home.centroid);
+  b.set_origin(topology::Waypoint{probe.location, isp.country_row, probe_km});
 
   // Gateway hairpins only exist when the world models them (ablation knob).
-  // Stack buffer, not a vector: no country funnels through more than a
-  // couple of gateways.
-  std::string_view gateway_buffer[4];
-  const std::size_t gateway_count =
+  const std::span<const std::size_t> gateways =
       world_.config().enable_uplink_gateways
-          ? topology::uplink_gateways(isp.country, gateway_buffer)
-          : 0;
-  const std::span<const std::string_view> gateways{gateway_buffer,
-                                                   gateway_count};
+          ? world_.backbone().uplink_gateways(isp.country_row)
+          : std::span<const std::size_t>{};
 
   // --- last-mile hops (latency added by the engine, not here) --------------
   if (probe.access == lastmile::AccessTech::HomeWifi) {
@@ -386,120 +385,111 @@ void PathBuilder::build_into(const probes::Probe& probe,
   }
 
   // --- inside the serving ISP ------------------------------------------------
-  b.push_router(isp.asn, b.site("edge/", probe.city->name),
-                probe.city->location, false, 0.7);
-  const geo::CountryInfo& home = world_.countries().at(isp.country);
-  b.advance_public(home.centroid, isp.country, 0.05, 0.10);
-  b.push_router(isp.asn, b.site("core/", isp.country), home.centroid, false,
-                0.3);
+  const std::span<const geo::City> cities =
+      geo::CityDirectory::instance().cities(isp.country_row);
+  const std::size_t city = position_in(cities, *probe.city);
+  CLOUDRTT_CHECK(city < cities.size(), "probe ", probe.id, "'s city ",
+                 probe.city->name, " is not a city of ", isp.country);
+  b.push_router(isp.asn, plan.isp_edge(isp.index, city), probe.city->location,
+                false, 0.7);
+  b.advance_public(centroid(world_, isp.country_row), probe_km, 0.05, 0.10);
+  b.push_router(isp.asn, plan.isp_core(isp.index), home.centroid, false, 0.3);
 
   // --- interconnection-specific middle ---------------------------------------
-  const auto wan_run = [&](std::string_view from_label) {
-    // Inside the provider's WAN towards the DC. The leg is priced once over
-    // the physical cable systems; long hauls expose a mid backbone router
-    // (the paper's pervasiveness counts these).
-    const double km = world_.backbone().physical_km(
-        b.location(), b.country(), region.location, region.country);
-    const bool long_haul = km > kWanMidHopKm;
-    if (long_haul) {
-      const geo::GeoPoint mid{(b.location().lat_deg + region.location.lat_deg) / 2.0,
-                              (b.location().lon_deg + region.location.lon_deg) / 2.0};
-      b.advance_fixed(km * kWanDetour / 2.0, mid, region.country, 0.02);
-      b.push_router(cloud_asn,
-                    b.site("wan/", from_label, "-", region.region_name), mid,
-                    true, 0.25);
-      b.advance_fixed(km * kWanDetour / 2.0, region.location, region.country, 0.02);
-    } else {
-      b.advance_fixed(km * kWanDetour, region.location, region.country, 0.02);
-    }
-  };
-
+  // Each choice is made at the centroid the path stands on: home, or the
+  // last uplink gateway.
   switch (mode) {
     case InterconnectMode::DirectIxp: {
-      const geo::CountryInfo& at = choice_country(b.country(), b.location());
-      if (const topology::IxpInfo* ixp =
-              tables_.country_ixp[country_index(at)]) {
-        b.advance_public(ixp->location, ixp->country, 0.04, 0.08);
-        b.push_router(ixp->asn, b.site("lan/", ixp->country), ixp->location,
-                      false, 0.25);
+      if (const topology::IxpInfo* ixp = tables_.country_ixp[isp.country_row]) {
+        const auto x =
+            static_cast<std::size_t>(ixp - topology::known_ixps().data());
+        const topology::Waypoint& lan = tables_.ixp_points[x];
+        b.advance_public(lan, lan.spur_km, 0.04, 0.08);
+        b.push_router(ixp->asn, plan.ixp_lan(x), lan.at, false, 0.25);
       }
       [[fallthrough]];
     }
     case InterconnectMode::Direct: {
-      const bool pop = world_.has_pop(region.provider, isp.country);
-      const std::string_view ingress_cc = pop ? std::string_view{isp.country}
-                                              : std::string_view{region.country};
-      const geo::CountryInfo& ingress = world_.countries().at(ingress_cc);
-      b.advance_public(ingress.centroid, ingress_cc, 0.03, 0.06);
-      b.push_router(cloud_asn, b.site("pop/", ingress_cc), ingress.centroid,
-                    true, 0.35);
-      wan_run(ingress_cc);
+      const std::size_t ingress =
+          world_.has_pop(region.provider, isp.country_row) ? isp.country_row
+                                                           : dc.row;
+      const topology::Waypoint pop = centroid(world_, ingress);
+      b.advance_public(pop, b.here().spur_km, 0.03, 0.06);
+      b.push_router(cloud_asn, plan.pop(region.provider, ingress), pop.at, true,
+                    0.35);
+      b.run_wan(dc, dc.spur_km, cloud_asn, plan.wan(e, ingress));
       break;
     }
     case InterconnectMode::OneAs: {
       // The ISP hauls to its (possibly remote) uplink gateway itself.
-      for (const std::string_view gw : gateways) {
-        const geo::CountryInfo& info = world_.countries().at(gw);
-        b.advance_public(info.centroid, gw, 0.06, 0.18);
-        b.push_router(isp.asn, b.site("gw/", gw), info.centroid, false, 0.3);
+      for (std::size_t g = 0; g < gateways.size(); ++g) {
+        const topology::Waypoint via = centroid(world_, gateways[g]);
+        b.advance_public(via, b.here().spur_km, 0.06, 0.18);
+        b.push_router(isp.asn, plan.isp_gateway(isp.index, g), via.at, false,
+                      0.3);
       }
-      const CarrierPlan plan =
-          carrier_plan(choice_country(b.country(), b.location()), endpoint);
-      b.advance_public(plan.entry->location, plan.entry->country, 0.06, 0.16);
-      b.push_router(plan.carrier->asn, b.site("hub/", plan.entry->city),
-                    plan.entry->location, false, 0.3, /*load_balanced=*/true);
-      if (plan.exit != plan.entry) {
-        b.advance_managed(plan.exit->location, plan.exit->country, kCarrierDetour,
-                          0.085);
-        b.push_router(plan.carrier->asn, b.site("hub/", plan.exit->city),
-                      plan.exit->location, false, 0.3,
-                      /*load_balanced=*/true);
+      const CarrierPlan haul = carrier_plan(b.here().row, endpoint);
+      const std::size_t entry = hub_index(*haul.carrier, *haul.entry);
+      const std::size_t exit = hub_index(*haul.carrier, *haul.exit);
+      const topology::Waypoint& in = tables_.hub_points[entry];
+      b.advance_public(in, in.spur_km, 0.06, 0.16);
+      b.push_router(haul.carrier->asn, plan.hub(entry).in, in.at, 0.3);
+      const topology::Waypoint& out = tables_.hub_points[exit];
+      if (exit != entry) {
+        b.advance_managed(out, tables_.hub_km[entry * hubs + exit],
+                          kCarrierDetour, 0.085);
+        b.push_router(haul.carrier->asn, plan.hub(exit).in, out.at, 0.3);
       }
       if (wan) {
         // Cloud edge PoP hosted at the carrier facility (PNI).
-        b.push_router(cloud_asn, b.site("pop@", plan.exit->city),
-                      plan.exit->location, true, 0.35);
-        wan_run(plan.exit->country);
+        b.push_router(cloud_asn, plan.pop_at(region.provider, exit), out.at,
+                      true, 0.35);
+        b.run_wan(dc, dc_km[exit], cloud_asn, plan.wan(e, out.row));
       } else {
-        b.advance_public(region.location, region.country, 0.06, 0.18);
+        b.advance_public(dc, dc_km[exit], 0.06, 0.18);
       }
       break;
     }
     case InterconnectMode::Public: {
       // Continental upstream first (the extra AS of "2+").
       const topology::Asn upstream = world_.continental_transit(home.continent);
-      b.push_router(upstream, b.site("up/", isp.country), b.location(), false,
-                    0.3, /*load_balanced=*/true);
-      for (const std::string_view gw : gateways) {
-        const geo::CountryInfo& info = world_.countries().at(gw);
-        b.advance_public(info.centroid, gw, 0.07, 0.22);
-        b.push_router(upstream, b.site("gw/", gw), info.centroid, false, 0.3);
+      b.push_router(upstream,
+                    plan.upstream(home.continent, isp.country_row).up,
+                    home.centroid, 0.3);
+      for (const std::size_t gw : gateways) {
+        const topology::Waypoint via = centroid(world_, gw);
+        b.advance_public(via, b.here().spur_km, 0.07, 0.22);
+        b.push_router(upstream, plan.upstream(home.continent, gw).gw, via.at,
+                      false, 0.3);
       }
-      const TransitPlan haul =
-          transit_plan(choice_country(b.country(), b.location()), endpoint);
-      const HubChoice& first = haul.first;
-      b.advance_public(first.hub->location, first.hub->country, 0.07, 0.20);
-      b.push_router(first.carrier->asn, b.site("hub/", first.hub->city),
-                    first.hub->location, false, 0.3, /*load_balanced=*/true);
+      const TransitPlan haul = transit_plan(b.here().row, endpoint);
+      const topology::TransitCarrier& carrier = *haul.first.carrier;
+      std::size_t at = hub_index(carrier, *haul.first.hub);
+      const topology::Waypoint& first = tables_.hub_points[at];
+      b.advance_public(first, first.spur_km, 0.07, 0.20);
+      b.push_router(carrier.asn, plan.hub(at).in, first.at, 0.3);
       // Carrier hubs expose separate ingress/egress interfaces in
       // traceroutes — public paths look longer at router level.
-      b.push_router(first.carrier->asn, b.site("hub-out/", first.hub->city),
-                    first.hub->location, false, 0.15);
+      b.push_router(carrier.asn, plan.hub(at).out, first.at, false, 0.15);
       if (const HubChoice& second = haul.second; second.hub != nullptr) {
         // Hand off to a second carrier closer to the destination.
-        b.advance_managed(second.hub->location, second.hub->country, kCarrierDetour,
+        const std::size_t next = hub_index(*second.carrier, *second.hub);
+        b.advance_managed(tables_.hub_points[next],
+                          tables_.hub_km[at * hubs + next], kCarrierDetour,
                           0.09);
-        b.push_router(second.carrier->asn, b.site("hub/", second.hub->city),
-                      second.hub->location, false, 0.3,
-                      /*load_balanced=*/true);
-      } else if (haul.exit != first.hub) {
-        b.advance_managed(haul.exit->location, haul.exit->country,
-                          kCarrierDetour, 0.085);
-        b.push_router(first.carrier->asn, b.site("hub/", haul.exit->city),
-                      haul.exit->location, false, 0.3,
-                      /*load_balanced=*/true);
+        b.push_router(second.carrier->asn, plan.hub(next).in,
+                      tables_.hub_points[next].at, 0.3);
+        at = next;
+      } else if (haul.exit != haul.first.hub) {
+        const std::size_t next = hub_index(carrier, *haul.exit);
+        b.advance_managed(tables_.hub_points[next],
+                          tables_.hub_km[at * hubs + next], kCarrierDetour,
+                          0.085);
+        b.push_router(carrier.asn, plan.hub(next).in,
+                      tables_.hub_points[next].at, 0.3);
+        at = next;
       }
-      b.advance_public(region.location, region.country, 0.06, 0.18);
+      b.advance_public(dc, dc_km[at], 0.06, 0.18);
       break;
     }
   }
@@ -512,13 +502,17 @@ void PathBuilder::build_into(const probes::Probe& probe,
 ForwardingPath PathBuilder::build_interdc(const topology::CloudEndpoint& src,
                                           const topology::CloudEndpoint& dst) const {
   ForwardingPath path;
+  const topology::AddressPlan& plan = world_.address_plan();
+  const std::size_t s = endpoint_index(src);
+  const std::size_t d = endpoint_index(dst);
   const cloud::RegionInfo& from = *src.region;
   const cloud::RegionInfo& to = *dst.region;
+  const topology::Waypoint& to_dc = tables_.endpoint_points[d];
   const topology::Asn src_asn = cloud::provider_info(from.provider).asn;
   const topology::Asn dst_asn = cloud::provider_info(to.provider).asn;
 
-  Builder b{world_, path};
-  b.set_origin(from.location, from.country);
+  Builder b{world_.backbone(), path};
+  b.set_origin(tables_.endpoint_points[s]);
   b.push(src.vm_ip, src_asn, from.location, false, true, 0.1);
   b.push(src.dc_router, src_asn, from.location, false, true, 0.25);
 
@@ -527,42 +521,35 @@ ForwardingPath PathBuilder::build_interdc(const topology::CloudEndpoint& src,
                             wan_serves(to.provider, to);
   if (private_haul) {
     path.mode = InterconnectMode::Direct;
-    const double km = world_.backbone().physical_km(from.location, from.country,
-                                                    to.location, to.country);
-    if (km > kWanMidHopKm) {
-      const geo::GeoPoint mid{(from.location.lat_deg + to.location.lat_deg) / 2.0,
-                              (from.location.lon_deg + to.location.lon_deg) / 2.0};
-      b.advance_fixed(km * kWanDetour / 2.0, mid, to.country, 0.02);
-      b.push_router(src_asn,
-                    "wan/" + std::string{from.region_name} + "-" +
-                        std::string{to.region_name},
-                    mid, true, 0.25);
-      b.advance_fixed(km * kWanDetour / 2.0, to.location, to.country, 0.02);
-    } else {
-      b.advance_fixed(km * kWanDetour, to.location, to.country, 0.02);
-    }
+    // Off the campaign's path: the region pair has no table row.
+    b.run_wan(to_dc, geo::haversine_km(from.location, to.location), src_asn,
+              plan.wan_from(d, s));
   } else {
     // Public haul between the DC metros, via the nearest carrier hubs --
     // small providers' "horizontal" traffic (§3.1) and all multi-cloud
     // traffic look like this.
     path.mode = InterconnectMode::Public;
-    const TransitPlan haul = transit_plan(src, dst);
+    const HubKm from_km = endpoint_km(s);
+    const TransitPlan haul = transit_haul(from_km, endpoint_km(d));
     const HubChoice& first = haul.first;
-    b.advance_public(first.hub->location, first.hub->country, 0.06, 0.16);
-    b.push_router(first.carrier->asn, "hub/" + std::string{first.hub->city},
-                  first.hub->location, false, 0.3);
-    if (const HubChoice& second = haul.second; second.hub != nullptr) {
-      b.advance_managed(second.hub->location, second.hub->country, kCarrierDetour,
+    std::size_t at = hub_index(*first.carrier, *first.hub);
+    b.advance_public(tables_.hub_points[at], from_km[at], 0.06, 0.16);
+    b.push_router(first.carrier->asn, plan.hub(at).in.ip, first.hub->location,
+                  false, 0.3);
+    const HubChoice& second = haul.second;
+    const HubChoice next = second.hub != nullptr
+                               ? second
+                               : HubChoice{first.carrier, haul.exit};
+    if (next.hub != first.hub) {
+      const std::size_t hop = hub_index(*next.carrier, *next.hub);
+      b.advance_managed(tables_.hub_points[hop],
+                        tables_.hub_km[at * tables_.hubs + hop], kCarrierDetour,
                         0.08);
-      b.push_router(second.carrier->asn, "hub/" + std::string{second.hub->city},
-                    second.hub->location, false, 0.3);
-    } else if (haul.exit != first.hub) {
-      b.advance_managed(haul.exit->location, haul.exit->country, kCarrierDetour,
-                        0.08);
-      b.push_router(first.carrier->asn, "hub/" + std::string{haul.exit->city},
-                    haul.exit->location, false, 0.3);
+      b.push_router(next.carrier->asn, plan.hub(hop).in.ip, next.hub->location,
+                    false, 0.3);
+      at = hop;
     }
-    b.advance_public(to.location, to.country, 0.06, 0.16);
+    b.advance_public(to_dc, endpoint_km(d)[at], 0.06, 0.16);
   }
 
   b.push(dst.dc_router, dst_asn, to.location, false, true, 0.35);

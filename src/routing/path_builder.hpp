@@ -17,13 +17,15 @@
 // processing, with an absolute jitter budget accumulated per segment type.
 //
 // Every carrier, hub and IXP choice is made between fixed catalogue points:
-// country centroids, tier-1 hubs and region locations. The constructor
-// prices those distances once into immutable tables, so a build reads them
-// instead of re-running haversine, and concurrent builds share one builder.
+// country centroids, tier-1 hubs, region locations and IXPs, and every leg
+// but the probe's own runs between two of them. The constructor prices
+// those distances and each point's spur to its country's backbone node once
+// into immutable tables, so a build reads them instead of re-running
+// haversine, takes its router addresses from the world's typed address
+// plan, and concurrent builds share one builder.
 
 #include <cstddef>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "probes/fleet.hpp"
@@ -33,14 +35,20 @@
 namespace cloudrtt::routing {
 
 /// The catalogue distances a PathBuilder prices once. Flat hub order is
-/// tier1_carriers() order, each carrier's hubs in turn; every row is
+/// tier1_carriers() order, each carrier's hubs in turn; every `_km` row is
 /// geo::haversine_km from the row's point to each hub.
 struct HubTables {
   std::size_t hubs = 0;
-  std::vector<double> pair_km;      ///< per carrier, its entry x exit block
+  std::vector<std::size_t> carrier_first;  ///< each carrier's first flat hub
+  std::vector<double> hub_km;       ///< hubs x hubs
   std::vector<double> country_km;   ///< countries() x hubs, from centroids
   std::vector<double> endpoint_km;  ///< world.endpoints() x hubs, from regions
   std::vector<const topology::IxpInfo*> country_ixp;  ///< DirectIxp exchange
+  /// The catalogue points as the backbone prices them: each with its
+  /// country's row and its spur (a centroid is its row with spur 0).
+  std::vector<topology::Waypoint> hub_points;       ///< per flat hub
+  std::vector<topology::Waypoint> endpoint_points;  ///< per world endpoint
+  std::vector<topology::Waypoint> ixp_points;       ///< per known_ixps() row
 };
 
 class PathBuilder {
@@ -71,9 +79,10 @@ class PathBuilder {
                                        const cloud::RegionInfo& region);
 
   // --- the choices a build makes, read from the tables -----------------
-  // A country argument is a row of world.countries(), where paths make
-  // their choices at its centroid; an endpoint argument is a row of
-  // world.endpoints(). Both are CHECKed.
+  // A country argument is a row of world.countries(): paths make their
+  // choices at its centroid (the probe's home country, or the last uplink
+  // gateway it hauls to). An endpoint argument is a row of
+  // world.endpoints(), which is CHECKed.
 
   struct HubChoice {
     const topology::TransitCarrier* carrier = nullptr;
@@ -96,10 +105,10 @@ class PathBuilder {
 
   /// Cheapest centroid -> entry -> exit -> region haul on one carrier.
   [[nodiscard]] CarrierPlan carrier_plan(
-      const geo::CountryInfo& from, const topology::CloudEndpoint& to) const;
+      std::size_t from, const topology::CloudEndpoint& to) const;
   /// Public transit from a country's centroid to a region.
   [[nodiscard]] TransitPlan transit_plan(
-      const geo::CountryInfo& from, const topology::CloudEndpoint& to) const;
+      std::size_t from, const topology::CloudEndpoint& to) const;
   /// Public transit between two regions (build_interdc).
   [[nodiscard]] TransitPlan transit_plan(
       const topology::CloudEndpoint& from,
@@ -108,16 +117,13 @@ class PathBuilder {
   [[nodiscard]] const HubTables& tables() const { return tables_; }
 
  private:
-  /// The country a choice at `at` in `code` is made from; CHECKs that `at`
-  /// is its centroid, the point the country's row was priced from.
-  [[nodiscard]] const geo::CountryInfo& choice_country(
-      std::string_view code, const geo::GeoPoint& at) const;
-  [[nodiscard]] std::size_t country_index(const geo::CountryInfo& from) const;
-  [[nodiscard]] std::span<const double> country_km(
-      const geo::CountryInfo& from) const;
-  /// A world endpoint's table row.
-  [[nodiscard]] std::span<const double> endpoint_km(
+  [[nodiscard]] std::size_t endpoint_index(
       const topology::CloudEndpoint& endpoint) const;
+  [[nodiscard]] std::span<const double> country_km(std::size_t row) const;
+  [[nodiscard]] std::span<const double> endpoint_km(std::size_t endpoint) const;
+  /// A hub's position in flat hub order.
+  [[nodiscard]] std::size_t hub_index(const topology::TransitCarrier& carrier,
+                                      const topology::TransitHub& hub) const;
 
   const topology::World& world_;
   HubTables tables_;

@@ -253,6 +253,15 @@ Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
     }
   }
 
+  uplinks_.resize(n);
+  for (const UplinkRule& rule : kUplinks) {
+    const auto from = node_index(rule.country);
+    const auto via = node_index(rule.gateway);
+    CLOUDRTT_CHECK(from && via, "uplink rule references unknown country ",
+                   rule.country, "-", rule.gateway);
+    uplinks_[*from].push_back(*via);
+  }
+
   precompute_nominal_routes();
 }
 
@@ -301,17 +310,22 @@ const BackboneRoute& Backbone::route(std::string_view from, std::string_view to)
   if (!ia || !ib) {
     throw std::out_of_range{"Backbone::route: unknown country code"};
   }
+  return route(*ia, *ib);
+}
+
+// lint:hot
+const BackboneRoute& Backbone::route(std::size_t from, std::size_t to) const {
   // lint:allow(guarded-by): emptiness check only; set_outages never runs concurrently with readers
   if (outage_keys_.empty()) {
-    return nominal_[*ia * node_count() + *ib];
+    return nominal_[from * node_count() + to];
   }
   // References into the node-based map stay valid across later inserts, and
   // set_outages (the only eraser) never runs concurrently with readers.
-  const std::uint64_t key = (static_cast<std::uint64_t>(*ia) << 32) | *ib;
+  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
   const std::scoped_lock lock{outage_mutex_};
   const auto it = outage_cache_.find(key);
   if (it != outage_cache_.end()) return it->second;
-  return outage_cache_.emplace(key, compute_route(*ia, *ib)).first->second;
+  return outage_cache_.emplace(key, compute_route(from, to)).first->second;
 }
 
 BackboneRoute Backbone::compute_route(std::size_t from, std::size_t to) const {
@@ -392,67 +406,42 @@ BackboneRoute Backbone::extract_route(std::size_t from, std::size_t to,
   return result;
 }
 
-Backbone::SegmentCost Backbone::segment_cost(const geo::GeoPoint& a,
-                                             std::string_view ca,
-                                             const geo::GeoPoint& b,
-                                             std::string_view cb) const {
+// lint:hot
+Backbone::SegmentCost Backbone::segment_cost(const Waypoint& a,
+                                             const Waypoint& b,
+                                             double direct_km) const {
   SegmentCost cost;
-  if (ca == cb) {
-    const geo::CountryInfo& info = countries_.at(ca);
-    const double detour = detour_factor(info.backhaul_quality);
-    cost.effective_km = geo::haversine_km(a, b) * detour;
-    cost.jitter_scale = (1.0 - info.backhaul_quality) * 0.5;
+  if (a.row == b.row) {
+    const double quality = node(a.row).backhaul_quality;
+    cost.effective_km = direct_km * detour_factor(quality);
+    cost.jitter_scale = (1.0 - quality) * 0.5;
     return cost;
   }
-  const BackboneRoute& r = route(ca, cb);
+  const BackboneRoute& r = route(a.row, b.row);
   if (!r.reachable) {
     // Fall back to great-circle with a stiff detour: should not happen for
     // catalogue countries, but keeps the model total.
-    cost.effective_km = geo::haversine_km(a, b) * 1.8;
+    cost.effective_km = geo::haversine_km(a.at, b.at) * 1.8;
     cost.penalty_ms = 20.0;
     cost.jitter_scale = 0.4;
     return cost;
   }
-  const geo::CountryInfo& ia = countries_.at(ca);
-  const geo::CountryInfo& ib = countries_.at(cb);
   // Local spurs from the concrete endpoints to their country backbone node.
-  const double spur_a =
-      geo::haversine_km(a, ia.centroid) * detour_factor(ia.backhaul_quality);
-  const double spur_b =
-      geo::haversine_km(b, ib.centroid) * detour_factor(ib.backhaul_quality);
-  cost.effective_km = r.effective_km + spur_a + spur_b;
+  cost.effective_km =
+      r.effective_km + a.spur_km * detour_factor(node(a.row).backhaul_quality) +
+      b.spur_km * detour_factor(node(b.row).backhaul_quality);
   cost.penalty_ms = r.penalty_ms;
   cost.jitter_scale = r.jitter_scale;
   return cost;
 }
 
-double Backbone::physical_km(const geo::GeoPoint& a, std::string_view ca,
-                             const geo::GeoPoint& b, std::string_view cb) const {
-  if (ca == cb) return geo::haversine_km(a, b) * 1.15;
-  const BackboneRoute& r = route(ca, cb);
-  if (!r.reachable) return geo::haversine_km(a, b) * 1.5;
-  const geo::CountryInfo& ia = countries_.at(ca);
-  const geo::CountryInfo& ib = countries_.at(cb);
-  return r.km + geo::haversine_km(a, ia.centroid) + geo::haversine_km(b, ib.centroid);
-}
-
-std::vector<std::string_view> uplink_gateways(std::string_view country) {
-  std::vector<std::string_view> out;
-  for (const UplinkRule& rule : kUplinks) {
-    if (rule.country == country) out.push_back(rule.gateway);
-  }
-  return out;
-}
-
-std::size_t uplink_gateways(std::string_view country,
-                            std::span<std::string_view> out) {
-  std::size_t count = 0;
-  for (const UplinkRule& rule : kUplinks) {
-    if (rule.country != country) continue;
-    if (count == out.size()) break;
-    out[count++] = rule.gateway;
-  }
-  return count;
+// lint:hot
+double Backbone::physical_km(const Waypoint& a, const Waypoint& b,
+                             double direct_km) const {
+  if (a.row == b.row) return direct_km * 1.15;
+  const BackboneRoute& r = route(a.row, b.row);
+  if (!r.reachable) return geo::haversine_km(a.at, b.at) * 1.5;
+  return r.km + a.spur_km + b.spur_km;
 }
 
 }  // namespace cloudrtt::topology

@@ -54,6 +54,15 @@ struct BackboneRoute {
   bool reachable = false;
 };
 
+/// A concrete point a segment starts or ends at: its location, its country's
+/// row (the backbone node it hangs off), and its spur, the great-circle km
+/// to that country's centroid (0 for the centroid itself).
+struct Waypoint {
+  geo::GeoPoint at;
+  std::size_t row = 0;
+  double spur_km = 0.0;
+};
+
 class Backbone {
  public:
   explicit Backbone(const geo::CountryTable& countries);
@@ -66,23 +75,33 @@ class Backbone {
   [[nodiscard]] const BackboneRoute& route(std::string_view from,
                                            std::string_view to) const;
 
-  /// Effective RTT-relevant distance between two concrete points including
-  /// local spurs from each point to its country's backbone node.
+  /// Effective RTT-relevant distance between two concrete points: the
+  /// route between their nodes plus each spur at its country's detour.
+  /// `direct_km`, their great-circle km, is read only inside one country,
+  /// so a caller passing a priced table entry runs no trigonometry.
   struct SegmentCost {
     double effective_km = 0.0;
     double penalty_ms = 0.0;
     double jitter_scale = 0.0;
   };
-  [[nodiscard]] SegmentCost segment_cost(const geo::GeoPoint& a, std::string_view ca,
-                                         const geo::GeoPoint& b,
-                                         std::string_view cb) const;
+  [[nodiscard]] SegmentCost segment_cost(const Waypoint& a, const Waypoint& b,
+                                         double direct_km) const;
 
   /// Physical cable length between two concrete points (route km + raw
-  /// local spurs, no quality detours). Private WANs and carrier backbones
-  /// ride the same glass as everyone else, so their latency is priced off
-  /// this rather than the great circle.
-  [[nodiscard]] double physical_km(const geo::GeoPoint& a, std::string_view ca,
-                                   const geo::GeoPoint& b, std::string_view cb) const;
+  /// spurs, no quality detours; `direct_km` as for segment_cost). Private
+  /// WANs and carrier backbones ride the same glass as everyone else, so
+  /// their latency is priced off this rather than the great circle.
+  [[nodiscard]] double physical_km(const Waypoint& a, const Waypoint& b,
+                                   double direct_km) const;
+
+  /// Forced egress waypoints for public-transit paths leaving the country at
+  /// `row`: the rows of the countries its international connectivity
+  /// funnels through (e.g. the Gulf states via Egypt); empty for most.
+  // lint:hot
+  [[nodiscard]] std::span<const std::size_t> uplink_gateways(
+      std::size_t row) const {
+    return uplinks_[row];
+  }
 
   [[nodiscard]] std::size_t node_count() const {
     return countries_.all().size();
@@ -142,6 +161,8 @@ class Backbone {
 
   /// A country's node is its row in the country table.
   [[nodiscard]] std::optional<std::size_t> node_index(std::string_view code) const;
+  [[nodiscard]] const BackboneRoute& route(std::size_t from,
+                                           std::size_t to) const;
   [[nodiscard]] const geo::CountryInfo& node(std::size_t index) const {
     return countries_.all()[index];
   }
@@ -158,6 +179,7 @@ class Backbone {
   const geo::CountryTable& countries_;
   std::vector<std::vector<Edge>> adjacency_;
   std::vector<BackboneLinkRef> catalog_;
+  std::vector<std::vector<std::size_t>> uplinks_;  ///< gateway rows per row
   std::size_t edges_ = 0;
   /// Immutable after construction: route for (from, to) at [from * n + to].
   std::vector<BackboneRoute> nominal_;
@@ -169,16 +191,5 @@ class Backbone {
   // lint:guarded_by(outage_mutex_)
   mutable std::unordered_map<std::uint64_t, BackboneRoute> outage_cache_;  // lint:allow(mutable-member): guarded by outage_mutex_
 };
-
-/// Forced egress waypoints for public-transit paths leaving `country`:
-/// countries whose international connectivity funnels through a gateway
-/// (e.g. the Gulf states via Egypt) list it here; empty for most.
-[[nodiscard]] std::vector<std::string_view> uplink_gateways(std::string_view country);
-
-/// Zero-allocation variant for hot callers: writes up to `out.size()`
-/// gateway codes into the caller's buffer and returns how many were written
-/// (no country lists more than a couple of gateways).
-std::size_t uplink_gateways(std::string_view country,
-                            std::span<std::string_view> out);
 
 }  // namespace cloudrtt::topology

@@ -166,7 +166,7 @@ BgpGraph BgpGraph::from_world(const World& world) {
     }
     for (const IspNetwork& isp : world.isps()) {
       const PairPolicy& policy =
-          world.interconnect(isp.asn, provider, isp.continent);
+          world.interconnect(isp, provider, isp.continent);
       if (policy.base == InterconnectMode::Direct ||
           policy.base == InterconnectMode::DirectIxp) {
         graph.add_peering(info.asn, isp.asn);

@@ -4,6 +4,7 @@
 // probe density; each ISP owns a customer prefix (probe addresses), an
 // infrastructure prefix (router addresses) and a CGN pool.
 
+#include <cstddef>
 #include <string>
 
 #include "geo/continent.hpp"
@@ -16,6 +17,8 @@ struct IspNetwork {
   Asn asn = 0;
   std::string name;
   std::string country;
+  std::size_t index = 0;        ///< position in World::isps()
+  std::size_t country_row = 0;  ///< `country`'s row in geo::CountryTable
   geo::Continent continent = geo::Continent::Europe;
   double share = 1.0;        ///< probe-assignment weight within the country
   bool named = false;        ///< appears in the paper's case studies

@@ -18,13 +18,6 @@ constexpr std::uint32_t kCgnBase = 0x64400000u;  // 100.64.0.0
 constexpr std::uint32_t kCgnStep = 1u << 12;     // /20 slices
 constexpr std::uint32_t kCgnEnd = 0x64800000u;   // 100.128.0.0 (exclusive)
 
-[[nodiscard]] std::string pop_key(cloud::ProviderId provider, std::string_view country) {
-  std::string key{cloud::provider_info(provider).ticker};
-  key += '/';
-  key += country;
-  return key;
-}
-
 [[nodiscard]] std::string_view continent_transit_name(geo::Continent c) {
   switch (c) {
     case geo::Continent::Africa: return "PanAfrican Backbone";
@@ -148,6 +141,8 @@ void World::build_isps() {
       isp.asn = asn;
       isp.name = std::move(name);
       isp.country = country.code;
+      isp.index = isps_.size();
+      isp.country_row = countries().row(country.code);
       isp.continent = country.continent;
       isp.share = 1.0 / static_cast<double>(1 + rank);
       isp.named = is_named;
@@ -206,8 +201,13 @@ void World::build_clouds() {
 
 void World::build_pops() {
   util::Rng rng = root_rng_.fork("pops");
-  const auto add_pop = [this](cloud::ProviderId p, std::string_view cc) {
-    pops_.insert(pop_key(p, cc));
+  const std::size_t n = countries().all().size();
+  pops_.assign(cloud::kProviderCount * n, false);
+  const auto pop = [this, n](cloud::ProviderId p, std::string_view cc) {
+    return pops_[cloud::provider_index(p) * n + countries().row(cc)];
+  };
+  const auto add_pop = [&pop](cloud::ProviderId p, std::string_view cc) {
+    pop(p, cc) = true;
   };
 
   for (const geo::CountryInfo& country : countries().all()) {
@@ -259,8 +259,8 @@ void World::build_pops() {
   }
   add_pop(cloud::ProviderId::Microsoft, "BH");
   add_pop(cloud::ProviderId::Google, "BH");
-  pops_.erase(pop_key(cloud::ProviderId::Amazon, "BH"));
-  pops_.erase(pop_key(cloud::ProviderId::Lightsail, "BH"));
+  pop(cloud::ProviderId::Amazon, "BH") = false;
+  pop(cloud::ProviderId::Lightsail, "BH") = false;
 }
 
 std::vector<const IspNetwork*> World::isps_in(std::string_view country) const {
@@ -303,18 +303,8 @@ const CloudEndpoint& World::endpoint(const cloud::RegionInfo& region) const {
   return endpoints_[it->second];
 }
 
-bool World::has_pop(cloud::ProviderId provider, std::string_view country) const {
-  if (!config_.enable_edge_pops) return false;
-  return pops_.contains(pop_key(provider, country));
-}
-
 Asn World::continental_transit(geo::Continent continent) const {
   return continental_transit_[geo::index_of(continent)];
-}
-
-net::Ipv4Address World::router_ip(Asn asn, std::string_view site) const {
-  CLOUDRTT_DCHECK(!site.empty(), "router_ip needs a site label for AS", asn);
-  return address_plan_.at(asn, site);
 }
 
 void World::materialize_address_plan() {
@@ -324,25 +314,26 @@ void World::materialize_address_plan() {
   // infrastructure allocator, so this order *is* the address plan — it can
   // change freely between versions (hashes only ever compare runs of one
   // build), but within a build it is a pure function of the world config.
-  //
-  // The site lists are a superset of everything routing/path_builder.cpp can
-  // request: an unplanned site aborts at lookup, so enumeration gaps surface
-  // in the first test that walks the missing path.
-  const auto plan_site = [this](Asn asn, std::string site) {
+  // Each site lands in its kind's table, indexed by the rows path builds
+  // hold (the continent and provider catalogues list their enums in order),
+  // so every site a build can request is planned by construction. Braced
+  // lists evaluate left to right: HubSites{{a, b}, c} draws a, b, c.
+  const auto next = [this](Asn asn) {
     const auto it = infra_alloc_.find(asn);
     CLOUDRTT_CHECK(it != infra_alloc_.end(), "materialize: AS", asn,
-                   " has no infrastructure prefix (site '", site, "')");
-    address_plan_.assign(asn, std::move(site), it->second.allocate());
+                   " has no infrastructure prefix");
+    return it->second.allocate();
   };
+  AddressPlan& plan = address_plan_;
+  const std::size_t n = countries().all().size();
+  plan.countries_ = n;
 
   // Tier-1 carriers: hub ingress/egress interfaces plus the ECMP sibling the
   // load-balanced segments expose.
   for (const TransitCarrier& carrier : tier1_carriers()) {
-    for (const TransitHub& hub : carrier.hubs) {
-      const std::string city{hub.city};
-      plan_site(carrier.asn, "hub/" + city);
-      plan_site(carrier.asn, "hub/" + city + "/ecmp-b");
-      plan_site(carrier.asn, "hub-out/" + city);
+    for (std::size_t h = 0; h < carrier.hubs.size(); ++h) {
+      plan.hubs_.push_back(
+          HubSites{{next(carrier.asn), next(carrier.asn)}, next(carrier.asn)});
     }
   }
 
@@ -350,82 +341,89 @@ void World::materialize_address_plan() {
   // and gateway egress interfaces. Planned for every country — a superset of
   // the continent's members and their gateways, but the /18 has room and a
   // uniform walk keeps the enumeration obviously complete.
-  for (const geo::Continent c : geo::kAllContinents) {
-    const Asn asn = continental_transit_[geo::index_of(c)];
-    for (const geo::CountryInfo& country : countries().all()) {
-      const std::string cc{country.code};
-      plan_site(asn, "up/" + cc);
-      plan_site(asn, "up/" + cc + "/ecmp-b");
-      plan_site(asn, "gw/" + cc);
+  for (const Asn asn : continental_transit_) {
+    for (std::size_t row = 0; row < n; ++row) {
+      plan.upstream_.push_back(
+          UpstreamSites{{next(asn), next(asn)}, next(asn)});
     }
   }
 
   // IXP peering LANs.
   for (const IxpInfo& ixp : known_ixps()) {
-    plan_site(ixp.asn, "lan/" + std::string{ixp.country});
+    plan.ixp_lans_.push_back(next(ixp.asn));
   }
 
   // Access ISPs: one edge router per city of the home country, the national
   // core, and the uplink-gateway egress routers (planned regardless of the
   // gateway ablation knob — the knob gates path construction, not the plan).
   for (const IspNetwork& isp : isps_) {
-    for (const geo::City& city : geo::CityDirectory::instance().cities(isp.country)) {
-      plan_site(isp.asn, "edge/" + city.name);
+    AddressPlan::IspSites sites;
+    sites.first_edge = plan.isp_edges_.size();
+    sites.first_gateway = plan.isp_gateways_.size();
+    const std::size_t cities =
+        geo::CityDirectory::instance().cities(isp.country_row).size();
+    for (std::size_t city = 0; city < cities; ++city) {
+      plan.isp_edges_.push_back(next(isp.asn));
     }
-    plan_site(isp.asn, "core/" + isp.country);
-    for (const std::string_view gw : uplink_gateways(isp.country)) {
-      plan_site(isp.asn, "gw/" + std::string{gw});
+    sites.core = next(isp.asn);
+    for ([[maybe_unused]] const std::size_t gw :
+         backbone_.uplink_gateways(isp.country_row)) {
+      plan.isp_gateways_.push_back(next(isp.asn));
     }
+    plan.isps_.push_back(sites);
   }
 
   // Cloud WANs: one edge PoP interface per country (paths ingress either in
   // the probe's country or the region's), one PNI interface per carrier hub
-  // city, and one mid-backbone router per <ingress label, region> long-haul
-  // pair, where the label is a country code (probe paths) or a source region
-  // name (inter-DC paths).
+  // city, and one mid-backbone router per <ingress, region> long-haul pair,
+  // where the ingress is a country (probe paths) or a region of the same
+  // provider (inter-DC paths).
   std::vector<std::string_view> hub_cities;
   for (const TransitCarrier& carrier : tier1_carriers()) {
     for (const TransitHub& hub : carrier.hubs) {
-      if (std::find(hub_cities.begin(), hub_cities.end(), hub.city) ==
-          hub_cities.end()) {
-        hub_cities.push_back(hub.city);
-      }
+      const auto it = std::find(hub_cities.begin(), hub_cities.end(), hub.city);
+      plan.hub_city_.push_back(
+          static_cast<std::size_t>(it - hub_cities.begin()));
+      if (it == hub_cities.end()) hub_cities.push_back(hub.city);
     }
   }
+  plan.hub_cities_ = hub_cities.size();
+  plan.wans_.resize(endpoints_.size() * n);
+  plan.provider_rank_.resize(endpoints_.size());
+  plan.first_region_wan_.resize(endpoints_.size());
   for (const cloud::ProviderId id : cloud::kAllProviders) {
     const Asn asn = cloud::provider_info(id).asn;
-    for (const geo::CountryInfo& country : countries().all()) {
-      plan_site(asn, "pop/" + std::string{country.code});
-    }
-    for (const std::string_view city : hub_cities) {
-      plan_site(asn, "pop@" + std::string{city});
+    for (std::size_t row = 0; row < n; ++row) plan.pops_.push_back(next(asn));
+    for (std::size_t city = 0; city < hub_cities.size(); ++city) {
+      plan.pop_ats_.push_back(next(asn));
     }
     const auto regions = cloud::RegionCatalog::instance().of_provider(id);
-    for (const cloud::RegionInfo* region : regions) {
-      const std::string suffix = "-" + std::string{region->region_name};
-      for (const geo::CountryInfo& country : countries().all()) {
-        plan_site(asn, "wan/" + std::string{country.code} + suffix);
+    for (std::size_t rank = 0; rank < regions.size(); ++rank) {
+      const std::size_t e = endpoint_index_.at(regions[rank]);
+      plan.provider_rank_[e] = rank;
+      for (std::size_t row = 0; row < n; ++row) {
+        plan.wans_[e * n + row] = next(asn);
       }
-      for (const cloud::RegionInfo* from : regions) {
-        plan_site(asn, "wan/" + std::string{from->region_name} + suffix);
+      plan.first_region_wan_[e] = plan.region_wans_.size();
+      for (std::size_t from = 0; from < regions.size(); ++from) {
+        plan.region_wans_.push_back(next(asn));
       }
     }
   }
-
-  address_plan_.freeze();
 }
 
 void World::materialize_policies() {
+  // Both catalogues list their enum in order, so this walk is the layout
+  // interconnect() indexes.
   for (const IspNetwork& isp : isps_) {
     for (const cloud::ProviderId provider : cloud::kAllProviders) {
       for (const geo::Continent dst : geo::kAllContinents) {
-        policies_.put(PolicyTable::key(isp.asn, cloud::provider_index(provider),
-                                       geo::index_of(dst)),
-                      compute_policy(isp, provider, dst));
+        policies_.push_back(compute_policy(isp, provider, dst));
+        CLOUDRTT_CHECK(&interconnect(isp, provider, dst) == &policies_.back(),
+                       "policy table out of catalogue order");
       }
     }
   }
-  policies_.freeze();
 }
 
 void World::materialize_bgp() {
@@ -440,12 +438,6 @@ void World::materialize_bgp() {
     origins[i] = cloud::provider_info(cloud::kAllProviders[i]).asn;
   }
   bgp_routes_ = BgpRouteTable::materialize(bgp_, origins);
-}
-
-const PairPolicy& World::interconnect(Asn isp_asn, cloud::ProviderId provider,
-                                      geo::Continent dst) const {
-  return policies_.at(PolicyTable::key(isp_asn, cloud::provider_index(provider),
-                                       geo::index_of(dst)));
 }
 
 PairPolicy World::compute_policy(const IspNetwork& isp, cloud::ProviderId provider,
@@ -475,7 +467,7 @@ PairPolicy World::compute_policy(const IspNetwork& isp, cloud::ProviderId provid
                       .fork(isp.asn)
                       .fork(cloud::provider_index(provider) * 8 + geo::index_of(dst));
   const cloud::ProviderInfo& info = cloud::provider_info(provider);
-  const bool pop = has_pop(provider, isp.country);
+  const bool pop = has_pop(provider, isp.country_row);
   const bool developed = isp.continent == geo::Continent::Europe ||
                          isp.continent == geo::Continent::NorthAmerica ||
                          isp.continent == geo::Continent::Oceania;

@@ -13,9 +13,9 @@
 // Construction ends with a materialization pass that walks the AS/router
 // space in canonical order and pre-assigns every router address and pair
 // policy a campaign could touch (topology/address_plan.hpp). After that the
-// World is immutable on its read path: router_ip() and interconnect() are
-// pure lookups, safe for concurrent readers — the property the parallel
-// campaign executor relies on. Only the probe-generation allocators
+// World is immutable on its read path: address_plan() and interconnect()
+// are pure array lookups, safe for concurrent readers — the property the
+// parallel campaign executor relies on. Only the probe-generation allocators
 // (allocate_customer_ip / allocate_cgn_ip) mutate, and they are non-const.
 //
 // The analysis pipeline never touches this object's internals: it bootstraps
@@ -25,7 +25,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cloud/provider.hpp"
@@ -103,28 +102,33 @@ class World {
     return endpoints_;
   }
   [[nodiscard]] const CloudEndpoint& endpoint(const cloud::RegionInfo& region) const;
-  [[nodiscard]] bool has_pop(cloud::ProviderId provider, std::string_view country) const;
+  /// Does the provider deploy an edge PoP in the country at `row`?
+  // lint:hot
+  [[nodiscard]] bool has_pop(cloud::ProviderId p, std::size_t row) const {
+    return config_.enable_edge_pops &&
+           pops_[cloud::provider_index(p) * countries().all().size() + row];
+  }
 
   /// Interconnection decision for <ISP, provider, destination continent>;
-  /// pre-materialized at construction, so this is a pure lookup with a
+  /// pre-materialized at construction, so this is a pure array read with a
   /// stable reference — safe for concurrent readers.
-  [[nodiscard]] const PairPolicy& interconnect(Asn isp_asn, cloud::ProviderId provider,
-                                               geo::Continent dst) const;
+  // lint:hot
+  [[nodiscard]] const PairPolicy& interconnect(const IspNetwork& isp,
+                                               cloud::ProviderId provider,
+                                               geo::Continent dst) const {
+    return policies_[(isp.index * cloud::kProviderCount +
+                      cloud::provider_index(provider)) *
+                         geo::kContinentCount +
+                     geo::index_of(dst)];
+  }
 
   /// The continental transit AS fronting public paths out of `continent`.
   [[nodiscard]] Asn continental_transit(geo::Continent continent) const;
 
   // --- routers ----------------------------------------------------------------
-  /// Deterministic router address for an AS's site (e.g. "core/DE",
-  /// "hub/Frankfurt"). Every reachable site is pre-assigned by the
-  /// materialization pass, so this is a pure lookup (an unknown site is an
-  /// enumeration bug and aborts). Stable across calls and across resumes.
-  [[nodiscard]] net::Ipv4Address router_ip(Asn asn, std::string_view site) const;
-
-  /// The frozen router address plan (size/coverage introspection).
+  /// Every router address a path can expose, pre-assigned by the
+  /// materialization pass in typed tables; stable across calls and resumes.
   [[nodiscard]] const AddressPlan& address_plan() const { return address_plan_; }
-  /// The frozen interconnect policy table.
-  [[nodiscard]] const PolicyTable& policy_table() const { return policies_; }
 
   /// The AS-level business graph derived from this world (for analyses that
   /// re-run the decision process or mutate a copy of the graph).
@@ -182,12 +186,12 @@ class World {
 
   std::vector<CloudEndpoint> endpoints_;
   std::unordered_map<const cloud::RegionInfo*, std::size_t> endpoint_index_;
-  std::unordered_set<std::string> pops_;  ///< "ticker/CC"
+  std::vector<bool> pops_;  ///< provider x country row
 
   std::array<Asn, geo::kContinentCount> continental_transit_{};
 
   AddressPlan address_plan_;
-  PolicyTable policies_;
+  std::vector<PairPolicy> policies_;  ///< ISP x provider x continent
   BgpGraph bgp_;
   BgpRouteTable bgp_routes_;
 

@@ -12,6 +12,7 @@
 #include "analysis/resolve.hpp"
 #include "analysis/experiments.hpp"
 #include "analysis/trace_analysis.hpp"
+#include "catalogue_rows.hpp"
 #include "measure/engine.hpp"
 #include "probes/fleet.hpp"
 #include "topology/world.hpp"
@@ -59,7 +60,8 @@ TEST_F(AnalysisTest, PrivateSpaceNeverResolves) {
 
 TEST_F(AnalysisTest, WhoisFallbackResolvesGttRouters) {
   // GTT keeps infrastructure out of the RIB; the resolver must fall back.
-  const net::Ipv4Address router = world_.router_ip(3257, "hub/Frankfurt");
+  const net::Ipv4Address router =
+      world_.address_plan().hub(test::hub_row(3257, "Frankfurt")).in.ip;
   const auto res = resolver_.resolve(router);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->asn, 3257u);
@@ -67,7 +69,8 @@ TEST_F(AnalysisTest, WhoisFallbackResolvesGttRouters) {
 }
 
 TEST_F(AnalysisTest, IxpLansAreTagged) {
-  const net::Ipv4Address lan = world_.router_ip(6695, "lan/DE");  // DE-CIX
+  const net::Ipv4Address lan =
+      world_.address_plan().ixp_lan(test::ixp_row(6695));  // DE-CIX
   const auto res = resolver_.resolve(lan);
   ASSERT_TRUE(res.has_value());
   EXPECT_TRUE(res->is_ixp);
@@ -299,9 +302,8 @@ TEST_F(GeoDatabaseTest, ErrorRateProducesStaleEntries) {
 TEST_F(GeoDatabaseTest, CloudWanBackbonesGeolocateToHeadquarters) {
   // A WAN router physically in Europe still geolocates to the provider HQ —
   // the database's systematic failure mode.
-  const net::Ipv4Address wan_router =
-      world_.router_ip(cloud::provider_info(cloud::ProviderId::Microsoft).asn,
-                       "pop/DE");
+  const net::Ipv4Address wan_router = world_.address_plan().pop(
+      cloud::ProviderId::Microsoft, world_.countries().row("DE"));
   const auto entry = perfect_.lookup(wan_router);
   ASSERT_TRUE(entry.has_value());
   EXPECT_TRUE(entry->registration_only);
@@ -310,7 +312,8 @@ TEST_F(GeoDatabaseTest, CloudWanBackbonesGeolocateToHeadquarters) {
 
 TEST_F(GeoDatabaseTest, CarrierBackbonesCarryRegistrationLocation) {
   // Any Telia router, anywhere, geolocates to the Stockholm registration.
-  const net::Ipv4Address hub = world_.router_ip(1299, "hub/Marseille");
+  const net::Ipv4Address hub =
+      world_.address_plan().hub(test::hub_row(1299, "Marseille")).in.ip;
   const auto entry = perfect_.lookup(hub);
   ASSERT_TRUE(entry.has_value());
   EXPECT_TRUE(entry->registration_only);

@@ -95,5 +95,23 @@ TEST(CliScale, BareMultiplierIsRefused) {
   fs::remove_all(work);
 }
 
+// The same spelling from CLOUDRTT_SCALE: the one line names the variable.
+TEST(CliScale, EnvironmentScaleIsRefusedByName) {
+  const fs::path work = fs::path{::testing::TempDir()} / "cloudrtt_cli_env";
+  fs::remove_all(work);
+  fs::create_directories(work);
+  const std::string cli = CLOUDRTT_CLI;
+  EXPECT_EQ(run("CLOUDRTT_SCALE=0.1 " + cli + " study --quiet --out " +
+                (work / "out").string() + " > /dev/null 2> " +
+                (work / "err.txt").string()),
+            1);
+  const std::string error = read_file(work / "err.txt");
+  EXPECT_EQ(error.rfind("CLOUDRTT_SCALE: ", 0), 0u) << error;
+  EXPECT_NE(error.find("scale '0.1'"), std::string::npos) << error;
+  EXPECT_EQ(std::count(error.begin(), error.end(), '\n'), 1) << error;
+  EXPECT_FALSE(fs::exists(work / "out"));
+  fs::remove_all(work);
+}
+
 }  // namespace
 }  // namespace cloudrtt

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "core/scale.hpp"
 #include "fault/plan.hpp"
 #include "util/cli.hpp"
 
@@ -193,6 +196,30 @@ TEST(StudyCliOptions, EveryProfileNameRoundTrips) {
   EXPECT_EQ(fault::profile_from_string("mild"), fault::FaultProfile::Mild);
   EXPECT_EQ(fault::profile_from_string("harsh"), fault::FaultProfile::Harsh);
   EXPECT_FALSE(fault::profile_from_string("spicy").has_value());
+}
+
+// `cloudrtt study` prints resolve_scale's error as is: a refused spelling
+// names the flag or the environment variable it came from, and the flag
+// wins over the variable.
+TEST(StudyCliOptions, RefusedScaleNamesItsSource) {
+  const char* saved = std::getenv("CLOUDRTT_SCALE");
+  const std::optional<std::string> previous =
+      saved == nullptr ? std::nullopt : std::optional<std::string>{saved};
+  ::setenv("CLOUDRTT_SCALE", "0.1", 1);
+  const core::ScaleSpec from_env = core::resolve_scale("");
+  const core::ScaleSpec from_flag = core::resolve_scale("0.2");
+  const core::ScaleSpec flag_wins = core::resolve_scale("600x150");
+  if (previous) {
+    ::setenv("CLOUDRTT_SCALE", previous->c_str(), 1);
+  } else {
+    ::unsetenv("CLOUDRTT_SCALE");
+  }
+  EXPECT_EQ(from_env.error.rfind("CLOUDRTT_SCALE: ", 0), 0u) << from_env.error;
+  EXPECT_NE(from_env.error.find("scale '0.1'"), std::string::npos);
+  EXPECT_EQ(from_flag.error.rfind("--scale: ", 0), 0u) << from_flag.error;
+  EXPECT_NE(from_flag.error.find("scale '0.2'"), std::string::npos);
+  EXPECT_TRUE(flag_wins.ok()) << flag_wins.error;
+  EXPECT_EQ(flag_wins.sc_probes, 600u);
 }
 
 }  // namespace

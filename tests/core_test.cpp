@@ -813,7 +813,8 @@ TEST(StudyApi, AblationKnobsPropagate) {
   config.enable_edge_pops = false;
   config.sc_access_override = lastmile::AccessTech::Wired;
   core::Study study{config};
-  EXPECT_FALSE(study.world().has_pop(cloud::ProviderId::Microsoft, "DE"));
+  EXPECT_FALSE(study.world().has_pop(cloud::ProviderId::Microsoft,
+                                     study.world().countries().row("DE")));
   for (const probes::Probe& probe : study.sc_fleet().probes()) {
     EXPECT_EQ(probe.access, lastmile::AccessTech::Wired);
   }

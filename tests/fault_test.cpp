@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "analysis/experiments.hpp"
+#include "catalogue_rows.hpp"
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
@@ -358,9 +359,12 @@ TEST(CheckpointCorruption, AddressPlanIsIdenticalAcrossFreshWorlds) {
   const topology::World world{topology::WorldConfig{33}};
   const topology::World fresh{topology::WorldConfig{33}};
   ASSERT_EQ(fresh.address_plan().size(), world.address_plan().size());
-  EXPECT_EQ(fresh.router_ip(3257, "hub/Frankfurt"),
-            world.router_ip(3257, "hub/Frankfurt"));
-  EXPECT_EQ(fresh.router_ip(3209, "core/DE"), world.router_ip(3209, "core/DE"));
+  const std::size_t frankfurt = test::hub_row(3257, "Frankfurt");
+  EXPECT_EQ(fresh.address_plan().hub(frankfurt).in.ip,
+            world.address_plan().hub(frankfurt).in.ip);
+  const std::size_t vodafone = world.isp(3209).index;
+  EXPECT_EQ(fresh.address_plan().isp_core(vodafone),
+            world.address_plan().isp_core(vodafone));
 }
 
 }  // namespace

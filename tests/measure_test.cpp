@@ -135,7 +135,7 @@ TEST_F(EngineTest, ModeRollFollowsPolicyMostOfTheTime) {
   const probes::Probe& probe = probe_in("DE");
   const cloud::RegionInfo& region = *world_.endpoints().front().region;
   const topology::PairPolicy& policy =
-      world_.interconnect(probe.isp->asn, region.provider, region.continent);
+      world_.interconnect(*probe.isp, region.provider, region.continent);
   int base_hits = 0;
   constexpr int kRolls = 1000;
   for (int i = 0; i < kRolls; ++i) {

@@ -15,6 +15,7 @@
 
 #include "analysis/prepared.hpp"
 #include "analysis/trace_analysis.hpp"
+#include "catalogue_rows.hpp"
 #include "core/study.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -207,14 +208,15 @@ TEST(PreparedPass, TableAnswersAsTheResolver) {
   std::set<std::uint32_t> addresses;
   collect_addresses(study().sc_dataset(), addresses);
   collect_addresses(study().atlas_dataset(), addresses);
-  // Hand-picked: private space, an IXP peering LAN, a router only whois
-  // knows (GTT keeps its infrastructure out of the RIB), unknown space.
+  // Hand-picked: private space, an IXP peering LAN (DE-CIX), a router only
+  // whois knows (GTT keeps its infrastructure out of the RIB), unknown space.
+  const topology::AddressPlan& plan = world.address_plan();
   const std::vector<net::Ipv4Address> picked{
       net::Ipv4Address{192, 168, 1, 1},
       net::Ipv4Address{10, 0, 0, 1},
       net::Ipv4Address{100, 64, 0, 1},
-      world.router_ip(6695, "lan/DE"),
-      world.router_ip(3257, "hub/Frankfurt"),
+      plan.ixp_lan(test::ixp_row(6695)),
+      plan.hub(test::hub_row(3257, "Frankfurt")).in.ip,
       net::Ipv4Address{203, 0, 113, 7},
       net::Ipv4Address{240, 0, 0, 1}};
   ASSERT_TRUE(resolver.resolve(picked[3]).has_value());

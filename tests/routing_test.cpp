@@ -398,22 +398,21 @@ void expect_same_transit(const PathBuilder::TransitPlan& got,
 TEST_F(PathBuilderTest, TableEntriesAreHaversineBitForBit) {
   const HubTables& t = builder_.tables();
   std::vector<const TransitHub*> hubs;
-  std::size_t block = 0;
-  for (const TransitCarrier& carrier : topology::tier1_carriers()) {
-    const std::size_t n = carrier.hubs.size();
-    for (std::size_t entry = 0; entry < n; ++entry) {
-      for (std::size_t exit = 0; exit < n; ++exit) {
-        EXPECT_EQ(bits(t.pair_km[block + entry * n + exit]),
-                  bits(geo::haversine_km(carrier.hubs[entry].location,
-                                         carrier.hubs[exit].location)))
-            << carrier.name;
-      }
-    }
-    block += n * n;
-    for (const TransitHub& hub : carrier.hubs) hubs.push_back(&hub);
+  const auto carriers = topology::tier1_carriers();
+  ASSERT_EQ(t.carrier_first.size(), carriers.size());
+  for (std::size_t c = 0; c < carriers.size(); ++c) {
+    EXPECT_EQ(t.carrier_first[c], hubs.size()) << carriers[c].name;
+    for (const TransitHub& hub : carriers[c].hubs) hubs.push_back(&hub);
   }
   ASSERT_EQ(t.hubs, hubs.size());
-  ASSERT_EQ(t.pair_km.size(), block);
+  ASSERT_EQ(t.hub_km.size(), t.hubs * t.hubs);
+  for (std::size_t a = 0; a < t.hubs; ++a) {
+    for (std::size_t b = 0; b < t.hubs; ++b) {
+      EXPECT_EQ(bits(t.hub_km[a * t.hubs + b]),
+                bits(geo::haversine_km(hubs[a]->location, hubs[b]->location)))
+          << hubs[a]->city << " -> " << hubs[b]->city;
+    }
+  }
 
   const auto countries = world_.countries().all();
   ASSERT_EQ(t.country_km.size(), countries.size() * t.hubs);
@@ -439,6 +438,33 @@ TEST_F(PathBuilderTest, TableEntriesAreHaversineBitForBit) {
                                        hubs[h]->location)))
           << endpoints[e].region->region_name;
     }
+  }
+
+  // Each catalogue point's spur: its country's row, and the haversine from
+  // the point to that country's centroid, argument order as the backbone
+  // once computed it.
+  const auto expect_spur = [&](const topology::Waypoint& got,
+                               const geo::GeoPoint& at, std::string_view code) {
+    const std::size_t row = world_.countries().row(code);
+    EXPECT_EQ(got.at, at) << code;
+    EXPECT_EQ(got.row, row) << code;
+    EXPECT_EQ(bits(got.spur_km),
+              bits(geo::haversine_km(at, countries[row].centroid)))
+        << code;
+  };
+  ASSERT_EQ(t.hub_points.size(), t.hubs);
+  for (std::size_t h = 0; h < t.hubs; ++h) {
+    expect_spur(t.hub_points[h], hubs[h]->location, hubs[h]->country);
+  }
+  ASSERT_EQ(t.endpoint_points.size(), endpoints.size());
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    expect_spur(t.endpoint_points[e], endpoints[e].region->location,
+                endpoints[e].region->country);
+  }
+  const auto ixps = topology::known_ixps();
+  ASSERT_EQ(t.ixp_points.size(), ixps.size());
+  for (std::size_t x = 0; x < ixps.size(); ++x) {
+    expect_spur(t.ixp_points[x], ixps[x].location, ixps[x].country);
   }
 }
 
@@ -470,21 +496,33 @@ TEST_F(PathBuilderTest, HaversineIsBitwiseSymmetricForEveryHubPair) {
     }
   }
   EXPECT_EQ(pairs, builder_.tables().hubs * points.size());
+  // A build reads a region's or an IXP's spur for the leg from its
+  // country's centroid to it, which the old code took as
+  // haversine(centroid, point).
+  for (const geo::CountryInfo& country : world_.countries().all()) {
+    for (const geo::GeoPoint& point : points) {
+      ASSERT_EQ(bits(geo::haversine_km(country.centroid, point)),
+                bits(geo::haversine_km(point, country.centroid)))
+          << country.code << " <-> " << point.lat_deg << "," << point.lon_deg;
+    }
+  }
 }
 
 TEST_F(PathBuilderTest, ChoicesMatchHaversineLoopsForEveryCountryAndEndpoint) {
-  for (const geo::CountryInfo& country : world_.countries().all()) {
+  const auto countries = world_.countries().all();
+  for (std::size_t row = 0; row < countries.size(); ++row) {
+    const geo::CountryInfo& country = countries[row];
     for (const topology::CloudEndpoint& endpoint : world_.endpoints()) {
       const geo::GeoPoint& to = endpoint.region->location;
       const PathBuilder::CarrierPlan plan =
-          builder_.carrier_plan(country, endpoint);
+          builder_.carrier_plan(row, endpoint);
       const PathBuilder::CarrierPlan want =
           ref_best_single_carrier(country.centroid, to);
       ASSERT_EQ(plan.carrier, want.carrier)
           << country.code << " -> " << endpoint.region->region_name;
       ASSERT_EQ(plan.entry, want.entry) << country.code;
       ASSERT_EQ(plan.exit, want.exit) << country.code;
-      expect_same_transit(builder_.transit_plan(country, endpoint),
+      expect_same_transit(builder_.transit_plan(row, endpoint),
                           ref_transit(country.centroid, to), country.code);
     }
   }

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <unordered_set>
 
+#include "catalogue_rows.hpp"
+#include "cloud/region.hpp"
+#include "geo/cities.hpp"
+#include "obs/metrics.hpp"
 #include "topology/as_registry.hpp"
 #include "topology/backbone.hpp"
 #include "topology/interconnect.hpp"
@@ -66,6 +71,15 @@ TEST(AsRegistry, SyntheticAsnsAreFresh) {
 
 class BackboneTest : public ::testing::Test {
  protected:
+  /// `at` in the country `code`, with its spur priced as a path builder
+  /// prices one.
+  [[nodiscard]] static Waypoint waypoint(const geo::GeoPoint& at,
+                                         std::string_view code) {
+    const geo::CountryTable& table = geo::CountryTable::instance();
+    const std::size_t row = table.row(code);
+    return Waypoint{at, row, geo::haversine_km(at, table.all()[row].centroid)};
+  }
+
   Backbone backbone_{geo::CountryTable::instance()};
 };
 
@@ -119,7 +133,9 @@ TEST_F(BackboneTest, PenaltiesAccumulatePerCrossing) {
 TEST_F(BackboneTest, SegmentCostAddsLocalSpurs) {
   const geo::GeoPoint berlin{52.52, 13.40};
   const geo::GeoPoint paris{48.86, 2.35};
-  const auto cost = backbone_.segment_cost(berlin, "DE", paris, "FR");
+  const auto cost = backbone_.segment_cost(
+      waypoint(berlin, "DE"), waypoint(paris, "FR"),
+      geo::haversine_km(berlin, paris));
   EXPECT_GT(cost.effective_km, geo::haversine_km(berlin, paris) * 0.8);
   EXPECT_LT(cost.effective_km, 6000.0);
 }
@@ -128,8 +144,10 @@ TEST_F(BackboneTest, SameCountrySegmentScalesWithDistance) {
   const geo::GeoPoint a{40.0, -100.0};
   const geo::GeoPoint b{40.0, -90.0};
   const geo::GeoPoint c{40.0, -80.0};
-  const auto short_cost = backbone_.segment_cost(a, "US", b, "US");
-  const auto long_cost = backbone_.segment_cost(a, "US", c, "US");
+  const auto short_cost = backbone_.segment_cost(
+      waypoint(a, "US"), waypoint(b, "US"), geo::haversine_km(a, b));
+  const auto long_cost = backbone_.segment_cost(
+      waypoint(a, "US"), waypoint(c, "US"), geo::haversine_km(a, c));
   EXPECT_GT(long_cost.effective_km, short_cost.effective_km);
 }
 
@@ -137,9 +155,11 @@ TEST_F(BackboneTest, PhysicalKmIsBelowEffectiveKm) {
   const geo::CountryTable& t = geo::CountryTable::instance();
   for (const auto& [a, b] : std::vector<std::pair<const char*, const char*>>{
            {"DE", "JP"}, {"EG", "ZA"}, {"US", "AU"}}) {
-    const auto cost = backbone_.segment_cost(t.at(a).centroid, a, t.at(b).centroid, b);
-    const double physical =
-        backbone_.physical_km(t.at(a).centroid, a, t.at(b).centroid, b);
+    const Waypoint from = waypoint(t.at(a).centroid, a);
+    const Waypoint to = waypoint(t.at(b).centroid, b);
+    const double direct = geo::haversine_km(from.at, to.at);
+    const auto cost = backbone_.segment_cost(from, to, direct);
+    const double physical = backbone_.physical_km(from, to, direct);
     EXPECT_LT(physical, cost.effective_km * 1.01) << a << "-" << b;
     EXPECT_GT(physical, 0.0);
   }
@@ -152,15 +172,19 @@ TEST_F(BackboneTest, DetourAndPenaltyShrinkWithQuality) {
 }
 
 TEST(UplinkGateways, GulfFunnelsThroughEgypt) {
-  const auto bh = uplink_gateways("BH");
-  ASSERT_EQ(bh.size(), 1u);
-  EXPECT_EQ(bh.front(), "EG");
-  EXPECT_TRUE(uplink_gateways("DE").empty());
-  EXPECT_TRUE(uplink_gateways("JP").empty());
+  const geo::CountryTable& table = geo::CountryTable::instance();
+  const Backbone backbone{table};
+  const auto gateways = [&](std::string_view code) {
+    return backbone.uplink_gateways(table.row(code));
+  };
+  ASSERT_EQ(gateways("BH").size(), 1u);
+  EXPECT_EQ(gateways("BH").front(), table.row("EG"));
+  EXPECT_TRUE(gateways("DE").empty());
+  EXPECT_TRUE(gateways("JP").empty());
   // North Africa hairpins through Europe; east Africa through Nairobi.
-  EXPECT_FALSE(uplink_gateways("EG").empty());
-  ASSERT_EQ(uplink_gateways("UG").size(), 1u);
-  EXPECT_EQ(uplink_gateways("UG").front(), "KE");
+  EXPECT_FALSE(gateways("EG").empty());
+  ASSERT_EQ(gateways("UG").size(), 1u);
+  EXPECT_EQ(gateways("UG").front(), table.row("KE"));
 }
 
 TEST(PolicyOverride, MatchesPaperMatrices) {
@@ -181,6 +205,10 @@ TEST(PolicyOverride, MatchesPaperMatrices) {
 
 class WorldTest : public ::testing::Test {
  protected:
+  [[nodiscard]] std::size_t row(std::string_view code) const {
+    return world_.countries().row(code);
+  }
+
   World world_{WorldConfig{1234}};
 };
 
@@ -268,26 +296,28 @@ TEST_F(WorldTest, IxpPrefixesAreSeparateFromRib) {
 TEST_F(WorldTest, CaseStudyPopsMatchThePaper) {
   using cloud::ProviderId;
   for (const std::string_view cc : {"DE", "JP", "UA"}) {
-    EXPECT_TRUE(world_.has_pop(ProviderId::Amazon, cc)) << cc;
-    EXPECT_TRUE(world_.has_pop(ProviderId::Google, cc)) << cc;
-    EXPECT_TRUE(world_.has_pop(ProviderId::Microsoft, cc)) << cc;
+    EXPECT_TRUE(world_.has_pop(ProviderId::Amazon, row(cc))) << cc;
+    EXPECT_TRUE(world_.has_pop(ProviderId::Google, row(cc))) << cc;
+    EXPECT_TRUE(world_.has_pop(ProviderId::Microsoft, row(cc))) << cc;
   }
   // Bahrain: MSFT/GCP edge presence, no Amazon edge (Fig. 18a).
-  EXPECT_TRUE(world_.has_pop(ProviderId::Microsoft, "BH"));
-  EXPECT_TRUE(world_.has_pop(ProviderId::Google, "BH"));
-  EXPECT_FALSE(world_.has_pop(ProviderId::Amazon, "BH"));
+  EXPECT_TRUE(world_.has_pop(ProviderId::Microsoft, row("BH")));
+  EXPECT_TRUE(world_.has_pop(ProviderId::Google, row("BH")));
+  EXPECT_FALSE(world_.has_pop(ProviderId::Amazon, row("BH")));
   // Datacenter presence implies an edge.
-  EXPECT_TRUE(world_.has_pop(ProviderId::Amazon, "BR"));
-  EXPECT_TRUE(world_.has_pop(ProviderId::Microsoft, "ZA"));
+  EXPECT_TRUE(world_.has_pop(ProviderId::Amazon, row("BR")));
+  EXPECT_TRUE(world_.has_pop(ProviderId::Microsoft, row("ZA")));
   // Vultr runs no WAN edge anywhere it has no DC.
-  EXPECT_FALSE(world_.has_pop(ProviderId::Vultr, "UA"));
+  EXPECT_FALSE(world_.has_pop(ProviderId::Vultr, row("UA")));
 }
 
 TEST_F(WorldTest, InterconnectPolicyIsDeterministicAndCached) {
   const PairPolicy& a =
-      world_.interconnect(3209, cloud::ProviderId::Vultr, Continent::Europe);
+      world_.interconnect(world_.isp(3209), cloud::ProviderId::Vultr,
+                          Continent::Europe);
   const PairPolicy& b =
-      world_.interconnect(3209, cloud::ProviderId::Vultr, Continent::Europe);
+      world_.interconnect(world_.isp(3209), cloud::ProviderId::Vultr,
+                          Continent::Europe);
   EXPECT_EQ(&a, &b);
   EXPECT_GT(a.adherence, 0.5);
   EXPECT_LE(a.adherence, 1.0);
@@ -295,20 +325,22 @@ TEST_F(WorldTest, InterconnectPolicyIsDeterministicAndCached) {
 
 TEST_F(WorldTest, OverriddenPolicyUsesThePaperMode) {
   const PairPolicy& policy =
-      world_.interconnect(6805, cloud::ProviderId::Alibaba, Continent::Europe);
+      world_.interconnect(world_.isp(6805), cloud::ProviderId::Alibaba,
+                          Continent::Europe);
   EXPECT_EQ(policy.base, InterconnectMode::Public);
 }
 
 TEST_F(WorldTest, DigitalOceanIsPublicTowardsAsia) {
   const PairPolicy& policy = world_.interconnect(
-      2516, cloud::ProviderId::DigitalOcean, Continent::Asia);
+      world_.isp(2516), cloud::ProviderId::DigitalOcean, Continent::Asia);
   EXPECT_EQ(policy.base, InterconnectMode::Public);
 }
 
 TEST_F(WorldTest, RouterIpsAreStableAndInsideInfraPrefix) {
-  const net::Ipv4Address a = world_.router_ip(3209, "core/DE");
-  const net::Ipv4Address b = world_.router_ip(3209, "core/DE");
-  const net::Ipv4Address c = world_.router_ip(3209, "edge/DE-city-1");
+  const std::size_t vodafone = world_.isp(3209).index;
+  const net::Ipv4Address a = world_.address_plan().isp_core(vodafone);
+  const net::Ipv4Address b = world_.address_plan().isp_core(vodafone);
+  const net::Ipv4Address c = world_.address_plan().isp_edge(vodafone, 0);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_TRUE(world_.isp(3209).infra_prefix.contains(a));
@@ -331,21 +363,144 @@ TEST_F(WorldTest, SameSeedSameWorld) {
     EXPECT_EQ(other.isps()[i].asn, world_.isps()[i].asn);
     EXPECT_EQ(other.isps()[i].customer_prefix, world_.isps()[i].customer_prefix);
   }
-  EXPECT_EQ(other.has_pop(cloud::ProviderId::Amazon, "SE"),
-            world_.has_pop(cloud::ProviderId::Amazon, "SE"));
+  EXPECT_EQ(other.has_pop(cloud::ProviderId::Amazon, row("SE")),
+            world_.has_pop(cloud::ProviderId::Amazon, row("SE")));
 }
 
 TEST_F(WorldTest, DifferentSeedDiffersSomewhere) {
   World other{WorldConfig{4321}};
   bool any_difference = false;
-  for (const geo::CountryInfo& country : world_.countries().all()) {
-    if (other.has_pop(cloud::ProviderId::Amazon, country.code) !=
-        world_.has_pop(cloud::ProviderId::Amazon, country.code)) {
+  for (std::size_t r = 0; r < world_.countries().all().size(); ++r) {
+    if (other.has_pop(cloud::ProviderId::Amazon, r) !=
+        world_.has_pop(cloud::ProviderId::Amazon, r)) {
       any_difference = true;
       break;
     }
   }
   EXPECT_TRUE(any_difference);
+}
+
+// --- the typed address plan ------------------------------------------------
+
+/// The endpoint of `provider`'s region `name`.
+[[nodiscard]] std::size_t endpoint_row(const World& world,
+                                       cloud::ProviderId provider,
+                                       std::string_view name) {
+  const auto& endpoints = world.endpoints();
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    if (endpoints[e].region->provider == provider &&
+        endpoints[e].region->region_name == name) {
+      return e;
+    }
+  }
+  ADD_FAILURE() << "no endpoint " << name;
+  return 0;
+}
+
+TEST(AddressPlan, TypedTablesKeepTheStringPlansAddresses) {
+  // The addresses the string-keyed plan gave these sites at seed 42, by
+  // their former labels: the typed tables keep its canonical walk and its
+  // allocator draws, so every site keeps its address.
+  const World world{WorldConfig{42}};
+  const AddressPlan& plan = world.address_plan();
+  const geo::CountryTable& table = world.countries();
+  const auto ip = [](net::Ipv4Address address) { return address.to_string(); };
+  using cloud::ProviderId;
+
+  // AS3257 hub/Frankfurt, hub/Frankfurt/ecmp-b, hub-out/Frankfurt.
+  const std::size_t frankfurt = test::hub_row(3257, "Frankfurt");
+  EXPECT_EQ(ip(plan.hub(frankfurt).in.ip), "5.0.64.1");
+  EXPECT_EQ(ip(plan.hub(frankfurt).in.sibling), "5.0.64.2");
+  EXPECT_EQ(ip(plan.hub(frankfurt).out), "5.0.64.3");
+  // Europe's transit up/DE, up/DE/ecmp-b, gw/DE; Asia's transit gw/EG.
+  const UpstreamSites& de = plan.upstream(Continent::Europe, table.row("DE"));
+  EXPECT_EQ(ip(de.up.ip), "5.3.192.1");
+  EXPECT_EQ(ip(de.up.sibling), "5.3.192.2");
+  EXPECT_EQ(ip(de.gw), "5.3.192.3");
+  EXPECT_EQ(ip(plan.upstream(Continent::Asia, table.row("EG")).gw),
+            "5.3.129.17");
+  // AS6695 (DE-CIX) lan/DE.
+  EXPECT_EQ(ip(plan.ixp_lan(test::ixp_row(6695))), "5.4.192.1");
+  // AS3209 core/DE, edge/DE-city-1, edge/DE-city-3.
+  const std::size_t vodafone = world.isp(3209).index;
+  EXPECT_EQ(ip(plan.isp_core(vodafone)), "5.6.0.13");
+  EXPECT_EQ(ip(plan.isp_edge(vodafone, 0)), "5.6.0.1");
+  EXPECT_EQ(ip(plan.isp_edge(vodafone, 2)), "5.6.0.3");
+  // AS5416 (Batelco, Bahrain) core/BH and gw/EG.
+  const std::size_t batelco = world.isp(5416).index;
+  EXPECT_EQ(ip(plan.isp_core(batelco)), "6.162.0.3");
+  EXPECT_EQ(ip(plan.isp_gateway(batelco, 0)), "6.162.0.4");
+  // Microsoft pop/DE, pop@Frankfurt, wan/DE-ukwest and
+  // wan/westeurope-ukwest; Amazon pop@Frankfurt.
+  EXPECT_EQ(ip(plan.pop(ProviderId::Microsoft, table.row("DE"))), "8.25.0.1");
+  EXPECT_EQ(ip(plan.pop_at(ProviderId::Microsoft, frankfurt)), "8.25.0.151");
+  EXPECT_EQ(ip(plan.pop_at(ProviderId::Amazon, frankfurt)), "8.23.0.151");
+  const std::size_t ukwest =
+      endpoint_row(world, ProviderId::Microsoft, "ukwest");
+  EXPECT_EQ(ip(plan.wan(ukwest, table.row("DE"))), "8.25.2.251");
+  EXPECT_EQ(ip(plan.wan_from(ukwest, endpoint_row(world, ProviderId::Microsoft,
+                                                  "westeurope"))),
+            "8.25.3.144");
+}
+
+TEST(AddressPlan, EveryPlannedAddressIsDistinct) {
+  const World world{WorldConfig{42}};
+  const AddressPlan& plan = world.address_plan();
+  const std::size_t countries = world.countries().all().size();
+  std::size_t hubs = 0;
+  for (const TransitCarrier& carrier : tier1_carriers()) {
+    hubs += carrier.hubs.size();
+  }
+  std::set<std::uint32_t> seen;
+  const auto add = [&seen](net::Ipv4Address address) {
+    seen.insert(address.value());
+  };
+  for (std::size_t h = 0; h < hubs; ++h) {
+    add(plan.hub(h).in.ip);
+    add(plan.hub(h).in.sibling);
+    add(plan.hub(h).out);
+  }
+  for (const Continent c : geo::kAllContinents) {
+    for (std::size_t row = 0; row < countries; ++row) {
+      add(plan.upstream(c, row).up.ip);
+      add(plan.upstream(c, row).up.sibling);
+      add(plan.upstream(c, row).gw);
+    }
+  }
+  for (std::size_t x = 0; x < known_ixps().size(); ++x) add(plan.ixp_lan(x));
+  for (const IspNetwork& isp : world.isps()) {
+    const std::size_t cities =
+        geo::CityDirectory::instance().cities(isp.country_row).size();
+    for (std::size_t city = 0; city < cities; ++city) {
+      add(plan.isp_edge(isp.index, city));
+    }
+    add(plan.isp_core(isp.index));
+    const std::size_t gateways =
+        world.backbone().uplink_gateways(isp.country_row).size();
+    for (std::size_t g = 0; g < gateways; ++g) {
+      add(plan.isp_gateway(isp.index, g));
+    }
+  }
+  for (const cloud::ProviderId provider : cloud::kAllProviders) {
+    for (std::size_t row = 0; row < countries; ++row) {
+      add(plan.pop(provider, row));
+    }
+    // Hubs in one city share their PoP interface.
+    for (std::size_t h = 0; h < hubs; ++h) add(plan.pop_at(provider, h));
+  }
+  const auto& endpoints = world.endpoints();
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    for (std::size_t row = 0; row < countries; ++row) add(plan.wan(e, row));
+    for (std::size_t s = 0; s < endpoints.size(); ++s) {
+      if (endpoints[s].region->provider == endpoints[e].region->provider) {
+        add(plan.wan_from(e, s));
+      }
+    }
+  }
+  EXPECT_EQ(plan.size(), 40337u);
+  EXPECT_EQ(seen.size(), plan.size());
+  EXPECT_EQ(obs::Registry::global().gauge("world.router_sites").value(),
+            40337.0);
 }
 
 // Property sweep: every <named ISP, provider, continent> policy is one of
@@ -357,7 +512,7 @@ TEST_P(PolicySweep, PolicyIsWellFormed) {
   World world{WorldConfig{7}};
   const auto [asn, provider] = GetParam();
   for (const Continent c : geo::kAllContinents) {
-    const PairPolicy& policy = world.interconnect(asn, provider, c);
+    const PairPolicy& policy = world.interconnect(world.isp(asn), provider, c);
     EXPECT_NE(policy.base, policy.fallback);
     EXPECT_GE(policy.adherence, 0.85);
     EXPECT_LE(policy.adherence, 1.0);
