@@ -7,8 +7,9 @@
 # Usage: scripts/reproduce.sh [scale]   (default | paper | NxM probe counts,
 # e.g. 600x150; default by default)
 #
-# The perf_* binaries are not run: they are benchmarks, and perf_trajectory
-# would overwrite the committed BENCH_*.json baseline.
+# The perf_* microbenchmarks and the end-to-end benchmark are not run: they
+# time the code rather than reproduce the paper (scripts/bench_record.py
+# records the benchmark).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,11 +1,6 @@
 #include "lint/index.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <sstream>
-
-#include "util/json.hpp"
-#include "util/json_value.hpp"
 
 namespace cloudrtt::lint {
 
@@ -83,40 +78,6 @@ namespace {
     }
   }
   return best;
-}
-
-[[nodiscard]] std::string hex64(std::uint64_t value) {
-  char buffer[17] = {};
-  std::to_chars(buffer, buffer + 16, value, 16);
-  return std::string{buffer};
-}
-
-[[nodiscard]] bool parse_hex64(std::string_view text, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out, 16);
-  return ec == std::errc{} && ptr == text.data() + text.size() &&
-         !text.empty();
-}
-
-void write_string_array(util::JsonWriter& json, std::string_view name,
-                        const std::vector<std::string>& values) {
-  json.key(name);
-  json.begin_array();
-  for (const std::string& value : values) json.value(value);
-  json.end_array();
-}
-
-void parse_string_array(const util::JsonValue* node,
-                        std::vector<std::string>& out) {
-  if (node == nullptr) return;
-  for (const util::JsonValue& item : node->items()) {
-    out.push_back(item.as_string());
-  }
-}
-
-[[nodiscard]] std::size_t size_at(const util::JsonValue& node,
-                                  std::string_view key) {
-  return static_cast<std::size_t>(node.number_at(key, 0.0));
 }
 
 }  // namespace
@@ -240,167 +201,6 @@ void index_annotations(const std::string& path, std::string_view original,
     edge.line = i + 1;
     out.edges.push_back(std::move(edge));
   }
-}
-
-std::string write_index_cache_json(
-    const std::map<std::string, FileIndex>& files) {
-  std::ostringstream out;
-  util::JsonWriter json{out};
-  json.begin_object();
-  json.field("schema", "cloudrtt-lint-index/1");
-  json.key("files");
-  json.begin_object();
-  for (const auto& [path, index] : files) {
-    json.key(path);
-    json.begin_object();
-    json.field("hash", hex64(index.hash));
-    write_string_array(json, "unordered_vars", index.unordered_vars);
-    write_string_array(json, "unordered_fns", index.unordered_fns);
-    write_string_array(json, "unordered_aliases", index.unordered_aliases);
-    write_string_array(json, "map_like", index.map_like);
-    json.key("guarded");
-    json.begin_array();
-    for (const GuardedField& field : index.guarded) {
-      json.begin_object();
-      json.field("owner", field.owner);
-      json.field("field", field.field);
-      json.field("guard", field.guard);
-      json.field("file", field.file);
-      json.field("stem", field.stem);
-      json.field("line", static_cast<std::uint64_t>(field.line));
-      json.end_object();
-    }
-    json.end_array();
-    json.key("frozen");
-    json.begin_array();
-    for (const FrozenType& frozen : index.frozen) {
-      json.begin_object();
-      json.field("name", frozen.name);
-      json.field("file", frozen.file);
-      json.field("stem", frozen.stem);
-      json.field("line", static_cast<std::uint64_t>(frozen.line));
-      json.end_object();
-    }
-    json.end_array();
-    json.key("hot");
-    json.begin_array();
-    for (const HotRegion& region : index.hot) {
-      json.begin_object();
-      json.field("file", region.file);
-      json.field("begin", static_cast<std::uint64_t>(region.begin));
-      json.field("end", static_cast<std::uint64_t>(region.end));
-      json.field("label", region.label);
-      json.field("line", static_cast<std::uint64_t>(region.line));
-      json.end_object();
-    }
-    json.end_array();
-    json.key("edges");
-    json.begin_array();
-    for (const IncludeEdge& edge : index.edges) {
-      json.begin_object();
-      json.field("from", edge.from_module);
-      json.field("to", edge.to_module);
-      json.field("header", edge.header);
-      json.field("line", static_cast<std::uint64_t>(edge.line));
-      json.end_object();
-    }
-    json.end_array();
-    json.key("allows");
-    json.begin_array();
-    for (const AllowUse& allow : index.allows) {
-      json.begin_object();
-      json.field("rule", allow.rule);
-      json.field("line", static_cast<std::uint64_t>(allow.line));
-      json.field("justified", allow.has_justification);
-      json.end_object();
-    }
-    json.end_array();
-    json.end_object();
-  }
-  json.end_object();
-  json.end_object();
-  out << '\n';
-  return out.str();
-}
-
-bool parse_index_cache_json(std::string_view text,
-                            std::map<std::string, FileIndex>& out) {
-  out.clear();
-  const std::optional<util::JsonValue> doc = util::JsonValue::parse(text);
-  if (!doc || !doc->is_object() ||
-      doc->string_at("schema") != "cloudrtt-lint-index/1") {
-    return false;
-  }
-  const util::JsonValue* files = doc->find("files");
-  if (files == nullptr || !files->is_object()) return false;
-  for (const auto& [path, node] : files->members()) {
-    FileIndex index;
-    if (!parse_hex64(node.string_at("hash"), index.hash)) {
-      out.clear();
-      return false;
-    }
-    parse_string_array(node.find("unordered_vars"), index.unordered_vars);
-    parse_string_array(node.find("unordered_fns"), index.unordered_fns);
-    parse_string_array(node.find("unordered_aliases"),
-                       index.unordered_aliases);
-    parse_string_array(node.find("map_like"), index.map_like);
-    if (const util::JsonValue* list = node.find("guarded")) {
-      for (const util::JsonValue& item : list->items()) {
-        GuardedField field;
-        field.owner = item.string_at("owner");
-        field.field = item.string_at("field");
-        field.guard = item.string_at("guard");
-        field.file = item.string_at("file");
-        field.stem = item.string_at("stem");
-        field.line = size_at(item, "line");
-        index.guarded.push_back(std::move(field));
-      }
-    }
-    if (const util::JsonValue* list = node.find("frozen")) {
-      for (const util::JsonValue& item : list->items()) {
-        FrozenType frozen;
-        frozen.name = item.string_at("name");
-        frozen.file = item.string_at("file");
-        frozen.stem = item.string_at("stem");
-        frozen.line = size_at(item, "line");
-        index.frozen.push_back(std::move(frozen));
-      }
-    }
-    if (const util::JsonValue* list = node.find("hot")) {
-      for (const util::JsonValue& item : list->items()) {
-        HotRegion region;
-        region.file = item.string_at("file");
-        region.begin = size_at(item, "begin");
-        region.end = size_at(item, "end");
-        region.label = item.string_at("label");
-        region.line = size_at(item, "line");
-        index.hot.push_back(std::move(region));
-      }
-    }
-    if (const util::JsonValue* list = node.find("edges")) {
-      for (const util::JsonValue& item : list->items()) {
-        IncludeEdge edge;
-        edge.from_module = item.string_at("from");
-        edge.to_module = item.string_at("to");
-        edge.header = item.string_at("header");
-        edge.line = size_at(item, "line");
-        index.edges.push_back(std::move(edge));
-      }
-    }
-    if (const util::JsonValue* list = node.find("allows")) {
-      for (const util::JsonValue& item : list->items()) {
-        AllowUse allow;
-        allow.rule = item.string_at("rule");
-        allow.line = size_at(item, "line");
-        if (const util::JsonValue* flag = item.find("justified")) {
-          allow.has_justification = flag->as_bool();
-        }
-        index.allows.push_back(std::move(allow));
-      }
-    }
-    out.emplace(path, std::move(index));
-  }
-  return true;
 }
 
 }  // namespace cloudrtt::lint

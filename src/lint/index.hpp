@@ -4,11 +4,9 @@
 // annotation marker (`lint:guarded_by`, `lint:frozen`, `lint:hot`,
 // `lint:allow`) and internal include edge. Pass 2 (audit.cpp) runs the rule
 // families against the merged index. A FileIndex depends only on its own
-// file's bytes, so it is cached on the content hash (`--index-cache`).
+// file's bytes.
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,11 +59,8 @@ struct AllowUse {
   bool has_justification = false;
 };
 
-/// Everything pass 2 needs from one file. Derivable from the file's bytes
-/// alone — the cache contract.
+/// Everything pass 2 needs from one file, derived from its bytes alone.
 struct FileIndex {
-  std::uint64_t hash = 0;  ///< fnv1a of the file's original content
-
   // Unordered-container harvest feeding the unordered-iter rule.
   std::vector<std::string> unordered_vars;
   std::vector<std::string> unordered_fns;
@@ -88,15 +83,5 @@ struct FileIndex {
 void index_annotations(const std::string& path, std::string_view original,
                        const Scrubbed& scrubbed, const FileShape& shape,
                        bool harvest_markers, FileIndex& out);
-
-/// Serialize a path → FileIndex map as the on-disk cache document.
-[[nodiscard]] std::string write_index_cache_json(
-    const std::map<std::string, FileIndex>& files);
-
-/// Parse a cache document written by write_index_cache_json. Returns false
-/// (leaving `out` empty) on malformed input — a stale or corrupt cache is
-/// simply ignored.
-[[nodiscard]] bool parse_index_cache_json(std::string_view text,
-                                          std::map<std::string, FileIndex>& out);
 
 }  // namespace cloudrtt::lint

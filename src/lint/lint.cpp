@@ -1,7 +1,6 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "lint/audit.hpp"
 #include "lint/index.hpp"
 #include "lint/scrub.hpp"
-#include "util/rng.hpp"
 
 namespace cloudrtt::lint {
 
@@ -105,12 +103,10 @@ struct Linter::Impl {
     Scrubbed scrubbed;
     FileShape shape;
     FileIndex index;
-    bool index_cached = false;  ///< index reused from --index-cache
   };
 
   LintOptions options;
   std::vector<File> files;
-  std::map<std::string, FileIndex> cache;
   // std::set: the symbol tables themselves must never introduce iteration-
   // order nondeterminism into reports.
   std::set<std::string> unordered_vars;
@@ -130,36 +126,15 @@ Linter::Linter(LintOptions options) : impl_(new Impl) {
 
 Linter::~Linter() { delete impl_; }
 
-bool Linter::load_index_cache(std::string_view json) {
-  return parse_index_cache_json(json, impl_->cache);
-}
-
-std::string Linter::write_index_cache() const {
-  std::map<std::string, FileIndex> files;
-  for (const Impl::File& file : impl_->files) {
-    files.emplace(file.path, file.index);
-  }
-  return write_index_cache_json(files);
-}
-
 void Linter::add(std::string path, std::string content) {
   Impl::File file;
   file.path = normalise(path);
   file.scrubbed = scrub(content);
   file.shape = analyze_braces(file.scrubbed.code);
   file.original = std::move(content);
-  file.index.hash = util::fnv1a(file.original);
-  const auto cached = impl_->cache.find(file.path);
-  if (cached != impl_->cache.end() && cached->second.hash == file.index.hash) {
-    // Same bytes, same index: skip pass 1 for this file. Byte offsets in
-    // the cached hot regions stay valid because the content is identical.
-    file.index = cached->second;
-    file.index_cached = true;
-  } else {
-    index_annotations(file.path, file.original, file.scrubbed, file.shape,
-                      impl_->options.harvest_markers(file.path), file.index);
-    impl_->harvest(file);
-  }
+  index_annotations(file.path, file.original, file.scrubbed, file.shape,
+                    impl_->options.harvest_markers(file.path), file.index);
+  impl_->harvest(file);
   impl_->files.push_back(std::move(file));
 }
 
@@ -224,8 +199,8 @@ void Linter::Impl::harvest(File& file) {
 
 // Pass 1c: `IndexAlias name` declares an unordered variable too, and
 // `auto name = unordered_fn(...)` binds the function's unordered result.
-// Runs live every time (it depends on the merged alias set, so it is not
-// part of the per-file cache).
+// It runs after every file's harvest, because it depends on the merged
+// alias set.
 void Linter::Impl::harvest_alias_uses(const File& file) {
   const std::string& code = file.scrubbed.code;
   // lint:allow(unordered-iter): std::set of names; iteration is ordered
@@ -542,7 +517,7 @@ void Linter::Impl::apply_suppressions(const File& file, Finding& finding) const 
 }
 
 std::vector<Finding> Linter::run() {
-  // Merge every per-file index (fresh or cached) into the global tables.
+  // Merge every per-file index into the global tables.
   for (const Impl::File& file : impl_->files) {
     impl_->unordered_vars.insert(file.index.unordered_vars.begin(),
                                  file.index.unordered_vars.end());

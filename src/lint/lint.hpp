@@ -75,9 +75,9 @@
 //
 // The scanner is token-aware, not a parser: comments, string literals
 // (including raw strings), and char literals never produce findings, and
-// type knowledge comes from a cross-file symbol index (pass 1, cacheable on
-// content hashes), so members declared unordered or guarded in a header are
-// recognised when touched in a .cpp.
+// type knowledge comes from a cross-file symbol index (pass 1), so members
+// declared unordered or guarded in a header are recognised when touched in a
+// .cpp.
 
 #include <array>
 #include <cstddef>
@@ -175,15 +175,6 @@ class Linter {
   /// Register a source file. `path` is used for reporting and rule scoping;
   /// `content` is the full file text.
   void add(std::string path, std::string content);
-
-  /// Seed pass 1 from a cache document (write_index_cache()): files whose
-  /// content hash matches reuse the cached index instead of re-scanning.
-  /// Call before the first add(). Returns false on a malformed document
-  /// (the cache is ignored, not an error).
-  bool load_index_cache(std::string_view json);
-
-  /// Serialize the post-run index of every added file for --index-cache.
-  [[nodiscard]] std::string write_index_cache() const;
 
   /// Scan every added file. Findings are ordered by (file, line, rule).
   [[nodiscard]] std::vector<Finding> run();

@@ -66,8 +66,6 @@ class JsonParser {
   }
 
  private:
-  static constexpr int kMaxDepth = 64;
-
   void skip_whitespace() {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
@@ -177,7 +175,7 @@ class JsonParser {
   }
 
   [[nodiscard]] bool parse_value(JsonValue& out, int depth) {  // NOLINT(misc-no-recursion)
-    if (depth > kMaxDepth) return fail("nesting too deep");
+    if (depth > JsonValue::kMaxDepth) return fail("nesting too deep");
     skip_whitespace();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char ch = text_[pos_];

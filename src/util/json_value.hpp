@@ -1,10 +1,10 @@
 #pragma once
 // Minimal JSON parser (DOM, read side of util/json.hpp's writer): enough to
-// load a BENCH_*.json report back for regression comparison and to validate
-// the Chrome-trace export in tests. Strict on structure (unterminated
-// containers, trailing garbage and bad escapes are errors), permissive on
-// whitespace. Object member order is preserved, so round-tripping a document
-// written by JsonWriter is deterministic.
+// read the lint baseline back from disk and to validate the Chrome-trace
+// export in tests. Strict on structure (unterminated containers, trailing
+// garbage and bad escapes are errors), permissive on whitespace. Object
+// member order is preserved, so round-tripping a document written by
+// JsonWriter is deterministic.
 
 #include <optional>
 #include <string>
@@ -17,6 +17,10 @@ namespace cloudrtt::util {
 class JsonValue {
  public:
   enum class Kind : unsigned char { Null, Bool, Number, String, Array, Object };
+
+  /// Deepest nesting parse() accepts: the document's root value is at depth
+  /// 0 and each enclosing array or object adds one.
+  static constexpr int kMaxDepth = 64;
 
   /// Parse one complete JSON document. Returns nullopt (and fills `error`
   /// with "offset N: reason" when given) on malformed input, including

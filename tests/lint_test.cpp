@@ -785,35 +785,7 @@ int* build(int n) { return new int[n]; }
 }
 
 // ---------------------------------------------------------------------------
-// Index cache + allow-use accounting
-
-TEST(LintIndexCache, RoundTripReproducesFindings) {
-  const std::string header{kGuardedHeader};
-  const std::string source = R"cpp(
-#include "q.hpp"
-void touch(Queue& q) {
-  q.depth_ = 1;
-}
-)cpp";
-  Linter first;
-  first.add("src/store/q.hpp", header);
-  first.add("src/store/q.cpp", source);
-  const auto fresh = first.run();
-  ASSERT_EQ(count_rule(fresh, Rule::GuardedBy), 1u);
-
-  Linter second;
-  ASSERT_TRUE(second.load_index_cache(first.write_index_cache()));
-  second.add("src/store/q.hpp", header);
-  second.add("src/store/q.cpp", source);
-  const auto cached = second.run();
-  ASSERT_EQ(cached.size(), fresh.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].file, fresh[i].file);
-    EXPECT_EQ(cached[i].line, fresh[i].line);
-    EXPECT_EQ(cached[i].rule, fresh[i].rule);
-  }
-  EXPECT_FALSE(second.load_index_cache("not json"));
-}
+// Allow-use accounting
 
 TEST(LintAllowUses, SummaryCountsSuppressionsPerRule) {
   Linter linter;

@@ -169,6 +169,32 @@ TEST(HistogramTest, ExtremeValuesClampIntoRange) {
   EXPECT_GE(histogram.quantile(0.99), 0.0);
 }
 
+TEST(HistogramQuantileTest, SingleSampleIsExact) {
+  Histogram histogram;
+  histogram.record(42.0);
+  // The log-bucketed histogram cannot invent precision it doesn't have, but
+  // with one sample every quantile IS that sample (previously the geometric
+  // bucket midpoint under-reported it by up to ~9%).
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.0), 42.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 42.0);
+  EXPECT_DOUBLE_EQ(histogram.quantile(1.0), 42.0);
+}
+
+TEST(HistogramQuantileTest, SmallCountsStayInsideTheSampleRange) {
+  Histogram histogram;
+  histogram.record(10.0);
+  histogram.record(1000.0);
+  // Two samples: p50 resolves inside the lower sample's bucket (log buckets
+  // are ~19% wide, so the bound is loose but must bracket the sample)...
+  EXPECT_GE(histogram.quantile(0.5), 10.0 * 0.99);
+  EXPECT_LE(histogram.quantile(0.5), 10.0 * 1.20);
+  // ...and the extreme quantiles never escape the recorded range.
+  EXPECT_LE(histogram.quantile(1.0), 1000.0);
+  EXPECT_GE(histogram.quantile(0.0), 10.0 * 0.80);
+  // Empty histogram: a defined zero, not NaN.
+  EXPECT_DOUBLE_EQ(Histogram{}.quantile(0.5), 0.0);
+}
+
 TEST(RegistryTest, FindOrCreateReturnsStableReferences) {
   Registry registry;
   Counter& a = registry.counter("x.total");

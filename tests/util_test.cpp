@@ -7,7 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -300,6 +304,138 @@ TEST(JsonValue, RoundTripsJsonWriterOutput) {
   EXPECT_DOUBLE_EQ(doc->number_at("pi", 0.0), 3.25);
   EXPECT_EQ(doc->string_at("label"), "with \"quotes\" and\nnewline");
   EXPECT_EQ(doc->find("nested")->items().size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded damage: JsonValue::parse reads lint-baseline.json from disk, so any
+// byte string must come back as a value, or as nullopt with an error, and
+// never crash. The sanitizer build runs this under ASan+UBSan.
+
+/// Valid documents that cover every value kind between them: nesting,
+/// every escape (surrogate pairs included), exponents and the literals.
+[[nodiscard]] const std::vector<std::string>& json_corpus() {
+  static const std::vector<std::string> corpus = {
+      R"({"null": null, "yes": true, "no": false, "zero": 0, "neg": -17,
+          "real": 3.25, "exp": -2.5e2, "tiny": 1E-3, "big": 6.02e+23,
+          "plain": "text", "escapes": "q\" b\\ s\/ \b\f\n\r\t",
+          "bmp": "\u00e9\u4E2D", "pair": "\ud83d\ude00 after",
+          "nested": {"a": [[], {}, [{"b": [null, [true, [false]]]}]]}})",
+      R"({
+  "schema": "cloudrtt-lint-baseline/1",
+  "entries": [
+    {
+      "id": "9f3b2c1d00e4a7b6",
+      "file": "src/measure/campaign.cpp",
+      "rule": "unordered-iter",
+      "snippet": "for (const auto& [k, v] : table_) {"
+    },
+    {
+      "id": "0123456789abcdef",
+      "file": "tools/cloudrtt_cli.cpp",
+      "rule": "hot-alloc",
+      "snippet": "std::string label = \"\\u00b5s\";"
+    }
+  ]
+}
+)",
+      R"([1, -0.5, "\u0041", [], {}, [[[]]], {"k": {"k": {"k": null}}}])",
+      "-123.456e-7",
+      R"("lone \ud83d surrogate")",
+  };
+  return corpus;
+}
+
+/// Parse `text` and hold the reader to its contract: a value, or nullopt
+/// with an "offset N: reason" error. Returns whether it parsed. The parse
+/// reads a copy in a buffer of exactly its size, so that under ASan a read
+/// past the end is reported rather than landing in the rest of the document.
+bool expect_value_or_error(std::string_view text) {
+  const auto copy = std::make_unique<char[]>(text.size());
+  std::copy(text.begin(), text.end(), copy.get());
+  std::string error;
+  const std::optional<JsonValue> doc =
+      JsonValue::parse(std::string_view{copy.get(), text.size()}, &error);
+  if (!doc.has_value()) {
+    EXPECT_NE(error.find("offset "), std::string::npos) << error;
+  }
+  return doc.has_value();
+}
+
+[[nodiscard]] std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "0" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+[[nodiscard]] std::string nested_objects(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "{\"k\": ";
+  text += "0";
+  return text + std::string(static_cast<std::size_t>(depth), '}');
+}
+
+TEST(JsonValueDamage, CorpusParses) {
+  for (const std::string& text : json_corpus()) {
+    std::string error;
+    EXPECT_TRUE(JsonValue::parse(text, &error).has_value()) << error;
+  }
+  const auto doc = JsonValue::parse(json_corpus()[0]);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->string_at("bmp"), "\xc3\xa9\xe4\xb8\xad");
+  EXPECT_DOUBLE_EQ(doc->number_at("big", 0.0), 6.02e23);
+  const auto baseline = JsonValue::parse(json_corpus()[1]);
+  ASSERT_TRUE(baseline.has_value());
+  EXPECT_EQ(baseline->find("entries")->items().size(), 2u);
+}
+
+TEST(JsonValueDamage, EveryTruncationIsAValueOrAnError) {
+  for (const std::string& text : json_corpus()) {
+    for (std::size_t length = 0; length < text.size(); ++length) {
+      SCOPED_TRACE(length);
+      (void)expect_value_or_error(std::string_view{text}.substr(0, length));
+    }
+  }
+}
+
+TEST(JsonValueDamage, SeededByteDamageIsAValueOrAnError) {
+  const std::vector<std::string>& corpus = json_corpus();
+  constexpr std::uint64_t kSeeds = 2000;
+  std::uint64_t parsed = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng{seed};
+    std::string text = corpus[rng.below(corpus.size())];
+    const std::uint64_t edits = 1 + rng.below(4);
+    for (std::uint64_t edit = 0; edit < edits && !text.empty(); ++edit) {
+      const std::size_t at = rng.below(text.size());
+      const auto byte = static_cast<char>(rng.below(256));
+      switch (rng.below(3)) {
+        case 0: text[at] = byte; break;
+        case 1: text.insert(at, 1, byte); break;
+        default: text.erase(at, 1); break;
+      }
+    }
+    if (expect_value_or_error(text)) ++parsed;
+  }
+  // The edits reach both outcomes: some keep a valid document (a changed
+  // byte inside a string), most break it.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, kSeeds / 2);
+}
+
+TEST(JsonValueDamage, NestingPastTheLimitIsRefused) {
+  for (const auto& nest : {nested_arrays, nested_objects}) {
+    EXPECT_TRUE(JsonValue::parse(nest(JsonValue::kMaxDepth)).has_value());
+    for (const int depth : {JsonValue::kMaxDepth + 1, 100'000}) {
+      SCOPED_TRACE(depth);
+      std::string error;
+      EXPECT_FALSE(JsonValue::parse(nest(depth), &error).has_value());
+      EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+      // Cut short, the far-too-deep document is refused the same way.
+      const std::string text = nest(depth);
+      EXPECT_FALSE(expect_value_or_error(
+          std::string_view{text}.substr(0, text.size() / 2)));
+    }
+  }
 }
 
 }  // namespace

@@ -5,14 +5,13 @@
 //   cloudrtt-lint --root . --sarif lint.sarif   # SARIF 2.1.0 for CI upload
 //   cloudrtt-lint --root . --baseline lint-baseline.json
 //   cloudrtt-lint --root . --write-baseline lint-baseline.json
-//   cloudrtt-lint --root . --index-cache .lint-cache/index.json
 //   cloudrtt-lint --list-rules                  # rule keys + summaries
 //   cloudrtt-lint --root . --dump-symbols       # harvested unordered names
 //
 // Exit code 0 when every finding is suppressed or baselined, 1 when any
-// active finding remains, 3 on usage/IO errors (matching bench_compare's
-// convention). The SARIF report is written before the nonzero exit so CI can
-// upload it from a failing job. See src/lint/.
+// active finding remains, 3 on usage/IO errors. The SARIF report is written
+// before the nonzero exit so CI can upload it from a failing job. See
+// src/lint/.
 
 #include <algorithm>
 #include <filesystem>
@@ -75,9 +74,6 @@ int main(int argc, char** argv) {
   args.add_option("write-baseline", "",
                   "write the current unsuppressed findings as a baseline "
                   "and exit 0");
-  args.add_option("index-cache", "",
-                  "symbol-index cache file, keyed on content hashes; read "
-                  "if present, rewritten after the run");
   args.add_flag("list-rules", "print rule keys + summaries and exit");
   args.add_flag("show-suppressed", "list suppressed findings in the report");
   args.add_flag("dump-symbols", "print harvested unordered symbols and exit");
@@ -113,14 +109,6 @@ int main(int argc, char** argv) {
   }
 
   cloudrtt::lint::Linter linter;
-  const std::string cache_path = args.get("index-cache");
-  if (!cache_path.empty()) {
-    std::string cached;
-    if (read_file(cache_path, cached) && !linter.load_index_cache(cached)) {
-      std::cerr << "cloudrtt-lint: ignoring malformed index cache "
-                << cache_path << "\n";
-    }
-  }
   for (const fs::path& file : files) {
     std::string content;
     if (!read_file(file, content)) {
@@ -141,12 +129,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<cloudrtt::lint::Finding> findings = linter.run();
-
-  if (!cache_path.empty() &&
-      !write_file(cache_path, linter.write_index_cache())) {
-    std::cerr << "cloudrtt-lint: cannot write index cache " << cache_path
-              << "\n";
-  }
 
   if (const std::string out_path = args.get("write-baseline");
       !out_path.empty()) {
