@@ -1,18 +1,23 @@
 // perf_core — google-benchmark microbenchmarks for the hot kernels of the
 // simulator and the analysis pipeline: longest-prefix match, backbone
-// routing, forwarding-path construction, full traceroute execution, and the
-// statistics kernels.
+// routing, forwarding-path construction, full traceroute execution, the
+// statistics kernels, and the FNV-1a fold of the dataset hash.
 
 #include <benchmark/benchmark.h>
 
+#include <sstream>
 #include <string>
 
 #include "analysis/resolve.hpp"
 #include "analysis/trace_analysis.hpp"
+#include "core/export.hpp"
+#include "measure/campaign.hpp"
 #include "measure/engine.hpp"
 #include "probes/fleet.hpp"
 #include "routing/path_builder.hpp"
 #include "topology/world.hpp"
+#include "util/check.hpp"
+#include "util/fnv1a_fold.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -23,8 +28,8 @@ using namespace cloudrtt;
 /// One shared world + tiny fleet for all fixtures (built once).
 struct Fixture {
   topology::World world{topology::WorldConfig{7}};
-  probes::ProbeFleet fleet{world,
-                           probes::FleetConfig{probes::Platform::Speedchecker, 600}};
+  probes::ProbeFleet fleet{
+      world, probes::FleetConfig{probes::Platform::Speedchecker, 600}};
   analysis::IpToAsn resolver = analysis::IpToAsn::from_world(world);
   measure::Engine engine{world};
 
@@ -43,7 +48,8 @@ void BM_TrieLookup(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.resolver.resolve(addresses[i++ % addresses.size()]));
+    benchmark::DoNotOptimize(
+        f.resolver.resolve(addresses[i++ % addresses.size()]));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -75,7 +81,8 @@ void BM_PathBuild(benchmark::State& state) {
   routing::ForwardingPath path;
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
-    const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
+    const topology::CloudEndpoint& endpoint =
+        endpoints[rng.below(endpoints.size())];
     builder.build_into(probe, endpoint, mode, path);
     benchmark::DoNotOptimize(path.hops.data());
   }
@@ -91,7 +98,8 @@ void BM_Traceroute(benchmark::State& state) {
   const auto& endpoints = f.world.endpoints();
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
-    const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
+    const topology::CloudEndpoint& endpoint =
+        endpoints[rng.below(endpoints.size())];
     benchmark::DoNotOptimize(f.engine.traceroute(probe, endpoint, 0, rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -105,14 +113,14 @@ void BM_ClassifyInterconnect(benchmark::State& state) {
   const auto& probes = f.fleet.probes();
   const auto& endpoints = f.world.endpoints();
   for (int i = 0; i < 256; ++i) {
-    traces.push_back(f.engine.traceroute(probes[rng.below(probes.size())],
-                                         endpoints[rng.below(endpoints.size())], 0,
-                                         rng));
+    traces.push_back(
+        f.engine.traceroute(probes[rng.below(probes.size())],
+                            endpoints[rng.below(endpoints.size())], 0, rng));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::classify_interconnect(traces[i++ % traces.size()], f.resolver));
+    benchmark::DoNotOptimize(analysis::classify_interconnect(
+        traces[i++ % traces.size()], f.resolver));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -139,6 +147,51 @@ void BM_WorldConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldConstruction)->Unit(benchmark::kMillisecond);
+
+/// The first 64 KiB of the canonical trace CSV (the bytes dataset_hash
+/// folds) of a one-day campaign over the shared fleet.
+const std::string& canonical_csv() {
+  static const std::string bytes = [] {
+    Fixture& f = Fixture::instance();
+    measure::CampaignConfig config;
+    config.days = 1;
+    config.daily_budget = 2000;
+    config.run_case_studies = false;
+    const measure::Campaign campaign{f.world, f.fleet, config};
+    const measure::Dataset data =
+        campaign.run(f.world.fork_rng("bench/fnv1a_fold"));
+    std::ostringstream csv;
+    core::export_traces_csv(csv, data, core::CsvFlavour::Canonical);
+    std::string text = csv.str();
+    CLOUDRTT_CHECK(text.size() >= 64 * 1024, "trace CSV under 64 KiB");
+    text.resize(64 * 1024);
+    return text;
+  }();
+  return bytes;
+}
+
+/// The dataset hash's fold over 64 KiB of canonical CSV: the byte loop
+/// (argument 0, util::fnv1a_accum) against util::fnv1a_fold (argument 1),
+/// which runs the wide kernel where the CPU has it (the label says).
+void BM_Fnv1aFold(benchmark::State& state) {
+  const std::string& csv = canonical_csv();
+  const bool fold = state.range(0) != 0;
+  std::uint64_t hash = util::kFnv1aBasis;
+  for (auto _ : state) {
+    hash = fold ? util::fnv1a_fold(hash, csv) : util::fnv1a_accum(hash, csv);
+    benchmark::DoNotOptimize(hash);
+  }
+  if (!fold) {
+    state.SetLabel("byte loop");
+  } else if (util::fnv1a_fold_wide_bytes(csv.size()) != 0) {
+    state.SetLabel("fold, wide kernel");
+  } else {
+    state.SetLabel("fold, byte loop: no wide kernel on this CPU");
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(csv.size()));
+}
+BENCHMARK(BM_Fnv1aFold)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/salvage.hpp"
+#include "util/fnv1a_fold.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
 
@@ -27,16 +28,14 @@ namespace cloudrtt::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = util::kFnv1aBasis;
-
-/// The ordered encoder's shape: constants, not knobs. Scanning and
-/// encoding cost about 1.5 times the serial FNV-1a fold per CSV byte, so
-/// two encoders keep the fold busy (a third measured no faster on 4
-/// vCPUs; one left the hash ~25% slower). The window holds 32 batches
-/// (~2 MiB, ~3 ms of folding): on a 4-vCPU VM whose host steals CPU time,
-/// a window of 6 let one descheduled thread stall the fold, and the
+/// The ordered encoder's shape: constants, not knobs. With the fold wide
+/// (util::fnv1a_fold), formatting is the costly step, so three encoders
+/// feed the calling thread: on 4 vCPUs they hashed the streamed paper
+/// scale faster than two or four did (DESIGN.md §5h). The window holds 32
+/// batches (~2 MiB of CSV): on a 4-vCPU VM whose host steals CPU time, a
+/// window of 6 let one descheduled thread stall the pipeline, and the
 /// streamed paper-scale hash lost its gain.
-constexpr unsigned kEncoders = 2;
+constexpr unsigned kEncoders = 3;
 constexpr std::size_t kWindow = kCsvWindowBatches;
 
 /// Widest numeric cells. A 3-decimal fixed-point double runs to a sign, 309
@@ -47,15 +46,31 @@ constexpr std::size_t kMaxUintChars =
 constexpr std::size_t kMaxDoubleChars =
     1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 3;
 
-/// Where the encoded bytes go: an output stream, or an FNV-1a digest that
-/// folds them and keeps no copy. Exactly one is set.
+/// An FNV-1a digest, and how many of the bytes it covers the wide kernel
+/// folded (export.hash_wide_bytes_total).
+struct Digest {
+  std::uint64_t hash = util::kFnv1aBasis;
+  std::uint64_t wide_bytes = 0;
+
+  /// The hash; adds the wide bytes to the counter. Once per hash.
+  [[nodiscard]] std::uint64_t finish() const {
+    obs::Registry::global()
+        .counter("export.hash_wide_bytes_total")
+        .inc(wide_bytes);
+    return hash;
+  }
+};
+
+/// Where the encoded bytes go: an output stream, or a digest that folds
+/// them and keeps no copy. Exactly one is set.
 struct CsvSink {
   std::ostream* out = nullptr;
-  std::uint64_t* fnv1a = nullptr;
+  Digest* digest = nullptr;
 
   void put(std::string_view bytes) const {
-    if (fnv1a != nullptr) {
-      *fnv1a = util::fnv1a_accum(*fnv1a, bytes);
+    if (digest != nullptr) {
+      digest->hash = util::fnv1a_fold(digest->hash, bytes);
+      digest->wide_bytes += util::fnv1a_fold_wide_bytes(bytes.size());
     } else {
       out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
@@ -262,7 +277,7 @@ void encode_batch(const Batch& batch, bool canonical, CsvBuffer& csv) {
   std::uint64_t trace_id = batch.first_trace_id;
   for (std::size_t row = batch.begin; row < batch.end; ++row, ++trace_id) {
     const measure::TraceRef trace = data.traces[row];
-    // lint:allow(hot-path-alloc): topology::to_string returns a static string_view
+    // lint:allow(hot-path-alloc): to_string returns a static string_view
     const std::string_view mode = topology::to_string(trace.true_mode);
     // The prefix cells repeat on every hop row of the trace: encode them
     // for the first hop, then copy them for the others.
@@ -579,17 +594,16 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 
 std::uint64_t dataset_hash(const measure::Dataset& data) {
   obs::Span phase = obs::span("core.export.dataset_hash");
-  std::uint64_t digest = kFnvBasis;
-  (void)encode_parts(CsvSink{.fnv1a = &digest}, CsvFlavour::Canonical, data,
+  Digest digest;
+  (void)encode_parts(CsvSink{.digest = &digest}, CsvFlavour::Canonical, data,
                      {Part::Pings, Part::Traces});
-  return digest;
+  return digest.finish();
 }
 
-StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
-                                         std::string_view platform,
-                                         store::IoEnv& io,
-                                         const probes::ProbeFleet* sc_fleet,
-                                         const probes::ProbeFleet* atlas_fleet) {
+StreamedHashResult streamed_dataset_hash(
+    const std::filesystem::path& dir, std::string_view platform,
+    store::IoEnv& io, const probes::ProbeFleet* sc_fleet,
+    const probes::ProbeFleet* atlas_fleet) {
   obs::Span phase = obs::span("core.export.streamed_hash");
   StreamedHashResult result;
   const store::OpenResult opened =
@@ -598,11 +612,11 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     result.error = opened.error;
     return result;
   }
-  std::uint64_t digest = kFnvBasis;
-  OrderedEncoder encoder{CsvSink{.fnv1a = &digest}, CsvFlavour::Canonical};
+  Digest digest;
+  OrderedEncoder encoder{CsvSink{.digest = &digest}, CsvFlavour::Canonical};
   // The canonical serialisation is the full ping CSV then the full trace
-  // CSV, and FNV-1a is strictly sequential — so the reader scans the store
-  // twice, once per CSV, with one decoded block resident at a time.
+  // CSV, and the digest folds it in that order — so the reader scans the
+  // store twice, once per CSV, with one decoded block resident at a time.
   result.error = encoder.run([&](OrderedEncoder& feed) -> std::string {
     for (const Part part : {Part::Pings, Part::Traces}) {
       feed.header(part);
@@ -620,7 +634,7 @@ StreamedHashResult streamed_dataset_hash(const std::filesystem::path& dir,
     return {};
   });
   if (!result.ok()) return result;
-  result.hash = digest;
+  result.hash = digest.finish();
   result.rows = opened.durable_rows;
   return result;
 }

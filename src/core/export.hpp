@@ -8,13 +8,14 @@
 // Every call here runs one ordered encoder (export.cpp). The row sequence
 // (all pings, then all traces, each part after its header line) is cut into
 // batches of at most kCsvBatchRows rows: slices of an in-memory dataset, or
-// of each store block a scan decodes. A reader thread cuts them; two
+// of each store block a scan decodes. A reader thread cuts them; three
 // encoder threads format them with one allocation-free row encoder into a
 // window of kCsvWindowBatches reused buffers; the calling thread retires the
-// buffers strictly in batch order into the stream or the FNV-1a digest. So
-// the output is byte for byte what one thread writing row after row would
-// give, and only a bounded window of encoded batches exists at any time.
-// The shape is fixed: `--threads` sizes the campaign executor only.
+// buffers strictly in batch order into the stream or the FNV-1a digest
+// (util::fnv1a_fold, 512 bytes per step where the CPU allows). So the output
+// is byte for byte what one thread writing row after row would give, and
+// only a bounded window of encoded batches exists at any time. The shape is
+// fixed: `--threads` sizes the campaign executor only.
 
 #include <cstddef>
 #include <cstdint>
@@ -75,23 +76,25 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 /// covered. Two runs are reproductions of each other iff their hashes
 /// match — this is what `cloudrtt study --dataset-hash` prints and what the
 /// determinism CI gate compares. A reader thread cuts `data` into batches,
-/// two encoder threads format them, and the calling thread folds them in
+/// three encoder threads format them, and the calling thread folds them in
 /// order; no more than kCsvWindowBatches encoded batches exist at a time,
 /// never a serialized copy of the dataset. Runs under its own phase span
-/// (core.export.dataset_hash) and counts no export rows.
+/// (core.export.dataset_hash), counts no export rows, and adds the bytes
+/// the wide fold covered to export.hash_wide_bytes_total.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
 /// The same hash computed straight from a format=4 store: a read-only
 /// store::open_store on the calling thread, then, on the reader thread,
-/// two store::scan_rows passes in append order (FNV-1a is sequential, and
-/// the canonical serialisation is all pings then all traces). The reader
-/// copies each decoded block's rows into the window batch by batch, the two
+/// two store::scan_rows passes in append order (the digest folds the
+/// canonical serialisation in order, all pings then all traces). The reader
+/// copies each decoded block's rows into the window batch by batch, the
 /// encoder threads format them, and the calling thread folds them in
 /// order; trace ids run on across blocks. Memory stays O(one block + the
 /// window) through the hash. Bit-identical to dataset_hash() over the
 /// materialised dataset — the streamed study's determinism gate depends on
 /// it. A failed open or scan comes back in `error`, an encoder's exception
-/// is rethrown, both only after every thread has joined.
+/// is rethrown, both only after every thread has joined. Counts the wide
+/// fold's bytes as dataset_hash() does.
 struct StreamedHashResult {
   std::uint64_t hash = 0;
   std::uint64_t rows = 0;  ///< task rows hashed (ping+trace pairs)

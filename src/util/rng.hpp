@@ -17,7 +17,8 @@
 namespace cloudrtt::util {
 
 /// splitmix64 step; used for seeding and for cheap stateless hashing.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+[[nodiscard]] constexpr std::uint64_t splitmix64(
+    std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -30,8 +31,11 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 
 /// Streaming FNV-1a: continue `hash` over more bytes. One shared definition,
 /// so a digest folded chunk by chunk equals fnv1a() over the same bytes.
-[[nodiscard]] constexpr std::uint64_t fnv1a_accum(std::uint64_t hash,
-                                                  std::string_view text) noexcept {
+/// This byte loop is the reference: util::fnv1a_fold (fnv1a_fold.hpp), which
+/// folds the dataset hash 512 bytes per step, must equal it bit for bit, and
+/// the tests compare the two.
+[[nodiscard]] constexpr std::uint64_t fnv1a_accum(
+    std::uint64_t hash, std::string_view text) noexcept {
   for (const char ch : text) {
     hash ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
     hash *= 0x100000001b3ULL;
@@ -76,7 +80,9 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL) noexcept { reseed(seed); }
+  explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL) noexcept {
+    reseed(seed);
+  }
 
   void reseed(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed;
@@ -150,7 +156,8 @@ class Rng {
   [[nodiscard]] double exponential(double mean) noexcept;
 
   /// Index drawn according to non-negative weights (at least one > 0).
-  [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights) noexcept;
+  [[nodiscard]] std::size_t weighted_index(
+      const std::vector<double>& weights) noexcept;
 
   /// Pick a uniformly random element of a non-empty container.
   template <typename Container>

@@ -1,19 +1,23 @@
 // Unit tests for the util library: PRNG determinism and distribution sanity,
-// descriptive statistics, the §3.3 confidence calculator, and the JSON
-// reader and writer.
+// the wide FNV-1a fold against the byte loop, descriptive statistics, the
+// §3.3 confidence calculator, and the JSON reader and writer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/fnv1a_fold.hpp"
 #include "util/json.hpp"
 #include "util/json_value.hpp"
 #include "util/rng.hpp"
@@ -105,14 +109,18 @@ TEST(Rng, NormalMomentsMatch) {
 TEST(Rng, LognormalMedianIsCalibrated) {
   Rng rng{42};
   std::vector<double> samples;
-  for (int i = 0; i < 40000; ++i) samples.push_back(rng.lognormal_median(20.0, 0.5));
+  for (int i = 0; i < 40000; ++i) {
+    samples.push_back(rng.lognormal_median(20.0, 0.5));
+  }
   EXPECT_NEAR(median(samples), 20.0, 0.5);
 }
 
 TEST(Rng, LognormalSigmaControlsCv) {
   Rng rng{42};
   std::vector<double> samples;
-  for (int i = 0; i < 40000; ++i) samples.push_back(rng.lognormal_median(20.0, 0.5));
+  for (int i = 0; i < 40000; ++i) {
+    samples.push_back(rng.lognormal_median(20.0, 0.5));
+  }
   // Cv of lognormal = sqrt(exp(sigma^2) - 1) ~= 0.533 for sigma = 0.5.
   const auto cv = coefficient_of_variation(samples);
   ASSERT_TRUE(cv.has_value());
@@ -137,6 +145,47 @@ TEST(Rng, WeightedIndexFollowsWeights) {
   EXPECT_NEAR(histogram[0], 10000, 800);
   EXPECT_NEAR(histogram[1], 30000, 1200);
   EXPECT_NEAR(histogram[3], 60000, 1500);
+}
+
+// fnv1a_fold must be fnv1a_accum bit for bit: every length up to 4,096 and
+// the lengths around the kernel's 512-byte step, from every start offset
+// 1-63 (so unaligned loads), over random bytes of all 256 values, from four
+// start states, and folded in two pieces cut anywhere.
+TEST(Fnv1aFold, EqualsByteLoop) {
+  const bool wide = fnv1a_fold_wide_bytes(kFnv1aFoldBlock) != 0;
+  std::cout << "fnv1a_fold runs "
+            << (wide ? "the wide kernel"
+                     : "the byte loop: this CPU lacks the kernel's features")
+            << "\n";
+
+  Rng rng{0xf01d};
+  std::string buffer(64 + 65543, '\0');
+  for (char& byte : buffer) byte = static_cast<char>(rng.below(256));
+  std::set<char> values(buffer.begin(), buffer.begin() + 64 + 4096);
+  ASSERT_EQ(values.size(), 256u);
+
+  const std::array<std::uint64_t, 4> starts{kFnv1aBasis, 0, ~std::uint64_t{0},
+                                            rng.next()};
+  std::vector<std::size_t> lengths(4097);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.insert(lengths.end(), {511, 512, 513, 1023, 1024, 1025, 65543});
+  std::size_t failures = 0;
+  for (std::size_t n = 0; n < lengths.size(); ++n) {
+    for (std::size_t s = 0; s < starts.size(); ++s) {
+      const std::size_t offset = 1 + (n * starts.size() + s) % 63;
+      const std::string_view bytes{buffer.data() + offset, lengths[n]};
+      const std::uint64_t expected = fnv1a_accum(starts[s], bytes);
+      const std::size_t cut = rng.below(bytes.size() + 1);
+      const std::uint64_t split = fnv1a_fold(
+          fnv1a_fold(starts[s], bytes.substr(0, cut)), bytes.substr(cut));
+      if (fnv1a_fold(starts[s], bytes) == expected && split == expected) {
+        continue;
+      }
+      ADD_FAILURE() << "length " << bytes.size() << ", offset " << offset
+                    << ", start " << starts[s] << ", cut at " << cut;
+      if (++failures == 10) return;
+    }
+  }
 }
 
 TEST(Stats, MedianOddEven) {
@@ -181,12 +230,15 @@ TEST(Stats, EmpiricalCdfEvaluate) {
 TEST(Stats, RequiredSampleSizeMatchesPaper) {
   // §3.3: z = 1.96, p = 0.5, eps = 2% -> 2401 measurements per country.
   EXPECT_EQ(required_sample_size(1.96, 0.5, 0.02), 2401u);
-  EXPECT_EQ(required_sample_size(z_score_for_confidence(0.95), 0.5, 0.02), 2401u);
+  EXPECT_EQ(required_sample_size(z_score_for_confidence(0.95), 0.5, 0.02),
+            2401u);
 }
 
 TEST(Stats, RequiredSampleSizeRejectsBadInput) {
-  EXPECT_THROW((void)required_sample_size(1.96, 0.5, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)required_sample_size(1.96, 1.5, 0.02), std::invalid_argument);
+  EXPECT_THROW((void)required_sample_size(1.96, 0.5, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)required_sample_size(1.96, 1.5, 0.02),
+               std::invalid_argument);
   EXPECT_THROW((void)z_score_for_confidence(0.42), std::invalid_argument);
 }
 
