@@ -13,7 +13,6 @@
 #include "analysis/trace_analysis.hpp"
 #include "common.hpp"
 #include "topology/bgp.hpp"
-#include "topology/route_table.hpp"
 
 int main() {
   using namespace cloudrtt;
@@ -25,12 +24,10 @@ int main() {
       bench::bench_config());
 
   const core::Study& study = bench::shared_study();
-  const topology::BgpGraph& graph = study.world().bgp();
-  const topology::BgpRouteTable& routes = study.world().bgp_routes();
+  const topology::BgpGraph graph =
+      topology::BgpGraph::from_world(study.world());
   std::cout << "\nAS graph: " << graph.as_count() << " ASes, "
-            << graph.edge_count() << " relationships ("
-            << routes.route_count() << " best routes flattened at world "
-            << "construction)\n\n";
+            << graph.edge_count() << " relationships\n\n";
 
   // True global tier-1s only: the regional wholesale carriers (Liquid,
   // Telxius, Telstra) don't count for the flattening metric.
@@ -47,19 +44,21 @@ int main() {
                     "tier-1-free", "reachable ISPs"});
   for (const cloud::ProviderId provider : cloud::kPeeringFigureProviders) {
     const cloud::ProviderInfo& info = cloud::provider_info(provider);
+    const auto routes = graph.routes_to(info.asn);
     double length_sum = 0.0;
     std::size_t reachable = 0;
     std::size_t direct = 0;
     std::size_t tier1_free = 0;
     for (const topology::IspNetwork& isp : study.world().isps()) {
-      const auto route = routes.route(isp.asn, info.asn);
-      if (!route) continue;
+      const auto it = routes.find(isp.asn);
+      if (it == routes.end()) continue;
+      const topology::BgpRoute& route = it->second;
       ++reachable;
-      length_sum += static_cast<double>(route->length());
-      if (route->length() == 2) ++direct;
+      length_sum += static_cast<double>(route.length());
+      if (route.length() == 2) ++direct;
       bool crosses_tier1 = false;
-      for (std::size_t i = 1; i + 1 < route->as_path.size(); ++i) {
-        if (tier1.contains(route->as_path[i])) crosses_tier1 = true;
+      for (std::size_t i = 1; i + 1 < route.as_path.size(); ++i) {
+        if (tier1.contains(route.as_path[i])) crosses_tier1 = true;
       }
       if (!crosses_tier1) ++tier1_free;
     }
@@ -84,7 +83,8 @@ int main() {
     (info.hypergiant ? trace_big3 : trace_small).push_back(length);
   }
   std::cout << "\ncross-check (mean AS-path length, traceroute-observed):\n";
-  std::cout << "  big-3:          " << util::format_double(util::mean(trace_big3), 2)
+  std::cout << "  big-3:          "
+            << util::format_double(util::mean(trace_big3), 2)
             << " (BGP view above should be within ~0.5)\n";
   std::cout << "  other providers: "
             << util::format_double(util::mean(trace_small), 2) << "\n";

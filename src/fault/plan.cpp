@@ -76,7 +76,8 @@ bool DayFaults::any() const {
     return true;
   }
   if (!regions_down.empty() || !backbone_cuts.empty()) return true;
-  return std::any_of(api_down.begin(), api_down.end(), [](bool b) { return b; });
+  return std::any_of(api_down.begin(), api_down.end(),
+                     [](bool b) { return b; });
 }
 
 namespace {
@@ -143,22 +144,11 @@ FaultPlan::FaultPlan(const topology::World& world, std::uint32_t days,
 }
 
 std::optional<FaultPlan> FaultPlan::make(const topology::World& world,
-                                         std::uint32_t days, FaultProfile profile,
+                                         std::uint32_t days,
+                                         FaultProfile profile,
                                          std::uint64_t seed) {
   if (profile == FaultProfile::None) return std::nullopt;
   return FaultPlan{world, days, FaultIntensity::for_profile(profile), seed};
-}
-
-FaultPlan::Totals FaultPlan::totals() const {
-  Totals totals;
-  for (const DayFaults& day : days_) {
-    totals.api_outage_slots += static_cast<std::size_t>(
-        std::count(day.api_down.begin(), day.api_down.end(), true));
-    totals.region_brownouts += day.regions_down.size();
-    totals.backbone_cuts += day.backbone_cuts.size();
-    if (day.any()) ++totals.faulty_days;
-  }
-  return totals;
 }
 
 }  // namespace cloudrtt::fault

@@ -38,7 +38,8 @@ enum class FaultProfile : unsigned char { None, Mild, Harsh };
   return "?";
 }
 
-[[nodiscard]] std::optional<FaultProfile> profile_from_string(std::string_view text);
+[[nodiscard]] std::optional<FaultProfile> profile_from_string(
+    std::string_view text);
 
 /// Per-fault-class intensities. `for_profile` returns the documented presets
 /// (see README "Fault injection & chaos testing"); the fields can also be set
@@ -69,7 +70,8 @@ struct FaultIntensity {
 /// their draws carry no cross-resume determinism contract.
 struct IoFaults {
   double append_error_rate = 0.0;   ///< P[an append fails outright (EIO)]
-  double short_write_rate = 0.0;    ///< P[an append tears: prefix lands, then EIO]
+  /// P[an append tears: a prefix lands, then EIO]
+  double short_write_rate = 0.0;
   double fsync_failure_rate = 0.0;  ///< P[data lands but fsync reports failure]
   std::uint64_t disk_capacity_bytes = 0;  ///< 0 = unlimited; ENOSPC beyond
 
@@ -134,10 +136,9 @@ class FaultPlan {
             const FaultIntensity& intensity, std::uint64_t seed);
 
   /// Profile-based factory; None yields an empty optional (no plan at all).
-  [[nodiscard]] static std::optional<FaultPlan> make(const topology::World& world,
-                                                    std::uint32_t days,
-                                                    FaultProfile profile,
-                                                    std::uint64_t seed);
+  [[nodiscard]] static std::optional<FaultPlan> make(
+      const topology::World& world, std::uint32_t days, FaultProfile profile,
+      std::uint64_t seed);
 
   [[nodiscard]] const DayFaults& day(std::uint32_t d) const {
     CLOUDRTT_CHECK(d < days_.size(), "fault day ", d, " outside the ",
@@ -149,15 +150,6 @@ class FaultPlan {
   }
   [[nodiscard]] const RetryPolicy& retry() const { return retry_; }
   [[nodiscard]] const FaultIntensity& intensity() const { return intensity_; }
-
-  /// Episode totals across the whole plan (for logs, tests, summaries).
-  struct Totals {
-    std::size_t api_outage_slots = 0;
-    std::size_t region_brownouts = 0;
-    std::size_t backbone_cuts = 0;
-    std::size_t faulty_days = 0;
-  };
-  [[nodiscard]] Totals totals() const;
 
  private:
   FaultIntensity intensity_;

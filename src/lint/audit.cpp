@@ -377,10 +377,10 @@ void check_hot_region(const AuditFile& file, std::size_t file_index,
 
 void check_hot_paths(const std::vector<AuditFile>& files,
                      const std::set<std::string>& map_like,
-                     const LintOptions& options, const AuditReport& report) {
+                     const AuditReport& report) {
   for (std::size_t i = 0; i < files.size(); ++i) {
     const AuditFile& file = files[i];
-    if (!options.applies(Rule::HotPathAlloc, file.path)) continue;
+    if (!LintOptions::applies(Rule::HotPathAlloc, file.path)) continue;
     for (const HotRegion& region : file.index->hot) {
       check_hot_region(file, i, region, map_like, report);
     }
@@ -413,15 +413,14 @@ void check_layering(const std::vector<AuditFile>& files,
 
 void run_audit(const std::vector<AuditFile>& files,
                const std::set<std::string>& map_like,
-               const LintOptions& options, const AuditReport& report) {
+               const AuditReport& report) {
   check_guarded_by(files, report);
   check_frozen(files, report);
-  check_hot_paths(files, map_like, options, report);
+  check_hot_paths(files, map_like, report);
   check_layering(files, report);
 }
 
 void run_allow_hygiene(const std::vector<AuditFile>& files,
-                       const LintOptions& options,
                        const std::vector<Finding>& findings,
                        const AuditReport& report) {
   // (file, rule, line) of every finding so far, suppressed included — a
@@ -433,7 +432,7 @@ void run_allow_hygiene(const std::vector<AuditFile>& files,
   }
   for (std::size_t i = 0; i < files.size(); ++i) {
     const AuditFile& file = files[i];
-    if (!options.applies(Rule::AllowHygiene, file.path)) continue;
+    if (!LintOptions::applies(Rule::AllowHygiene, file.path)) continue;
     for (const AllowUse& allow : file.index->allows) {
       if (!allow.has_justification) {
         report(i, Rule::AllowHygiene, allow.line,

@@ -35,14 +35,13 @@ using AuditReport =
 /// hot-path operator[] check.
 void run_audit(const std::vector<AuditFile>& files,
                const std::set<std::string>& map_like,
-               const LintOptions& options, const AuditReport& report);
+               const AuditReport& report);
 
 /// Run allow-hygiene: empty justifications, unknown rule keys, and orphan
 /// allows (a justified allow with no finding of its rule on its own line or
 /// the line below). `findings` must already hold every other family's
 /// findings, suppressed included.
 void run_allow_hygiene(const std::vector<AuditFile>& files,
-                       const LintOptions& options,
                        const std::vector<Finding>& findings,
                        const AuditReport& report);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,26 +72,30 @@ bool rule_from_key(std::string_view key, Rule& out) {
   return false;
 }
 
-bool LintOptions::applies(Rule rule, std::string_view path) const {
-  const std::vector<std::string>* exempt = nullptr;
-  if (rule == Rule::Nondeterminism) exempt = &nondeterminism_exempt;
-  if (rule == Rule::RawAssert) exempt = &raw_assert_exempt;
-  if (rule == Rule::MutableMember) exempt = &mutable_member_exempt;
-  if (rule == Rule::LocalStatic) exempt = &local_static_exempt;
-  if (rule == Rule::HotPathAlloc) exempt = &hot_alloc_exempt;
-  if (rule == Rule::AllowHygiene) exempt = &annotation_exempt;
-  if (exempt == nullptr) return true;
-  for (const std::string& prefix : *exempt) {
-    if (path_matches(path, prefix)) return false;
-  }
-  return true;
+namespace {
+
+[[nodiscard]] bool exempt(std::span<const std::string_view> prefixes,
+                          std::string_view path) {
+  return std::any_of(
+      prefixes.begin(), prefixes.end(),
+      [path](std::string_view prefix) { return path_matches(path, prefix); });
 }
 
-bool LintOptions::harvest_markers(std::string_view path) const {
-  for (const std::string& prefix : annotation_exempt) {
-    if (path_matches(path, prefix)) return false;
-  }
-  return true;
+}  // namespace
+
+bool LintOptions::applies(Rule rule, std::string_view path) {
+  std::span<const std::string_view> prefixes;
+  if (rule == Rule::Nondeterminism) prefixes = kNondeterminismExempt;
+  if (rule == Rule::RawAssert) prefixes = kRawAssertExempt;
+  if (rule == Rule::MutableMember) prefixes = kMutableMemberExempt;
+  if (rule == Rule::LocalStatic) prefixes = kLocalStaticExempt;
+  if (rule == Rule::HotPathAlloc) prefixes = kHotAllocExempt;
+  if (rule == Rule::AllowHygiene) prefixes = kAnnotationExempt;
+  return !exempt(prefixes, path);
+}
+
+bool LintOptions::harvest_markers(std::string_view path) {
+  return !exempt(kAnnotationExempt, path);
 }
 
 // ---------------------------------------------------------------------------
@@ -105,7 +110,6 @@ struct Linter::Impl {
     FileIndex index;
   };
 
-  LintOptions options;
   std::vector<File> files;
   // std::set: the symbol tables themselves must never introduce iteration-
   // order nondeterminism into reports.
@@ -120,9 +124,7 @@ struct Linter::Impl {
   void apply_suppressions(const File& file, Finding& finding) const;
 };
 
-Linter::Linter(LintOptions options) : impl_(new Impl) {
-  impl_->options = std::move(options);
-}
+Linter::Linter() : impl_(new Impl) {}
 
 Linter::~Linter() { delete impl_; }
 
@@ -133,7 +135,7 @@ void Linter::add(std::string path, std::string content) {
   file.shape = analyze_braces(file.scrubbed.code);
   file.original = std::move(content);
   index_annotations(file.path, file.original, file.scrubbed, file.shape,
-                    impl_->options.harvest_markers(file.path), file.index);
+                    LintOptions::harvest_markers(file.path), file.index);
   impl_->harvest(file);
   impl_->files.push_back(std::move(file));
 }
@@ -145,7 +147,8 @@ void Linter::add(std::string path, std::string content) {
 // additionally feed the hot-path operator[] check.
 void Linter::Impl::harvest(File& file) {
   const std::string& code = file.scrubbed.code;
-  for (const std::string_view kind : {"unordered_map", "unordered_set", "map"}) {
+  for (const std::string_view kind :
+       {"unordered_map", "unordered_set", "map"}) {
     const bool unordered = kind != "map";
     const bool maplike = kind != "unordered_set";
     for (std::size_t pos = find_token(code, kind, 0);
@@ -227,7 +230,8 @@ void Linter::Impl::harvest_alias_uses(const File& file) {
   for (std::size_t pos = find_token(code, "auto", 0); pos != std::string::npos;
        pos = find_token(code, "auto", pos + 1)) {
     std::size_t cursor = skip_spaces(code, pos + 4);
-    while (cursor < code.size() && (code[cursor] == '&' || code[cursor] == '*')) {
+    while (cursor < code.size() &&
+           (code[cursor] == '&' || code[cursor] == '*')) {
       cursor = skip_spaces(code, cursor + 1);
     }
     const std::string name = read_qualified_ident(code, cursor);
@@ -367,24 +371,25 @@ void Linter::Impl::check_file(const File& file,
   }
 
   // R2 — entropy and clock sources.
-  if (options.applies(Rule::Nondeterminism, file.path)) {
+  if (LintOptions::applies(Rule::Nondeterminism, file.path)) {
     for (const BannedToken& banned : kNondeterminismTokens) {
       for (std::size_t pos = find_token(code, banned.token, 0);
            pos != std::string::npos;
            pos = find_token(code, banned.token, pos + 1)) {
         if (banned.needs_call) {
-          const std::size_t after = skip_spaces(code, pos + banned.token.size());
+          const std::size_t after =
+              skip_spaces(code, pos + banned.token.size());
           if (after >= code.size() || code[after] != '(') continue;
         }
         report(Rule::Nondeterminism, pos,
-               "'" + std::string{banned.token} + "' outside util/rng and obs: " +
-                   std::string{banned.why});
+               "'" + std::string{banned.token} +
+                   "' outside util/rng and obs: " + std::string{banned.why});
       }
     }
   }
 
   // R3 — raw assert() in library code.
-  if (options.applies(Rule::RawAssert, file.path)) {
+  if (LintOptions::applies(Rule::RawAssert, file.path)) {
     for (std::size_t pos = find_token(code, "assert", 0);
          pos != std::string::npos; pos = find_token(code, "assert", pos + 1)) {
       const std::size_t after = skip_spaces(code, pos + 6);
@@ -397,7 +402,8 @@ void Linter::Impl::check_file(const File& file,
 
   // R5 — mutable members in headers. A lambda's `mutable` qualifier (body
   // brace, trailing return or noexcept right after it) is not a member.
-  if (is_header(file.path) && options.applies(Rule::MutableMember, file.path)) {
+  if (is_header(file.path) &&
+      LintOptions::applies(Rule::MutableMember, file.path)) {
     for (std::size_t pos = find_token(code, "mutable", 0);
          pos != std::string::npos; pos = find_token(code, "mutable", pos + 1)) {
       const std::size_t cursor = skip_spaces(code, pos + 7);
@@ -407,7 +413,8 @@ void Linter::Impl::check_file(const File& file,
       if (code.compare(cursor, 8, "noexcept") == 0) continue;
       const std::size_t end = code.find_first_of(";{=", cursor);
       const std::string_view decl = std::string_view{code}.substr(
-          cursor, end == std::string::npos ? code.size() - cursor : end - cursor);
+          cursor,
+          end == std::string::npos ? code.size() - cursor : end - cursor);
       bool allowed = false;
       for (const std::string_view type : kMutableAllowedTypes) {
         if (decl.find(type) != std::string_view::npos) {
@@ -424,7 +431,7 @@ void Linter::Impl::check_file(const File& file,
   }
 
   // R6 — function-local static non-const objects.
-  if (options.applies(Rule::LocalStatic, file.path)) {
+  if (LintOptions::applies(Rule::LocalStatic, file.path)) {
     std::vector<std::size_t> statics;
     for (std::size_t pos = find_token(code, "static", 0);
          pos != std::string::npos; pos = find_token(code, "static", pos + 1)) {
@@ -477,14 +484,17 @@ void Linter::Impl::check_file(const File& file,
 // A finding is suppressed by `// lint:allow(<rule>): <justification>` on the
 // finding's own line, or on a comment-only line directly above it. The
 // justification is mandatory: an allow without one does not suppress.
-void Linter::Impl::apply_suppressions(const File& file, Finding& finding) const {
+void Linter::Impl::apply_suppressions(const File& file,
+                                      Finding& finding) const {
   const auto try_line = [&](std::size_t line_index) -> bool {
     if (line_index >= file.scrubbed.comments.size()) return false;
     const std::string& comment = file.scrubbed.comments[line_index];
-    const std::string needle = "lint:allow(" + std::string{rule_key(finding.rule)} + ")";
+    const std::string needle =
+        "lint:allow(" + std::string{rule_key(finding.rule)} + ")";
     const std::size_t pos = comment.find(needle);
     if (pos == std::string::npos) return false;
-    std::string_view rest = trim(std::string_view{comment}.substr(pos + needle.size()));
+    std::string_view rest =
+        trim(std::string_view{comment}.substr(pos + needle.size()));
     if (rest.starts_with(':')) {
       rest = trim(rest.substr(1));
       if (!rest.empty()) {
@@ -558,10 +568,10 @@ std::vector<Finding> Linter::run() {
     impl_->apply_suppressions(file, finding);
     findings.push_back(std::move(finding));
   };
-  run_audit(views, impl_->map_like, impl_->options, report);
+  run_audit(views, impl_->map_like, report);
   // Allow-hygiene last: orphan detection needs every other family's
   // findings, suppressed included.
-  run_allow_hygiene(views, impl_->options, findings, report);
+  run_allow_hygiene(views, findings, report);
 
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -579,7 +589,9 @@ std::vector<std::string> Linter::unordered_symbols() const {
   // lint:allow(unordered-iter): std::set of names; iteration is ordered
   for (const std::string& name : impl_->unordered_vars) out.push_back(name);
   // lint:allow(unordered-iter): std::set of names; iteration is ordered
-  for (const std::string& name : impl_->unordered_fns) out.push_back(name + "()");
+  for (const std::string& name : impl_->unordered_fns) {
+    out.push_back(name + "()");
+  }
   // lint:allow(unordered-iter): std::set of names; iteration is ordered
   for (const std::string& name : impl_->unordered_aliases) {
     out.push_back("using " + name);
@@ -604,10 +616,10 @@ Summary summarize(const std::vector<Finding>& findings, std::size_t files,
   Summary summary;
   summary.files = files;
   for (const Finding& finding : findings) {
-    Summary::PerRule& row = summary.rules[static_cast<std::size_t>(finding.rule)];
+    Summary::PerRule& row =
+        summary.rules[static_cast<std::size_t>(finding.rule)];
     ++row.total;
     if (finding.suppressed) ++row.suppressed;
-    if (finding.baselined) ++row.baselined;
   }
   for (std::size_t i = 0; i < kRuleCount; ++i) {
     summary.rules[i].allow_uses = allow_uses[i];
@@ -618,7 +630,7 @@ Summary summarize(const std::vector<Finding>& findings, std::size_t files,
 std::size_t Summary::unsuppressed_total() const {
   std::size_t total = 0;
   for (const PerRule& row : rules) {
-    total += row.total - row.suppressed - row.baselined;
+    total += row.total - row.suppressed;
   }
   return total;
 }

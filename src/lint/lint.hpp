@@ -61,17 +61,14 @@
 //                    rule key, or no finding of that rule on its line or the
 //                    line below (an orphan — the code it excused is gone).
 //
-// Findings are suppressed line-by-line with a justified annotation:
+// A finding is either fixed or suppressed line-by-line with a justified
+// annotation, on its own line or on a comment-only line directly above:
 //
-//   for (const auto& [asn, sites] : cache_) {  // lint:allow(unordered-iter): sorted below
+//   // lint:allow(unordered-iter): sorted below
+//   for (const auto& [asn, sites] : cache_) {
 //
-// or, when the line is too long, a comment-only line directly above. A
-// suppression without a `: justification` does NOT suppress — and is itself
-// an allow-hygiene finding.
-//
-// Pre-existing findings can be parked in a checked-in baseline
-// (baseline.hpp): baselined findings don't fail the run but stay visible in
-// the reports, so the debt burns down instead of growing.
+// A suppression without a `: justification` does NOT suppress — and is
+// itself an allow-hygiene finding.
 //
 // The scanner is token-aware, not a parser: comments, string literals
 // (including raw strings), and char literals never produce findings, and
@@ -113,7 +110,7 @@ inline constexpr std::array<Rule, kRuleCount> kAllRules = {
     Rule::LayeringDag,   Rule::AllowHygiene,
 };
 
-/// Stable key used in suppressions, JSON/SARIF output and the summary table.
+/// Stable key used in suppressions, SARIF output and the summary table.
 [[nodiscard]] std::string_view rule_key(Rule rule);
 /// One-line human description for the summary table and --list-rules.
 [[nodiscard]] std::string_view rule_summary(Rule rule);
@@ -125,40 +122,46 @@ struct Finding {
   std::string message;
   std::string snippet;  ///< trimmed offending source line
   bool suppressed = false;
-  bool baselined = false;  ///< matched a checked-in baseline entry
   std::string justification;  ///< text after "lint:allow(<rule>):"
 };
 
-/// Which rules apply to a given path. Paths are matched on '/'-separated
-/// suffix-normalised form, so both "src/obs/log.cpp" and
-/// "/abs/repo/src/obs/log.cpp" hit the "src/obs/" exemption.
+/// Which rules apply to a given path. The exemptions are fixed: outside
+/// them a finding is fixed or justified inline, never configured away.
+/// Paths are matched on '/'-separated suffix-normalised form, so both
+/// "src/obs/log.cpp" and "/abs/repo/src/obs/log.cpp" hit the "src/obs/"
+/// exemption.
 struct LintOptions {
   /// Prefixes where `nondeterminism` does not apply (sanctioned entropy /
   /// telemetry clocks).
-  std::vector<std::string> nondeterminism_exempt{"src/util/rng.", "src/obs/"};
+  static constexpr std::array<std::string_view, 2> kNondeterminismExempt{
+      "src/util/rng.", "src/obs/"};
   /// Prefixes where `raw-assert` does not apply (tests may use assert and
   /// the gtest macros freely).
-  std::vector<std::string> raw_assert_exempt{"tests/"};
+  static constexpr std::array<std::string_view, 1> kRawAssertExempt{
+      "tests/"};
   /// Prefixes where `mutable-member` does not apply (test fixtures may fake
   /// whatever state they like).
-  std::vector<std::string> mutable_member_exempt{"tests/"};
+  static constexpr std::array<std::string_view, 1> kMutableMemberExempt{
+      "tests/"};
   /// Prefixes where `local-static` does not apply: binaries and benchmarks
   /// are single-threaded drivers, src/obs hosts the sanctioned telemetry
   /// singletons (whose registries are internally synchronized), and the rng
   /// module owns the one sanctioned entropy source.
-  std::vector<std::string> local_static_exempt{
+  static constexpr std::array<std::string_view, 6> kLocalStaticExempt{
       "tests/", "bench/", "examples/", "tools/", "src/obs/", "src/util/rng."};
   /// Prefixes where `hot-path-alloc` does not apply even to lint:hot-marked
   /// code: figure generators and examples trade allocations for clarity.
-  std::vector<std::string> hot_alloc_exempt{"bench/", "examples/"};
+  static constexpr std::array<std::string_view, 2> kHotAllocExempt{
+      "bench/", "examples/"};
   /// Prefixes whose comments are NOT mined for annotation markers and that
   /// `allow-hygiene` skips: the linter's own sources document the
   /// annotation grammar, which would otherwise register as orphan allows.
-  std::vector<std::string> annotation_exempt{"src/lint/"};
+  static constexpr std::array<std::string_view, 1> kAnnotationExempt{
+      "src/lint/"};
 
-  [[nodiscard]] bool applies(Rule rule, std::string_view path) const;
+  [[nodiscard]] static bool applies(Rule rule, std::string_view path);
   /// True when `path`'s annotation markers should be harvested.
-  [[nodiscard]] bool harvest_markers(std::string_view path) const;
+  [[nodiscard]] static bool harvest_markers(std::string_view path);
 };
 
 /// Two-pass linter: add() every file first (pass 1 builds the project-wide
@@ -167,7 +170,7 @@ struct LintOptions {
 /// findings from every rule family.
 class Linter {
  public:
-  explicit Linter(LintOptions options = {});
+  Linter();
   ~Linter();
   Linter(const Linter&) = delete;
   Linter& operator=(const Linter&) = delete;
@@ -181,7 +184,7 @@ class Linter {
 
   /// Symbols the harvest pass classified as unordered containers (variables,
   /// members, aliases, and functions returning unordered types). Exposed for
-  /// tests and --dump-symbols.
+  /// tests.
   [[nodiscard]] std::vector<std::string> unordered_symbols() const;
 
   /// Per-rule count of lint:allow uses across the scanned tree (justified
@@ -199,15 +202,14 @@ struct Summary {
   struct PerRule {
     std::size_t total = 0;       ///< all findings, suppressed included
     std::size_t suppressed = 0;  ///< carried a justified lint:allow
-    std::size_t baselined = 0;   ///< parked in the checked-in baseline
     std::size_t allow_uses = 0;  ///< lint:allow(<rule>) uses in the tree
   };
   PerRule rules[kRuleCount];
   std::size_t files = 0;
 
-  /// Findings neither suppressed nor baselined — what fails the run.
+  /// Findings not suppressed — what fails the run.
   [[nodiscard]] std::size_t unsuppressed_total() const;
-  /// True when every finding is suppressed or baselined (lint exit code 0).
+  /// True when every finding is suppressed (lint exit code 0).
   [[nodiscard]] bool clean() const { return unsuppressed_total() == 0; }
 };
 
@@ -220,14 +222,8 @@ struct Summary {
 void write_text_report(std::ostream& out, const std::vector<Finding>& findings,
                        const Summary& summary, bool show_suppressed = false);
 
-/// Machine-readable report (findings array + per-rule summary incl. allow
-/// uses), built with util::JsonWriter.
-void write_json_report(std::ostream& out, const std::vector<Finding>& findings,
-                       const Summary& summary);
-
-/// SARIF 2.1.0 report: one run, one result per unsuppressed finding
-/// (baselined findings carry baselineState "unchanged", fresh ones "new"),
-/// for github/codeql-action/upload-sarif PR annotations.
+/// SARIF 2.1.0 report: one run, one result per unsuppressed finding, for
+/// github/codeql-action/upload-sarif PR annotations.
 void write_sarif_report(std::ostream& out,
                         const std::vector<Finding>& findings);
 

@@ -1,31 +1,18 @@
 #include <ostream>
 
 #include "lint/lint.hpp"
-#include "util/json.hpp"
 #include "util/text.hpp"
 
 namespace cloudrtt::lint {
 
-namespace {
-
-[[nodiscard]] std::size_t active_of(const Summary::PerRule& row) {
-  return row.total - row.suppressed - row.baselined;
-}
-
-}  // namespace
-
 void write_text_report(std::ostream& out, const std::vector<Finding>& findings,
                        const Summary& summary, bool show_suppressed) {
   for (const Finding& finding : findings) {
-    if ((finding.suppressed || finding.baselined) && !show_suppressed) {
-      continue;
-    }
+    if (finding.suppressed && !show_suppressed) continue;
     out << finding.file << ':' << finding.line << ": ["
         << rule_key(finding.rule) << "] "
-        << (finding.suppressed
-                ? "(suppressed) "
-                : finding.baselined ? "(baselined) " : "")
-        << finding.message << '\n';
+        << (finding.suppressed ? "(suppressed) " : "") << finding.message
+        << '\n';
     if (!finding.snippet.empty()) out << "    " << finding.snippet << '\n';
     if (finding.suppressed) {
       out << "    justification: " << finding.justification << '\n';
@@ -33,61 +20,17 @@ void write_text_report(std::ostream& out, const std::vector<Finding>& findings,
   }
 
   util::TextTable table;
-  table.set_header(
-      {"rule", "findings", "suppressed", "baselined", "allows", "active"});
+  table.set_header({"rule", "findings", "suppressed", "allows", "active"});
   for (const Rule rule : kAllRules) {
     const Summary::PerRule& row = summary.rules[static_cast<std::size_t>(rule)];
     table.add_row({std::string{rule_key(rule)}, std::to_string(row.total),
                    std::to_string(row.suppressed),
-                   std::to_string(row.baselined),
                    std::to_string(row.allow_uses),
-                   std::to_string(active_of(row))});
+                   std::to_string(row.total - row.suppressed)});
   }
   out << '\n' << table.render();
   out << summary.files << " files scanned, " << summary.unsuppressed_total()
       << " active finding(s)\n";
-}
-
-void write_json_report(std::ostream& out, const std::vector<Finding>& findings,
-                       const Summary& summary) {
-  util::JsonWriter json{out};
-  json.begin_object();
-  json.key("findings");
-  json.begin_array();
-  for (const Finding& finding : findings) {
-    json.begin_object();
-    json.field("file", finding.file);
-    json.field("line", static_cast<std::uint64_t>(finding.line));
-    json.field("rule", rule_key(finding.rule));
-    json.field("message", finding.message);
-    json.field("snippet", finding.snippet);
-    json.field("suppressed", finding.suppressed);
-    json.field("baselined", finding.baselined);
-    if (finding.suppressed) json.field("justification", finding.justification);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("summary");
-  json.begin_object();
-  json.field("files", static_cast<std::uint64_t>(summary.files));
-  json.key("rules");
-  json.begin_object();
-  for (const Rule rule : kAllRules) {
-    const Summary::PerRule& row = summary.rules[static_cast<std::size_t>(rule)];
-    json.key(rule_key(rule));
-    json.begin_object();
-    json.field("total", static_cast<std::uint64_t>(row.total));
-    json.field("suppressed", static_cast<std::uint64_t>(row.suppressed));
-    json.field("baselined", static_cast<std::uint64_t>(row.baselined));
-    json.field("allow_uses", static_cast<std::uint64_t>(row.allow_uses));
-    json.field("active", static_cast<std::uint64_t>(active_of(row)));
-    json.end_object();
-  }
-  json.end_object();
-  json.field("clean", summary.clean());
-  json.end_object();
-  json.end_object();
-  out << '\n';
 }
 
 }  // namespace cloudrtt::lint

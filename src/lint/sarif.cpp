@@ -1,16 +1,35 @@
 // SARIF 2.1.0 export: one run, one reportingDescriptor per rule, one result
-// per unsuppressed finding. Baselined findings carry baselineState
-// "unchanged" (GitHub code scanning hides them from PR annotations), fresh
-// ones "new". The fingerprint matches the baseline file's entry id so the
-// two artefacts cross-reference.
+// per unsuppressed finding. Each result carries a `cloudrttLint/v1` partial
+// fingerprint over file, rule and snippet — no line number — so GitHub code
+// scanning keeps tracking an alert while unrelated edits move it.
 
+#include <charconv>
+#include <cstdint>
 #include <ostream>
+#include <string>
 
-#include "lint/baseline.hpp"
 #include "lint/lint.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace cloudrtt::lint {
+
+namespace {
+
+/// FNV-1a hex over file|rule|snippet.
+[[nodiscard]] std::string finding_fingerprint(const Finding& finding) {
+  std::string key{finding.file};
+  key.push_back('|');
+  key.append(rule_key(finding.rule));
+  key.push_back('|');
+  key.append(finding.snippet);
+  const std::uint64_t hash = util::fnv1a(key);
+  char buffer[17] = {};
+  std::to_chars(buffer, buffer + 16, hash, 16);
+  return std::string{buffer};
+}
+
+}  // namespace
 
 void write_sarif_report(std::ostream& out,
                         const std::vector<Finding>& findings) {
@@ -29,7 +48,8 @@ void write_sarif_report(std::ostream& out,
   json.begin_object();
   json.field("name", "cloudrtt-lint");
   json.field("informationUri",
-             "https://github.com/cloudrtt/cloudrtt#static-analysis--determinism");
+             "https://github.com/cloudrtt/cloudrtt"
+             "#static-analysis--determinism");
   json.key("rules");
   json.begin_array();
   for (const Rule rule : kAllRules) {
@@ -73,7 +93,6 @@ void write_sarif_report(std::ostream& out,
     json.end_object();
     json.end_object();
     json.end_array();
-    json.field("baselineState", finding.baselined ? "unchanged" : "new");
     json.key("partialFingerprints");
     json.begin_object();
     json.field("cloudrttLint/v1", finding_fingerprint(finding));

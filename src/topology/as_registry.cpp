@@ -122,7 +122,6 @@ const std::vector<IxpInfo> kIxps = {
 }  // namespace
 
 std::span<const TransitCarrier> tier1_carriers() { return kTier1Carriers; }
-std::span<const NamedIsp> named_isps() { return kNamedIsps; }
 
 std::vector<const NamedIsp*> named_isps_in(std::string_view country) {
   std::vector<const NamedIsp*> out;
@@ -136,7 +135,8 @@ std::span<const IxpInfo> known_ixps() { return kIxps; }
 
 const AsInfo& AsRegistry::add(AsInfo info) {
   if (contains(info.asn)) {
-    throw std::logic_error{"AsRegistry: duplicate ASN " + std::to_string(info.asn)};
+    throw std::logic_error{"AsRegistry: duplicate ASN " +
+                           std::to_string(info.asn)};
   }
   index_.emplace(info.asn, infos_.size());
   infos_.push_back(std::move(info));

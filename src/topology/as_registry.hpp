@@ -46,8 +46,8 @@ struct IxpInfo {
 
 /// Static real-world catalogue (data tables in as_registry.cpp).
 [[nodiscard]] std::span<const TransitCarrier> tier1_carriers();
-[[nodiscard]] std::span<const NamedIsp> named_isps();
-[[nodiscard]] std::vector<const NamedIsp*> named_isps_in(std::string_view country);
+[[nodiscard]] std::vector<const NamedIsp*> named_isps_in(
+    std::string_view country);
 [[nodiscard]] std::span<const IxpInfo> known_ixps();
 
 /// Mutable registry the World fills while building the topology.
@@ -69,7 +69,8 @@ class AsRegistry {
  private:
   std::vector<AsInfo> infos_;
   std::unordered_map<Asn, std::size_t> index_;
-  Asn next_synthetic_ = 210000;  ///< fresh 32-bit range, clear of real ASNs above
+  /// Fresh 32-bit range, clear of the real ASNs above.
+  Asn next_synthetic_ = 210000;
 };
 
 }  // namespace cloudrtt::topology

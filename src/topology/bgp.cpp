@@ -23,7 +23,8 @@ namespace {
 }
 
 /// Is `candidate` strictly better than `incumbent`?
-[[nodiscard]] bool better(const BgpRoute& candidate, const BgpRoute& incumbent) {
+[[nodiscard]] bool better(const BgpRoute& candidate,
+                          const BgpRoute& incumbent) {
   if (rank(candidate.type) != rank(incumbent.type)) {
     return rank(candidate.type) < rank(incumbent.type);
   }
@@ -131,7 +132,8 @@ BgpGraph BgpGraph::from_world(const World& world) {
   // developed markets (and all of the paper's named case-study ISPs)
   // additionally buy direct tier-1 transit.
   for (const IspNetwork& isp : world.isps()) {
-    graph.add_customer_provider(isp.asn, world.continental_transit(isp.continent));
+    graph.add_customer_provider(isp.asn,
+                                world.continental_transit(isp.continent));
     const bool developed = isp.continent == geo::Continent::Europe ||
                            isp.continent == geo::Continent::NorthAmerica ||
                            isp.continent == geo::Continent::Oceania;
@@ -176,18 +178,14 @@ BgpGraph BgpGraph::from_world(const World& world) {
   return graph;
 }
 
-std::unordered_map<Asn, BgpRoute> BgpGraph::routes_to(Asn origin) const {
-  return compute_routes(origin);
-}
-
 std::optional<BgpRoute> BgpGraph::route(Asn from, Asn origin) const {
-  const auto routes = compute_routes(origin);
+  const auto routes = routes_to(origin);
   const auto it = routes.find(from);
   if (it == routes.end()) return std::nullopt;
   return it->second;
 }
 
-std::unordered_map<Asn, BgpRoute> BgpGraph::compute_routes(Asn origin) const {
+std::unordered_map<Asn, BgpRoute> BgpGraph::routes_to(Asn origin) const {
   std::unordered_map<Asn, BgpRoute> best;
   if (find(origin) == nullptr) return best;
   best.emplace(origin, BgpRoute{{origin}, RouteType::Origin});
@@ -199,7 +197,8 @@ std::unordered_map<Asn, BgpRoute> BgpGraph::compute_routes(Asn origin) const {
     const Asn u = queue.front();
     queue.pop_front();
     const BgpRoute route_u = best.at(u);  // copy: best may rehash below
-    if (route_u.type != RouteType::Origin && route_u.type != RouteType::Customer) {
+    if (route_u.type != RouteType::Origin &&
+        route_u.type != RouteType::Customer) {
       continue;
     }
     const Node* node_u = find(u);
@@ -224,8 +223,10 @@ std::unordered_map<Asn, BgpRoute> BgpGraph::compute_routes(Asn origin) const {
   std::vector<std::pair<Asn, BgpRoute>> peer_candidates;
   // Candidates for the same AS always differ in as_path[1], so better()'s
   // next-hop tie-break picks the same winner whatever order they arrive in.
-  for (const auto& [u, route_u] : best) {  // lint:allow(unordered-iter): better() is a strict total order, result is order-independent
-    if (route_u.type != RouteType::Origin && route_u.type != RouteType::Customer) {
+  // lint:allow(unordered-iter): better() is a strict total order
+  for (const auto& [u, route_u] : best) {
+    if (route_u.type != RouteType::Origin &&
+        route_u.type != RouteType::Customer) {
       continue;
     }
     const Node* node_u = find(u);
@@ -251,7 +252,8 @@ std::unordered_map<Asn, BgpRoute> BgpGraph::compute_routes(Asn origin) const {
   std::deque<Asn> down;
   // Seeding order only affects how fast the fixed point is reached, never
   // which routes it contains (better() improvements are monotone).
-  for (const auto& [asn, route] : best) {  // lint:allow(unordered-iter): fixed-point iteration is confluent
+  // lint:allow(unordered-iter): fixed-point iteration is confluent
+  for (const auto& [asn, route] : best) {
     (void)route;
     down.push_back(asn);
   }
@@ -277,7 +279,7 @@ std::unordered_map<Asn, BgpRoute> BgpGraph::compute_routes(Asn origin) const {
   return best;
 }
 
-bool BgpGraph::is_valley_free(std::span<const Asn> as_path) const {
+bool BgpGraph::is_valley_free(const std::vector<Asn>& as_path) const {
   // Classify each step and check the up*-peer?-down* shape.
   enum class Step { Up, Peer, Down };
   bool seen_peer_or_down = false;

@@ -15,9 +15,8 @@
 // shortest AS path, then the lowest next-hop ASN (deterministic tiebreak).
 // All best routes under these preferences are valley-free by construction.
 
-#include <initializer_list>
 #include <optional>
-#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,22 +66,18 @@ class BgpGraph {
   [[nodiscard]] std::size_t as_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
 
-  /// Best routes from every AS towards `origin`, computed on demand. The
-  /// graph holds no cache (and therefore no mutex): campaigns query the
-  /// flattened BgpRouteTable the world materializes at construction; this
-  /// entry point exists for analyses and tests that mutate the graph.
+  /// Best routes from every AS towards `origin`. Each call runs the whole
+  /// decision process; the graph holds no cache (and therefore no mutex), so
+  /// a caller asking about many ASes keeps the map.
   [[nodiscard]] std::unordered_map<Asn, BgpRoute> routes_to(Asn origin) const;
 
   /// Best route from one AS towards an origin; nullopt when policy hides it.
+  /// Runs routes_to(origin) and keeps one entry.
   [[nodiscard]] std::optional<BgpRoute> route(Asn from, Asn origin) const;
 
   /// Valley-free check for an AS path (each edge classified against the
   /// graph; a path may step "down" at most once and never up after down).
-  /// Accepts owned vectors and the flattened table's path views alike.
-  [[nodiscard]] bool is_valley_free(std::span<const Asn> as_path) const;
-  [[nodiscard]] bool is_valley_free(std::initializer_list<Asn> as_path) const {
-    return is_valley_free(std::span<const Asn>{as_path.begin(), as_path.size()});
-  }
+  [[nodiscard]] bool is_valley_free(const std::vector<Asn>& as_path) const;
 
  private:
   struct Node {
@@ -93,7 +88,6 @@ class BgpGraph {
 
   Node& node(Asn asn);
   [[nodiscard]] const Node* find(Asn asn) const;
-  [[nodiscard]] std::unordered_map<Asn, BgpRoute> compute_routes(Asn origin) const;
 
   std::unordered_map<Asn, Node> nodes_;
   std::size_t edge_count_ = 0;

@@ -63,16 +63,14 @@ World::World(const WorldConfig& config)
     obs::Span phase = obs::span("materialize");
     materialize_address_plan();
     materialize_policies();
-    materialize_bgp();
   }
   obs::Registry& registry = obs::Registry::global();
   registry.gauge("world.ases").set(static_cast<double>(registry_.size()));
   registry.gauge("world.isps").set(static_cast<double>(isps_.size()));
   registry.gauge("world.endpoints").set(static_cast<double>(endpoints_.size()));
   registry.gauge("world.rib_prefixes").set(static_cast<double>(rib_.size()));
-  registry.gauge("world.router_sites").set(static_cast<double>(address_plan_.size()));
-  registry.gauge("world.bgp_routes")
-      .set(static_cast<double>(bgp_routes_.route_count()));
+  registry.gauge("world.router_sites")
+      .set(static_cast<double>(address_plan_.size()));
   registry.gauge("world.policies").set(static_cast<double>(policies_.size()));
   CLOUDRTT_LOG_DEBUG("world.built", {"seed", config_.seed},
                      {"ases", registry_.size()}, {"isps", isps_.size()},
@@ -82,7 +80,8 @@ World::World(const WorldConfig& config)
                      {"policies", policies_.size()});
 }
 
-net::Ipv4Prefix World::allocate_infra(Asn asn, std::uint8_t length, bool announced) {
+net::Ipv4Prefix World::allocate_infra(Asn asn, std::uint8_t length,
+                                      bool announced) {
   const net::Ipv4Prefix prefix = prefix_allocator_.allocate(length);
   infra_alloc_.emplace(asn, net::HostAllocator{prefix});
   (announced ? rib_ : whois_).push_back(RibEntry{prefix, asn});
@@ -91,8 +90,9 @@ net::Ipv4Prefix World::allocate_infra(Asn asn, std::uint8_t length, bool announc
 
 void World::build_transit() {
   for (const TransitCarrier& carrier : tier1_carriers()) {
-    registry_.add(AsInfo{carrier.asn, std::string{carrier.name}, AsType::Tier1Transit,
-                         "", geo::Continent::Europe, cloud::ProviderId::Amazon});
+    registry_.add(AsInfo{carrier.asn, std::string{carrier.name},
+                         AsType::Tier1Transit, "", geo::Continent::Europe,
+                         cloud::ProviderId::Amazon});
     // GTT and Zayo keep their infrastructure out of the RIB so the analysis
     // pipeline has to fall back to registration (whois) data, exercising the
     // paper's Team Cymru path.
@@ -102,7 +102,8 @@ void World::build_transit() {
   for (const geo::Continent c : geo::kAllContinents) {
     const Asn asn = registry_.next_synthetic_asn();
     registry_.add(AsInfo{asn, std::string{continent_transit_name(c)},
-                         AsType::RegionalTransit, "", c, cloud::ProviderId::Amazon});
+                         AsType::RegionalTransit, "", c,
+                         cloud::ProviderId::Amazon});
     (void)allocate_infra(asn, 18, true);
     continental_transit_[geo::index_of(c)] = asn;
   }
@@ -186,7 +187,8 @@ void World::build_clouds() {
                          geo::Continent::NorthAmerica, id});
     (void)allocate_infra(info.asn, 16, true);
   }
-  for (const cloud::RegionInfo& region : cloud::RegionCatalog::instance().all()) {
+  for (const cloud::RegionInfo& region :
+       cloud::RegionCatalog::instance().all()) {
     const cloud::ProviderInfo& info = cloud::provider_info(region.provider);
     CloudEndpoint endpoint;
     endpoint.region = &region;
@@ -244,7 +246,8 @@ void World::build_pops() {
   }
   // Operating a datacenter implies local peering presence: every provider
   // has an edge in the countries hosting its regions.
-  for (const cloud::RegionInfo& region : cloud::RegionCatalog::instance().all()) {
+  for (const cloud::RegionInfo& region :
+       cloud::RegionCatalog::instance().all()) {
     add_pop(region.provider, region.country);
   }
   // Case-study ground truth (Figs. 12a/13a/17a/18a): fix the PoPs the
@@ -293,14 +296,6 @@ net::Ipv4Address World::allocate_cgn_ip(Asn isp_asn) {
     throw std::out_of_range{"World::allocate_cgn_ip: unknown ISP"};
   }
   return it->second.allocate();
-}
-
-const CloudEndpoint& World::endpoint(const cloud::RegionInfo& region) const {
-  const auto it = endpoint_index_.find(&region);
-  if (it == endpoint_index_.end()) {
-    throw std::out_of_range{"World::endpoint: region not in catalogue"};
-  }
-  return endpoints_[it->second];
 }
 
 Asn World::continental_transit(geo::Continent continent) const {
@@ -426,21 +421,8 @@ void World::materialize_policies() {
   }
 }
 
-void World::materialize_bgp() {
-  // Derive the business graph last: it reads the interconnect policies and
-  // the continental-transit assignments, both frozen above. Campaigns only
-  // ever ask for routes towards cloud origins, so those are the blocks the
-  // flattened table carries; analyses needing other origins run the decision
-  // process on bgp() directly.
-  bgp_ = BgpGraph::from_world(*this);
-  std::array<Asn, cloud::kProviderCount> origins{};
-  for (std::size_t i = 0; i < cloud::kAllProviders.size(); ++i) {
-    origins[i] = cloud::provider_info(cloud::kAllProviders[i]).asn;
-  }
-  bgp_routes_ = BgpRouteTable::materialize(bgp_, origins);
-}
-
-PairPolicy World::compute_policy(const IspNetwork& isp, cloud::ProviderId provider,
+PairPolicy World::compute_policy(const IspNetwork& isp,
+                                 cloud::ProviderId provider,
                                  geo::Continent dst) const {
   PairPolicy policy;
   const auto fallback_of = [](InterconnectMode mode) {
@@ -463,9 +445,9 @@ PairPolicy World::compute_policy(const IspNetwork& isp, cloud::ProviderId provid
     return policy;
   }
 
-  util::Rng rng = root_rng_.fork("policy")
-                      .fork(isp.asn)
-                      .fork(cloud::provider_index(provider) * 8 + geo::index_of(dst));
+  util::Rng rng =
+      root_rng_.fork("policy").fork(isp.asn).fork(
+          cloud::provider_index(provider) * 8 + geo::index_of(dst));
   const cloud::ProviderInfo& info = cloud::provider_info(provider);
   const bool pop = has_pop(provider, isp.country_row);
   const bool developed = isp.continent == geo::Continent::Europe ||

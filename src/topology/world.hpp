@@ -35,10 +35,8 @@
 #include "topology/address_plan.hpp"
 #include "topology/as_registry.hpp"
 #include "topology/backbone.hpp"
-#include "topology/bgp.hpp"
 #include "topology/interconnect.hpp"
 #include "topology/isp.hpp"
-#include "topology/route_table.hpp"
 #include "util/rng.hpp"
 
 namespace cloudrtt::topology {
@@ -88,20 +86,20 @@ class World {
 
   // --- access ISPs ---------------------------------------------------------
   [[nodiscard]] const std::vector<IspNetwork>& isps() const { return isps_; }
-  [[nodiscard]] std::vector<const IspNetwork*> isps_in(std::string_view country) const;
+  [[nodiscard]] std::vector<const IspNetwork*> isps_in(
+      std::string_view country) const;
   [[nodiscard]] const IspNetwork& isp(Asn asn) const;
 
   /// Hand out subscriber addresses (called while generating probes).
-  // lint:allow(frozen): address allocators advance a deterministic counter during probe generation
+  // lint:allow(frozen): probe generation advances a deterministic counter
   [[nodiscard]] net::Ipv4Address allocate_customer_ip(Asn isp_asn);
-  // lint:allow(frozen): address allocators advance a deterministic counter during probe generation
+  // lint:allow(frozen): probe generation advances a deterministic counter
   [[nodiscard]] net::Ipv4Address allocate_cgn_ip(Asn isp_asn);
 
   // --- cloud side ------------------------------------------------------------
   [[nodiscard]] const std::vector<CloudEndpoint>& endpoints() const {
     return endpoints_;
   }
-  [[nodiscard]] const CloudEndpoint& endpoint(const cloud::RegionInfo& region) const;
   /// Does the provider deploy an edge PoP in the country at `row`?
   // lint:hot
   [[nodiscard]] bool has_pop(cloud::ProviderId p, std::size_t row) const {
@@ -125,26 +123,25 @@ class World {
   /// The continental transit AS fronting public paths out of `continent`.
   [[nodiscard]] Asn continental_transit(geo::Continent continent) const;
 
-  // --- routers ----------------------------------------------------------------
+  // --- routers -------------------------------------------------------------
   /// Every router address a path can expose, pre-assigned by the
   /// materialization pass in typed tables; stable across calls and resumes.
-  [[nodiscard]] const AddressPlan& address_plan() const { return address_plan_; }
+  [[nodiscard]] const AddressPlan& address_plan() const {
+    return address_plan_;
+  }
 
-  /// The AS-level business graph derived from this world (for analyses that
-  /// re-run the decision process or mutate a copy of the graph).
-  [[nodiscard]] const BgpGraph& bgp() const { return bgp_; }
-  /// The flattened best-route table towards every cloud-provider origin,
-  /// materialized at construction — a pure lock-free lookup.
-  [[nodiscard]] const BgpRouteTable& bgp_routes() const { return bgp_routes_; }
-
-  // --- analysis bootstrap data --------------------------------------------------
+  // --- analysis bootstrap data ---------------------------------------------
   /// Announced prefixes (the "RIB dump" PyASN would ingest).
   [[nodiscard]] const std::vector<RibEntry>& rib_dump() const { return rib_; }
   /// Registration data for prefixes missing from the RIB (the Team Cymru
   /// fallback of §3.3).
-  [[nodiscard]] const std::vector<RibEntry>& whois_entries() const { return whois_; }
+  [[nodiscard]] const std::vector<RibEntry>& whois_entries() const {
+    return whois_;
+  }
   /// IXP peering-LAN prefixes (the CAIDA IXP dataset stand-in).
-  [[nodiscard]] const std::vector<RibEntry>& ixp_prefixes() const { return ixp_rib_; }
+  [[nodiscard]] const std::vector<RibEntry>& ixp_prefixes() const {
+    return ixp_rib_;
+  }
 
   [[nodiscard]] util::Rng fork_rng(std::string_view label) const {
     return root_rng_.fork(label);
@@ -161,8 +158,6 @@ class World {
   void materialize_address_plan();
   /// Pre-compute every <ISP, provider, continent> interconnect decision.
   void materialize_policies();
-  /// Derive the AS graph and flatten best routes towards every cloud origin.
-  void materialize_bgp();
 
   [[nodiscard]] net::Ipv4Prefix allocate_infra(Asn asn, std::uint8_t length,
                                                bool announced);
@@ -192,8 +187,6 @@ class World {
 
   AddressPlan address_plan_;
   std::vector<PairPolicy> policies_;  ///< ISP x provider x continent
-  BgpGraph bgp_;
-  BgpRouteTable bgp_routes_;
 
   std::vector<RibEntry> rib_;
   std::vector<RibEntry> whois_;

@@ -1,9 +1,9 @@
 #pragma once
-// Minimal JSON parser (DOM, read side of util/json.hpp's writer): enough to
-// read the lint baseline back from disk and to validate the Chrome-trace
-// export in tests. Strict on structure (unterminated containers, trailing
-// garbage and bad escapes are errors), permissive on whitespace. Object
-// member order is preserved, so round-tripping a document written by
+// Minimal JSON parser (DOM, read side of util/json.hpp's writer): enough for
+// tests to validate the Chrome-trace export and the writer's output; no
+// production code parses JSON. Strict on structure (unterminated containers,
+// trailing garbage and bad escapes are errors), permissive on whitespace.
+// Object member order is preserved, so round-tripping a document written by
 // JsonWriter is deterministic.
 
 #include <optional>

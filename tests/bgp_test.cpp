@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <array>
+#include <unordered_map>
 
 #include "topology/bgp.hpp"
-#include "topology/route_table.hpp"
 #include "topology/world.hpp"
 
 namespace cloudrtt::topology {
@@ -127,82 +127,71 @@ TEST_F(SmallGraph, UnknownOriginHasNoRoutes) {
   EXPECT_TRUE(graph_.routes_to(999).empty());
 }
 
+// The world's business graph, with the decision process run once per cloud
+// origin: route() per ISP would rerun the whole propagation ~4,000 times.
 class WorldBgp : public ::testing::Test {
  protected:
+  WorldBgp() {
+    for (const cloud::ProviderId provider : cloud::kAllProviders) {
+      routes_[cloud::provider_index(provider)] =
+          graph_.routes_to(cloud::provider_info(provider).asn);
+    }
+  }
+
+  /// Best route from `from` towards `provider`'s ASN; null when policy
+  /// hides it.
+  [[nodiscard]] const BgpRoute* route(Asn from,
+                                      cloud::ProviderId provider) const {
+    const auto& routes = routes_[cloud::provider_index(provider)];
+    const auto it = routes.find(from);
+    return it == routes.end() ? nullptr : &it->second;
+  }
+
+  /// Mean AS-path length over the ISPs that reach `provider`.
+  [[nodiscard]] double mean_length(cloud::ProviderId provider) const {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const IspNetwork& isp : world_.isps()) {
+      if (const BgpRoute* found = route(isp.asn, provider)) {
+        sum += static_cast<double>(found->length());
+        ++n;
+      }
+    }
+    return sum / static_cast<double>(n);
+  }
+
   World world_{WorldConfig{77}};
-  const BgpGraph& graph_ = world_.bgp();
-  const BgpRouteTable& table_ = world_.bgp_routes();
+  const BgpGraph graph_ = BgpGraph::from_world(world_);
+  std::array<std::unordered_map<Asn, BgpRoute>, cloud::kProviderCount>
+      routes_;
 };
 
 TEST_F(WorldBgp, EveryIspReachesEveryCloud) {
   for (const cloud::ProviderId provider : cloud::kAllProviders) {
     const Asn cloud_asn = cloud::provider_info(provider).asn;
-    ASSERT_TRUE(table_.has_origin(cloud_asn));
+    // The origin is in the graph, so the decision process ran for it.
+    ASSERT_NE(route(cloud_asn, provider), nullptr);
     for (const IspNetwork& isp : world_.isps()) {
-      EXPECT_TRUE(table_.route(isp.asn, cloud_asn).has_value())
-          << isp.name << " cannot reach " << cloud::provider_info(provider).ticker;
+      EXPECT_NE(route(isp.asn, provider), nullptr)
+          << isp.name << " cannot reach "
+          << cloud::provider_info(provider).ticker;
     }
   }
-}
-
-TEST_F(WorldBgp, FlattenedTableMatchesDecisionProcess) {
-  // The materialized table must agree with a fresh run of the decision
-  // process, path for path and type for type, at every (ISP, cloud) pair.
-  for (const cloud::ProviderId provider : cloud::kAllProviders) {
-    const Asn cloud_asn = cloud::provider_info(provider).asn;
-    const auto routes = graph_.routes_to(cloud_asn);
-    std::size_t checked = 0;
-    for (const IspNetwork& isp : world_.isps()) {
-      const auto flat = table_.route(isp.asn, cloud_asn);
-      const auto it = routes.find(isp.asn);
-      ASSERT_EQ(flat.has_value(), it != routes.end()) << isp.name;
-      if (!flat) continue;
-      EXPECT_EQ(flat->type, it->second.type) << isp.name;
-      ASSERT_EQ(flat->length(), it->second.length()) << isp.name;
-      EXPECT_TRUE(std::equal(flat->as_path.begin(), flat->as_path.end(),
-                             it->second.as_path.begin()))
-          << isp.name;
-      ++checked;
-    }
-    EXPECT_GT(checked, 0u);
-  }
-}
-
-TEST_F(WorldBgp, TableDoesNotCarryUnmaterializedOrigins) {
-  // Only cloud origins are flattened; a random ISP ASN is not a block.
-  const Asn isp_asn = world_.isps().front().asn;
-  EXPECT_FALSE(table_.has_origin(isp_asn));
-  EXPECT_FALSE(table_.route(42, isp_asn).has_value());
-  EXPECT_EQ(table_.origin_count(), cloud::kAllProviders.size());
-  EXPECT_GT(table_.route_count(), 0u);
 }
 
 TEST_F(WorldBgp, AllIspToCloudRoutesAreValleyFree) {
   for (const cloud::ProviderId provider :
        {cloud::ProviderId::Amazon, cloud::ProviderId::Vultr,
         cloud::ProviderId::Ibm}) {
-    const Asn cloud_asn = cloud::provider_info(provider).asn;
     for (const IspNetwork& isp : world_.isps()) {
-      const auto route = table_.route(isp.asn, cloud_asn);
-      ASSERT_TRUE(route.has_value());
-      EXPECT_TRUE(graph_.is_valley_free(route->as_path)) << isp.name;
+      const BgpRoute* found = route(isp.asn, provider);
+      ASSERT_NE(found, nullptr);
+      EXPECT_TRUE(graph_.is_valley_free(found->as_path)) << isp.name;
     }
   }
 }
 
 TEST_F(WorldBgp, HypergiantsAreFlatterThanSmallClouds) {
-  const auto mean_length = [&](cloud::ProviderId provider) {
-    const Asn cloud_asn = cloud::provider_info(provider).asn;
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const IspNetwork& isp : world_.isps()) {
-      if (const auto route = table_.route(isp.asn, cloud_asn)) {
-        sum += static_cast<double>(route->length());
-        ++n;
-      }
-    }
-    return sum / static_cast<double>(n);
-  };
   const double big3 = (mean_length(cloud::ProviderId::Amazon) +
                        mean_length(cloud::ProviderId::Google) +
                        mean_length(cloud::ProviderId::Microsoft)) /
@@ -217,28 +206,15 @@ TEST_F(WorldBgp, HypergiantsAreFlatterThanSmallClouds) {
 
 TEST_F(WorldBgp, DirectPeeringShowsUpAsTwoAsPaths) {
   // Vodafone -> Microsoft is a direct peering in the paper's Fig. 12a.
-  const auto route =
-      table_.route(3209, cloud::provider_info(cloud::ProviderId::Microsoft).asn);
-  ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(route->length(), 2u);
-  EXPECT_EQ(route->type, RouteType::Peer);
+  const BgpRoute* found = route(3209, cloud::ProviderId::Microsoft);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->length(), 2u);
+  EXPECT_EQ(found->type, RouteType::Peer);
 }
 
 TEST_F(WorldBgp, BgpAgreesWithTracerouteModelOnPathLengthOrdering) {
   // The two independent models (policy-sampled forwarding vs BGP) must put
   // the same providers on the short side.
-  const auto mean_length = [&](cloud::ProviderId provider) {
-    const Asn cloud_asn = cloud::provider_info(provider).asn;
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const IspNetwork& isp : world_.isps()) {
-      if (const auto route = table_.route(isp.asn, cloud_asn)) {
-        sum += static_cast<double>(route->length());
-        ++n;
-      }
-    }
-    return sum / static_cast<double>(n);
-  };
   EXPECT_LT(mean_length(cloud::ProviderId::Google),
             mean_length(cloud::ProviderId::Oracle));
   EXPECT_LT(mean_length(cloud::ProviderId::Amazon),

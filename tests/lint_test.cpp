@@ -1,6 +1,6 @@
 // cloudrtt-lint unit tests: every rule against known-bad and known-clean
 // fixtures, the suppression contract (justified allow suppresses, bare allow
-// does not), the cross-file symbol harvest, and both report formats.
+// does not), the cross-file symbol harvest, and the text and SARIF reports.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "lint/baseline.hpp"
 #include "lint/lint.hpp"
-#include "util/json.hpp"
 
 namespace cloudrtt::lint {
 namespace {
@@ -446,25 +444,6 @@ void f(int x) { assert(x > 0); }
   EXPECT_NE(text.find("1 active finding"), std::string::npos);
 }
 
-TEST(LintReport, JsonReportIsValidAndComplete) {
-  const auto findings = lint_one("src/x.cpp",
-      "#include <unordered_map>\n"
-      "void f() {\n"
-      "  std::unordered_map<int, int> t;\n"
-      "  for (const auto& [k, v] : t) { (void)k; (void)v; }  "
-      "// lint:allow(unordered-iter): benign\n"
-      "}\n");
-  std::ostringstream out;
-  write_json_report(out, findings, summarize(findings, 1));
-  const std::string json = out.str();
-  // Spot-check the document shape; JsonWriter guarantees well-formedness.
-  EXPECT_NE(json.find("\"findings\""), std::string::npos);
-  EXPECT_NE(json.find("\"rule\": \"unordered-iter\""), std::string::npos);
-  EXPECT_NE(json.find("\"suppressed\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"justification\": \"benign\""), std::string::npos);
-  EXPECT_NE(json.find("\"clean\": true"), std::string::npos);
-}
-
 TEST(LintOptionsTest, PathMatchingIsSuffixNormalised) {
   const LintOptions options;
   EXPECT_FALSE(options.applies(Rule::Nondeterminism, "src/util/rng.cpp"));
@@ -697,7 +676,7 @@ TEST(LintAllowHygiene, FlagsUnjustifiedUnknownAndOrphanAllows) {
 #include <unordered_map>
 void f() {
   std::unordered_map<int, int> t;
-  for (const auto& [k, v] : t) { (void)k; (void)v; }  // lint:allow(unordered-iter)
+  for (const auto& kv : t) { (void)kv; }  // lint:allow(unordered-iter)
   int a = 0;  // lint:allow(made-up-rule): no such rule
   int b = 0;  // lint:allow(local-static): nothing to excuse here
   (void)a; (void)b;
@@ -723,50 +702,16 @@ void f() {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline round-trip
-
-TEST(LintBaseline, RoundTripBaselinesEveryFindingAndReportsStale) {
-  auto findings = lint_one("src/measure/h.cpp", R"cpp(
-// lint:hot
-int* build(int n) { return new int[n]; }
-)cpp");
-  ASSERT_EQ(findings.size(), 1u);
-  const std::string json = write_baseline_json(findings);
-  Baseline baseline;
-  ASSERT_TRUE(parse_baseline_json(json, baseline));
-  ASSERT_EQ(baseline.entries.size(), 1u);
-  EXPECT_EQ(baseline.entries[0].rule, "hot-path-alloc");
-
-  EXPECT_TRUE(apply_baseline(baseline, findings).empty());
-  EXPECT_TRUE(findings[0].baselined);
-  EXPECT_TRUE(summarize(findings, 1).clean());
-
-  baseline.entries.push_back(
-      {"src/gone.cpp", "hot-path-alloc", "int* p = new int;"});
-  auto again = lint_one("src/measure/h.cpp",
-                        "// lint:hot\nint* build(int n) { return new int[n]; }\n");
-  const auto stale = apply_baseline(baseline, again);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_NE(stale[0].find("src/gone.cpp"), std::string::npos);
-}
-
-TEST(LintBaseline, RejectsForeignSchema) {
-  Baseline baseline;
-  EXPECT_FALSE(parse_baseline_json("{}", baseline));
-  EXPECT_FALSE(parse_baseline_json("not json", baseline));
-  EXPECT_TRUE(parse_baseline_json(
-      "{\"schema\": \"cloudrtt-lint-baseline/1\", \"entries\": []}",
-      baseline));
-}
-
-// ---------------------------------------------------------------------------
 // SARIF export
 
-TEST(LintSarif, EmitsRulesResultsAndBaselineState) {
-  auto findings = lint_one("src/measure/h.cpp", R"cpp(
+constexpr std::string_view kHotAllocFixture = R"cpp(
 // lint:hot
 int* build(int n) { return new int[n]; }
-)cpp");
+)cpp";
+
+TEST(LintSarif, EmitsRulesResultsAndBaselineState) {
+  const auto findings =
+      lint_one("src/measure/h.cpp", std::string{kHotAllocFixture});
   ASSERT_EQ(findings.size(), 1u);
   std::ostringstream out;
   write_sarif_report(out, findings);
@@ -774,13 +719,18 @@ int* build(int n) { return new int[n]; }
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\": \"hot-path-alloc\""), std::string::npos);
   EXPECT_NE(sarif.find("\"uri\": \"src/measure/h.cpp\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"baselineState\": \"new\""), std::string::npos);
   EXPECT_NE(sarif.find("cloudrttLint/v1"), std::string::npos);
+}
 
-  findings[0].baselined = true;
-  std::ostringstream unchanged;
-  write_sarif_report(unchanged, findings);
-  EXPECT_NE(unchanged.str().find("\"baselineState\": \"unchanged\""),
+TEST(LintSarif, FingerprintIsStable) {
+  // FNV-1a over "src/measure/h.cpp|hot-path-alloc|<snippet>": GitHub code
+  // scanning matches alerts across runs by this value, so it must not move.
+  const auto findings =
+      lint_one("src/measure/h.cpp", std::string{kHotAllocFixture});
+  ASSERT_EQ(findings.size(), 1u);
+  std::ostringstream out;
+  write_sarif_report(out, findings);
+  EXPECT_NE(out.str().find("\"cloudrttLint/v1\": \"f57ae32e9770062e\""),
             std::string::npos);
 }
 

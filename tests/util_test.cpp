@@ -359,9 +359,11 @@ TEST(JsonValue, RoundTripsJsonWriterOutput) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded damage: JsonValue::parse reads lint-baseline.json from disk, so any
-// byte string must come back as a value, or as nullopt with an error, and
-// never crash. The sanitizer build runs this under ASan+UBSan.
+// Seeded damage: the trace-event and writer tests validate output with
+// JsonValue::parse, so a malformed document must come back as nullopt with
+// an error, never as a crash, or a broken writer would abort the suite
+// instead of failing a test. Any byte string must come back as a value or
+// as nullopt. The sanitizer build runs this under ASan+UBSan.
 
 /// Valid documents that cover every value kind between them: nesting,
 /// every escape (surrogate pairs included), exponents and the literals.

@@ -1,17 +1,14 @@
 // cloudrtt-lint — determinism, concurrency & hot-path static analysis.
 //
 //   cloudrtt-lint --root .                      # lint src/ tools/ tests/ ...
-//   cloudrtt-lint --root . --json lint.json     # machine-readable findings
 //   cloudrtt-lint --root . --sarif lint.sarif   # SARIF 2.1.0 for CI upload
-//   cloudrtt-lint --root . --baseline lint-baseline.json
-//   cloudrtt-lint --root . --write-baseline lint-baseline.json
+//   cloudrtt-lint --root . --show-suppressed    # list justified findings too
 //   cloudrtt-lint --list-rules                  # rule keys + summaries
-//   cloudrtt-lint --root . --dump-symbols       # harvested unordered names
 //
-// Exit code 0 when every finding is suppressed or baselined, 1 when any
-// active finding remains, 3 on usage/IO errors. The SARIF report is written
-// before the nonzero exit so CI can upload it from a failing job. See
-// src/lint/.
+// Exit code 0 when every finding is suppressed with a justified lint:allow,
+// 1 when any active finding remains, 3 on usage/IO errors. The SARIF report
+// is written before the nonzero exit so CI can upload it from a failing job.
+// See src/lint/.
 
 #include <algorithm>
 #include <filesystem>
@@ -21,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/baseline.hpp"
 #include "lint/lint.hpp"
 #include "util/cli.hpp"
 
@@ -51,14 +47,6 @@ constexpr std::string_view kRoots[] = {"src", "tools", "tests", "bench",
   return true;
 }
 
-[[nodiscard]] bool write_file(const std::string& path,
-                              const std::string& content) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) return false;
-  out << content;
-  return bool{out};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,16 +55,9 @@ int main(int argc, char** argv) {
       "determinism, concurrency & hot-path static analysis "
       "(--list-rules for the rule families)"};
   args.add_option("root", ".", "repository root to scan");
-  args.add_option("json", "", "also write the findings as JSON to this file");
   args.add_option("sarif", "", "also write a SARIF 2.1.0 report to this file");
-  args.add_option("baseline", "",
-                  "checked-in baseline file; matched findings don't fail");
-  args.add_option("write-baseline", "",
-                  "write the current unsuppressed findings as a baseline "
-                  "and exit 0");
   args.add_flag("list-rules", "print rule keys + summaries and exit");
   args.add_flag("show-suppressed", "list suppressed findings in the report");
-  args.add_flag("dump-symbols", "print harvested unordered symbols and exit");
   if (!args.parse(argc, argv)) return kExitUsage;
 
   if (args.get_flag("list-rules")) {
@@ -119,63 +100,12 @@ int main(int argc, char** argv) {
                std::move(content));
   }
 
-  if (args.get_flag("dump-symbols")) {
-    (void)linter.run();
-    // lint:allow(unordered-iter): returns a sorted std::vector
-    for (const std::string& symbol : linter.unordered_symbols()) {
-      std::cout << symbol << "\n";
-    }
-    return kExitClean;
-  }
-
-  std::vector<cloudrtt::lint::Finding> findings = linter.run();
-
-  if (const std::string out_path = args.get("write-baseline");
-      !out_path.empty()) {
-    if (!write_file(out_path,
-                    cloudrtt::lint::write_baseline_json(findings))) {
-      std::cerr << "cloudrtt-lint: cannot write baseline " << out_path
-                << "\n";
-      return kExitUsage;
-    }
-    std::size_t parked = 0;
-    for (const cloudrtt::lint::Finding& finding : findings) {
-      if (!finding.suppressed) ++parked;
-    }
-    std::cout << "cloudrtt-lint: wrote " << parked << " baseline entr"
-              << (parked == 1 ? "y" : "ies") << " to " << out_path << "\n";
-    return kExitClean;
-  }
-
-  if (const std::string baseline_path = args.get("baseline");
-      !baseline_path.empty()) {
-    std::string text;
-    cloudrtt::lint::Baseline baseline;
-    if (!read_file(baseline_path, text) ||
-        !cloudrtt::lint::parse_baseline_json(text, baseline)) {
-      std::cerr << "cloudrtt-lint: cannot parse baseline " << baseline_path
-                << "\n";
-      return kExitUsage;
-    }
-    for (const std::string& warning :
-         cloudrtt::lint::apply_baseline(baseline, findings)) {
-      std::cerr << "cloudrtt-lint: " << warning << "\n";
-    }
-  }
-
+  const std::vector<cloudrtt::lint::Finding> findings = linter.run();
   const cloudrtt::lint::Summary summary = cloudrtt::lint::summarize(
       findings, files.size(), linter.allow_uses());
   cloudrtt::lint::write_text_report(std::cout, findings, summary,
                                     args.get_flag("show-suppressed"));
 
-  if (const std::string& json_path = args.get("json"); !json_path.empty()) {
-    std::ofstream out{json_path};
-    if (!out) {
-      std::cerr << "cloudrtt-lint: cannot write " << json_path << "\n";
-      return kExitUsage;
-    }
-    cloudrtt::lint::write_json_report(out, findings, summary);
-  }
   if (const std::string& sarif_path = args.get("sarif");
       !sarif_path.empty()) {
     std::ofstream out{sarif_path};
