@@ -19,7 +19,8 @@ namespace cloudrtt::cloud {
 
 struct RegionInfo {
   ProviderId provider;
-  std::string_view region_name;  ///< provider-style region id, e.g. "eu-central-1"
+  /// Provider-style region id, e.g. "eu-central-1".
+  std::string_view region_name;
   std::string_view city;
   std::string_view country;      ///< ISO 3166-1 alpha-2
   geo::Continent continent;
@@ -31,9 +32,10 @@ class RegionCatalog {
   [[nodiscard]] static const RegionCatalog& instance();
 
   [[nodiscard]] std::span<const RegionInfo> all() const { return regions_; }
-  [[nodiscard]] std::vector<const RegionInfo*> of_provider(ProviderId id) const;
-  [[nodiscard]] std::vector<const RegionInfo*> in_continent(geo::Continent c) const;
-  [[nodiscard]] std::vector<const RegionInfo*> in_country(std::string_view code) const;
+  [[nodiscard]] std::vector<const RegionInfo*> of_provider(
+      ProviderId id) const;
+  [[nodiscard]] std::vector<const RegionInfo*> in_continent(
+      geo::Continent c) const;
   [[nodiscard]] std::size_t count(ProviderId id, geo::Continent c) const;
   [[nodiscard]] std::size_t total() const { return regions_.size(); }
 

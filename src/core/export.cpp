@@ -11,14 +11,19 @@
 #include <initializer_list>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cloud/region.hpp"
+#include "geo/country.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "store/codec.hpp"
 #include "store/salvage.hpp"
 #include "util/fnv1a_fold.hpp"
 #include "util/rng.hpp"
@@ -166,28 +171,140 @@ class CsvBuffer {
   std::size_t size_ = 0;
 };
 
+/// A country's cells, trailing comma included: its code and continent.
+void put_country_cells(CsvBuffer& csv, const geo::CountryInfo& country) {
+  csv.put_text(country.code);
+  csv.put(',');
+  csv.put_text(geo::to_code(country.continent));
+  csv.put(',');
+}
+
+/// A region's cells, trailing comma included: its provider and its name.
+void put_region_cells(CsvBuffer& csv, const cloud::RegionInfo& region) {
+  csv.put_text(cloud::provider_info(region.provider).ticker);
+  csv.put(',');
+  csv.put_text(region.region_name);
+  csv.put(',');
+}
+
+/// `item`'s index in `rows`, or rows.size() when it is not one of them.
+template <typename Row>
+[[nodiscard]] std::size_t row_in(std::span<const Row> rows, const Row* item) {
+  // std::less orders pointers into different arrays too.
+  const std::less<const Row*> before;
+  if (before(item, rows.data()) || !before(item, rows.data() + rows.size())) {
+    return rows.size();
+  }
+  return static_cast<std::size_t>(item - rows.data());
+}
+
+/// Every catalogue cell a row can hold, escaped under
+/// util::write_csv_row's rule once per process, each ready to copy with
+/// the comma after it: a probe's platform ("Speedchecker,") and its
+/// country and continent ("DE,EU,"), a region's provider and name
+/// ("AMZN,eu-central-1,"), a ping's protocol ("TCP,"), and a canonical hop
+/// row's mode with the comma before it and the row's end (",1 AS\n"). A
+/// country or region outside the catalogues (a hand-built row that a
+/// RowBinding keeps in its extras) has no cell here and is escaped per row.
+class CellTable {
+ public:
+  [[nodiscard]] static const CellTable& instance() {
+    static const CellTable table;
+    return table;
+  }
+
+  [[nodiscard]] std::string_view platform(probes::Platform platform) const {
+    return platforms_[platform == probes::Platform::Speedchecker ? 0 : 1];
+  }
+  [[nodiscard]] std::string_view protocol(measure::Protocol protocol) const {
+    return protocols_[protocol == measure::Protocol::Tcp ? 0 : 1];
+  }
+  /// Any mode value: past the four modes, the cell of topology::to_string's
+  /// "?".
+  [[nodiscard]] std::string_view mode(topology::InterconnectMode mode) const {
+    return modes_[std::min<std::size_t>(static_cast<std::size_t>(mode),
+                                        modes_.size() - 1)];
+  }
+
+  // lint:hot
+  void put_country(CsvBuffer& csv, const geo::CountryInfo& country) const {
+    if (const std::size_t row = row_in(countries_, &country);
+        row < country_cells_.size()) {
+      csv.put(country_cells_[row]);
+    } else {
+      put_country_cells(csv, country);
+    }
+  }
+
+  // lint:hot
+  void put_region(CsvBuffer& csv, const cloud::RegionInfo& region) const {
+    if (const std::size_t row = row_in(regions_, &region);
+        row < region_cells_.size()) {
+      csv.put(region_cells_[row]);
+    } else {
+      put_region_cells(csv, region);
+    }
+  }
+
+ private:
+  CellTable()
+      : countries_(geo::CountryTable::instance().all()),
+        regions_(cloud::RegionCatalog::instance().all()) {
+    CsvBuffer csv;
+    const auto cell = [&csv](const auto& put) {
+      csv.clear();
+      put();
+      return std::string{csv.bytes()};
+    };
+    const auto text_cell = [&](std::string_view text) {
+      return cell([&] {
+        csv.put_text(text);
+        csv.put(',');
+      });
+    };
+    for (const geo::CountryInfo& country : countries_) {
+      country_cells_.push_back(
+          cell([&] { put_country_cells(csv, country); }));
+    }
+    for (const cloud::RegionInfo& region : regions_) {
+      region_cells_.push_back(cell([&] { put_region_cells(csv, region); }));
+    }
+    platforms_ = {text_cell(to_string(probes::Platform::Speedchecker)),
+                  text_cell(to_string(probes::Platform::RipeAtlas))};
+    protocols_ = {text_cell(to_string(measure::Protocol::Tcp)),
+                  text_cell(to_string(measure::Protocol::Icmp))};
+    for (std::size_t i = 0; i < modes_.size(); ++i) {
+      modes_[i] = cell([&] {
+        csv.put(',');
+        csv.put_text(
+            topology::to_string(static_cast<topology::InterconnectMode>(i)));
+        csv.put('\n');
+      });
+    }
+  }
+
+  std::span<const geo::CountryInfo> countries_;
+  std::span<const cloud::RegionInfo> regions_;
+  std::vector<std::string> country_cells_;  ///< by CountryTable row
+  std::vector<std::string> region_cells_;   ///< by RegionCatalog row
+  std::array<std::string, 2> platforms_;
+  std::array<std::string, 2> protocols_;
+  /// The four modes, then the cell of any other value.
+  std::array<std::string, 5> modes_;
+};
+
 // lint:hot
-void put_ping_row(CsvBuffer& csv, const measure::PingRecord& ping,
-                  bool roundtrip) {
+void put_ping_row(CsvBuffer& csv, const CellTable& cells,
+                  const measure::PingRecord& ping, bool roundtrip) {
   const probes::Probe& probe = *ping.probe;
   csv.put_uint(probe.id);
   csv.put(',');
-  // lint:allow(hot-path-alloc): probes::to_string returns a static string_view
-  csv.put_text(to_string(probe.platform));
-  csv.put(',');
-  csv.put_text(probe.country->code);
-  csv.put(',');
-  csv.put_text(geo::to_code(probe.country->continent));
-  csv.put(',');
+  csv.put(cells.platform(probe.platform));
+  cells.put_country(csv, *probe.country);
   csv.put_uint(probe.isp->asn);
   csv.put(',');
-  csv.put_text(cloud::provider_info(ping.region->provider).ticker);
-  csv.put(',');
-  csv.put_text(ping.region->region_name);
-  csv.put(',');
-  // lint:allow(hot-path-alloc): measure::to_string returns a static string_view
-  csv.put_text(to_string(ping.protocol));
-  csv.put(',');
+  cells.put_region(csv, *ping.region);
+  csv.put(cells.protocol(ping.protocol));
   csv.put_double(ping.rtt_ms, roundtrip);
   csv.put(',');
   csv.put_uint(ping.day);
@@ -198,16 +315,14 @@ void put_ping_row(CsvBuffer& csv, const measure::PingRecord& ping,
 
 /// The cells every hop row of a trace starts with, trailing comma included.
 // lint:hot
-void put_trace_prefix(CsvBuffer& csv, const measure::TraceRef& trace,
-                      std::uint64_t trace_id, bool roundtrip) {
+void put_trace_prefix(CsvBuffer& csv, const CellTable& cells,
+                      const measure::TraceRef& trace, std::uint64_t trace_id,
+                      bool roundtrip) {
   csv.put_uint(trace_id);
   csv.put(',');
   csv.put_uint(trace.probe->id);
   csv.put(',');
-  csv.put_text(cloud::provider_info(trace.region->provider).ticker);
-  csv.put(',');
-  csv.put_text(trace.region->region_name);
-  csv.put(',');
+  cells.put_region(csv, *trace.region);
   csv.put_ip(trace.target_ip);
   csv.put(',');
   csv.put_uint(trace.day);
@@ -249,15 +364,20 @@ enum class Part : unsigned char { Pings, Traces };
                "completed,end_to_end_ms,ttl,responded,hop_ip,hop_rtt_ms\n";
 }
 
-/// One stretch of the row sequence: a part's header line (`rows` null), or
-/// rows [begin, end) of `rows`' pings or traces, the traces numbered from
-/// first_trace_id.
+/// One stretch of the row sequence: a part's header line, rows
+/// [begin, end) of the in-memory dataset `rows`, or, with `store_records`,
+/// the `end` store records of one block that its slot holds (ping records
+/// or trace records, undecoded; the first is task `first_task` of `day`).
+/// Traces are numbered from first_trace_id.
 struct Batch {
   Part part = Part::Pings;
   const measure::Dataset* rows = nullptr;
+  bool store_records = false;
   std::size_t begin = 0;
   std::size_t end = 0;
   std::uint64_t first_trace_id = 0;
+  std::uint32_t day = 0;
+  std::uint32_t first_task = 0;
 };
 
 // lint:hot
@@ -267,37 +387,96 @@ void encode_batch(const Batch& batch, bool canonical, CsvBuffer& csv) {
     csv.put(header_line(batch.part, canonical));
     return;
   }
+  const CellTable& cells = CellTable::instance();
   const measure::Dataset& data = *batch.rows;
   if (batch.part == Part::Pings) {
     for (std::size_t row = batch.begin; row < batch.end; ++row) {
-      put_ping_row(csv, data.pings[row], canonical);
+      put_ping_row(csv, cells, data.pings[row], canonical);
     }
     return;
   }
   std::uint64_t trace_id = batch.first_trace_id;
   for (std::size_t row = batch.begin; row < batch.end; ++row, ++trace_id) {
     const measure::TraceRef trace = data.traces[row];
-    // lint:allow(hot-path-alloc): to_string returns a static string_view
-    const std::string_view mode = topology::to_string(trace.true_mode);
+    const std::string_view row_end =
+        canonical ? cells.mode(trace.true_mode) : "\n";
     // The prefix cells repeat on every hop row of the trace: encode them
     // for the first hop, then copy them for the others.
     const std::size_t prefix_at = csv.size();
     std::size_t prefix_bytes = 0;
     for (const measure::HopRecord& hop : trace.hops) {
       if (prefix_bytes == 0) {
-        put_trace_prefix(csv, trace, trace_id, canonical);
+        put_trace_prefix(csv, cells, trace, trace_id, canonical);
         prefix_bytes = csv.size() - prefix_at;
       } else {
         csv.repeat(prefix_at, prefix_bytes);
       }
       put_hop_cells(csv, hop, canonical);
-      if (canonical) {
-        csv.put(',');
-        csv.put_text(mode);
-      }
-      csv.put('\n');
+      csv.put(row_end);
     }
   }
+}
+
+/// The probe fleets a streamed hash decodes store records against.
+struct Fleets {
+  const probes::ProbeFleet* sc = nullptr;
+  const probes::ProbeFleet* atlas = nullptr;
+};
+
+/// How the streamed hash names what refused it: the pass, then what.
+[[nodiscard]] std::string streamed_error(Part part, std::string_view what) {
+  return (part == Part::Pings ? "streamed hash (ping pass): "
+                              : "streamed hash (trace pass): ") +
+         std::string{what};
+}
+
+/// An encoder thread's scratch for decoding store-record batches, sized
+/// for the largest batch when it is made: at most kCsvBatchRows pings, or
+/// traces and hops, and one trace's 255 hops. So the encoder threads never
+/// allocate (see CsvBuffer).
+struct Decoded {
+  explicit Decoded(Fleets with) : fleets(with) {
+    rows.bind(fleets.sc, fleets.atlas);
+    rows.reserve(kCsvBatchRows, kCsvBatchRows);
+    rows.reserve_hops(kCsvBatchRows);
+    hops.reserve(255);
+  }
+  Fleets fleets;
+  measure::Dataset rows;
+  std::vector<measure::HopRecord> hops;
+};
+
+/// Decode a store-record batch into `out.rows` (cleared first) with the
+/// store codec's record decoders. Empty, or what the first record that
+/// does not decode has wrong, named by its task and day.
+[[nodiscard]] std::string decode_batch(const Batch& batch,
+                                       std::string_view records,
+                                       Decoded& out) {
+  const Fleets fleets = out.fleets;
+  out.rows.clear_rows();
+  for (std::size_t i = 0; i < batch.end; ++i) {
+    std::string_view record;
+    std::string why;
+    if (batch.part == Part::Pings) {
+      why = store::cut_ping_record(records, record);
+      if (why.empty()) {
+        why = store::decode_ping_record(record, batch.day, fleets.sc,
+                                        fleets.atlas, out.rows.pings);
+      }
+    } else {
+      why = store::cut_trace_record(records, record);
+      if (why.empty()) {
+        why = store::decode_trace_record(record, batch.day, fleets.sc,
+                                         fleets.atlas, out.rows.traces,
+                                         out.hops);
+      }
+    }
+    if (!why.empty()) {
+      const auto task = static_cast<std::uint32_t>(batch.first_task + i);
+      return store::record_error(batch.day, task, why);
+    }
+  }
+  return {};
 }
 
 /// Thrown out of a producer whose pipeline is stopping (a thread failed, or
@@ -307,32 +486,48 @@ struct Abandoned {};
 /// The ordered encoder. The reader thread runs a producer that cuts the row
 /// sequence into batches and hands each to the next slot of a ring of
 /// kWindow; kEncoders encoder threads claim the handed-over slots in batch
-/// order and format them in parallel; the calling thread retires the slots
-/// strictly in batch order into the sink. Batch n lives in slot n % kWindow,
-/// and a slot's contents pass between the threads with three counters:
-/// handed over → claimed → (encoded) → retired. The reader refills a slot
-/// only once the batch before it there is retired, and every batch — a
-/// header too — is claimed and encoded before it can be retired, so no slot
-/// is ever reused under an encoder.
+/// order and format them in parallel, decoding store records first; the
+/// calling thread retires the slots strictly in batch order into the sink.
+/// Batch n lives in slot n % kWindow, and a slot's contents pass between
+/// the threads with three counters: handed over → claimed → (encoded) →
+/// retired. The reader refills a slot only once the batch before it there
+/// is retired, and every batch — a header too — is claimed and encoded
+/// before it can be retired, so no slot is ever reused under an encoder.
+/// What refuses the sequence first in batch order is what run() reports: a
+/// batch whose records do not decode when it is retired, the producer's
+/// error once every batch handed over before it is retired.
 class OrderedEncoder {
  public:
   /// Hands the row sequence over batch by batch (on the reader thread);
   /// returns what went wrong, or an empty string.
   using Producer = std::function<std::string(OrderedEncoder&)>;
 
-  OrderedEncoder(CsvSink sink, CsvFlavour flavour)
-      : sink_(sink), canonical_(flavour == CsvFlavour::Canonical) {}
+  /// With `store_fleets`, the producer may hand over store records, which
+  /// decode against those fleets.
+  OrderedEncoder(CsvSink sink, CsvFlavour flavour,
+                 std::optional<Fleets> store_fleets = std::nullopt)
+      : sink_(sink), canonical_(flavour == CsvFlavour::Canonical) {
+    if (store_fleets) {
+      decoded_.reserve(kEncoders);
+      for (unsigned i = 0; i < kEncoders; ++i) {
+        decoded_.emplace_back(*store_fleets);
+      }
+    }
+  }
   OrderedEncoder(const OrderedEncoder&) = delete;
   OrderedEncoder& operator=(const OrderedEncoder&) = delete;
 
   /// Run `produce` and encode and retire everything it hands over. Returns
-  /// the producer's error; rethrows a reader's or an encoder's exception,
-  /// or the sink's. Each happens only after every thread has joined.
+  /// the first error in batch order; rethrows a reader's or an encoder's
+  /// exception, or the sink's. Each happens only after every thread has
+  /// joined.
   [[nodiscard]] std::string run(const Producer& produce) {
+    // Built here, if not yet, so that its cells live on the caller's heap.
+    (void)CellTable::instance();
     try {
       threads_.emplace_back([this, &produce] { read(produce); });
       for (unsigned i = 0; i < kEncoders; ++i) {
-        threads_.emplace_back([this] { encode(); });
+        threads_.emplace_back([this, i] { encode(i); });
       }
       retire();
     } catch (...) {
@@ -342,20 +537,18 @@ class OrderedEncoder {
     halt();
     const std::scoped_lock lock{mutex_};
     if (failure_) std::rethrow_exception(failure_);
-    return error_;
+    return error_.empty() ? producer_error_ : error_;
   }
 
   // -- the producer's side, on the reader thread ----------------------------
 
   /// Hand over `part`'s header line.
-  void header(Part part) { hand_over(Batch{.part = part}, nullptr); }
+  void header(Part part) { hand_over(acquire(), Batch{.part = part}); }
 
   /// Hand over `data`'s pings or traces, kCsvBatchRows CSV rows a batch,
-  /// numbering traces on from the ones handed over before. With `copy` a
-  /// batch's rows are copied into its slot, so `data` may change as soon as
-  /// this returns (a store scan reuses its block); without, `data` must
+  /// numbering traces on from the ones handed over before. `data` must
   /// outlive run(). Returns the CSV rows handed over.
-  std::uint64_t rows(Part part, const measure::Dataset& data, bool copy) {
+  std::uint64_t rows(Part part, const measure::Dataset& data) {
     const std::size_t total =
         part == Part::Pings ? data.pings.size() : data.traces.size();
     std::uint64_t csv_rows = 0;
@@ -376,51 +569,100 @@ class OrderedEncoder {
           ++end;
         } while (end < total);
       }
-      hand_over(Batch{.part = part,
-                      .rows = &data,
-                      .begin = begin,
-                      .end = end,
-                      .first_trace_id = next_trace_id_},
-                copy ? &data : nullptr);
+      hand_over(acquire(), Batch{.part = part,
+                                 .rows = &data,
+                                 .begin = begin,
+                                 .end = end,
+                                 .first_trace_id = next_trace_id_});
       if (part == Part::Traces) next_trace_id_ += end - begin;
       begin = end;
     }
     return csv_rows;
   }
 
+  /// Hand over the `part` records of one checksummed store block, gathered
+  /// into the slots undecoded: at most kCsvBatchRows CSV rows of the block
+  /// a batch, traces numbered on from the ones handed over before. Cuts
+  /// each task's records apart without decoding them; returns what is
+  /// wrong with the block's layout, named by task and day.
+  [[nodiscard]] std::string block(Part part, const store::BlockHeader& header,
+                                  std::string_view payload) {
+    std::string_view rest = payload;
+    std::uint32_t task = 0;
+    std::string_view why;
+    while (task < header.tasks && why.empty()) {
+      const std::size_t index = acquire();
+      Slot& slot = slots_[index];
+      slot.records.clear();
+      Batch batch{.part = part,
+                  .store_records = true,
+                  .first_trace_id = next_trace_id_,
+                  .day = header.day,
+                  .first_task = header.start + task};
+      std::size_t batch_rows = 0;
+      for (; task < header.tasks; ++task) {
+        const std::string_view before = rest;
+        std::string_view ping;
+        std::string_view trace;
+        why = store::cut_ping_record(rest, ping);
+        if (why.empty()) why = store::cut_trace_record(rest, trace);
+        // A ping whose trace record is cut short is still handed over: it
+        // decodes first, so the first error in task order is the one
+        // reported, as store::parse_block reports it.
+        const std::string_view record = part == Part::Pings ? ping : trace;
+        if (record.empty()) break;
+        const std::size_t cost =
+            part == Part::Pings
+                ? 1
+                : std::max<std::size_t>(store::trace_record_hops(record), 1);
+        if (batch.end > 0 && batch_rows + cost > kCsvBatchRows) {
+          rest = before;  // the task starts the next batch, error and all
+          why = {};
+          break;
+        }
+        slot.records.append(record);
+        ++batch.end;
+        batch_rows += cost;
+        if (!why.empty()) break;
+      }
+      if (batch.end == 0) continue;
+      hand_over(index, batch);
+      if (part == Part::Traces) next_trace_id_ += batch.end;
+    }
+    if (!why.empty()) {
+      return store::record_error(header.day, header.start + task, why);
+    }
+    if (!rest.empty()) {
+      return store::record_error(
+          header.day, header.start + header.tasks - 1,
+          std::to_string(rest.size()) + " trailing payload bytes");
+    }
+    return {};
+  }
+
  private:
   struct Slot {
     Batch batch;
-    measure::Dataset copy;  ///< a copied batch's rows; capacity reused
+    std::string records;  ///< a store-record batch's bytes; capacity reused
+    std::string error;    ///< why its records do not decode
     CsvBuffer csv;
   };
 
-  /// Wait for the next batch's slot to be retired, fill it — copying the
-  /// rows out of `copy_from` when set — and hand it to the encoders.
-  void hand_over(Batch batch, const measure::Dataset* copy_from) {
-    std::size_t index = 0;
-    {
-      std::unique_lock lock{mutex_};
-      space_cv_.wait(lock, [this] {
-        return stopping_ || handed_over_ - retired_ < kWindow;
-      });
-      if (stopping_) throw Abandoned{};
-      index = handed_over_ % kWindow;
-    }
-    // The slot is ours: retired, and not yet handed over again.
-    Slot& slot = slots_[index];
-    if (copy_from != nullptr) {
-      slot.copy.clear_rows();
-      if (batch.part == Part::Pings) {
-        slot.copy.append_slice(*copy_from, batch.begin, batch.end, 0, 0);
-      } else {
-        slot.copy.append_slice(*copy_from, 0, 0, batch.begin, batch.end);
-      }
-      batch.rows = &slot.copy;
-      batch.end -= batch.begin;
-      batch.begin = 0;
-    }
-    slot.batch = batch;
+  /// Wait for the next batch's slot to be retired and return its index,
+  /// for the reader to fill: the slot is the reader's until hand_over().
+  [[nodiscard]] std::size_t acquire() {
+    std::unique_lock lock{mutex_};
+    space_cv_.wait(lock, [this] {
+      return stopping_ || handed_over_ - retired_ < kWindow;
+    });
+    if (stopping_) throw Abandoned{};
+    return handed_over_ % kWindow;
+  }
+
+  /// Hand slot `index`, which acquire() returned, to the encoders with
+  /// `batch`.
+  void hand_over(std::size_t index, const Batch& batch) {
+    slots_[index].batch = batch;
     {
       const std::scoped_lock lock{mutex_};
       ++handed_over_;
@@ -440,16 +682,14 @@ class OrderedEncoder {
     {
       const std::scoped_lock lock{mutex_};
       reader_done_ = true;
-      if (!error.empty()) {
-        error_ = std::move(error);
-        stopping_ = true;
-      }
+      producer_error_ = std::move(error);
     }
     work_cv_.notify_all();
     retire_cv_.notify_all();
   }
 
-  void encode() {
+  /// Encoder `encoder`'s loop.
+  void encode(unsigned encoder) {
     try {
       for (;;) {
         std::size_t index = 0;
@@ -462,7 +702,18 @@ class OrderedEncoder {
           index = claimed_++ % kWindow;
         }
         Slot& slot = slots_[index];
-        encode_batch(slot.batch, canonical_, slot.csv);
+        Batch batch = slot.batch;
+        slot.error.clear();
+        if (batch.store_records) {
+          Decoded& decoded = decoded_.at(encoder);
+          slot.error = decode_batch(batch, slot.records, decoded);
+          batch.rows = &decoded.rows;
+        }
+        if (slot.error.empty()) {
+          encode_batch(batch, canonical_, slot.csv);
+        } else {
+          slot.error = streamed_error(batch.part, slot.error);
+        }
         {
           const std::scoped_lock lock{mutex_};
           encoded_[index] = 1;
@@ -475,7 +726,8 @@ class OrderedEncoder {
   }
 
   /// The calling thread's loop: fold or write the oldest batch once it is
-  /// encoded, then free its slot for the reader.
+  /// encoded, then free its slot for the reader. A batch whose records do
+  /// not decode stops the pipeline with its error instead.
   void retire() {
     for (;;) {
       std::size_t index = 0;
@@ -488,7 +740,17 @@ class OrderedEncoder {
         if (stopping_ || encoded_[retired_ % kWindow] == 0) return;
         index = retired_ % kWindow;
       }
-      sink_.put(slots_[index].csv.bytes());
+      Slot& slot = slots_[index];
+      if (!slot.error.empty()) {
+        {
+          const std::scoped_lock lock{mutex_};
+          error_ = std::move(slot.error);
+          stopping_ = true;
+        }
+        wake_all();
+        return;
+      }
+      sink_.put(slot.csv.bytes());
       {
         const std::scoped_lock lock{mutex_};
         encoded_[index] = 0;
@@ -528,6 +790,9 @@ class OrderedEncoder {
 
   CsvSink sink_;
   bool canonical_;
+  /// One per encoder thread when store records may come, each used by its
+  /// thread alone.
+  std::vector<Decoded> decoded_;
   std::uint64_t next_trace_id_ = 0;  ///< the reader thread's
   /// Owned by one thread at a time, as the counters below pass them on.
   std::array<Slot, kWindow> slots_;
@@ -552,7 +817,9 @@ class OrderedEncoder {
   // lint:guarded_by(mutex_)
   std::exception_ptr failure_;
   // lint:guarded_by(mutex_)
-  std::string error_;  ///< the producer's
+  std::string error_;  ///< a retired batch's: its records do not decode
+  // lint:guarded_by(mutex_)
+  std::string producer_error_;
 
   std::vector<std::thread> threads_;  ///< last: every thread uses the above
 };
@@ -567,7 +834,7 @@ std::uint64_t encode_parts(CsvSink sink, CsvFlavour flavour,
   (void)encoder.run([&](OrderedEncoder& feed) {
     for (const Part part : parts) {
       feed.header(part);
-      rows += feed.rows(part, data, /*copy=*/false);
+      rows += feed.rows(part, data);
     }
     return std::string{};
   });
@@ -613,22 +880,24 @@ StreamedHashResult streamed_dataset_hash(
     return result;
   }
   Digest digest;
-  OrderedEncoder encoder{CsvSink{.digest = &digest}, CsvFlavour::Canonical};
+  OrderedEncoder encoder{CsvSink{.digest = &digest}, CsvFlavour::Canonical,
+                         Fleets{.sc = sc_fleet, .atlas = atlas_fleet}};
   // The canonical serialisation is the full ping CSV then the full trace
   // CSV, and the digest folds it in that order — so the reader scans the
-  // store twice, once per CSV, with one decoded block resident at a time.
+  // store twice, once per CSV, with one block resident at a time. It only
+  // reads, checksums and slices the blocks: the encoders decode the
+  // records of their pass.
   result.error = encoder.run([&](OrderedEncoder& feed) -> std::string {
     for (const Part part : {Part::Pings, Part::Traces}) {
       feed.header(part);
-      if (std::string err = store::scan_rows(
-              dir, platform, opened, sc_fleet, atlas_fleet,
-              [&](const measure::Dataset& block) {
-                (void)feed.rows(part, block, /*copy=*/true);
+      if (std::string err = store::scan_blocks(
+              dir, platform, opened,
+              [&](const store::BlockHeader& header,
+                  std::string_view payload) {
+                return feed.block(part, header, payload);
               });
           !err.empty()) {
-        return (part == Part::Pings ? "streamed hash (ping pass): "
-                                    : "streamed hash (trace pass): ") +
-               err;
+        return streamed_error(part, err);
       }
     }
     return {};

@@ -8,14 +8,17 @@
 // Every call here runs one ordered encoder (export.cpp). The row sequence
 // (all pings, then all traces, each part after its header line) is cut into
 // batches of at most kCsvBatchRows rows: slices of an in-memory dataset, or
-// of each store block a scan decodes. A reader thread cuts them; three
-// encoder threads format them with one allocation-free row encoder into a
-// window of kCsvWindowBatches reused buffers; the calling thread retires the
-// buffers strictly in batch order into the stream or the FNV-1a digest
+// the undecoded ping or trace records of one store block. A reader thread
+// cuts them; three encoder threads decode a batch's store records and
+// format its rows with one allocation-free row encoder into a window of
+// kCsvWindowBatches reused buffers; the calling thread retires the buffers
+// strictly in batch order into the stream or the FNV-1a digest
 // (util::fnv1a_fold, 512 bytes per step where the CPU allows). So the output
 // is byte for byte what one thread writing row after row would give, and
-// only a bounded window of encoded batches exists at any time. The shape is
-// fixed: `--threads` sizes the campaign executor only.
+// only a bounded window of encoded batches exists at any time. The row
+// encoder copies catalogue cells (country, region, platform, protocol,
+// mode) from a table escaped once per process. The shape is fixed:
+// `--threads` sizes the campaign executor only.
 
 #include <cstddef>
 #include <cstdint>
@@ -85,16 +88,20 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 
 /// The same hash computed straight from a format=4 store: a read-only
 /// store::open_store on the calling thread, then, on the reader thread,
-/// two store::scan_rows passes in append order (the digest folds the
+/// two store::scan_blocks passes in append order (the digest folds the
 /// canonical serialisation in order, all pings then all traces). The reader
-/// copies each decoded block's rows into the window batch by batch, the
-/// encoder threads format them, and the calling thread folds them in
-/// order; trace ids run on across blocks. Memory stays O(one block + the
-/// window) through the hash. Bit-identical to dataset_hash() over the
-/// materialised dataset — the streamed study's determinism gate depends on
-/// it. A failed open or scan comes back in `error`, an encoder's exception
-/// is rethrown, both only after every thread has joined. Counts the wide
-/// fold's bytes as dataset_hash() does.
+/// only reads, checksums and slices each block: it copies the pass's
+/// records (pings, then traces) undecoded into the window batch by batch.
+/// The encoder threads decode them with the store codec's record decoders
+/// and format them, and the calling thread folds them in order; trace ids
+/// run on across blocks. Memory stays O(one block + the window) through
+/// the hash. Bit-identical to dataset_hash() over the materialised dataset
+/// — the streamed study's determinism gate depends on it. A failed open or
+/// read, or the first record that does not decode in hash order, comes back
+/// in `error` (a bad ping record in the ping pass, a bad trace record in
+/// the trace pass), an encoder's exception is rethrown, both only after
+/// every thread has joined. Counts the wide fold's bytes as dataset_hash()
+/// does.
 struct StreamedHashResult {
   std::uint64_t hash = 0;
   std::uint64_t rows = 0;  ///< task rows hashed (ping+trace pairs)

@@ -24,7 +24,8 @@ using C = Continent;
 constexpr CountryInfo kCountries[] = {
     // ---- Europe ----------------------------------------------------------
     {"DE", "Germany", C::Europe, {51.2, 10.4}, 320, 9500, 1200, 0.40, 0.92},
-    {"GB", "Great Britain", C::Europe, {53.0, -1.5}, 300, 7500, 550, 0.40, 0.92},
+    {"GB", "Great Britain", C::Europe, {53.0, -1.5},
+     300, 7500, 550, 0.40, 0.92},
     {"FR", "France", C::Europe, {46.6, 2.5}, 400, 5200, 620, 0.40, 0.92},
     {"IT", "Italy", C::Europe, {42.8, 12.5}, 450, 4600, 260, 0.45, 0.85},
     {"ES", "Spain", C::Europe, {40.2, -3.7}, 420, 4200, 210, 0.45, 0.85},
@@ -53,7 +54,8 @@ constexpr CountryInfo kCountries[] = {
     {"LV", "Latvia", C::Europe, {56.9, 24.6}, 150, 450, 30, 0.40, 0.83},
     {"EE", "Estonia", C::Europe, {58.7, 25.5}, 130, 350, 35, 0.40, 0.86},
     {"SI", "Slovenia", C::Europe, {46.1, 14.8}, 100, 420, 35, 0.40, 0.84},
-    {"BA", "Bosnia and Herzegovina", C::Europe, {44.0, 17.8}, 150, 420, 15, 0.50, 0.68},
+    {"BA", "Bosnia and Herzegovina", C::Europe, {44.0, 17.8},
+     150, 420, 15, 0.50, 0.68},
     {"AL", "Albania", C::Europe, {41.1, 20.1}, 120, 320, 8, 0.55, 0.62},
     {"MK", "North Macedonia", C::Europe, {41.6, 21.7}, 100, 300, 8, 0.50, 0.66},
     {"MD", "Moldova", C::Europe, {47.2, 28.5}, 120, 420, 12, 0.50, 0.68},
@@ -79,7 +81,8 @@ constexpr CountryInfo kCountries[] = {
     {"TW", "Taiwan", C::Asia, {23.8, 121.0}, 180, 700, 40, 0.40, 0.88},
     {"HK", "Hong Kong", C::Asia, {22.3, 114.2}, 30, 520, 55, 0.40, 0.92},
     {"SA", "Saudi Arabia", C::Asia, {24.0, 45.0}, 900, 950, 18, 0.60, 0.60},
-    {"AE", "United Arab Emirates", C::Asia, {24.4, 54.4}, 200, 850, 40, 0.50, 0.72},
+    {"AE", "United Arab Emirates", C::Asia, {24.4, 54.4},
+     200, 850, 40, 0.50, 0.72},
     {"IL", "Israel", C::Asia, {31.8, 35.0}, 120, 750, 80, 0.45, 0.82},
     {"IQ", "Iraq", C::Asia, {33.2, 43.7}, 450, 650, 6, 0.70, 0.40},
     {"PK", "Pakistan", C::Asia, {30.0, 70.0}, 800, 950, 25, 0.65, 0.45},
@@ -100,19 +103,27 @@ constexpr CountryInfo kCountries[] = {
     {"AZ", "Azerbaijan", C::Asia, {40.4, 49.0}, 250, 370, 10, 0.55, 0.56},
     {"UZ", "Uzbekistan", C::Asia, {41.0, 65.0}, 500, 320, 8, 0.55, 0.48},
     // ---- North America ----------------------------------------------------
-    {"US", "United States", C::NorthAmerica, {39.0, -95.0}, 2000, 4200, 600, 0.40, 0.92},
+    {"US", "United States", C::NorthAmerica, {39.0, -95.0},
+     2000, 4200, 600, 0.40, 0.92},
     {"MX", "Mexico", C::NorthAmerica, {21.0, -100.0}, 900, 900, 35, 0.55, 0.62},
-    {"CA", "Canada", C::NorthAmerica, {46.5, -80.0}, 1500, 1000, 200, 0.40, 0.90},
-    {"GT", "Guatemala", C::NorthAmerica, {15.5, -90.3}, 200, 130, 6, 0.60, 0.48},
-    {"CR", "Costa Rica", C::NorthAmerica, {9.9, -84.1}, 150, 140, 12, 0.50, 0.58},
+    {"CA", "Canada", C::NorthAmerica, {46.5, -80.0},
+     1500, 1000, 200, 0.40, 0.90},
+    {"GT", "Guatemala", C::NorthAmerica, {15.5, -90.3},
+     200, 130, 6, 0.60, 0.48},
+    {"CR", "Costa Rica", C::NorthAmerica, {9.9, -84.1},
+     150, 140, 12, 0.50, 0.58},
     {"PA", "Panama", C::NorthAmerica, {9.0, -79.5}, 150, 120, 8, 0.50, 0.60},
-    {"DO", "Dominican Republic", C::NorthAmerica, {18.8, -70.2}, 150, 160, 6, 0.55, 0.50},
+    {"DO", "Dominican Republic", C::NorthAmerica, {18.8, -70.2},
+     150, 160, 6, 0.55, 0.50},
     {"HN", "Honduras", C::NorthAmerica, {14.7, -87.0}, 180, 110, 4, 0.60, 0.44},
-    {"SV", "El Salvador", C::NorthAmerica, {13.7, -89.2}, 90, 110, 4, 0.60, 0.46},
+    {"SV", "El Salvador", C::NorthAmerica, {13.7, -89.2},
+     90, 110, 4, 0.60, 0.46},
     {"NI", "Nicaragua", C::NorthAmerica, {12.5, -86.0}, 180, 90, 3, 0.60, 0.42},
     {"JM", "Jamaica", C::NorthAmerica, {18.1, -77.3}, 90, 110, 4, 0.55, 0.50},
-    {"TT", "Trinidad and Tobago", C::NorthAmerica, {10.6, -61.3}, 60, 120, 5, 0.55, 0.52},
-    {"PR", "Puerto Rico", C::NorthAmerica, {18.3, -66.4}, 80, 160, 8, 0.45, 0.66},
+    {"TT", "Trinidad and Tobago", C::NorthAmerica, {10.6, -61.3},
+     60, 120, 5, 0.55, 0.52},
+    {"PR", "Puerto Rico", C::NorthAmerica, {18.3, -66.4},
+     80, 160, 8, 0.45, 0.66},
     {"CU", "Cuba", C::NorthAmerica, {22.0, -79.5}, 400, 60, 2, 0.65, 0.30},
     {"BS", "Bahamas", C::NorthAmerica, {25.0, -77.4}, 100, 40, 3, 0.50, 0.52},
     // ---- Africa -----------------------------------------------------------
@@ -138,19 +149,23 @@ constexpr CountryInfo kCountries[] = {
     {"AO", "Angola", C::Africa, {-10.5, 14.5}, 400, 70, 3, 0.75, 0.34},
     {"RW", "Rwanda", C::Africa, {-1.9, 30.0}, 80, 50, 5, 0.70, 0.42},
     // ---- South America -----------------------------------------------------
-    {"BR", "Brazil", C::SouthAmerica, {-22.0, -47.0}, 1000, 2750, 70, 0.50, 0.66},
-    {"AR", "Argentina", C::SouthAmerica, {-34.6, -58.4}, 800, 140, 55, 0.50, 0.60},
+    {"BR", "Brazil", C::SouthAmerica, {-22.0, -47.0},
+     1000, 2750, 70, 0.50, 0.66},
+    {"AR", "Argentina", C::SouthAmerica, {-34.6, -58.4},
+     800, 140, 55, 0.50, 0.60},
     {"CO", "Colombia", C::SouthAmerica, {4.6, -74.1}, 450, 115, 28, 0.55, 0.55},
     {"CL", "Chile", C::SouthAmerica, {-33.4, -70.6}, 900, 105, 35, 0.50, 0.64},
     {"PE", "Peru", C::SouthAmerica, {-12.0, -77.0}, 500, 105, 10, 0.55, 0.48},
-    {"VE", "Venezuela", C::SouthAmerica, {10.2, -66.9}, 400, 102, 5, 0.60, 0.35},
+    {"VE", "Venezuela", C::SouthAmerica, {10.2, -66.9},
+     400, 102, 5, 0.60, 0.35},
     {"EC", "Ecuador", C::SouthAmerica, {-1.5, -78.5}, 250, 102, 10, 0.55, 0.48},
     {"BO", "Bolivia", C::SouthAmerica, {-16.5, -65.0}, 400, 102, 5, 0.60, 0.45},
     {"UY", "Uruguay", C::SouthAmerica, {-34.8, -56.2}, 180, 35, 10, 0.45, 0.62},
     {"PY", "Paraguay", C::SouthAmerica, {-25.3, -57.6}, 250, 25, 5, 0.55, 0.45},
     // ---- Oceania ------------------------------------------------------------
     {"AU", "Australia", C::Oceania, {-35.0, 147.0}, 900, 220, 180, 0.40, 0.88},
-    {"NZ", "New Zealand", C::Oceania, {-40.5, 174.5}, 400, 110, 100, 0.40, 0.86},
+    {"NZ", "New Zealand", C::Oceania, {-40.5, 174.5},
+     400, 110, 100, 0.40, 0.86},
     {"FJ", "Fiji", C::Oceania, {-17.8, 178.0}, 80, 25, 9, 0.55, 0.45},
     // ---- Long tail ----------------------------------------------------------
     // Below the paper's 100-probe scheduling threshold: these countries host
@@ -179,7 +194,8 @@ constexpr CountryInfo kCountries[] = {
     {"BB", "Barbados", C::NorthAmerica, {13.1, -59.6}, 20, 40, 2, 0.50, 0.54},
     {"GY", "Guyana", C::SouthAmerica, {6.5, -58.5}, 200, 25, 2, 0.60, 0.35},
     {"SR", "Suriname", C::SouthAmerica, {5.0, -55.5}, 150, 25, 2, 0.55, 0.38},
-    {"PG", "Papua New Guinea", C::Oceania, {-6.5, 146.0}, 400, 30, 1, 0.70, 0.25},
+    {"PG", "Papua New Guinea", C::Oceania, {-6.5, 146.0},
+     400, 30, 1, 0.70, 0.25},
     {"NC", "New Caledonia", C::Oceania, {-21.3, 165.5}, 150, 20, 2, 0.50, 0.50},
 };
 
@@ -231,14 +247,6 @@ const CountryInfo& CountryTable::at(std::string_view code) const {
     throw std::out_of_range{"unknown country code: " + std::string{code}};
   }
   return *info;
-}
-
-std::vector<const CountryInfo*> CountryTable::in_continent(Continent continent) const {
-  std::vector<const CountryInfo*> out;
-  for (const CountryInfo& c : countries_) {
-    if (c.continent == continent) out.push_back(&c);
-  }
-  return out;
 }
 
 double CountryTable::continent_sc_weight(Continent c) const {

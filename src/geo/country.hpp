@@ -55,10 +55,11 @@ class CountryTable {
   [[nodiscard]] std::size_t row(std::string_view code) const {
     return static_cast<std::size_t>(&at(code) - countries_.data());
   }
-  [[nodiscard]] std::vector<const CountryInfo*> in_continent(Continent c) const;
 
   [[nodiscard]] double total_sc_weight() const { return total_sc_weight_; }
-  [[nodiscard]] double total_atlas_weight() const { return total_atlas_weight_; }
+  [[nodiscard]] double total_atlas_weight() const {
+    return total_atlas_weight_;
+  }
   [[nodiscard]] double continent_sc_weight(Continent c) const;
   [[nodiscard]] double continent_atlas_weight(Continent c) const;
 

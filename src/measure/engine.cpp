@@ -10,9 +10,7 @@ namespace cloudrtt::measure {
 
 namespace {
 
-/// Metric references resolved once per process: the engine runs inside the
-/// campaign's innermost loop, so per-call Registry lookups are off the table.
-/// These count the §3.3/§7 measurement anomalies the simulator injects.
+/// Metric references resolved once per process, for EngineTally::fold.
 struct EngineMetrics {
   obs::Counter& pings;
   obs::Counter& traceroutes;
@@ -29,7 +27,7 @@ struct EngineMetrics {
 
   static EngineMetrics& instance() {
     obs::Registry& r = obs::Registry::global();
-    // lint:allow(local-static): bundle of atomic-counter references; magic-static init is thread-safe and the counters are lock-free
+    // lint:allow(local-static): atomic-counter references; thread-safe init
     static EngineMetrics metrics{
         r.counter("engine.pings_total"),
         r.counter("engine.traceroutes_total"),
@@ -62,7 +60,28 @@ struct EngineMetrics {
   return 0.90;
 }
 
+/// Add `count` to `counter` unless it is zero.
+void add(obs::Counter& counter, std::uint64_t count) {
+  if (count != 0) counter.inc(count);
+}
+
 }  // namespace
+
+void EngineTally::fold() const {
+  EngineMetrics& metrics = EngineMetrics::instance();
+  add(metrics.pings, pings);
+  add(metrics.traceroutes, traceroutes);
+  add(metrics.traceroutes_completed, traceroutes_completed);
+  add(metrics.unresponsive_hops, unresponsive_hops);
+  add(metrics.firewall_drops, firewall_drops);
+  add(metrics.rate_limited_hops, rate_limited_hops);
+  add(metrics.ecmp_detours, ecmp_detours);
+  add(metrics.icmp_penalties, icmp_penalties);
+  add(metrics.spikes, spikes);
+  add(metrics.fault_truncations, fault_truncations);
+  add(metrics.fault_lost_hops, fault_lost_hops);
+  metrics.ping_rtt_ms.merge(ping_rtt_ms);
+}
 
 topology::InterconnectMode Engine::roll_mode(const probes::Probe& probe,
                                              const cloud::RegionInfo& region,
@@ -91,29 +110,32 @@ double Engine::diurnal_factor(const probes::Probe& probe, std::uint8_t slot) {
 // lint:hot
 Engine::PathDraw Engine::draw_path(const probes::Probe& probe,
                                    const routing::ForwardingPath& path,
-                                   util::Rng& rng, std::uint8_t slot) const {
+                                   util::Rng& rng, std::uint8_t slot,
+                                   EngineTally& tally) const {
   PathDraw draw{path, lastmile::draw(probe.lastmile, rng)};
   const double base = path.base_rtt_ms();
   const double sigma_rel =
       base > 0.5 ? std::min(0.6, path.noise_abs_ms() / base) : 0.05;
-  draw.congestion = std::exp(rng.normal(0.0, sigma_rel)) * diurnal_factor(probe, slot);
+  draw.congestion =
+      std::exp(rng.normal(0.0, sigma_rel)) * diurnal_factor(probe, slot);
   // Transient congestion events hit noisier paths more often and harder.
   const double spike_prob = 0.02 + 0.10 * sigma_rel;
   if (rng.chance(spike_prob)) {
     draw.spike_ms = rng.exponential(5.0 + 3.0 * path.noise_abs_ms());
-    EngineMetrics::instance().spikes.inc();
+    ++tally.spikes;
   }
   return draw;
 }
 
-double Engine::icmp_penalty_ms(const probes::Probe& probe, util::Rng& rng) const {
+double Engine::icmp_penalty_ms(const probes::Probe& probe, util::Rng& rng,
+                               EngineTally& tally) const {
   // Middleboxes/load balancers deprioritise or reroute ICMP (§A.2); the
   // effect is strongest where the backhaul is poor, which is what makes the
   // Fig. 15 TCP/ICMP gap largest in Africa.
   const double quality = probe.country->backhaul_quality;
   const double prob = 0.08 + 0.30 * (1.0 - quality);
   if (!rng.chance(prob)) return 0.0;
-  EngineMetrics::instance().icmp_penalties.inc();
+  ++tally.icmp_penalties;
   return rng.exponential(3.0 + 16.0 * (1.0 - quality));
 }
 
@@ -127,7 +149,11 @@ PingRecord Engine::ping(const probes::Probe& probe,
   routing::ForwardingPath& path = scratch != nullptr ? scratch->path : local;
   builder_.build_into(probe, endpoint, roll_mode(probe, *endpoint.region, rng),
                       path);
-  return ping_over(path, probe, endpoint, protocol, day, rng, slot);
+  EngineTally tally;
+  const PingRecord record =
+      ping_over(path, probe, endpoint, protocol, day, rng, slot, tally);
+  tally.fold();
+  return record;
 }
 
 // lint:hot
@@ -135,8 +161,9 @@ PingRecord Engine::ping_over(const routing::ForwardingPath& path,
                              const probes::Probe& probe,
                              const topology::CloudEndpoint& endpoint,
                              Protocol protocol, std::uint32_t day,
-                             util::Rng& rng, std::uint8_t slot) const {
-  const PathDraw draw = draw_path(probe, path, rng, slot);
+                             util::Rng& rng, std::uint8_t slot,
+                             EngineTally& tally) const {
+  const PathDraw draw = draw_path(probe, path, rng, slot, tally);
   PingRecord record;
   record.probe = &probe;
   record.region = endpoint.region;
@@ -144,19 +171,20 @@ PingRecord Engine::ping_over(const routing::ForwardingPath& path,
   record.day = day;
   record.slot = slot;
   record.rtt_ms = draw.last_mile.total_ms() +
-                  draw.path.base_rtt_ms() * draw.congestion + draw.spike_ms + 0.3;
+                  draw.path.base_rtt_ms() * draw.congestion + draw.spike_ms +
+                  0.3;
   if (protocol == Protocol::Icmp) {
-    record.rtt_ms += icmp_penalty_ms(probe, rng);
+    record.rtt_ms += icmp_penalty_ms(probe, rng, tally);
   }
-  EngineMetrics& metrics = EngineMetrics::instance();
-  metrics.pings.inc();
-  metrics.ping_rtt_ms.record(record.rtt_ms);
+  ++tally.pings;
+  tally.ping_rtt_ms.record(record.rtt_ms);
   return record;
 }
 
 // lint:hot
 TaskRecords Engine::run_task(const MeasurementTask& task, util::Rng& rng,
-                             MeasurementScratch& scratch) const {
+                             MeasurementScratch& scratch,
+                             EngineTally& tally) const {
   const probes::Probe& probe = *task.probe;
   const topology::CloudEndpoint& endpoint = *task.endpoint;
   const cloud::RegionInfo& region = *endpoint.region;
@@ -166,7 +194,7 @@ TaskRecords Engine::run_task(const MeasurementTask& task, util::Rng& rng,
   builder_.build_into(probe, endpoint, ping_mode, scratch.path);
   TaskRecords records;
   records.ping = ping_over(scratch.path, probe, endpoint, Protocol::Tcp,
-                           task.day, rng, task.slot);
+                           task.day, rng, task.slot, tally);
   // A build reads only (probe, endpoint, mode) and the backbone outages,
   // which only the sequential schedule phase changes: a traceroute that
   // rolls the ping's mode would rebuild the very same path.
@@ -176,7 +204,7 @@ TaskRecords Engine::run_task(const MeasurementTask& task, util::Rng& rng,
   }
   records.trace = trace_over(scratch.path, probe, endpoint, task.day, rng,
                              scratch.hops, TraceMethod::Classic, task.slot,
-                             task.trace_faults);
+                             task.trace_faults, tally);
   return records;
 }
 
@@ -227,8 +255,11 @@ TraceCore Engine::traceroute_into(const probes::Probe& probe,
   routing::ForwardingPath& path = scratch != nullptr ? scratch->path : local;
   builder_.build_into(probe, endpoint, roll_mode(probe, *endpoint.region, rng),
                       path);
-  return trace_over(path, probe, endpoint, day, rng, hops_out, method, slot,
-                    faults);
+  EngineTally tally;
+  const TraceCore record = trace_over(path, probe, endpoint, day, rng,
+                                      hops_out, method, slot, faults, tally);
+  tally.fold();
+  return record;
 }
 
 // lint:hot
@@ -238,10 +269,10 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
                              std::uint32_t day, util::Rng& rng,
                              std::vector<HopRecord>& hops_out,
                              TraceMethod method, std::uint8_t slot,
-                             const fault::TraceFaults* faults) const {
-  EngineMetrics& metrics = EngineMetrics::instance();
-  metrics.traceroutes.inc();
-  const PathDraw draw = draw_path(probe, path, rng, slot);
+                             const fault::TraceFaults* faults,
+                             EngineTally& tally) const {
+  ++tally.traceroutes;
+  const PathDraw draw = draw_path(probe, path, rng, slot, tally);
   TraceCore record;
   record.probe = &probe;
   record.region = endpoint.region;
@@ -271,13 +302,13 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
     if (faults->truncate_prob > 0.0 && hop_count > 1 &&
         rng.chance(faults->truncate_prob)) {
       hop_limit = 1 + static_cast<std::size_t>(rng.below(hop_count - 1));
-      metrics.fault_truncations.inc();
+      ++tally.fault_truncations;
     }
   }
   CLOUDRTT_DCHECK(hop_limit > 0 && hop_limit <= hop_count,
                   "traceroute hop_limit ", hop_limit, " outside path of ",
                   hop_count, " hops");
-  // Tallied per trace: every worker adds to the shared counters.
+  // Counted in locals, which stay in registers across the hop pushes.
   std::uint64_t lost_hops = 0;
   std::uint64_t unresponsive_hops = 0;
   std::uint64_t rate_limited_hops = 0;
@@ -296,7 +327,7 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
     if (is_final) {
       // Cloud perimeter firewalls occasionally drop the final ICMP echo.
       out.responded = !rng.chance(0.07);
-      if (!out.responded) metrics.firewall_drops.inc();
+      if (!out.responded) ++tally.firewall_drops;
     } else if (!out.responded) {
       ++unresponsive_hops;
     }
@@ -331,14 +362,14 @@ TraceCore Engine::trace_over(const routing::ForwardingPath& path,
     hops_out.push_back(out);
     if (is_final && out.responded) {
       record.completed = true;
-      record.end_to_end_ms = out.rtt_ms + icmp_penalty_ms(probe, rng);
+      record.end_to_end_ms = out.rtt_ms + icmp_penalty_ms(probe, rng, tally);
     }
   }
-  if (lost_hops != 0) metrics.fault_lost_hops.inc(lost_hops);
-  if (unresponsive_hops != 0) metrics.unresponsive_hops.inc(unresponsive_hops);
-  if (rate_limited_hops != 0) metrics.rate_limited_hops.inc(rate_limited_hops);
-  if (ecmp_detours != 0) metrics.ecmp_detours.inc(ecmp_detours);
-  if (record.completed) metrics.traceroutes_completed.inc();
+  tally.fault_lost_hops += lost_hops;
+  tally.unresponsive_hops += unresponsive_hops;
+  tally.rate_limited_hops += rate_limited_hops;
+  tally.ecmp_detours += ecmp_detours;
+  if (record.completed) ++tally.traceroutes_completed;
   return record;
 }
 

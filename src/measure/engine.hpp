@@ -7,11 +7,36 @@
 
 #include "fault/plan.hpp"
 #include "measure/records.hpp"
+#include "obs/metrics.hpp"
 #include "routing/path_builder.hpp"
 #include "topology/world.hpp"
 #include "util/rng.hpp"
 
 namespace cloudrtt::measure {
+
+/// What the engine counts for one measurement stream, in plain integers:
+/// the `engine.*` counters (measurements, and the §3.3/§7 anomalies the
+/// simulator injects) and the `engine.ping.rtt_ms` samples. fold() adds
+/// them to the registry. Each executor worker tallies the tasks it runs and
+/// the executor folds the tallies once per execute call, so no task writes
+/// a cache line that another worker writes (hence the alignment); the
+/// single-shot entries fold per call.
+struct alignas(64) EngineTally {
+  std::uint64_t pings = 0;
+  std::uint64_t traceroutes = 0;
+  std::uint64_t traceroutes_completed = 0;
+  std::uint64_t unresponsive_hops = 0;
+  std::uint64_t firewall_drops = 0;
+  std::uint64_t rate_limited_hops = 0;
+  std::uint64_t ecmp_detours = 0;
+  std::uint64_t icmp_penalties = 0;
+  std::uint64_t spikes = 0;
+  std::uint64_t fault_truncations = 0;
+  std::uint64_t fault_lost_hops = 0;
+  obs::Histogram::Tally ping_rtt_ms;
+
+  void fold() const;
+};
 
 /// Caller-owned scratch for one measurement stream. The executor keeps one
 /// per worker so every task builds its path into the same hop vector day
@@ -62,29 +87,30 @@ class Engine {
 
   /// A campaign task: the same records and draws as ping(Protocol::Tcp) then
   /// traceroute_into(Classic) on one RNG, with the trace's hops appended to
-  /// `scratch.hops`. Each measurement rolls its own interconnect mode; the
-  /// traceroute reuses the ping's path when its roll agrees, since a build
-  /// draws no RNG and depends on nothing else that changes within a task.
+  /// `scratch.hops` and the counts added to `tally`, which the caller folds.
+  /// Each measurement rolls its own interconnect mode; the traceroute
+  /// reuses the ping's path when its roll agrees, since a build draws no RNG
+  /// and depends on nothing else that changes within a task.
   [[nodiscard]] TaskRecords run_task(const MeasurementTask& task,
                                      util::Rng& rng,
-                                     MeasurementScratch& scratch) const;
+                                     MeasurementScratch& scratch,
+                                     EngineTally& tally) const;
 
   /// Traceroute flavour: Classic sends per-TTL probes whose flow identifiers
   /// vary, so ECMP segments answer from either sibling interface and inflate
-  /// hop RTTs (the anomaly Paris traceroute fixes — §2.1 [10], §3.3 caveats).
-  /// Paris keeps the flow pinned.
+  /// hop RTTs (the anomaly Paris traceroute fixes — §2.1 [10], §3.3
+  /// caveats). Paris keeps the flow pinned.
   enum class TraceMethod : unsigned char { Classic, Paris };
 
   /// `faults` (optional) injects episode-level measurement damage: mid-path
   /// truncation (the trace loses connectivity before the DC) and boosted
   /// per-hop loss. Null — the default and the hot path — costs one branch.
-  [[nodiscard]] TraceRecord traceroute(const probes::Probe& probe,
-                                       const topology::CloudEndpoint& endpoint,
-                                       std::uint32_t day, util::Rng& rng,
-                                       TraceMethod method = TraceMethod::Classic,
-                                       std::uint8_t slot = 0,
-                                       const fault::TraceFaults* faults = nullptr,
-                                       MeasurementScratch* scratch = nullptr) const;
+  [[nodiscard]] TraceRecord traceroute(
+      const probes::Probe& probe, const topology::CloudEndpoint& endpoint,
+      std::uint32_t day, util::Rng& rng,
+      TraceMethod method = TraceMethod::Classic, std::uint8_t slot = 0,
+      const fault::TraceFaults* faults = nullptr,
+      MeasurementScratch* scratch = nullptr) const;
 
   /// Columnar hot path: identical draws and hop bytes to traceroute(), but
   /// the hops append to the caller-owned flat arena `hops_out` (never
@@ -109,7 +135,9 @@ class Engine {
   [[nodiscard]] static double diurnal_factor(const probes::Probe& probe,
                                              std::uint8_t slot);
 
-  [[nodiscard]] const routing::PathBuilder& path_builder() const { return builder_; }
+  [[nodiscard]] const routing::PathBuilder& path_builder() const {
+    return builder_;
+  }
 
   /// Per-measurement interconnect-mode roll (pair policy + adherence).
   [[nodiscard]] topology::InterconnectMode roll_mode(
@@ -129,23 +157,27 @@ class Engine {
   /// congestion factor and spike.
   [[nodiscard]] PathDraw draw_path(const probes::Probe& probe,
                                    const routing::ForwardingPath& path,
-                                   util::Rng& rng, std::uint8_t slot) const;
+                                   util::Rng& rng, std::uint8_t slot,
+                                   EngineTally& tally) const;
   /// The draws of ping() and traceroute_into() over a built path; the public
-  /// entries and run_task share them.
+  /// entries and run_task share them. Each counts into `tally`.
   [[nodiscard]] PingRecord ping_over(const routing::ForwardingPath& path,
                                      const probes::Probe& probe,
                                      const topology::CloudEndpoint& endpoint,
                                      Protocol protocol, std::uint32_t day,
-                                     util::Rng& rng, std::uint8_t slot) const;
+                                     util::Rng& rng, std::uint8_t slot,
+                                     EngineTally& tally) const;
   [[nodiscard]] TraceCore trace_over(const routing::ForwardingPath& path,
                                      const probes::Probe& probe,
                                      const topology::CloudEndpoint& endpoint,
                                      std::uint32_t day, util::Rng& rng,
                                      std::vector<HopRecord>& hops_out,
                                      TraceMethod method, std::uint8_t slot,
-                                     const fault::TraceFaults* faults) const;
+                                     const fault::TraceFaults* faults,
+                                     EngineTally& tally) const;
   [[nodiscard]] double icmp_penalty_ms(const probes::Probe& probe,
-                                       util::Rng& rng) const;
+                                       util::Rng& rng,
+                                       EngineTally& tally) const;
 
   const topology::World& world_;
   routing::PathBuilder builder_;

@@ -17,15 +17,17 @@ namespace cloudrtt::measure {
 
 namespace {
 
-/// Wall-clock accounting one worker accumulates while draining chunks.
-/// Collected locally (no sharing while hot) and folded into metrics and the
-/// trace buffer after the pool joins.
+/// Wall-clock accounting one worker accumulates while draining chunks, and
+/// the engine's counts of the tasks it ran. Collected locally (no sharing
+/// while hot) and folded into metrics and the trace buffer after the pool
+/// joins.
 struct WorkerStats {
   std::uint64_t busy_ns = 0;   ///< time inside run_chunk
   std::uint64_t wait_ns = 0;   ///< gaps between chunks (queue, lanes, merges)
   std::uint64_t chunks = 0;
   std::uint64_t start_ns = 0;  ///< when the worker began draining
   std::uint64_t end_ns = 0;    ///< when the worker ran out of chunks
+  EngineTally tally;           ///< what run_task counted
 };
 
 [[nodiscard]] double to_ms(std::uint64_t ns) {
@@ -133,7 +135,8 @@ void ParallelExecutor::execute(const Engine& engine,
       // range so the canonical merge can copy it into the dataset's hop pool.
       TraceSlot& slot = staging.traces[i - lane.begin];
       slot.hop_begin = static_cast<std::uint32_t>(scratch.hops.size());
-      const TaskRecords records = engine.run_task(tasks[i], task_rng, scratch);
+      const TaskRecords records =
+          engine.run_task(tasks[i], task_rng, scratch, stats.tally);
       staging.pings[i - lane.begin] = records.ping;
       slot.core = records.trace;
       slot.hop_count =
@@ -297,6 +300,8 @@ void ParallelExecutor::execute(const Engine& engine,
   }
   own.end_ns = obs::monotonic_ns();
   for (std::thread& worker : pool) worker.join();
+  // The registry sees the tasks once per call, whether or not one failed.
+  for (WorkerStats& entry : stats) entry.tally.fold();
   if (failure) std::rethrow_exception(failure);
 
   // Fold per-worker accounting into the registry: a busy-time counter that

@@ -80,7 +80,10 @@ class ParallelExecutor {
   /// Non-const: the executor owns per-batch scratch (the staging slots and
   /// per-worker path and hop scratch) that it recycles between batches —
   /// state that never influences the records, only the allocation count.
-  /// The gauge `measure.staging_arena_high_water_bytes` keeps the largest
+  /// The engine's counters and ping-RTT histogram see the call's tasks once,
+  /// after the pool joins (on the exception path too): each worker tallies
+  /// its tasks with its busy-time accounting. The gauge
+  /// `measure.staging_arena_high_water_bytes` keeps the largest
   /// staging footprint any executor of the process has reached.
   void execute(const Engine& engine, std::span<const MeasurementTask> tasks,
                const util::Rng& chunk_root, Dataset& out,

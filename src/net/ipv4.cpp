@@ -1,18 +1,50 @@
 #include "net/ipv4.hpp"
 
+#include <array>
 #include <charconv>
+#include <cstring>
 
 namespace cloudrtt::net {
 
-char* Ipv4Address::append_to(char* out) const {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    const std::uint32_t octet = (value_ >> shift) & 0xffu;
-    if (octet >= 100) *out++ = static_cast<char>('0' + octet / 100);
-    if (octet >= 10) *out++ = static_cast<char>('0' + octet / 10 % 10);
-    *out++ = static_cast<char>('0' + octet % 10);
-    if (shift > 0) *out++ = '.';
+namespace {
+
+/// An octet's digits and the dot after it ("255."); `size` counts the dot.
+struct Octet {
+  std::array<char, 4> text{};
+  std::uint8_t size = 0;
+};
+
+[[nodiscard]] constexpr std::array<Octet, 256> make_octets() {
+  std::array<Octet, 256> octets{};
+  for (unsigned value = 0; value < octets.size(); ++value) {
+    Octet& octet = octets[value];
+    std::size_t at = 0;
+    if (value >= 100) octet.text[at++] = static_cast<char>('0' + value / 100);
+    if (value >= 10) {
+      octet.text[at++] = static_cast<char>('0' + value / 10 % 10);
+    }
+    octet.text[at++] = static_cast<char>('0' + value % 10);
+    octet.text[at++] = '.';
+    octet.size = static_cast<std::uint8_t>(at);
   }
-  return out;
+  return octets;
+}
+
+constexpr std::array<Octet, 256> kOctets = make_octets();
+
+}  // namespace
+
+char* Ipv4Address::append_to(char* out) const {
+  // The first three octets copy four bytes each, dot included, and end at
+  // most 12 bytes in; the last copies its digits only.
+  for (int shift = 24; shift > 0; shift -= 8) {
+    const Octet& octet = kOctets[(value_ >> shift) & 0xffu];
+    std::memcpy(out, octet.text.data(), octet.text.size());
+    out += octet.size;
+  }
+  const Octet& last = kOctets[value_ & 0xffu];
+  std::memcpy(out, last.text.data(), last.size - 1u);
+  return out + last.size - 1;
 }
 
 std::string Ipv4Address::to_string() const {
@@ -50,11 +82,9 @@ std::optional<Ipv4Prefix> Ipv4Prefix::parse(std::string_view text) {
   if (!addr) return std::nullopt;
   unsigned length = 0;
   const std::string_view len_text = text.substr(slash + 1);
-  const auto [next, ec] =
-      std::from_chars(len_text.data(), len_text.data() + len_text.size(), length);
-  if (ec != std::errc{} || length > 32 || next != len_text.data() + len_text.size()) {
-    return std::nullopt;
-  }
+  const char* const end = len_text.data() + len_text.size();
+  const auto [next, ec] = std::from_chars(len_text.data(), end, length);
+  if (ec != std::errc{} || length > 32 || next != end) return std::nullopt;
   return Ipv4Prefix{*addr, static_cast<std::uint8_t>(length)};
 }
 

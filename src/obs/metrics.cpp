@@ -50,6 +50,18 @@ void Histogram::record(double value) {
   atomic_max(max_, value);
 }
 
+void Histogram::merge(const Tally& tally) {
+  if (tally.count == 0) return;
+  for (std::size_t i = 0; i < kBucketCount; ++i) {
+    if (tally.buckets[i] != 0) {
+      buckets_[i].fetch_add(tally.buckets[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(tally.count, std::memory_order_relaxed);
+  atomic_add(sum_, tally.sum);
+  atomic_max(max_, tally.max);
+}
+
 double Histogram::quantile(double q) const {
   const std::uint64_t total = count();
   if (total == 0) return 0.0;

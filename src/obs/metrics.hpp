@@ -3,10 +3,15 @@
 // behind a process-wide Registry, exported as JSON (for --metrics-out).
 //
 // Hot-path cost: Counter::inc is one relaxed atomic add; Histogram::record is
-// one log2 plus three relaxed atomics. Callers on hot paths should look the
-// metric up once (Registry lookups take a mutex) and keep the reference —
-// metric objects are never invalidated once created.
+// one log2, two relaxed atomic adds and two compare-and-swap loops (sum and
+// max). Callers on hot paths should look the metric up once (Registry
+// lookups take a mutex) and keep the reference — metric objects are never
+// invalidated once created. A loop that many threads run per item tallies
+// into a plain Histogram::Tally and merges it once, so the threads share no
+// cache line while hot (the campaign executor does, per worker and day).
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -22,7 +27,9 @@ namespace cloudrtt::obs {
 /// Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
@@ -58,13 +65,37 @@ class Histogram {
   static constexpr std::size_t kBucketCount =
       static_cast<std::size_t>((kMaxExponent - kMinExponent) * kSubBuckets);
 
+  /// Samples counted in plain integers over the same buckets, for one
+  /// thread to fill and merge() to add in one go. The merged histogram's
+  /// buckets, count and max are what recording each sample would give; its
+  /// sum adds one partial sum per tally, so its last bits can differ.
+  struct Tally {
+    std::array<std::uint64_t, kBucketCount> buckets{};
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double max = 0.0;
+
+    void record(double value) {
+      ++buckets[bucket_index(value)];
+      ++count;
+      sum += value;
+      max = std::max(max, value);
+    }
+  };
+
   void record(double value);
+  /// Add `tally`'s samples.
+  void merge(const Tally& tally);
 
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double sum() const { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double max() const { return max_.load(std::memory_order_relaxed); }
+  [[nodiscard]] double sum() const {
+    return sum_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] double max() const {
+    return max_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] double mean() const {
     const std::uint64_t n = count();
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);

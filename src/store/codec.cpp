@@ -67,8 +67,9 @@ void put_f64(char*& cursor, double value) {
   put_raw(cursor, std::bit_cast<std::uint64_t>(value));
 }
 
-/// Largest serialised task: 16 B ping + 22 B trace core + 255 * 14 B hops.
-inline constexpr std::size_t kMaxTaskBytes = 16 + 22 + 255 * 14;
+/// Largest serialised task: a ping, a trace core and 255 hops.
+inline constexpr std::size_t kMaxTaskBytes =
+    kPingRecordBytes + kTraceCoreBytes + 255 * kHopRecordBytes;
 
 /// Reading cursor over a payload; get_raw advances it and fails instead of
 /// reading past the end (a checksum-valid block can still be logically
@@ -190,95 +191,150 @@ void serialize_task(std::string& out, const measure::Dataset& data,
   out.append(buffer, cursor);
 }
 
+std::string_view cut_ping_record(std::string_view& payload,
+                                 std::string_view& record) {
+  if (payload.size() < kPingRecordBytes) {
+    return "payload ends inside the ping record";
+  }
+  record = payload.substr(0, kPingRecordBytes);
+  payload.remove_prefix(kPingRecordBytes);
+  return {};
+}
+
+std::string_view cut_trace_record(std::string_view& payload,
+                                  std::string_view& record) {
+  if (payload.size() < kTraceCoreBytes) {
+    return "payload ends inside the trace record";
+  }
+  const std::size_t bytes =
+      kTraceCoreBytes + kHopRecordBytes * trace_record_hops(payload);
+  if (payload.size() < bytes) return "payload ends inside the hop list";
+  record = payload.substr(0, bytes);
+  payload.remove_prefix(bytes);
+  return {};
+}
+
+namespace {
+
+// Dense per-fleet ids make presence an O(1) range probe; the on-disk probe
+// id is also the column cell, so a validated id is appended as-is.
+[[nodiscard]] bool known_probe(std::uint32_t id,
+                               const probes::ProbeFleet* sc_fleet,
+                               const probes::ProbeFleet* atlas_fleet) {
+  return (sc_fleet != nullptr && sc_fleet->by_id(id) != nullptr) ||
+         (atlas_fleet != nullptr && atlas_fleet->by_id(id) != nullptr);
+}
+
+[[nodiscard]] std::size_t region_count() {
+  return cloud::RegionCatalog::instance().all().size();
+}
+
+}  // namespace
+
+std::string decode_ping_record(std::string_view record, std::uint32_t day,
+                               const probes::ProbeFleet* sc_fleet,
+                               const probes::ProbeFleet* atlas_fleet,
+                               measure::PingColumn& out) {
+  Reader in{record.data(), record.data() + record.size()};
+  std::uint32_t probe_id = 0;
+  std::uint16_t region = 0;
+  std::uint8_t protocol = 0;
+  std::uint8_t slot = 0;
+  double rtt_ms = 0.0;
+  if (!in.get_raw(probe_id) || !in.get_raw(region) ||
+      !in.get_raw(protocol) || !in.get_raw(slot) || !in.get_f64(rtt_ms)) {
+    return "payload ends inside the ping record";
+  }
+  if (protocol > 1 || slot > 5 || region >= region_count()) {
+    return "bad ping fields";
+  }
+  if (!known_probe(probe_id, sc_fleet, atlas_fleet)) {
+    return "unknown probe id " + std::to_string(probe_id);
+  }
+  out.append_row(probe_id, region, static_cast<measure::Protocol>(protocol),
+                 rtt_ms, day, slot);
+  return {};
+}
+
+std::string decode_trace_record(std::string_view record, std::uint32_t day,
+                                const probes::ProbeFleet* sc_fleet,
+                                const probes::ProbeFleet* atlas_fleet,
+                                measure::TraceColumn& out,
+                                std::vector<measure::HopRecord>& hops) {
+  Reader in{record.data(), record.data() + record.size()};
+  std::uint32_t probe_id = 0;
+  std::uint16_t region = 0;
+  std::uint8_t completed = 0;
+  std::uint8_t slot = 0;
+  std::uint32_t target = 0;
+  double end_to_end_ms = 0.0;
+  std::uint8_t mode = 0;
+  std::uint8_t hop_count = 0;
+  if (!in.get_raw(probe_id) || !in.get_raw(region) ||
+      !in.get_raw(completed) || !in.get_raw(slot) || !in.get_raw(target) ||
+      !in.get_f64(end_to_end_ms) || !in.get_raw(mode) ||
+      !in.get_raw(hop_count)) {
+    return "payload ends inside the trace record";
+  }
+  if (completed > 1 || slot > 5 || mode > 3 || region >= region_count()) {
+    return "bad trace fields";
+  }
+  if (!known_probe(probe_id, sc_fleet, atlas_fleet)) {
+    return "unknown probe id " + std::to_string(probe_id);
+  }
+  hops.clear();
+  hops.reserve(hop_count);
+  for (std::uint8_t h = 0; h < hop_count; ++h) {
+    measure::HopRecord hop;
+    std::uint8_t responded = 0;
+    std::uint32_t ip = 0;
+    if (!in.get_raw(hop.ttl) || !in.get_raw(responded) || !in.get_raw(ip) ||
+        !in.get_f64(hop.rtt_ms)) {
+      return "payload ends inside the hop list";
+    }
+    if (hop.ttl == 0 || responded > 1) return "bad hop fields";
+    hop.responded = responded == 1;
+    hop.ip = net::Ipv4Address{ip};
+    hops.push_back(hop);
+  }
+  out.append_row(probe_id, region, target, completed == 1, end_to_end_ms,
+                 day, slot, static_cast<topology::InterconnectMode>(mode),
+                 hops);
+  return {};
+}
+
+std::string record_error(std::uint32_t day, std::uint32_t task,
+                         std::string_view what) {
+  return "task " + std::to_string(task) + " of day " + std::to_string(day) +
+         ": " + std::string{what};
+}
+
 std::string parse_block(std::string_view payload, const BlockHeader& header,
                         const probes::ProbeFleet* sc_fleet,
                         const probes::ProbeFleet* atlas_fleet,
                         measure::Dataset& out) {
-  const std::span<const cloud::RegionInfo> regions =
-      cloud::RegionCatalog::instance().all();
-  Reader in{payload.data(), payload.data() + payload.size()};
-  const auto fail = [&](std::uint32_t task, std::string_view what) {
-    return "task " + std::to_string(header.start + task) + " of day " +
-           std::to_string(header.day) + ": " + std::string{what};
-  };
-  // Dense per-fleet ids make presence an O(1) range probe; the on-disk probe
-  // id is also the column cell, so a validated id is appended as-is.
-  const auto known_probe = [&](std::uint32_t id) {
-    return (sc_fleet != nullptr && sc_fleet->by_id(id) != nullptr) ||
-           (atlas_fleet != nullptr && atlas_fleet->by_id(id) != nullptr);
-  };
   // One hop scratch per block: cleared per task, its capacity amortises over
   // the block's 512 tasks (function-local keeps parse_block thread-safe).
-  std::vector<measure::HopRecord> hop_scratch;
-
+  std::vector<measure::HopRecord> hops;
+  std::string_view rest = payload;
   for (std::uint32_t task = 0; task < header.tasks; ++task) {
-    // -- ping row -----------------------------------------------------------
-    std::uint32_t probe_id = 0;
-    std::uint16_t region = 0;
-    std::uint8_t protocol = 0;
-    std::uint8_t ping_slot = 0;
-    double rtt_ms = 0.0;
-    if (!in.get_raw(probe_id) || !in.get_raw(region) ||
-        !in.get_raw(protocol) || !in.get_raw(ping_slot) ||
-        !in.get_f64(rtt_ms)) {
-      return fail(task, "payload ends inside the ping record");
+    std::string_view record;
+    std::string why{cut_ping_record(rest, record)};
+    if (why.empty()) {
+      why = decode_ping_record(record, header.day, sc_fleet, atlas_fleet,
+                               out.pings);
     }
-    if (protocol > 1 || ping_slot > 5 || region >= regions.size()) {
-      return fail(task, "bad ping fields");
+    if (why.empty()) why = cut_trace_record(rest, record);
+    if (why.empty()) {
+      why = decode_trace_record(record, header.day, sc_fleet, atlas_fleet,
+                                out.traces, hops);
     }
-    if (!known_probe(probe_id)) {
-      return fail(task, "unknown probe id " + std::to_string(probe_id));
-    }
-    out.pings.append_row(probe_id, region,
-                         static_cast<measure::Protocol>(protocol), rtt_ms,
-                         header.day, ping_slot);
-
-    // -- trace row ----------------------------------------------------------
-    std::uint8_t completed = 0;
-    std::uint8_t trace_slot = 0;
-    std::uint32_t target = 0;
-    double end_to_end_ms = 0.0;
-    std::uint8_t mode = 0;
-    std::uint8_t hop_count = 0;
-    if (!in.get_raw(probe_id) || !in.get_raw(region) ||
-        !in.get_raw(completed) || !in.get_raw(trace_slot) ||
-        !in.get_raw(target) || !in.get_f64(end_to_end_ms) ||
-        !in.get_raw(mode) || !in.get_raw(hop_count)) {
-      return fail(task, "payload ends inside the trace record");
-    }
-    if (completed > 1 || trace_slot > 5 || mode > 3 ||
-        region >= regions.size()) {
-      return fail(task, "bad trace fields");
-    }
-    if (!known_probe(probe_id)) {
-      return fail(task, "unknown probe id " + std::to_string(probe_id));
-    }
-
-    hop_scratch.clear();
-    hop_scratch.reserve(hop_count);
-    for (std::uint8_t h = 0; h < hop_count; ++h) {
-      measure::HopRecord hop;
-      std::uint8_t responded = 0;
-      std::uint32_t ip = 0;
-      if (!in.get_raw(hop.ttl) || !in.get_raw(responded) ||
-          !in.get_raw(ip) || !in.get_f64(hop.rtt_ms)) {
-        return fail(task, "payload ends inside the hop list");
-      }
-      if (hop.ttl == 0 || responded > 1) {
-        return fail(task, "bad hop fields");
-      }
-      hop.responded = responded == 1;
-      hop.ip = net::Ipv4Address{ip};
-      hop_scratch.push_back(hop);
-    }
-    out.traces.append_row(probe_id, region, target, completed == 1,
-                          end_to_end_ms, header.day, trace_slot,
-                          static_cast<topology::InterconnectMode>(mode),
-                          hop_scratch);
+    if (!why.empty()) return record_error(header.day, header.start + task, why);
   }
-  if (in.cursor != in.end) {
-    const std::string trailing = std::to_string(in.end - in.cursor);
-    return fail(header.tasks - 1, trailing + " trailing payload bytes");
+  if (!rest.empty()) {
+    return record_error(
+        header.day, header.start + header.tasks - 1,
+        std::to_string(rest.size()) + " trailing payload bytes");
   }
   return {};
 }

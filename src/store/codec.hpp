@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "measure/records.hpp"
 #include "probes/fleet.hpp"
@@ -69,10 +70,46 @@ struct BlockHeader {
 void serialize_task(std::string& out, const measure::Dataset& data,
                     std::size_t row);
 
-/// Parse `header.tasks` serialised tasks from `payload`, validate them
-/// against the probe fleets and the static region catalogue, and append
-/// them column-direct to `out`, whose binding must cover the fleets.
-/// Returns empty on success, else what was wrong, naming the day and task.
+/// Serialised record sizes: a ping, a trace's fixed core (whose last byte
+/// is its hop count), and one hop.
+inline constexpr std::size_t kPingRecordBytes = 16;
+inline constexpr std::size_t kTraceCoreBytes = 22;
+inline constexpr std::size_t kHopRecordBytes = 14;
+
+/// Cut the next ping record, or the next trace record with its hops, off
+/// the front of `payload` into `record` without decoding it. Empty on
+/// success; else what is wrong: the payload ends inside the record.
+[[nodiscard]] std::string_view cut_ping_record(std::string_view& payload,
+                                               std::string_view& record);
+[[nodiscard]] std::string_view cut_trace_record(std::string_view& payload,
+                                                std::string_view& record);
+
+/// The hop count of a trace record cut_trace_record() cut.
+[[nodiscard]] inline std::size_t trace_record_hops(std::string_view record) {
+  return static_cast<unsigned char>(record[kTraceCoreBytes - 1]);
+}
+
+/// Decode one cut record of `day`, validate it against the probe fleets
+/// and the static region catalogue, and append it column-direct to `out`,
+/// whose binding must cover the fleets. `hops` is the caller's scratch.
+/// Empty on success, else what is wrong with the record.
+[[nodiscard]] std::string decode_ping_record(
+    std::string_view record, std::uint32_t day,
+    const probes::ProbeFleet* sc_fleet, const probes::ProbeFleet* atlas_fleet,
+    measure::PingColumn& out);
+[[nodiscard]] std::string decode_trace_record(
+    std::string_view record, std::uint32_t day,
+    const probes::ProbeFleet* sc_fleet, const probes::ProbeFleet* atlas_fleet,
+    measure::TraceColumn& out, std::vector<measure::HopRecord>& hops);
+
+/// How every reader names a record it refuses: "task <task> of day <day>:
+/// <what>".
+[[nodiscard]] std::string record_error(std::uint32_t day, std::uint32_t task,
+                                       std::string_view what);
+
+/// Decode `header.tasks` serialised tasks from `payload` with the record
+/// decoders above, task by task (ping, then trace), and append them to
+/// `out`. Returns empty on success, else the first record_error().
 [[nodiscard]] std::string parse_block(std::string_view payload,
                                       const BlockHeader& header,
                                       const probes::ProbeFleet* sc_fleet,

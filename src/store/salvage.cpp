@@ -333,26 +333,38 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
   return result;
 }
 
+std::string scan_blocks(
+    const fs::path& dir, std::string_view platform, const OpenResult& opened,
+    const std::function<std::string(const BlockHeader&, std::string_view)>&
+        per_block) {
+  if (!opened.ok()) return opened.error;
+  BlockReader reader{store_shard_path(dir, platform),
+                     opened.shard.durable_bytes};
+  while (!reader.done()) {
+    if (std::string why = reader.next(); !why.empty()) return why;
+    if (std::string why = per_block(reader.header(), reader.payload());
+        !why.empty()) {
+      return why;
+    }
+  }
+  return {};
+}
+
 std::string scan_rows(
     const fs::path& dir, std::string_view platform, const OpenResult& opened,
     const probes::ProbeFleet* sc_fleet, const probes::ProbeFleet* atlas_fleet,
     const std::function<void(const measure::Dataset&)>& per_block) {
-  if (!opened.ok()) return opened.error;
-  BlockReader reader{store_shard_path(dir, platform),
-                     opened.shard.durable_bytes};
   measure::Dataset block;
   block.bind(sc_fleet, atlas_fleet);
-  while (!reader.done()) {
-    if (std::string why = reader.next(); !why.empty()) return why;
-    block.clear_rows();
-    if (std::string why = parse_block(reader.payload(), reader.header(),
-                                      sc_fleet, atlas_fleet, block);
-        !why.empty()) {
-      return why;
-    }
-    per_block(block);
-  }
-  return {};
+  return scan_blocks(
+      dir, platform, opened,
+      [&](const BlockHeader& header, std::string_view payload) {
+        block.clear_rows();
+        std::string why =
+            parse_block(payload, header, sc_fleet, atlas_fleet, block);
+        if (why.empty()) per_block(block);
+        return why;
+      });
 }
 
 FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {

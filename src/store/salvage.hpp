@@ -22,9 +22,10 @@
 // lands on a block boundary. Validation decodes no payload, so it needs no
 // probe fleets.
 //
-// scan_rows() decodes: it reads the blocks an open accepted in file order,
-// which is the order the campaign appended them, one block's rows at a
-// time, and refuses a block that passes its checksum but does not decode.
+// scan_blocks() reads the blocks an open accepted in file order, which is
+// the order the campaign appended them, checksummed but not decoded.
+// scan_rows() decodes them too, one block's rows at a time, and refuses a
+// block that passes its checksum but does not decode.
 //
 // The resume contract: open_store() (+ scan_rows() for a resume that holds
 // its rows in memory) + replaying the remainder of the interrupted day from
@@ -41,6 +42,7 @@
 #include "measure/campaign.hpp"
 #include "measure/records.hpp"
 #include "probes/fleet.hpp"
+#include "store/codec.hpp"
 #include "store/io_env.hpp"
 #include "store/shard_writer.hpp"
 
@@ -105,6 +107,18 @@ struct StorePresence {
 [[nodiscard]] OpenResult open_store(const std::filesystem::path& dir,
                                     std::string_view platform, IoEnv& io,
                                     bool repair);
+
+/// Read the blocks of the store `opened` describes: every block below its
+/// durable mark (OpenResult::shard), in file order, one at a time. Each
+/// block reaches `per_block` checked against its checksum but not decoded,
+/// as its header and payload (store/codec.hpp cuts and decodes records);
+/// `per_block` returns what is wrong with it, or empty. Empty on success;
+/// otherwise the open's error, the reader's, or `per_block`'s.
+[[nodiscard]] std::string scan_blocks(
+    const std::filesystem::path& dir, std::string_view platform,
+    const OpenResult& opened,
+    const std::function<std::string(const BlockHeader&, std::string_view)>&
+        per_block);
 
 /// Decode the rows of the store `opened` describes: every block below its
 /// durable mark (OpenResult::shard), in file order, one block's rows at a

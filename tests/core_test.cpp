@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <future>
 #include <iterator>
 #include <limits>
@@ -254,7 +255,9 @@ void expect_matches_reference(const Parts& parts) {
 }
 
 /// Rows at the encoder's edges, on a probe of the quick study; the dataset
-/// is unbound, so probes and regions go through the extras tables.
+/// is unbound, so probes and regions go through the extras tables. Some
+/// rows are bound to a region and a country outside the catalogues, whose
+/// names hold commas and quotes: the encoder has no table cell for them.
 class EdgeRows {
  public:
   explicit EdgeRows(const probes::Probe& probe) {
@@ -262,6 +265,10 @@ class EdgeRows {
         cloud::RegionCatalog::instance().all().front();
     quoted_ = template_region;
     quoted_.region_name = "eu-\"west\",1";
+    quoted_country_ = *probe.country;
+    quoted_country_.code = "Z\"Z,";
+    quoted_probe_ = probe;
+    quoted_probe_.country = &quoted_country_;
     // A 35 KB name, commas and quotes throughout: one cell worth half a
     // batch of ordinary rows, so a batch buffer grows mid-row; and one whose
     // trace prefix is long enough that copying it for the next hop can need
@@ -337,6 +344,20 @@ class EdgeRows {
     longest.region = &long_;
     longest.hops.resize(5);
     data.traces.push_back(longest);
+
+    // Catalogue regions on the probe of the extras country, and the extras
+    // region on it too.
+    measure::PingRecord quoted_ping = data.pings.front();
+    quoted_ping.probe = &quoted_probe_;
+    for (const cloud::RegionInfo* region :
+         {&template_region, &cloud::RegionCatalog::instance().all().back(),
+          static_cast<const cloud::RegionInfo*>(&quoted_)}) {
+      quoted_ping.region = region;
+      data.pings.push_back(quoted_ping);
+      longest.probe = &quoted_probe_;
+      longest.region = region;
+      data.traces.push_back(longest);
+    }
   }
 
   EdgeRows(const EdgeRows&) = delete;
@@ -346,6 +367,8 @@ class EdgeRows {
 
  private:
   cloud::RegionInfo quoted_{};
+  geo::CountryInfo quoted_country_{};
+  probes::Probe quoted_probe_;
   cloud::RegionInfo medium_{};
   cloud::RegionInfo long_{};
   std::string long_name_;
@@ -359,6 +382,46 @@ TEST_F(CoreRoundTrip, EncoderMatchesReferenceWriterOnAStudy) {
 TEST_F(CoreRoundTrip, EncoderMatchesReferenceWriterOnEdgeRows) {
   const EdgeRows edges{study().sc_fleet().probes().front()};
   expect_matches_reference({&edges.data});
+}
+
+// The encoder copies catalogue cells out of a table it builds once per
+// process; each must be what the reference writer escapes per row: every
+// country of the CountryTable on a probe of either platform, every region
+// of the RegionCatalog, both protocols, and every mode, plus a mode value
+// past them.
+TEST_F(CoreRoundTrip, EncoderMatchesReferenceOnEveryCatalogueCell) {
+  std::deque<probes::Probe> probes;  // stable addresses for the rows
+  measure::Dataset data;
+  measure::PingRecord ping = study().sc_dataset().pings.front();
+  measure::TraceRecord trace = study().sc_dataset().traces.front().to_record();
+  ASSERT_FALSE(trace.hops.empty());
+  trace.hops.resize(1);
+  std::size_t row = 0;
+  for (const geo::CountryInfo& country : geo::CountryTable::instance().all()) {
+    for (const probes::Platform platform :
+         {probes::Platform::Speedchecker, probes::Platform::RipeAtlas}) {
+      probes::Probe& probe = probes.emplace_back(*ping.probe);
+      probe.country = &country;
+      probe.platform = platform;
+      measure::PingRecord row_ping = ping;
+      row_ping.probe = &probe;
+      row_ping.protocol = row++ % 2 == 0 ? measure::Protocol::Tcp
+                                         : measure::Protocol::Icmp;
+      data.pings.push_back(row_ping);
+    }
+  }
+  for (const cloud::RegionInfo& region :
+       cloud::RegionCatalog::instance().all()) {
+    ping.region = &region;
+    ping.protocol =
+        row % 2 == 0 ? measure::Protocol::Tcp : measure::Protocol::Icmp;
+    data.pings.push_back(ping);
+    trace.region = &region;
+    trace.true_mode = static_cast<topology::InterconnectMode>(row % 5);
+    data.traces.push_back(trace);
+    ++row;
+  }
+  expect_matches_reference({&data});
 }
 
 TEST_F(CoreRoundTrip, EncoderGivesTheSameBytesForSeveralWritesAsForOne) {

@@ -26,8 +26,8 @@ namespace {
 class EngineTest : public ::testing::Test {
  protected:
   topology::World world_{topology::WorldConfig{21}};
-  probes::ProbeFleet fleet_{world_,
-                            probes::FleetConfig{probes::Platform::Speedchecker, 800}};
+  probes::ProbeFleet fleet_{
+      world_, probes::FleetConfig{probes::Platform::Speedchecker, 800}};
   Engine engine_{world_};
 
   const probes::Probe& probe_in(std::string_view country) {
@@ -43,7 +43,8 @@ TEST_F(EngineTest, PingIsPositiveAndBoundedBelow) {
   const probes::Probe& probe = probe_in("DE");
   const auto& endpoint = world_.endpoints().front();
   for (int i = 0; i < 200; ++i) {
-    const PingRecord ping = engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng);
+    const PingRecord ping =
+        engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng);
     EXPECT_GT(ping.rtt_ms, 1.0);
     EXPECT_LT(ping.rtt_ms, 2000.0);
     EXPECT_EQ(ping.probe, &probe);
@@ -59,7 +60,8 @@ TEST_F(EngineTest, IcmpIsSlightlySlowerOnAverage) {
   std::vector<double> icmp;
   for (int i = 0; i < 800; ++i) {
     tcp.push_back(engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng).rtt_ms);
-    icmp.push_back(engine_.ping(probe, endpoint, Protocol::Icmp, 0, rng).rtt_ms);
+    icmp.push_back(
+        engine_.ping(probe, endpoint, Protocol::Icmp, 0, rng).rtt_ms);
   }
   EXPECT_GT(util::mean(icmp), util::mean(tcp));
   // ...but medians stay comparable (§A.2).
@@ -84,7 +86,8 @@ TEST_F(EngineTest, TracerouteHopsAreOrderedAndMostlyResponsive) {
       }
     }
   }
-  const double rate = static_cast<double>(responded) / static_cast<double>(total);
+  const double rate =
+      static_cast<double>(responded) / static_cast<double>(total);
   EXPECT_GT(rate, 0.75);
   EXPECT_LT(rate, 0.99);
 }
@@ -127,6 +130,38 @@ TEST_F(EngineTest, DeterministicGivenSameRngState) {
       EXPECT_EQ(a.hops[i].ip, b.hops[i].ip);
       EXPECT_DOUBLE_EQ(a.hops[i].rtt_ms, b.hops[i].rtt_ms);
     }
+  }
+}
+
+// The single-shot entries fold their own counts per call: the CLI's
+// `trace`, the examples and perf_core read the registry right after one.
+// ping() counts one ping and no traceroute; traceroute() and
+// traceroute_into() one traceroute and no ping; each ping adds one sample
+// to the RTT histogram.
+TEST_F(EngineTest, SingleShotEntriesCountEachMeasurementOnce) {
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& pings = registry.counter("engine.pings_total");
+  const obs::Counter& traces = registry.counter("engine.traceroutes_total");
+  const obs::Histogram& rtt = registry.histogram("engine.ping.rtt_ms");
+  const probes::Probe& probe = probe_in("DE");
+  const auto& endpoint = world_.endpoints().front();
+  util::Rng rng{41};
+  std::vector<HopRecord> hops;
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t pings_before = pings.value();
+    const std::uint64_t traces_before = traces.value();
+    const std::uint64_t samples_before = rtt.count();
+    (void)engine_.ping(probe, endpoint, Protocol::Icmp, 0, rng);
+    EXPECT_EQ(pings.value() - pings_before, 1u);
+    EXPECT_EQ(traces.value() - traces_before, 0u);
+    EXPECT_EQ(rtt.count() - samples_before, 1u);
+    (void)engine_.traceroute(probe, endpoint, 0, rng);
+    EXPECT_EQ(pings.value() - pings_before, 1u);
+    EXPECT_EQ(traces.value() - traces_before, 1u);
+    (void)engine_.traceroute_into(probe, endpoint, 0, rng, hops);
+    EXPECT_EQ(pings.value() - pings_before, 1u);
+    EXPECT_EQ(traces.value() - traces_before, 2u);
+    EXPECT_EQ(rtt.count() - samples_before, 1u);
   }
 }
 
@@ -181,10 +216,10 @@ TEST_F(EngineTest, ClassicInflationIsMild) {
   util::Rng rng_a{12};
   util::Rng rng_b{12};
   for (int i = 0; i < 300; ++i) {
-    const TraceRecord a =
-        engine_.traceroute(probe, endpoint, 0, rng_a, Engine::TraceMethod::Classic);
-    const TraceRecord b =
-        engine_.traceroute(probe, endpoint, 0, rng_b, Engine::TraceMethod::Paris);
+    const TraceRecord a = engine_.traceroute(probe, endpoint, 0, rng_a,
+                                             Engine::TraceMethod::Classic);
+    const TraceRecord b = engine_.traceroute(probe, endpoint, 0, rng_b,
+                                             Engine::TraceMethod::Paris);
     if (a.completed) classic.push_back(a.end_to_end_ms);
     if (b.completed) paris.push_back(b.end_to_end_ms);
   }
@@ -270,9 +305,11 @@ TEST_F(EngineTest, EveningSlotsRunHotterOnWeakBackhauls) {
   std::vector<double> off;
   for (int i = 0; i < 600; ++i) {
     peak.push_back(
-        engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng_a, peak_slot).rtt_ms);
+        engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng_a, peak_slot)
+            .rtt_ms);
     off.push_back(
-        engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng_b, off_slot).rtt_ms);
+        engine_.ping(probe, endpoint, Protocol::Tcp, 0, rng_b, off_slot)
+            .rtt_ms);
   }
   EXPECT_GT(util::mean(peak), util::mean(off));
 }
@@ -344,7 +381,8 @@ void expect_task_entry_matches_split(std::uint64_t seed, bool cut) {
     util::Rng split_rng = entry_rng;
 
     const std::size_t hop_begin = worker.hops.size();
-    const TaskRecords got = engine.run_task(task, entry_rng, worker);
+    EngineTally tally;
+    const TaskRecords got = engine.run_task(task, entry_rng, worker, tally);
 
     MeasurementScratch fresh;
     const PingRecord ping =
@@ -390,8 +428,8 @@ class CampaignTest : public ::testing::Test {
   }
 
   topology::World world_{topology::WorldConfig{22}};
-  probes::ProbeFleet fleet_{world_,
-                            probes::FleetConfig{probes::Platform::Speedchecker, 1500}};
+  probes::ProbeFleet fleet_{
+      world_, probes::FleetConfig{probes::Platform::Speedchecker, 1500}};
   CampaignConfig config_;
 };
 
@@ -457,7 +495,8 @@ TEST_F(CampaignTest, AfricanProbesTargetNeighbouringContinents) {
       af_to_eu = true;
     if (src == geo::Continent::Africa && dst == geo::Continent::NorthAmerica)
       af_to_na = true;
-    if (src == geo::Continent::SouthAmerica && dst == geo::Continent::NorthAmerica)
+    if (src == geo::Continent::SouthAmerica &&
+        dst == geo::Continent::NorthAmerica)
       sa_to_na = true;
   }
   EXPECT_TRUE(af_to_eu);

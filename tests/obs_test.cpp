@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -195,6 +196,30 @@ TEST(HistogramQuantileTest, SmallCountsStayInsideTheSampleRange) {
   EXPECT_DOUBLE_EQ(Histogram{}.quantile(0.5), 0.0);
 }
 
+// Samples tallied in plain integers and merged read back as recorded ones:
+// same count, max and bucket quantiles, however they are split among
+// tallies. An empty tally adds nothing.
+TEST(HistogramTest, MergedTalliesEqualRecordedSamples) {
+  Histogram recorded;
+  Histogram merged;
+  std::array<Histogram::Tally, 3> tallies;
+  for (int i = 0; i < 3000; ++i) {
+    const double value = 0.01 * static_cast<double>((i * 7919) % 100000);
+    recorded.record(value);
+    tallies[static_cast<std::size_t>(i) % tallies.size()].record(value);
+  }
+  recorded.record(-1.0);
+  tallies[0].record(-1.0);
+  for (const Histogram::Tally& tally : tallies) merged.merge(tally);
+  merged.merge(Histogram::Tally{});
+  EXPECT_EQ(merged.count(), recorded.count());
+  EXPECT_EQ(merged.max(), recorded.max());
+  EXPECT_NEAR(merged.sum(), recorded.sum(), 1e-9 * recorded.sum());
+  for (const double q : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(merged.quantile(q), recorded.quantile(q)) << q;
+  }
+}
+
 TEST(RegistryTest, FindOrCreateReturnsStableReferences) {
   Registry registry;
   Counter& a = registry.counter("x.total");
@@ -306,7 +331,8 @@ TEST(SpanTest, JsonExportNestsChildren) {
   EXPECT_NE(text.find("\"name\": \"build\""), std::string::npos);
   EXPECT_NE(text.find("\"name\": \"transit\""), std::string::npos);
   EXPECT_NE(text.find("\"total_ms\""), std::string::npos);
-  EXPECT_LT(text.find("\"name\": \"build\""), text.find("\"name\": \"transit\""));
+  EXPECT_LT(text.find("\"name\": \"build\""),
+            text.find("\"name\": \"transit\""));
   tracker.reset();
 }
 

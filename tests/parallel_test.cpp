@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -119,16 +120,19 @@ TEST(ParallelGate, KillAndResumeWithAtlasAtFourThreads) {
 }
 
 /// What one parallel_config(23, threads) study adds to the engine's metrics:
-/// every `engine.*` counter's delta, and the ping-RTT histogram's count and
-/// max (the histogram is reset first; nothing else in this suite reads it).
-struct EngineTally {
+/// every `engine.*` counter's delta, and the ping-RTT histogram's count, max
+/// and bucket quantiles (the histogram is reset first; nothing else in this
+/// suite reads it). Not its sum: the workers' tallies add their partial
+/// sums in whatever order they finish, so its last bits may differ.
+struct EngineDelta {
   std::map<std::string, double> counters;
   std::uint64_t rtt_count = 0;
   double rtt_max = 0.0;
+  std::array<double, 3> rtt_quantiles{};  ///< p50, p90, p99
   std::size_t tasks = 0;  ///< ping rows in both datasets
 };
 
-[[nodiscard]] EngineTally engine_tally(unsigned threads) {
+[[nodiscard]] EngineDelta engine_delta(unsigned threads) {
   obs::Registry& registry = obs::Registry::global();
   const auto engine_counters = [&registry] {
     std::map<std::string, double> values;
@@ -142,25 +146,31 @@ struct EngineTally {
   rtt.reset();
   core::Study study{parallel_config(23, threads)};
   study.run();
-  EngineTally tally;
+  EngineDelta delta;
   for (const auto& [name, value] : engine_counters()) {
     const auto prior = before.find(name);
-    tally.counters[name] =
+    delta.counters[name] =
         value - (prior == before.end() ? 0.0 : prior->second);
   }
-  tally.rtt_count = rtt.count();
-  tally.rtt_max = rtt.max();
-  tally.tasks =
+  delta.rtt_count = rtt.count();
+  delta.rtt_max = rtt.max();
+  delta.rtt_quantiles = {rtt.quantile(0.50), rtt.quantile(0.90),
+                         rtt.quantile(0.99)};
+  delta.tasks =
       study.sc_dataset().pings.size() + study.atlas_dataset().pings.size();
-  return tally;
+  return delta;
 }
 
 TEST(ParallelGate, EngineMetricsAreThreadInvariant) {
-  const EngineTally one = engine_tally(1);
-  const EngineTally four = engine_tally(4);
-  EXPECT_EQ(one.counters, four.counters);
-  EXPECT_EQ(one.rtt_count, four.rtt_count);
-  EXPECT_EQ(one.rtt_max, four.rtt_max);
+  const EngineDelta one = engine_delta(1);
+  for (const unsigned threads : {3u, 4u}) {
+    SCOPED_TRACE(threads);
+    const EngineDelta many = engine_delta(threads);
+    EXPECT_EQ(one.counters, many.counters);
+    EXPECT_EQ(one.rtt_count, many.rtt_count);
+    EXPECT_EQ(one.rtt_max, many.rtt_max);
+    EXPECT_EQ(one.rtt_quantiles, many.rtt_quantiles);
+  }
   // A task whose traceroute reuses the ping's path still counts one ping
   // and one traceroute.
   ASSERT_GT(one.tasks, 0U);
@@ -169,6 +179,7 @@ TEST(ParallelGate, EngineMetricsAreThreadInvariant) {
   EXPECT_EQ(one.counters.at("engine.traceroutes_total"),
             static_cast<double>(one.tasks));
   EXPECT_EQ(one.rtt_count, one.tasks);
+  EXPECT_GT(one.rtt_quantiles[0], 0.0);
 }
 
 TEST(ParallelGate, BusyAccountingIsPublishedAtDayEnd) {

@@ -404,6 +404,61 @@ TEST(StoreCorruption, UndecodableTailBlockIsRefusedByEveryRowReader) {
   EXPECT_EQ(hashed.hash, 0u);
 }
 
+// The same for a bad trace record deep in the block: a hop with ttl 0 in
+// the first trace with hops from task 200 on. The streamed hash's encoders
+// decode trace records only in the trace pass, on a batch that starts past
+// the block's first task, and must still name the record's own task.
+TEST(StoreCorruption, BadTraceRecordIsRefusedByEveryRowReader) {
+  const fs::path dir = copy_store("cloudrtt_store_bad_trace");
+  const std::vector<BlockSpan> blocks = index_blocks(shard_file(dir));
+  ASSERT_FALSE(blocks.empty());
+  const BlockSpan& full = blocks.front();
+  ASSERT_EQ(full.header.tasks, store::kBlockTasks);
+  std::string text = read_file(shard_file(dir));
+  std::string payload =
+      text.substr(full.offset + full.size - full.header.bytes,
+                  full.header.bytes);
+  std::uint32_t task = 0;
+  std::size_t first_hop = 0;
+  for (std::string_view rest = payload;; ++task) {
+    ASSERT_LT(task, full.header.tasks);
+    std::string_view ping;
+    std::string_view trace;
+    ASSERT_TRUE(store::cut_ping_record(rest, ping).empty());
+    ASSERT_TRUE(store::cut_trace_record(rest, trace).empty());
+    if (task >= 200 && store::trace_record_hops(trace) > 0) {
+      first_hop = static_cast<std::size_t>(trace.data() - payload.data()) +
+                  store::kTraceCoreBytes;
+      break;
+    }
+  }
+  payload[first_hop] = 0;  // the hop's ttl
+  store::BlockHeader header = full.header;
+  header.seq = blocks.back().header.seq + 1;
+  header.day = 3;  // the day the manifest resumes at
+  header.start = 0;
+  header.fnv1a = store::block_checksum(header, payload);
+  write_file(shard_file(dir),
+             text + store::format_block_header(header) + payload);
+
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store(dir, kPlatform, io, /*repair=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  EXPECT_EQ(opened.salvage.salvaged_blocks, 1u);
+  EXPECT_TRUE(store::fsck(dir, kPlatform, io).healthy());
+
+  const std::string refusal =
+      "task " + std::to_string(task) + " of day 3: bad hop fields";
+  const Loaded loaded = load(dir);
+  EXPECT_EQ(loaded.scan_error, refusal);
+  const core::StreamedHashResult hashed =
+      core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
+  EXPECT_FALSE(hashed.ok());
+  EXPECT_EQ(hashed.error, "streamed hash (trace pass): " + refusal);
+  EXPECT_EQ(hashed.hash, 0u);
+}
+
 // Corruption matrix case 2 — a bit flip inside the committed region: the
 // manifest vouched for these bytes, so the open must refuse (checksum),
 // not return a silently different dataset.
@@ -544,7 +599,8 @@ TEST(StoreFaults, DegradedWriterCatchesUpAfterTheDiskHeals) {
   faults.fsync_failure_rate = 0.25;
   store::FaultyIoEnv io{faults, /*seed=*/99};
 
-  const fs::path dir = fs::path{::testing::TempDir()} / "cloudrtt_store_degraded";
+  const fs::path dir =
+      fs::path{::testing::TempDir()} / "cloudrtt_store_degraded";
   fs::remove_all(dir);
   store::StoreMeta meta;
   meta.platform = std::string{kPlatform};
