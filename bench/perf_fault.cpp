@@ -19,8 +19,10 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/export.hpp"
 #include "core/study.hpp"
@@ -28,6 +30,7 @@
 #include "measure/campaign.hpp"
 #include "measure/engine.hpp"
 #include "probes/fleet.hpp"
+#include "store/codec.hpp"
 #include "store/io_env.hpp"
 #include "store/salvage.hpp"
 #include "store/shard_writer.hpp"
@@ -40,8 +43,8 @@ using namespace cloudrtt;
 
 struct Fixture {
   topology::World world{topology::WorldConfig{7}};
-  probes::ProbeFleet fleet{world,
-                           probes::FleetConfig{probes::Platform::Speedchecker, 600}};
+  probes::ProbeFleet fleet{
+      world, probes::FleetConfig{probes::Platform::Speedchecker, 600}};
   measure::Engine engine{world};
 
   static Fixture& instance() {
@@ -59,7 +62,8 @@ void BM_TracerouteNoFaultArg(benchmark::State& state) {
   const auto& endpoints = f.world.endpoints();
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
-    const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
+    const topology::CloudEndpoint& endpoint =
+        endpoints[rng.below(endpoints.size())];
     benchmark::DoNotOptimize(f.engine.traceroute(probe, endpoint, 0, rng));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -75,7 +79,8 @@ void BM_TracerouteNullFaults(benchmark::State& state) {
   const auto& endpoints = f.world.endpoints();
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
-    const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
+    const topology::CloudEndpoint& endpoint =
+        endpoints[rng.below(endpoints.size())];
     benchmark::DoNotOptimize(
         f.engine.traceroute(probe, endpoint, 0, rng,
                             measure::Engine::TraceMethod::Classic, 0, nullptr));
@@ -95,7 +100,8 @@ void BM_TracerouteActiveFaults(benchmark::State& state) {
   const auto& endpoints = f.world.endpoints();
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
-    const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
+    const topology::CloudEndpoint& endpoint =
+        endpoints[rng.below(endpoints.size())];
     benchmark::DoNotOptimize(
         f.engine.traceroute(probe, endpoint, 0, rng,
                             measure::Engine::TraceMethod::Classic, 0, &faults));
@@ -266,8 +272,8 @@ void BM_StudyDefaultStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_StudyDefaultStreaming)->Unit(benchmark::kMillisecond);
 
-// Salvage-validated reopen: what a resume pays to re-check every committed
-// block's checksum and re-bind its rows.
+// Salvage-validated reopen: what an in-memory resume pays to re-check every
+// committed block's checksum and decode its rows, in one pass.
 void BM_StoreOpen(benchmark::State& state) {
   Fixture& f = Fixture::instance();
   const measure::Dataset& data = bench_dataset();
@@ -285,14 +291,14 @@ void BM_StoreOpen(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    const store::OpenResult opened =
-        store::open_store(dir, "speedchecker", io, /*repair=*/false);
     measure::Dataset rows;
     rows.bind(&f.fleet, nullptr);
-    const std::string err = store::scan_rows(
-        dir, "speedchecker", opened, &f.fleet, nullptr,
-        [&](const measure::Dataset& block) { rows.append(block); });
-    if (!err.empty()) state.SkipWithError(err.c_str());
+    const store::OpenResult opened = store::open_store(
+        dir, "speedchecker", io, /*repair=*/false, std::nullopt,
+        [&](const store::BlockHeader& header, std::string_view payload) {
+          return store::parse_block(payload, header, &f.fleet, nullptr, rows);
+        });
+    if (!opened.ok()) state.SkipWithError(opened.error.c_str());
     benchmark::DoNotOptimize(rows.pings.rtt_column().data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -6,6 +6,10 @@
 # HEALTHY. Runs with mild measurement AND disk faults on, so the kills land
 # on degraded stores too.
 #
+# STREAM=1 makes every killed and resumed run stream its rows (--stream),
+# as `cloudrtt run` does: the resumes then read no rows back, and the final
+# hash comes from the store, while the baseline stays an in-memory run.
+#
 # Usage: crash_loop.sh <cloudrtt-binary> <seed> <threads> [workdir]
 set -euo pipefail
 
@@ -21,6 +25,7 @@ MIN_KILLS=${MIN_KILLS:-3}
 # --scale run: the full paper-scale fleet with a truncated campaign, so kills
 # land on 115k-probe day batches without the full paper task volume.
 SCALE=${SCALE:-}
+STREAM=${STREAM:-}
 
 if [ -n "$SCALE" ]; then
   FLEET_ARGS=(--scale "$SCALE" --no-atlas --days 2 --budget 1500)
@@ -31,6 +36,11 @@ STUDY_ARGS=(study --seed "$SEED" --threads "$THREADS"
   "${FLEET_ARGS[@]}"
   --fault-profile mild --io-fault-profile mild
   --quiet --no-export --dataset-hash)
+ckpt="$WORK/ckpt"
+RESUME_ARGS=(--checkpoint-dir "$ckpt" --resume)
+if [ "$STREAM" = 1 ]; then
+  RESUME_ARGS+=(--stream)
+fi
 
 mkdir -p "$WORK"
 
@@ -40,13 +50,12 @@ base_ms=$(( ($(date +%s%N) - base_start) / 1000000 ))
 [ "$base_ms" -gt 0 ] || base_ms=1
 echo "baseline: $baseline (${base_ms}ms)"
 
-ckpt="$WORK/ckpt"
 rm -rf "$ckpt"
 final=""
 kills=0
 for attempt in $(seq 1 "$MAX_KILLS"); do
-  "$CLI" "${STUDY_ARGS[@]}" --out "$WORK/run" \
-    --checkpoint-dir "$ckpt" --resume > "$WORK/run.log" 2>&1 &
+  "$CLI" "${STUDY_ARGS[@]}" --out "$WORK/run" "${RESUME_ARGS[@]}" \
+    > "$WORK/run.log" 2>&1 &
   pid=$!
   # Kill at a random point inside the baseline's measured wall time, so the
   # window tracks machine speed: early kills tear world construction and
@@ -86,8 +95,8 @@ done
 if [ -z "$final" ]; then
   # Every attempt was killed first — finish uninterrupted off the surviving
   # checkpoint so slow machines still converge.
-  "$CLI" "${STUDY_ARGS[@]}" --out "$WORK/run" \
-    --checkpoint-dir "$ckpt" --resume > "$WORK/run.log" 2>&1
+  "$CLI" "${STUDY_ARGS[@]}" --out "$WORK/run" "${RESUME_ARGS[@]}" \
+    > "$WORK/run.log" 2>&1
   echo "completed after $kills kills (final run uninterrupted)"
   final=$(grep '^dataset-hash' "$WORK/run.log")
 fi
@@ -99,4 +108,4 @@ if [ "$baseline" != "$final" ]; then
 fi
 
 "$CLI" study --seed "$SEED" --checkpoint-dir "$ckpt" --fsck
-echo "crash-loop gate passed (seed=$SEED threads=$THREADS)"
+echo "crash-loop gate passed (seed=$SEED threads=$THREADS stream=${STREAM:-0})"

@@ -873,38 +873,33 @@ StreamedHashResult streamed_dataset_hash(
     const probes::ProbeFleet* atlas_fleet) {
   obs::Span phase = obs::span("core.export.streamed_hash");
   StreamedHashResult result;
-  const store::OpenResult opened =
-      store::open_store(dir, platform, io, /*repair=*/false);
-  if (!opened.ok()) {
-    result.error = opened.error;
-    return result;
-  }
+  std::uint64_t rows = 0;
   Digest digest;
   OrderedEncoder encoder{CsvSink{.digest = &digest}, CsvFlavour::Canonical,
                          Fleets{.sc = sc_fleet, .atlas = atlas_fleet}};
   // The canonical serialisation is the full ping CSV then the full trace
-  // CSV, and the digest folds it in that order — so the reader scans the
-  // store twice, once per CSV, with one block resident at a time. It only
-  // reads, checksums and slices the blocks: the encoders decode the
-  // records of their pass.
+  // CSV, and the digest folds it in that order — so the reader opens the
+  // store twice, once per CSV, with one block resident at a time. Each
+  // open validates the store and hands the reader every block it accepts;
+  // the reader only slices them, and the encoders decode the records of
+  // their pass.
   result.error = encoder.run([&](OrderedEncoder& feed) -> std::string {
     for (const Part part : {Part::Pings, Part::Traces}) {
       feed.header(part);
-      if (std::string err = store::scan_blocks(
-              dir, platform, opened,
-              [&](const store::BlockHeader& header,
-                  std::string_view payload) {
-                return feed.block(part, header, payload);
-              });
-          !err.empty()) {
-        return streamed_error(part, err);
-      }
+      const store::OpenResult opened = store::open_store(
+          dir, platform, io, /*repair=*/false, std::nullopt,
+          [&](const store::BlockHeader& header, std::string_view payload) {
+            std::string why = feed.block(part, header, payload);
+            return why.empty() ? why : streamed_error(part, why);
+          });
+      if (!opened.ok()) return opened.error;
+      rows = opened.durable_rows;
     }
     return {};
   });
   if (!result.ok()) return result;
   result.hash = digest.finish();
-  result.rows = opened.durable_rows;
+  result.rows = rows;
   return result;
 }
 

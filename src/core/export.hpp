@@ -86,21 +86,22 @@ void export_traces_csv(std::ostream& out, const measure::Dataset& data,
 /// the wide fold covered to export.hash_wide_bytes_total.
 [[nodiscard]] std::uint64_t dataset_hash(const measure::Dataset& data);
 
-/// The same hash computed straight from a format=4 store: a read-only
-/// store::open_store on the calling thread, then, on the reader thread,
-/// two store::scan_blocks passes in append order (the digest folds the
-/// canonical serialisation in order, all pings then all traces). The reader
-/// only reads, checksums and slices each block: it copies the pass's
-/// records (pings, then traces) undecoded into the window batch by batch.
-/// The encoder threads decode them with the store codec's record decoders
-/// and format them, and the calling thread folds them in order; trace ids
-/// run on across blocks. Memory stays O(one block + the window) through
-/// the hash. Bit-identical to dataset_hash() over the materialised dataset
-/// — the streamed study's determinism gate depends on it. A failed open or
-/// read, or the first record that does not decode in hash order, comes back
-/// in `error` (a bad ping record in the ping pass, a bad trace record in
-/// the trace pass), an encoder's exception is rethrown, both only after
-/// every thread has joined. Counts the wide fold's bytes as dataset_hash()
+/// The same hash computed straight from a format=4 store, which is read
+/// twice, both times on the reader thread: a read-only store::open_store
+/// per pass, in append order (the digest folds the canonical serialisation
+/// in order, all pings then all traces), that validates the store and
+/// hands over each block it accepts. The reader only slices each block: it
+/// copies the pass's records (pings, then traces) undecoded into the window
+/// batch by batch. The encoder threads decode them with the store codec's
+/// record decoders and format them, and the calling thread folds them in
+/// order; trace ids run on across blocks. Memory stays O(one block + the
+/// window) through the hash. Bit-identical to dataset_hash() over the
+/// materialised dataset — the streamed study's determinism gate depends on
+/// it. What refuses first in hash order comes back in `error`, only after
+/// every thread has joined: the open's refusal as it gives it, or the first
+/// record that does not decode, prefixed with its pass (a bad ping record
+/// in the ping pass, a bad trace record in the trace pass); an encoder's
+/// exception is rethrown. Counts the wide fold's bytes as dataset_hash()
 /// does.
 struct StreamedHashResult {
   std::uint64_t hash = 0;

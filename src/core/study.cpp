@@ -8,6 +8,7 @@
 
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
+#include "store/codec.hpp"
 #include "store/io_env.hpp"
 #include "store/salvage.hpp"
 #include "store/shard_writer.hpp"
@@ -73,49 +74,34 @@ bool Study::run_campaign(std::string_view platform,
     meta.platform = std::string{platform};
     meta.seed = config_.seed;
     meta.fault_profile = std::string{to_string(config_.fault_profile)};
-    store::StorePresence presence;
+    store::OpenResult opened;
     if (control.resume) {
-      presence = store::find_store(store_dir, platform, *io);
-      if (!presence.error.empty()) {
+      // One pass over the store: the open refuses a legacy, damaged or
+      // foreign-seed manifest before it reads a block, validates and
+      // repairs the rest, and yields the shard's byte mark plus the on-disk
+      // row count, which is all restore() needs. Only an in-memory resume
+      // decodes the blocks it hands over, so a streaming resume's RAM stays
+      // that of a batch and a day's spill across kill+resume cycles.
+      store::BlockVisitor decode;
+      if (!control.stream) {
+        dataset.bind(sc_fleet_.get(), atlas_fleet_.get());
+        decode = [&](const store::BlockHeader& header,
+                     std::string_view payload) {
+          return store::parse_block(payload, header, sc_fleet_.get(),
+                                    atlas_fleet_.get(), dataset);
+        };
+      }
+      opened = store::open_store(store_dir, platform, *io, /*repair=*/true,
+                                 config_.seed, decode);
+      if (opened.found && !opened.ok()) {
         // Refuse before any writer exists: a fresh ShardWriter would wipe
         // the platform's artefacts, and they are the user's data.
         throw std::runtime_error{"Study::run: cannot resume '" +
-                                 std::string{platform} + "': " +
-                                 presence.error};
-      }
-    }
-    if (presence.found) {
-      // The open validates and repairs the store and yields the shard's
-      // byte mark plus the on-disk row count, which is all restore() needs; it
-      // reads no rows. Only an in-memory resume scans them back, so a
-      // streaming resume's RAM stays that of a batch and a day's spill
-      // across kill+resume cycles.
-      const store::OpenResult opened =
-          store::open_store(store_dir, platform, *io, /*repair=*/true);
-      if (!opened.ok()) {
-        throw std::runtime_error{"Study::run: cannot resume '" +
                                  std::string{platform} + "': " + opened.error};
       }
-      if (opened.meta.seed != config_.seed) {
-        throw std::runtime_error{
-            "Study::run: checkpoint for '" + std::string{platform} + "' at " +
-            store::store_manifest_path(store_dir, platform).string() +
-            " was written by seed " + std::to_string(opened.meta.seed) +
-            ", this study uses seed " + std::to_string(config_.seed) +
-            " — rerun with the original seed or point --checkpoint-dir "
-            "elsewhere"};
-      }
+    }
+    if (opened.found) {
       start = opened.state;
-      if (!control.stream) {
-        dataset.bind(sc_fleet_.get(), atlas_fleet_.get());
-        if (std::string err = store::scan_rows(
-                store_dir, platform, opened, sc_fleet_.get(), atlas_fleet_.get(),
-                [&](const measure::Dataset& block) { dataset.append(block); });
-            !err.empty()) {
-          throw std::runtime_error{"Study::run: cannot resume '" +
-                                   std::string{platform} + "': " + err};
-        }
-      }
       writer = std::make_unique<store::ShardWriter>(store_dir, meta, *io,
                                                     /*fresh=*/false);
       writer->restore(opened.shard, opened.durable_rows);
@@ -201,7 +187,8 @@ void Study::run(const RunControl& control) {
                       {"probes", sc_fleet_->probes().size()},
                       {"days", config_.sc_campaign.days},
                       {"fault_profile", to_string(config_.fault_profile)});
-    const measure::Campaign sc_campaign{*world_, *sc_fleet_, config_.sc_campaign};
+    const measure::Campaign sc_campaign{*world_, *sc_fleet_,
+                                        config_.sc_campaign};
     complete &= run_campaign("speedchecker", sc_campaign,
                              world_->fork_rng("campaign/speedchecker"),
                              sc_plan ? &*sc_plan : nullptr, control, sc_data_);

@@ -95,11 +95,14 @@ struct RunControl {
   std::string checkpoint_dir;
   /// Resume from `checkpoint_dir` when a committed checkpoint exists there
   /// (resuming replays the remaining days bit-identically, salvaging any
-  /// uncommitted shard tail a crash left behind). Throws std::runtime_error
-  /// when the checkpoint is corrupt, from another seed, or not a format=4
-  /// store: a legacy format=3 store, a format=1/2 CSV checkpoint, or a
-  /// manifest that is empty or names no format is refused before any
-  /// writer exists, and left as it is (store::find_store).
+  /// uncommitted shard tail a crash left behind). Each platform's store is
+  /// read once, by store::open_store, which decodes its rows as it checks
+  /// them unless the run streams. Throws std::runtime_error when the
+  /// checkpoint is corrupt, from another seed, or not a format=4 store (a
+  /// legacy format=3 store, a format=1/2 CSV checkpoint, a manifest that is
+  /// empty or names no format). A refused platform's files are left as
+  /// they are, nothing repaired; a wrong seed or format is refused before
+  /// any block is read.
   bool resume = false;
   /// Stop each campaign once this many days have completed (campaign days
   /// are counted from day 0, so resume + a larger value continues). The
@@ -141,10 +144,16 @@ class Study {
 
   [[nodiscard]] const topology::World& world() const { return *world_; }
   [[nodiscard]] topology::World& world() { return *world_; }
-  [[nodiscard]] const probes::ProbeFleet& sc_fleet() const { return *sc_fleet_; }
-  [[nodiscard]] const probes::ProbeFleet& atlas_fleet() const { return *atlas_fleet_; }
+  [[nodiscard]] const probes::ProbeFleet& sc_fleet() const {
+    return *sc_fleet_;
+  }
+  [[nodiscard]] const probes::ProbeFleet& atlas_fleet() const {
+    return *atlas_fleet_;
+  }
   [[nodiscard]] const measure::Dataset& sc_dataset() const { return sc_data_; }
-  [[nodiscard]] const measure::Dataset& atlas_dataset() const { return atlas_data_; }
+  [[nodiscard]] const measure::Dataset& atlas_dataset() const {
+    return atlas_data_;
+  }
   [[nodiscard]] const analysis::IpToAsn& resolver() const { return resolver_; }
   [[nodiscard]] const StudyConfig& config() const { return config_; }
 
@@ -154,9 +163,10 @@ class Study {
  private:
   /// Runs one campaign with fault plan + checkpoint hooks; returns true when
   /// every day completed (false = stopped early by control.stop_after_day).
-  bool run_campaign(std::string_view platform, const measure::Campaign& campaign,
-                    util::Rng rng, const fault::FaultPlan* plan,
-                    const RunControl& control, measure::Dataset& out);
+  bool run_campaign(std::string_view platform,
+                    const measure::Campaign& campaign, util::Rng rng,
+                    const fault::FaultPlan* plan, const RunControl& control,
+                    measure::Dataset& out);
 
   StudyConfig config_;
   std::unique_ptr<topology::World> world_;

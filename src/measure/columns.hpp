@@ -445,7 +445,7 @@ struct Dataset {
     traces.clear();
   }
 
-  /// Append every row of `other` (salvage merge).
+  /// Append every row of `other`.
   void append(const Dataset& other) {
     append_slice(other, 0, other.pings.size(), 0, other.traces.size());
   }

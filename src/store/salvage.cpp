@@ -60,8 +60,8 @@ struct Manifest {
   // shard=<durable bytes>:<committed blocks>
   const std::string shard = kv["shard"];
   const std::size_t colon = shard.find(':');
-  if (kv["format"] != "4" || !number("seed", out.seed) ||
-      !number("next_day", out.next_day) || !number("cursor", out.cursor) ||
+  if (!number("seed", out.seed) || !number("next_day", out.next_day) ||
+      !number("cursor", out.cursor) ||
       !number("day_tasks_done", out.day_tasks_done) ||
       !number("tasks", out.tasks) || colon == std::string::npos ||
       !parse_number(std::string_view{shard}.substr(0, colon),
@@ -76,6 +76,38 @@ struct Manifest {
   }
   out.platform = kv["platform"];
   if (kv.contains("fault_profile")) out.fault_profile = kv["fault_profile"];
+  return {};
+}
+
+/// Read the format= value off the first line of the manifest at `path`
+/// into `format` (0 when it names none). Empty for format=4; else why the
+/// store is refused.
+[[nodiscard]] std::string check_format(std::string_view text,
+                                       const fs::path& path, int& format) {
+  constexpr std::string_view kKey = "format=";
+  const std::size_t end = text.find('\n');
+  if (!text.starts_with(kKey) ||
+      !parse_number(text.substr(kKey.size(), end == std::string_view::npos
+                                                 ? std::string_view::npos
+                                                 : end - kKey.size()),
+                    format)) {
+    format = 0;
+    return "damaged manifest " + path.string() +
+           ": it names no format (commits replace it atomically, so only "
+           "damage does that); its shard is left as it is — restore the "
+           "manifest or point --checkpoint-dir elsewhere";
+  }
+  if (format >= 1 && format <= 3) {
+    return "legacy format=" + std::to_string(format) + " manifest " +
+           path.string() +
+           ": only format=4 stores are read (legacy stores and checkpoints "
+           "are no longer read) — rerun the campaign from scratch or point "
+           "--checkpoint-dir elsewhere";
+  }
+  if (format != 4) {
+    return "manifest " + path.string() + " names format=" +
+           std::to_string(format) + ", which this build does not read";
+  }
   return {};
 }
 
@@ -158,49 +190,21 @@ struct Chain {
 
 }  // namespace
 
-StorePresence find_store(const fs::path& dir, std::string_view platform,
-                         IoEnv& io) {
-  StorePresence presence;
-  const fs::path path = store_manifest_path(dir, platform);
-  const std::optional<std::string> text = io.read_file(path);
-  if (!text.has_value()) return presence;
-  presence.found = true;
-  const std::string_view view{*text};
-  constexpr std::string_view kKey = "format=";
-  const std::size_t end = view.find('\n');
-  if (!view.starts_with(kKey) ||
-      !parse_number(view.substr(kKey.size(), end == std::string_view::npos
-                                                 ? std::string_view::npos
-                                                 : end - kKey.size()),
-                    presence.format)) {
-    presence.format = 0;
-    presence.error = "damaged manifest " + path.string() +
-                     ": it names no format (commits replace it atomically, "
-                     "so only damage does that); its shard is left as it "
-                     "is — restore the manifest or point --checkpoint-dir "
-                     "elsewhere";
-  } else if (presence.format >= 1 && presence.format <= 3) {
-    presence.error = "legacy format=" + std::to_string(presence.format) +
-                     " manifest " + path.string() +
-                     ": only format=4 stores are read (legacy stores and "
-                     "checkpoints are no longer read) — rerun the campaign "
-                     "from scratch or point --checkpoint-dir elsewhere";
-  } else if (presence.format != 4) {
-    presence.error = "manifest " + path.string() + " names format=" +
-                     std::to_string(presence.format) +
-                     ", which this build does not read";
-  }
-  return presence;
-}
-
 OpenResult open_store(const fs::path& dir, std::string_view platform,
-                      IoEnv& io, bool repair) {
+                      IoEnv& io, bool repair, std::optional<std::uint64_t> seed,
+                      const BlockVisitor& visit) {
   OpenResult result;
-  const std::optional<std::string> manifest_text =
-      io.read_file(store_manifest_path(dir, platform));
+  const fs::path manifest_path = store_manifest_path(dir, platform);
+  const std::optional<std::string> manifest_text = io.read_file(manifest_path);
   if (!manifest_text.has_value()) {
-    result.error =
-        "missing manifest " + store_manifest_path(dir, platform).string();
+    result.error = "missing manifest " + manifest_path.string();
+    return result;
+  }
+  result.found = true;
+  if (std::string err =
+          check_format(*manifest_text, manifest_path, result.format);
+      !err.empty()) {
+    result.error = std::move(err);
     return result;
   }
   Manifest manifest;
@@ -212,6 +216,14 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
   result.meta.platform = manifest.platform;
   result.meta.seed = manifest.seed;
   result.meta.fault_profile = manifest.fault_profile;
+  if (seed.has_value() && manifest.seed != *seed) {
+    result.error = "checkpoint at " + manifest_path.string() +
+                   " was written by seed " + std::to_string(manifest.seed) +
+                   ", this study uses seed " + std::to_string(*seed) +
+                   " — rerun with the original seed or point "
+                   "--checkpoint-dir elsewhere";
+    return result;
+  }
 
   const fs::path path = store_shard_path(dir, platform);
   const std::optional<std::uint64_t> size = io.file_size(path);
@@ -239,6 +251,12 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
     result.error =
         "store refused: committed block " + std::to_string(seq) + ": " + why;
   };
+  // Hand the block just accepted to the caller; false when the caller
+  // refuses it, whose reason is then the open's error.
+  const auto handed_over = [&] {
+    if (visit) result.error = visit(reader.header(), reader.payload());
+    return result.ok();
+  };
   while (reader.offset() < mark.durable_bytes) {
     if (std::string why = reader.next(); !why.empty()) {
       refuse(why);
@@ -263,6 +281,7 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
     chain.take(header);
     committed_tasks += header.tasks;
     ++seq;
+    if (!handed_over()) return result;
   }
   if (seq != mark.next_seq) {
     result.error = "store refused: committed region holds " +
@@ -296,6 +315,7 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
         ++result.shard.next_seq;
         ++result.salvage.salvaged_blocks;
         result.salvage.salvaged_rows += header.tasks;
+        if (!handed_over()) return result;
         continue;
       }
       // A duplicated, replayed or reordered frame: structurally fine, but
@@ -333,55 +353,14 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
   return result;
 }
 
-std::string scan_blocks(
-    const fs::path& dir, std::string_view platform, const OpenResult& opened,
-    const std::function<std::string(const BlockHeader&, std::string_view)>&
-        per_block) {
-  if (!opened.ok()) return opened.error;
-  BlockReader reader{store_shard_path(dir, platform),
-                     opened.shard.durable_bytes};
-  while (!reader.done()) {
-    if (std::string why = reader.next(); !why.empty()) return why;
-    if (std::string why = per_block(reader.header(), reader.payload());
-        !why.empty()) {
-      return why;
-    }
-  }
-  return {};
-}
-
-std::string scan_rows(
-    const fs::path& dir, std::string_view platform, const OpenResult& opened,
-    const probes::ProbeFleet* sc_fleet, const probes::ProbeFleet* atlas_fleet,
-    const std::function<void(const measure::Dataset&)>& per_block) {
-  measure::Dataset block;
-  block.bind(sc_fleet, atlas_fleet);
-  return scan_blocks(
-      dir, platform, opened,
-      [&](const BlockHeader& header, std::string_view payload) {
-        block.clear_rows();
-        std::string why =
-            parse_block(payload, header, sc_fleet, atlas_fleet, block);
-        if (why.empty()) per_block(block);
-        return why;
-      });
-}
-
 FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
   FsckReport report;
-  const StorePresence presence = find_store(dir, platform, io);
-  report.format = presence.format;
-  if (!presence.found) {
-    report.error = "no store or checkpoint manifest found";
-    return report;
-  }
-  if (!presence.error.empty()) {
-    report.error = presence.error;
-    return report;
-  }
   const OpenResult opened = open_store(dir, platform, io, /*repair=*/false);
+  report.found = opened.found;
+  report.format = opened.format;
   if (!opened.ok()) {
-    report.error = opened.error;
+    report.error = opened.found ? opened.error
+                                : "no store or checkpoint manifest found";
     return report;
   }
   report.committed_blocks = opened.salvage.committed_blocks;

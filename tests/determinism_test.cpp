@@ -82,7 +82,8 @@ TEST(DeterminismGate, KillAndResumeHashesLikeUninterruptedRun) {
   killed.run(first);
   EXPECT_FALSE(killed.completed());
   store::IoEnv io;
-  ASSERT_EQ(store::find_store(dir, "speedchecker", io).format, 4);
+  ASSERT_EQ(
+      store::open_store(dir, "speedchecker", io, /*repair=*/false).format, 4);
 
   core::Study resumed{gate_config(23)};
   core::RunControl second;
@@ -91,8 +92,9 @@ TEST(DeterminismGate, KillAndResumeHashesLikeUninterruptedRun) {
   resumed.run(second);
   ASSERT_TRUE(resumed.completed());
 
-  EXPECT_EQ(core::format_dataset_hash(baseline_hash()),
-            core::format_dataset_hash(core::dataset_hash(resumed.sc_dataset())));
+  EXPECT_EQ(
+      core::format_dataset_hash(baseline_hash()),
+      core::format_dataset_hash(core::dataset_hash(resumed.sc_dataset())));
   fs::remove_all(dir);
 }
 
@@ -151,8 +153,9 @@ TEST(DeterminismGate, ThreadCountDoesNotChangeHashAcrossSeeds) {
     core::Study parallel{eight};
     parallel.run();
 
-    EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(serial.sc_dataset())),
-              core::format_dataset_hash(core::dataset_hash(parallel.sc_dataset())))
+    EXPECT_EQ(
+        core::format_dataset_hash(core::dataset_hash(serial.sc_dataset())),
+        core::format_dataset_hash(core::dataset_hash(parallel.sc_dataset())))
         << "seed " << seed;
   }
 }
@@ -248,7 +251,8 @@ TEST(DeterminismGate, PaperScaleStreamedKillAndResumeHashesIdentically) {
 
 TEST(DeterminismGate, HashFormatIsSixteenHexDigits) {
   EXPECT_EQ(core::format_dataset_hash(0), "0000000000000000");
-  EXPECT_EQ(core::format_dataset_hash(0xcbf29ce484222325ULL), "cbf29ce484222325");
+  EXPECT_EQ(core::format_dataset_hash(0xcbf29ce484222325ULL),
+            "cbf29ce484222325");
   const std::string formatted = core::format_dataset_hash(0xdeadbeefULL);
   EXPECT_EQ(formatted, "00000000deadbeef");
 }

@@ -53,15 +53,16 @@ TEST(FaultPlan, ProfileStringsRoundTrip) {
 
 TEST(FaultPlan, NoneProfileYieldsNoPlan) {
   const topology::World world{topology::WorldConfig{5}};
-  EXPECT_FALSE(
-      fault::FaultPlan::make(world, 10, fault::FaultProfile::None, 1).has_value());
-  EXPECT_TRUE(
-      fault::FaultPlan::make(world, 10, fault::FaultProfile::Mild, 1).has_value());
+  EXPECT_FALSE(fault::FaultPlan::make(world, 10, fault::FaultProfile::None, 1)
+                   .has_value());
+  EXPECT_TRUE(fault::FaultPlan::make(world, 10, fault::FaultProfile::Mild, 1)
+                  .has_value());
 }
 
 TEST(FaultPlan, ScheduleIsDeterministicInSeed) {
   const topology::World world{topology::WorldConfig{5}};
-  const auto intensity = fault::FaultIntensity::for_profile(fault::FaultProfile::Harsh);
+  const auto intensity =
+      fault::FaultIntensity::for_profile(fault::FaultProfile::Harsh);
   const fault::FaultPlan a{world, 12, intensity, 77};
   const fault::FaultPlan b{world, 12, intensity, 77};
   const fault::FaultPlan other{world, 12, intensity, 78};
@@ -71,11 +72,13 @@ TEST(FaultPlan, ScheduleIsDeterministicInSeed) {
     EXPECT_EQ(a.day(d).api_down, b.day(d).api_down) << "day " << d;
     EXPECT_EQ(a.day(d).regions_down, b.day(d).regions_down) << "day " << d;
     EXPECT_EQ(a.day(d).backbone_cuts, b.day(d).backbone_cuts) << "day " << d;
-    any_difference_vs_other |= a.day(d).api_down != other.day(d).api_down ||
-                               a.day(d).regions_down != other.day(d).regions_down ||
-                               a.day(d).backbone_cuts != other.day(d).backbone_cuts;
+    any_difference_vs_other |=
+        a.day(d).api_down != other.day(d).api_down ||
+        a.day(d).regions_down != other.day(d).regions_down ||
+        a.day(d).backbone_cuts != other.day(d).backbone_cuts;
   }
-  EXPECT_TRUE(any_difference_vs_other);  // a different seed is a different history
+  // A different seed is a different history.
+  EXPECT_TRUE(any_difference_vs_other);
 }
 
 TEST(FaultPlan, RetryBackoffIsExponentialCappedAndJittered) {
@@ -102,8 +105,8 @@ TEST(FaultPlan, RetryBackoffIsExponentialCappedAndJittered) {
 class EngineFaultTest : public ::testing::Test {
  protected:
   topology::World world_{topology::WorldConfig{21}};
-  probes::ProbeFleet fleet_{world_,
-                            probes::FleetConfig{probes::Platform::Speedchecker, 400}};
+  probes::ProbeFleet fleet_{
+      world_, probes::FleetConfig{probes::Platform::Speedchecker, 400}};
   measure::Engine engine_{world_};
 
   const probes::Probe& any_probe() { return fleet_.probes().front(); }
@@ -165,8 +168,8 @@ TEST(BackboneOutage, CableCutReroutesAndRestores) {
 class CampaignChaosTest : public ::testing::Test {
  protected:
   topology::World world_{topology::WorldConfig{33}};
-  probes::ProbeFleet fleet_{world_,
-                            probes::FleetConfig{probes::Platform::Speedchecker, 700}};
+  probes::ProbeFleet fleet_{
+      world_, probes::FleetConfig{probes::Platform::Speedchecker, 700}};
 
   [[nodiscard]] measure::CampaignConfig small_config() const {
     measure::CampaignConfig config;
@@ -269,9 +272,13 @@ TEST_P(ChaosSweep, HypergiantsStayDirectUnderMildChaos) {
 
 TEST_P(ChaosSweep, MildChaosDeliversMostOfTheNominalBudget) {
   const std::size_t nominal =
-      study_for(GetParam(), fault::FaultProfile::None).sc_dataset().pings.size();
+      study_for(GetParam(), fault::FaultProfile::None)
+          .sc_dataset()
+          .pings.size();
   const std::size_t delivered =
-      study_for(GetParam(), fault::FaultProfile::Mild).sc_dataset().pings.size();
+      study_for(GetParam(), fault::FaultProfile::Mild)
+          .sc_dataset()
+          .pings.size();
   ASSERT_GT(nominal, 0u);
   EXPECT_GE(delivered, (nominal * 8) / 10)
       << "delivered " << delivered << " of " << nominal;
@@ -318,7 +325,8 @@ TEST(CheckpointResume, KilledAndResumedRunIsBitIdentical) {
   killed.run(first);
   EXPECT_FALSE(killed.completed());
   store::IoEnv io;
-  ASSERT_EQ(store::find_store(dir, "speedchecker", io).format, 4);
+  ASSERT_EQ(
+      store::open_store(dir, "speedchecker", io, /*repair=*/false).format, 4);
 
   // ...and resume in a fresh process (a fresh Study stands in for one).
   core::Study resumed{resume_config()};
@@ -328,12 +336,14 @@ TEST(CheckpointResume, KilledAndResumedRunIsBitIdentical) {
   resumed.run(second);
   EXPECT_TRUE(resumed.completed());
 
-  EXPECT_EQ(serialize(uninterrupted.sc_dataset()), serialize(resumed.sc_dataset()));
+  EXPECT_EQ(serialize(uninterrupted.sc_dataset()),
+            serialize(resumed.sc_dataset()));
   fs::remove_all(dir);
 }
 
 TEST(CheckpointResume, SeedMismatchRefusesToResume) {
-  const fs::path dir = fs::path{::testing::TempDir()} / "cloudrtt_seed_mismatch";
+  const fs::path dir =
+      fs::path{::testing::TempDir()} / "cloudrtt_seed_mismatch";
   fs::remove_all(dir);
 
   core::Study original{resume_config()};

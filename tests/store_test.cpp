@@ -13,8 +13,8 @@
 // refuse. Legacy stores and checkpoints, and a shard next to an empty or
 // unreadable manifest, are refused too, and left untouched. A random-damage
 // sweep then checks that every reader of a store — fsck, open_store with
-// and without repair, scan_rows and the streamed hash — agrees on what it
-// holds.
+// and without repair and with a decoding visitor, and the streamed hash —
+// agrees on what it holds.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +25,11 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/export.hpp"
@@ -103,7 +105,9 @@ struct Baseline {
   return dst;
 }
 
-/// What a read-only open plus a row scan recover from a store.
+/// What a read-only open that decodes every block it accepts recovers
+/// from a store. `scan_error` is the open's error, or the decode's that
+/// ended it.
 struct Loaded {
   store::OpenResult opened;
   measure::Dataset rows;
@@ -114,11 +118,14 @@ struct Loaded {
                           const probes::ProbeFleet* probes = fleet()) {
   store::IoEnv io;
   Loaded loaded;
-  loaded.opened = store::open_store(dir, kPlatform, io, /*repair=*/false);
   loaded.rows.bind(probes, nullptr);
-  loaded.scan_error = store::scan_rows(
-      dir, kPlatform, loaded.opened, probes, nullptr,
-      [&](const measure::Dataset& block) { loaded.rows.append(block); });
+  loaded.opened = store::open_store(
+      dir, kPlatform, io, /*repair=*/false, std::nullopt,
+      [&](const store::BlockHeader& header, std::string_view payload) {
+        return store::parse_block(payload, header, probes, nullptr,
+                                  loaded.rows);
+      });
+  loaded.scan_error = loaded.opened.error;
   return loaded;
 }
 
@@ -327,6 +334,51 @@ TEST(StoreRoundTrip, StreamedHashOverManyBlocksEqualsTheInMemoryHash) {
   EXPECT_EQ(core::format_dataset_hash(streamed.hash),
             core::format_dataset_hash(baseline().hash));
   EXPECT_EQ(streamed.rows, loaded.rows.pings.size());
+}
+
+/// Bytes this process has read from files so far (the `rchar` line of
+/// /proc/self/io, which counts every thread's reads), or nullopt where that
+/// file is absent.
+[[nodiscard]] std::optional<std::uint64_t> bytes_read() {
+  std::ifstream in{"/proc/self/io"};
+  std::string key;
+  std::uint64_t value = 0;
+  while (in >> key >> value) {
+    if (key == "rchar:") return value;
+  }
+  return std::nullopt;
+}
+
+// Each pass over a store is one read of its shard: the streamed hash opens
+// it once for its ping pass and once for its trace pass, and an in-memory
+// resume decodes the blocks as its one open checks them. 64 KiB covers the
+// manifest reads and the stream buffers.
+TEST(StoreRoundTrip, EveryPassReadsTheShardOnce) {
+  if (!bytes_read().has_value()) GTEST_SKIP() << "no /proc/self/io";
+  constexpr std::uint64_t kSlack = 64 * 1024;
+  const std::uint64_t shard = fs::file_size(shard_file(baseline().dir));
+  ASSERT_GT(shard, 4 * kSlack);  // so that one more read shows
+
+  store::IoEnv io;
+  std::uint64_t before = *bytes_read();
+  const core::StreamedHashResult hashed = core::streamed_dataset_hash(
+      baseline().dir, kPlatform, io, fleet(), nullptr);
+  const std::uint64_t hash_bytes = *bytes_read() - before;
+  ASSERT_TRUE(hashed.ok()) << hashed.error;
+  EXPECT_LE(hash_bytes, 2 * shard + kSlack) << "shard of " << shard;
+
+  const fs::path dir = copy_store("cloudrtt_store_read_volume");
+  core::Study resumed{store_config()};
+  core::RunControl control;
+  control.checkpoint_dir = dir.string();
+  control.resume = true;
+  before = *bytes_read();
+  resumed.run(control);
+  const std::uint64_t resume_bytes = *bytes_read() - before;
+  ASSERT_TRUE(resumed.completed());
+  EXPECT_LE(resume_bytes, shard + kSlack) << "shard of " << shard;
+  EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(resumed.sc_dataset())),
+            core::format_dataset_hash(baseline().hash));
 }
 
 // A streamed resume adopts a torn tail through the same open as an
@@ -648,27 +700,53 @@ TEST(StoreFaults, HarshIoFaultsLeaveDatasetBitsUnchanged) {
             core::format_dataset_hash(baseline().hash));
 }
 
-// Satellite regression: the refusal must name both seeds and the manifest
-// path, so an operator can tell at a glance which artefact disagrees.
+// The refusal must name both seeds and the manifest path, so an operator
+// can tell at a glance which artefact disagrees. The open refuses the seed
+// before it reads a block: a torn tail, which an accepted resume would cut,
+// stays on disk byte for byte, and a study whose fleet does not know every
+// probe id the store holds is refused for its seed, not for a record.
 TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
-  const fs::path dir = copy_store("cloudrtt_store_seed");
-  core::Study other{store_config(kSeed + 1)};
-  core::RunControl control;
-  control.checkpoint_dir = dir.string();
-  control.resume = true;
-  try {
-    other.run(control);
-    FAIL() << "resume with a mismatched seed must throw";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("seed " + std::to_string(kSeed)), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("seed " + std::to_string(kSeed + 1)), std::string::npos)
-        << what;
-    EXPECT_NE(
-        what.find(store::store_manifest_path(dir, kPlatform).string()),
-        std::string::npos)
-        << what;
+  const struct {
+    const char* name;
+    bool torn;
+    std::size_t sc_probes;
+  } cases[] = {{"whole", false, store_config().sc_probes},
+               {"torn tail", true, store_config().sc_probes},
+               {"smaller fleet", false, 100}};
+  for (const auto& [name, torn, sc_probes] : cases) {
+    SCOPED_TRACE(name);
+    const fs::path dir = copy_store("cloudrtt_store_seed");
+    if (torn) (void)tear_after_one_tail_block(dir);
+    const std::map<std::string, std::string> before = dir_files(dir);
+    core::StudyConfig config = store_config(kSeed + 1);
+    config.sc_probes = sc_probes;
+    core::Study other{config};
+    if (sc_probes != store_config().sc_probes) {
+      // Decoding the store against this fleet does fail.
+      EXPECT_NE(load(dir, &other.sc_fleet()).scan_error.find(
+                    "unknown probe id"),
+                std::string::npos);
+    }
+    core::RunControl control;
+    control.checkpoint_dir = dir.string();
+    control.resume = true;
+    try {
+      other.run(control);
+      ADD_FAILURE() << "resume with a mismatched seed must throw";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("seed " + std::to_string(kSeed)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("seed " + std::to_string(kSeed + 1)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(
+          what.find(store::store_manifest_path(dir, kPlatform).string()),
+          std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("unknown probe id"), std::string::npos) << what;
+    }
+    EXPECT_TRUE(dir_files(dir) == before);
   }
 }
 
@@ -767,7 +845,8 @@ TEST(StoreResume, LegacyCheckpointIsRefusedAndLeftUntouched) {
       for (const auto& [name, bytes] : dir_files(dir)) names.push_back(name);
       EXPECT_EQ(names, (std::vector<std::string>{platform + ".manifest",
                                                  platform + ".shard"}));
-      EXPECT_EQ(store::find_store(dir, kPlatform, io).format, 4);
+      EXPECT_EQ(store::open_store(dir, kPlatform, io, /*repair=*/false).format,
+                4);
       EXPECT_TRUE(store::fsck(dir, kPlatform, io).healthy());
     }
   }
@@ -817,10 +896,10 @@ TEST(StoreResume, DamagedManifestIsRefusedAndLeftUntouched) {
     EXPECT_EQ(dir_files(dir), before);
 
     store::IoEnv io;
-    const store::StorePresence presence =
-        store::find_store(dir, kPlatform, io);
-    EXPECT_TRUE(presence.found);
-    EXPECT_FALSE(presence.error.empty());
+    const store::OpenResult opened =
+        store::open_store(dir, kPlatform, io, /*repair=*/false);
+    EXPECT_TRUE(opened.found);
+    EXPECT_FALSE(opened.error.empty());
     const store::FsckReport report = store::fsck(dir, kPlatform, io);
     EXPECT_FALSE(report.healthy());
     EXPECT_NE(report.render(kPlatform).find("DAMAGED"), std::string::npos);
@@ -959,14 +1038,14 @@ void damage(const DamageBaseline& base, const fs::path& dir, util::Rng& rng) {
 
 // Randomized damage across every reader: fsck and open_store must agree on
 // whether the store is usable, and a usable store must read back — through
-// scan_rows and through the streamed hash alike — as a prefix of the rows
-// the campaign collected, never as anything else. What --resume runs
-// (store::find_store, then the resume) must follow fsck's verdict: a
+// an open that decodes and through the streamed hash alike — as a prefix of
+// the rows the campaign collected, never as anything else. What --resume
+// runs (one repairing open that decodes) must follow fsck's verdict: a
 // damaged store is refused before any writer exists and left
 // byte-identical, and a usable one resumes to the uninterrupted run's
-// bits. A repairing open (the resume's first step) must leave nothing more
-// to cut and the same rows; once the resume's journal commit lands, a
-// read-only reopen finds nothing to salvage at all.
+// bits. A repairing open must leave nothing more to cut and the same rows;
+// once the resume's journal commit lands, a read-only reopen finds nothing
+// to salvage at all.
 void sweep_random_damage(const DamageBaseline& base, std::uint64_t seeds) {
   ASSERT_GE(base.blocks.size(), base.first_tail + 2);
   const measure::Dataset& collected = base.study->sc_dataset();
@@ -987,9 +1066,10 @@ void sweep_random_damage(const DamageBaseline& base, std::uint64_t seeds) {
     const Loaded loaded = load(dir, probes);
     ASSERT_EQ(report.healthy(), loaded.opened.ok())
         << report.error << " | " << loaded.opened.error;
-    const store::StorePresence presence = store::find_store(dir, kPlatform, io);
-    EXPECT_TRUE(presence.found);
-    EXPECT_TRUE(presence.error.empty() || !report.healthy()) << presence.error;
+    const store::OpenResult opened =
+        store::open_store(dir, kPlatform, io, /*repair=*/false);
+    EXPECT_TRUE(opened.found);
+    EXPECT_TRUE(opened.ok() || !report.healthy()) << opened.error;
     const fs::path resume_dir = copy_store("cloudrtt_store_damage_resume", dir);
     core::RunControl resume;
     resume.checkpoint_dir = resume_dir.string();

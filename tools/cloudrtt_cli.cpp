@@ -1,10 +1,10 @@
 // cloudrtt — command-line front end to the library.
 //
-//   cloudrtt world   [--seed N]                     topology inventory
-//   cloudrtt resolve <ip> [--seed N]                IP -> ASN through the pipeline
-//   cloudrtt trace <country> <provider> [...]       one annotated traceroute
-//   cloudrtt study   [--sc-probes N --days D ...]   full campaign, CSVs, reports
-//   cloudrtt run     [--scale paper ...]            streaming study, batch RAM
+//   cloudrtt world   [--seed N]                    topology inventory
+//   cloudrtt resolve <ip> [--seed N]               IP -> ASN via the pipeline
+//   cloudrtt trace <country> <provider> [...]      one annotated traceroute
+//   cloudrtt study   [--sc-probes N --days D ...]  campaign, CSVs, reports
+//   cloudrtt run     [--scale paper ...]           streaming study, batch RAM
 
 #include <cstdint>
 #include <cstdlib>
@@ -78,7 +78,8 @@ void print_observability_summary() {
   std::cout << "\n-- metrics --\n" << counters.render();
   if (!snap.histograms.empty()) {
     util::TextTable hists;
-    hists.set_header({"histogram", "count", "mean", "p50", "p90", "p99", "max"});
+    hists.set_header(
+        {"histogram", "count", "mean", "p50", "p90", "p99", "max"});
     for (const auto& entry : snap.histograms) {
       hists.add_row({entry.name, std::to_string(entry.count),
                      util::format_double(entry.mean, 2),
@@ -115,7 +116,8 @@ void print_fault_summary() {
 }
 
 int cmd_world(int argc, const char* const* argv) {
-  util::ArgParser args{"cloudrtt world", "print the synthetic-Internet inventory"};
+  util::ArgParser args{"cloudrtt world",
+                       "print the synthetic-Internet inventory"};
   args.add_option("seed", "42", "world seed");
   if (!args.parse(argc, argv)) return 1;
 
@@ -129,17 +131,22 @@ int cmd_world(int argc, const char* const* argv) {
   util::TextTable table;
   table.set_header({"component", "count"});
   table.add_row({"countries", std::to_string(world.countries().all().size())});
-  table.add_row({"backbone nodes", std::to_string(world.backbone().node_count())});
-  table.add_row({"backbone links", std::to_string(world.backbone().edge_count())});
+  table.add_row(
+      {"backbone nodes", std::to_string(world.backbone().node_count())});
+  table.add_row(
+      {"backbone links", std::to_string(world.backbone().edge_count())});
   table.add_row({"access ISPs", std::to_string(isps) + " (" +
-                                    std::to_string(named) + " from the paper)"});
+                                    std::to_string(named) +
+                                    " from the paper)"});
   table.add_row({"tier-1/regional carriers",
                  std::to_string(topology::tier1_carriers().size())});
   table.add_row({"IXPs", std::to_string(topology::known_ixps().size())});
   table.add_row({"registered ASes", std::to_string(world.registry().size())});
   table.add_row({"cloud regions", std::to_string(world.endpoints().size())});
-  table.add_row({"announced prefixes (RIB)", std::to_string(world.rib_dump().size())});
-  table.add_row({"whois-only prefixes", std::to_string(world.whois_entries().size())});
+  table.add_row({"announced prefixes (RIB)",
+                 std::to_string(world.rib_dump().size())});
+  table.add_row({"whois-only prefixes",
+                 std::to_string(world.whois_entries().size())});
   std::cout << table.render();
   return 0;
 }
@@ -170,8 +177,8 @@ int cmd_resolve(int argc, const char* const* argv) {
     return 0;
   }
   const topology::AsInfo& info = world.registry().at(res->asn);
-  std::cout << addr->to_string() << ": AS" << res->asn << " (" << info.name << ")"
-            << (res->is_ixp ? " [IXP peering LAN]" : "")
+  std::cout << addr->to_string() << ": AS" << res->asn << " (" << info.name
+            << ")" << (res->is_ixp ? " [IXP peering LAN]" : "")
             << (res->source == analysis::ResolutionSource::Whois
                     ? " [whois fallback]"
                     : " [RIB]")
@@ -180,10 +187,12 @@ int cmd_resolve(int argc, const char* const* argv) {
 }
 
 int cmd_trace(int argc, const char* const* argv) {
-  util::ArgParser args{"cloudrtt trace",
-                       "run one annotated traceroute from a country to a provider"};
+  util::ArgParser args{
+      "cloudrtt trace",
+      "run one annotated traceroute from a country to a provider"};
   args.add_positional("country", "probe country (ISO code)", "DE");
-  args.add_positional("provider", "provider ticker (AMZN/GCP/MSFT/...)", "AMZN");
+  args.add_positional("provider", "provider ticker (AMZN/GCP/MSFT/...)",
+                      "AMZN");
   args.add_option("seed", "42", "world seed");
   args.add_option("access", "wifi", "probe access: wifi | cell | wired");
   if (!args.parse(argc, argv)) return 1;
@@ -217,7 +226,8 @@ int cmd_trace(int argc, const char* const* argv) {
   double best = 1e18;
   for (const topology::CloudEndpoint& candidate : world.endpoints()) {
     if (candidate.region->provider != *provider) continue;
-    const double km = geo::haversine_km(probe.location, candidate.region->location);
+    const double km =
+        geo::haversine_km(probe.location, candidate.region->location);
     if (km < best) {
       best = km;
       endpoint = &candidate;
@@ -227,7 +237,8 @@ int cmd_trace(int argc, const char* const* argv) {
   measure::Engine engine{world};
   const analysis::IpToAsn resolver = analysis::IpToAsn::from_world(world);
   util::Rng rng = world.fork_rng("cli-trace");
-  const measure::TraceRecord trace = engine.traceroute(probe, *endpoint, 0, rng);
+  const measure::TraceRecord trace =
+      engine.traceroute(probe, *endpoint, 0, rng);
 
   std::cout << "traceroute to " << endpoint->vm_ip.to_string() << " ("
             << endpoint->region->region_name << ", " << endpoint->region->city
@@ -243,8 +254,8 @@ int cmd_trace(int argc, const char* const* argv) {
     std::cout << hop.ip.to_string() << "  "
               << util::format_double(hop.rtt_ms, 2) << " ms";
     if (const auto res = resolver.resolve(hop.ip)) {
-      std::cout << "  [AS" << res->asn << " " << world.registry().at(res->asn).name
-                << "]";
+      std::cout << "  [AS" << res->asn << " "
+                << world.registry().at(res->asn).name << "]";
     } else if (net::is_private(hop.ip)) {
       std::cout << "  [private]";
     }
@@ -377,7 +388,7 @@ int cmd_study(int argc, const char* const* argv,
   if (args.get_flag("fsck")) {
     // Offline integrity check: no world build, no campaign — read the store
     // artefacts for both platforms and report. A platform is present when
-    // its manifest exists (store::find_store); an empty, unreadable or
+    // its manifest exists (FsckReport::found); an empty, unreadable or
     // legacy one reports DAMAGED. Exit 0 only when every store present is
     // healthy and at least one was found.
     if (control.checkpoint_dir.empty()) {
@@ -389,9 +400,9 @@ int cmd_study(int argc, const char* const* argv,
     bool found = false;
     bool healthy = true;
     for (const std::string_view platform : {"speedchecker", "atlas"}) {
-      if (!store::find_store(store_dir, platform, io).found) continue;
-      found = true;
       const store::FsckReport report = store::fsck(store_dir, platform, io);
+      if (!report.found) continue;
+      found = true;
       std::cout << report.render(platform) << "\n";
       healthy &= report.healthy();
     }
@@ -467,21 +478,49 @@ int cmd_study(int argc, const char* const* argv,
     if (!args.get_flag("quiet")) print_observability_summary();
     return 1;
   }
+  // A streamed run's rows live only in the store: the dataset hash reads
+  // it, and what is durably on disk is counted from the hash passes, or
+  // from an fsck when the run does not hash.
   const std::filesystem::path store_dir{control.checkpoint_dir};
-  if (control.stream && study.completed()) {
-    // The rows live only in the store; report what is durably on disk.
+  const bool hashing = args.get_flag("dataset-hash");
+  std::uint64_t sc = 0;
+  std::uint64_t atlas = 0;
+  std::uint64_t streamed_rows = 0;
+  if (control.stream && (hashing || study.completed())) {
     store::IoEnv io;
-    std::uint64_t rows = 0;
+    const probes::ProbeFleet* atlas_fleet =
+        config.include_atlas ? &study.atlas_fleet() : nullptr;
     for (const std::string_view platform : {"speedchecker", "atlas"}) {
       if (platform == "atlas" && !config.include_atlas) continue;
-      const store::OpenResult opened =
-          store::open_store(store_dir, platform, io, /*repair=*/false);
-      if (opened.ok()) rows += opened.durable_rows;
+      if (hashing) {
+        const core::StreamedHashResult hashed = core::streamed_dataset_hash(
+            store_dir, platform, io, &study.sc_fleet(), atlas_fleet);
+        if (!hashed.ok()) {
+          std::cerr << "dataset-hash failed: " << hashed.error << "\n";
+          return 1;
+        }
+        (platform == "atlas" ? atlas : sc) = hashed.hash;
+        streamed_rows += hashed.rows;
+      } else {
+        const store::FsckReport report = store::fsck(store_dir, platform, io);
+        if (!report.healthy()) {
+          std::cerr << "cannot count the streamed rows: "
+                    << report.render(platform) << "\n";
+          return 1;
+        }
+        streamed_rows += report.committed_rows + report.tail_rows;
+      }
     }
-    std::cout << "streamed " << rows << " task rows (scale " << scale.name
-              << ", " << config.threads
-              << (config.threads == 1 ? " thread" : " threads")
-              << ") to " << store_dir.string() << "\n";
+  } else if (hashing) {
+    sc = core::dataset_hash(study.sc_dataset());
+    if (config.include_atlas) atlas = core::dataset_hash(study.atlas_dataset());
+  }
+
+  if (control.stream && study.completed()) {
+    std::cout << "streamed " << streamed_rows << " task rows (scale "
+              << scale.name << ", " << config.threads
+              << (config.threads == 1 ? " thread" : " threads") << ") to "
+              << store_dir.string() << "\n";
   } else {
     std::cout << "collected " << study.sc_dataset().pings.size()
               << " pings / " << study.sc_dataset().traces.size()
@@ -490,38 +529,11 @@ int cmd_study(int argc, const char* const* argv,
               << (config.threads == 1 ? " thread" : " threads") << ")\n";
   }
 
-  if (args.get_flag("dataset-hash")) {
+  if (hashing) {
     // Two same-seed runs must print identical lines; the determinism CI gate
     // diffs this output across a double run and a kill+resume cycle. The
     // streamed flavour hashes the store directly and is bit-identical to the
     // in-memory hash by construction.
-    std::uint64_t sc = 0;
-    std::uint64_t atlas = 0;
-    if (control.stream) {
-      store::IoEnv io;
-      const core::StreamedHashResult sc_hash = core::streamed_dataset_hash(
-          store_dir, "speedchecker", io, &study.sc_fleet(),
-          config.include_atlas ? &study.atlas_fleet() : nullptr);
-      if (!sc_hash.ok()) {
-        std::cerr << "dataset-hash failed: " << sc_hash.error << "\n";
-        return 1;
-      }
-      sc = sc_hash.hash;
-      if (config.include_atlas) {
-        const core::StreamedHashResult atlas_hash =
-            core::streamed_dataset_hash(store_dir, "atlas", io,
-                                        &study.sc_fleet(),
-                                        &study.atlas_fleet());
-        if (!atlas_hash.ok()) {
-          std::cerr << "dataset-hash failed: " << atlas_hash.error << "\n";
-          return 1;
-        }
-        atlas = atlas_hash.hash;
-      }
-    } else {
-      sc = core::dataset_hash(study.sc_dataset());
-      if (config.include_atlas) atlas = core::dataset_hash(study.atlas_dataset());
-    }
     std::uint64_t state = sc ^ (atlas * 0x9e3779b97f4a7c15ULL);
     const std::uint64_t combined = util::splitmix64(state);
     std::cout << "dataset-hash sc=" << core::format_dataset_hash(sc)
